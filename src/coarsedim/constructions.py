@@ -6,8 +6,9 @@ at most a factor of the group order.  Lifting a cover back up is the real
 construction: the preimage of each member is split into well-separated
 pieces using subgroups generated by small displacements, and the resulting
 cover of the total space is invariant under the whole action with no loss
-of dimension.  Both directions certify their postconditions by
-recomputation and treat any failure as an implementation bug.
+of dimension.  Both directions certify each cover they touch once, check
+their postconditions against those certificates, and treat any failure as
+an implementation bug.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .covers import (Cover, CoverCertificate, certify, check_equivariance, dimension,
-                     lebesgue_number, mesh, validate_cover, validate_decomposition,
-                     Decomposition)
+from .covers import (Cover, CoverCertificate, certify, check_equivariance,
+                     validate_cover, validate_decomposition, Decomposition)
 from .errors import InternalInvariantError
 from .groups import (FiniteGroup, IsometricAction, QuotientSpace, coset_representatives,
                      generated_subgroup, quotient)
-from .metric import (INF, FiniteMetricSpace, Scalar, check_scalar, diameter,
-                     set_distance)
+from .metric import (INF, FiniteMetricSpace, Scalar, _set_distance, check_scalar,
+                     diameter)
 
 
 def pushforward_cover(a: IsometricAction, q: QuotientSpace,
@@ -48,16 +48,14 @@ def pushforward_cover(a: IsometricAction, q: QuotientSpace,
     out = Cover(q.space, members, name=f"{c.name}_pushed")
     cert = certify(out)
 
-    in_mesh = mesh(c)
-    in_lebesgue = lebesgue_number(c)
-    in_dim = dimension(c)
-    bound = len(a.group) * (in_dim + 1) - 1
-    if cert.mesh > in_mesh:
+    given = certify(c)
+    bound = len(a.group) * (given.dimension + 1) - 1
+    if cert.mesh > given.mesh:
         raise InternalInvariantError(
-            f"pushforward mesh {cert.mesh} exceeds input mesh {in_mesh}")
-    if cert.lebesgue < in_lebesgue:
+            f"pushforward mesh {cert.mesh} exceeds input mesh {given.mesh}")
+    if cert.lebesgue < given.lebesgue:
         raise InternalInvariantError(
-            f"pushforward Lebesgue number {cert.lebesgue} below input {in_lebesgue}")
+            f"pushforward Lebesgue number {cert.lebesgue} below input {given.lebesgue}")
     if cert.dimension > bound:
         raise InternalInvariantError(
             f"pushforward dimension {cert.dimension} exceeds |F|(n+1)-1 = {bound}")
@@ -113,7 +111,8 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
     piece per coset of the subgroup generated by elements moving the
     basepoint by at most 4s; a piece is the part of the fiber within s of
     the subgroup's translates of its basepoint (closed balls: the
-    separation argument needs <=).  Certified, all by recomputation:
+    separation argument needs <=).  Certified, by one certificate of each
+    cover and a direct check of each split:
 
       * the member family is invariant under the whole group,
       * mesh(out) < 4s(|F|+1),
@@ -134,19 +133,18 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
     if issues:
         raise ValueError("invalid cover: " + "; ".join(v.message for v in issues))
 
-    c_mesh = mesh(c)
-    c_lebesgue = lebesgue_number(c)
+    given = certify(c)
     if R is None:
-        R = c_lebesgue if c_lebesgue != INF else max(c_mesh, 1)
+        R = given.lebesgue if given.lebesgue != INF else max(given.mesh, 1)
     check_scalar(R, "R")
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
-    if not c_lebesgue >= R:
-        raise ValueError(f"cover has Lebesgue number {c_lebesgue}, below the target {R}")
+    if not given.lebesgue >= R:
+        raise ValueError(f"cover has Lebesgue number {given.lebesgue}, below the target {R}")
 
     group = a.group
     m = a.space
-    s = max(c_mesh, R)
+    s = max(given.mesh, R)
     separation = 2 * s
 
     entries = []
@@ -178,7 +176,7 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
                 f"lift pieces of member {k} do not union to the fiber")
         for i in range(len(pieces)):
             for j in range(i + 1, len(pieces)):
-                d = set_distance(m, pieces[i].piece, pieces[j].piece)
+                d = _set_distance(m, pieces[i].piece, pieces[j].piece)
                 if not d > separation:
                     raise InternalInvariantError(
                         f"lift pieces {i} and {j} of member {k} are {d} apart, "
@@ -194,27 +192,21 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
     out = Cover(m, all_pieces, name=f"{c.name}_lifted")
     trace = LiftTrace(R=R, s=s, entries=tuple(entries))
 
-    invariant, witness = check_equivariance(a, out)
-    if not invariant:
-        k, g = witness
+    cert = certify(out, action=a)
+    if not cert.equivariant:
+        k, g = check_equivariance(a, out)[1]
         raise InternalInvariantError(
             f"lifted cover not invariant: member {k} under {group.elements[g]}")
-    out_mesh = mesh(out)
     mesh_bound = 4 * s * (len(group) + 1)
-    if not out_mesh < mesh_bound:
+    if not cert.mesh < mesh_bound:
         raise InternalInvariantError(
-            f"lifted mesh {out_mesh} not below 4s(|F|+1) = {mesh_bound}")
-    out_dim = dimension(out)
-    in_dim = dimension(c)
-    if out_dim > in_dim:
+            f"lifted mesh {cert.mesh} not below 4s(|F|+1) = {mesh_bound}")
+    if cert.dimension > given.dimension:
         raise InternalInvariantError(
-            f"lifted dimension {out_dim} exceeds input dimension {in_dim}")
-    out_lebesgue = lebesgue_number(out)
-    if not out_lebesgue >= R:
+            f"lifted dimension {cert.dimension} exceeds input dimension {given.dimension}")
+    if not cert.lebesgue >= R:
         raise InternalInvariantError(
-            f"lifted Lebesgue number {out_lebesgue} below target {R}")
-
-    cert = certify(out, action=a)
+            f"lifted Lebesgue number {cert.lebesgue} below target {R}")
     return out, trace, cert
 
 

@@ -2,13 +2,20 @@
 
 The three certified quantities of a cover are its dimension (largest point
 multiplicity minus one), its mesh (largest member diameter) and its Lebesgue
-number.  The Lebesgue number is computed by the complement-distance formula
+number.  The Lebesgue number is given by the complement-distance formula
 
     L = min over points x of  max over members U of  d(x, X \\ U)
 
 with d(x, emptyset) = INF, which makes the contract exact: for every R <= L
 each open R-ball around any point sits inside some member, and for every
 R > L some open R-ball does not.
+
+It is evaluated on the space's nearest-first orders (every point sorted by
+distance from x, see FiniteMetricSpace.nearest_first).  In a metric, a
+member without x contributes d(x, x) = 0, and for a member U containing x,
+d(x, X \\ U) is the distance to the first point of x's order that is not
+in U, which lies within the first |U| + 1 entries; the formula is thus
+evaluated exactly, with no scan of the complement.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, Violation
 from .groups import IsometricAction
-from .metric import INF, FiniteMetricSpace, Scalar, check_scalar, diameter, set_distance
+from .metric import INF, FiniteMetricSpace, Scalar, _diameter, _set_distance, check_scalar
 
 
 class Cover:
@@ -132,7 +139,7 @@ def mesh(c: Cover) -> Scalar:
     """Largest member diameter."""
     best: Scalar = 0
     for member in c.members:
-        d = diameter(c.space, member)
+        d = _diameter(c.space, member)
         if d > best:
             best = d
     return best
@@ -143,15 +150,23 @@ def lebesgue_number(c: Cover):
     if not c.members:
         raise ValueError("Lebesgue number of a cover with no members is undefined")
     m = c.space
-    everything = frozenset(range(len(m)))
-    complements = [everything - member for member in c.members]
+    containing: list[list[frozenset[int]]] = [[] for _ in range(len(m))]
+    for member in c.members:
+        for x in member:
+            containing[x].append(member)
     overall = None
-    for x in range(len(m)):
-        best_for_x = None
-        for comp in complements:
-            v = set_distance(m, (x,), comp)
-            if best_for_x is None or v > best_for_x:
-                best_for_x = v
+    for x, order in enumerate(m.nearest_first()):
+        row = m.dist[x]
+        best_for_x = 0
+        for member in containing[x]:
+            for y in order:
+                if y not in member:
+                    if row[y] > best_for_x:
+                        best_for_x = row[y]
+                    break
+            else:
+                best_for_x = INF
+                break
         if overall is None or best_for_x < overall:
             overall = best_for_x
     return overall
@@ -163,7 +178,7 @@ def ball_meet_count(c: Cover, radius: Scalar) -> int:
     m = c.space
     best = 0
     for x in range(len(m)):
-        count = sum(1 for member in c.members if set_distance(m, (x,), member) < radius)
+        count = sum(1 for member in c.members if _set_distance(m, (x,), member) < radius)
         if count > best:
             best = count
     return best
@@ -175,10 +190,10 @@ def is_r_disjoint(space: FiniteMetricSpace, family: Sequence[Iterable[int]],
     is (i, j, distance) for the first offending pair in index order; empty sets
     never collide (their distance is INF)."""
     check_scalar(r, "r")
-    sets = [frozenset(piece) for piece in family]
+    sets = [frozenset(space.check_point(x) for x in piece) for piece in family]
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
-            d = set_distance(space, sets[i], sets[j])
+            d = _set_distance(space, sets[i], sets[j])
             if not d > r:
                 return False, (i, j, d)
     return True, None
@@ -225,7 +240,7 @@ def decomposition_to_cover(d: Decomposition) -> tuple[Cover, CoverCertificate]:
             if not piece:
                 continue
             grown = frozenset(x for x in range(len(m))
-                              if set_distance(m, (x,), piece) <= t)
+                              if _set_distance(m, (x,), piece) <= t)
             if grown not in seen:
                 seen.add(grown)
                 members.append(grown)

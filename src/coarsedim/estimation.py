@@ -20,7 +20,7 @@ from .covers import (Cover, CoverCertificate, certify, dimension, lebesgue_numbe
 from .constructions import LiftTrace, lift_equivariant
 from .errors import CapExceededError, InternalInvariantError
 from .groups import IsometricAction, QuotientSpace, quotient
-from .metric import FiniteMetricSpace, Scalar, ball, check_scalar, diameter
+from .metric import FiniteMetricSpace, Scalar, _diameter, ball, check_scalar
 
 EXACT_POINT_CAP = 14
 SUBSET_POINT_CAP = 10
@@ -45,7 +45,7 @@ def _candidate_family(m: FiniteMetricSpace, B: Scalar,
 
     def push(cand: frozenset[int]):
         if cand and cand not in seen:
-            if diameter(m, cand) <= B:
+            if _diameter(m, cand) <= B:
                 seen.add(cand)
                 out.append(cand)
 
@@ -158,14 +158,15 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
         if picked is not None:
             members = [candidates[ci] for ci in picked]
             cover = Cover(m, members, name=f"{m.name}_exact_R{R}_B{B}")
-            if not lebesgue_number(cover) >= R:
+            cert = certify(cover)
+            if not cert.lebesgue >= R:
                 raise InternalInvariantError("exact cover misses its Lebesgue target")
-            if not mesh(cover) <= B:
+            if not cert.mesh <= B:
                 raise InternalInvariantError("exact cover exceeds its mesh bound")
-            if dimension(cover) != cap - 1:
+            if cert.dimension != cap - 1:
                 raise InternalInvariantError(
                     f"search at multiplicity cap {cap} returned dimension "
-                    f"{dimension(cover)}")
+                    f"{cert.dimension}")
             return cover
     raise InternalInvariantError("exact search failed with nonempty serve sets")
 
@@ -304,10 +305,10 @@ def equivariant_cover_pipeline(a: IsometricAction, R: Scalar,
         if quotient_cover.space != q.space:
             raise ValueError("supplied cover does not live on the quotient")
         qc = quotient_cover
-        if not lebesgue_number(qc) >= R:
+        supplied = lebesgue_number(qc)
+        if not supplied >= R:
             raise ValueError(
-                f"supplied quotient cover has Lebesgue number "
-                f"{lebesgue_number(qc)}, below {R}")
+                f"supplied quotient cover has Lebesgue number {supplied}, below {R}")
     else:
         use_exact = mode == "exact" or (mode == "auto" and len(q.space) <= max_points)
         if use_exact:

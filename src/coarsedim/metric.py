@@ -63,6 +63,7 @@ class FiniteMetricSpace:
         self.dist = tuple(rows)
         self.name = str(name)
         self._index = {p: i for i, p in enumerate(self.points)}
+        self._nearest = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -78,6 +79,15 @@ class FiniteMetricSpace:
 
     def point_set(self, names: Iterable[str]) -> frozenset[int]:
         return frozenset(self.index(p) for p in names)
+
+    def nearest_first(self) -> tuple[tuple[int, ...], ...]:
+        """For every point, all points in order of distance from it (ties by
+        index).  Built on first use and kept: the table never changes."""
+        if self._nearest is None:
+            n = range(len(self.points))
+            self._nearest = tuple(tuple(sorted(n, key=row.__getitem__))
+                                  for row in self.dist)
+        return self._nearest
 
     def check_point(self, x: int) -> int:
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < len(self.points):
@@ -97,7 +107,58 @@ class FiniteMetricSpace:
 
 
 def validate_metric(m: FiniteMetricSpace) -> list[Violation]:
-    """Exhaustive check of the metric axioms; lists every violated pair/triple."""
+    """Exhaustive check of the metric axioms; lists every violated pair/triple.
+
+    A valid table is recognised by an all-clear pass that is exact, not a
+    filter: the table is scaled to integers by the LCM of its denominators
+    and each row is packed into one int with a fixed-width lane per point
+    and a guard bit at the top of every lane.  For each ordered pair (i, j),
+    row_j + d(i,j)*ONES + GUARDS - row_i keeps every guard bit exactly when
+    d(i,k) <= d(i,j) + d(j,k) for every k: lanes are wide enough that no
+    lane carries into or borrows from its neighbour, so the big-int sum is
+    the lane-wise sum.  When that pass fails, or an entry is negative, the
+    per-triple listing below runs and reports every violation, in the same
+    order and with the same messages whichever way the answer was reached.
+    """
+    if _all_clear(m.dist):
+        return []
+    return _list_violations(m)
+
+
+def _all_clear(dist) -> bool:
+    """Whether the table satisfies every metric axiom (see validate_metric)."""
+    n = len(dist)
+    scale = math.lcm(*(v.denominator for row in dist for v in row))
+    rows = [[v.numerator * (scale // v.denominator) for v in row] for row in dist]
+    if min(map(min, rows)) < 0:
+        return False
+    for i, row in enumerate(rows):
+        # With nonnegative entries, a zero diagonal and one zero per row is
+        # identity plus positivity.
+        if row[i] != 0 or row.count(0) != 1:
+            return False
+    if any(row != list(col) for row, col in zip(rows, zip(*rows))):
+        return False
+    # A lane holds d(j,k) + d(i,j) + guard - d(i,k) with every entry below
+    # 2**bits, so it stays in [guard - 2**bits, 2 * guard) and the guard bit
+    # is set exactly when the triangle inequality holds.
+    bits = max(map(max, rows)).bit_length()
+    lane_bytes = (bits + 2 + 7) // 8
+    guard = 1 << (bits + 1)
+    ones = int.from_bytes((b"\x01" + b"\x00" * (lane_bytes - 1)) * n, "little")
+    guards = ones * guard
+    packed = [int.from_bytes(b"".join(v.to_bytes(lane_bytes, "little") for v in row),
+                             "little") for row in rows]
+    shifted = [p + guards for p in packed]
+    survived = guards
+    for i, row in enumerate(rows):
+        p_i = packed[i]
+        for j, d_ij in enumerate(row):
+            survived &= shifted[j] + d_ij * ones - p_i
+    return survived == guards
+
+
+def _list_violations(m: FiniteMetricSpace) -> list[Violation]:
     out: list[Violation] = []
     n = len(m)
     for i in range(n):
@@ -154,6 +215,8 @@ def build_graph_metric(vertices: Sequence[str], edges: Iterable[tuple],
     dist: list[list] = [[INF] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = 0
+    neighbours: list[set[int]] = [set() for _ in range(n)]
+    unit = True
     for pos, edge in enumerate(edges):
         u, v = edge
         if u not in index or v not in index:
@@ -166,19 +229,40 @@ def build_graph_metric(vertices: Sequence[str], edges: Iterable[tuple],
             raise ValueError(f"self-loop at {u!r}")
         if w < dist[i][j]:
             dist[i][j] = dist[j][i] = w
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+        unit = unit and type(w) is int and w == 1
 
-    # Floyd-Warshall; sums of ints/Fractions stay exact, INF only ever loses.
-    for k in range(n):
-        dk = dist[k]
+    if unit:
+        # Every edge has int weight 1: one breadth-first search per source
+        # gives the same table, in the same int type, as Floyd-Warshall.
         for i in range(n):
-            dik = dist[i][k]
-            if dik == INF:
-                continue
-            di = dist[i]
-            for j in range(n):
-                alt = dik + dk[j]
-                if alt < di[j]:
-                    di[j] = alt
+            row = dist[i] = [INF] * n
+            row[i] = 0
+            frontier = [i]
+            depth = 0
+            while frontier:
+                depth += 1
+                reached = []
+                for v in frontier:
+                    for u in neighbours[v]:
+                        if row[u] == INF:
+                            row[u] = depth
+                            reached.append(u)
+                frontier = reached
+    else:
+        # Floyd-Warshall; sums of ints/Fractions stay exact, INF only ever loses.
+        for k in range(n):
+            dk = dist[k]
+            for i in range(n):
+                dik = dist[i][k]
+                if dik == INF:
+                    continue
+                di = dist[i]
+                for j in range(n):
+                    alt = dik + dk[j]
+                    if alt < di[j]:
+                        di[j] = alt
 
     for i in range(n):
         for j in range(n):
@@ -201,27 +285,32 @@ def ball(m: FiniteMetricSpace, x: int, r: Scalar, mode: str = "closed") -> froze
 
 def diameter(m: FiniteMetricSpace, s: Iterable[int]) -> Scalar:
     """Largest pairwise distance within s; the empty set has no diameter."""
-    s = sorted({m.check_point(x) for x in s})
-    if not s:
-        raise ValueError("diameter of the empty set is undefined")
-    best: Scalar = 0
-    for a_pos, x in enumerate(s):
-        for y in s[a_pos + 1:]:
-            if m.dist[x][y] > best:
-                best = m.dist[x][y]
-    return best
+    return _diameter(m, {m.check_point(x) for x in s})
 
 
 def set_distance(m: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]):
     """min d(x, y) over x in a, y in b; INF when either side is empty."""
-    a = [m.check_point(x) for x in set(a)]
-    b = [m.check_point(y) for y in set(b)]
-    if not a or not b:
-        return INF
-    best = None
-    for x in a:
-        row = m.dist[x]
-        for y in b:
-            if best is None or row[y] < best:
-                best = row[y]
+    return _set_distance(m, [m.check_point(x) for x in set(a)],
+                         [m.check_point(y) for y in set(b)])
+
+
+# The unchecked forms below are for point sets already known to be indices
+# of m, such as cover members; they skip the per-element range check.
+
+def _diameter(m: FiniteMetricSpace, s: Iterable[int]) -> Scalar:
+    s = sorted(s)
+    if not s:
+        raise ValueError("diameter of the empty set is undefined")
+    best: Scalar = 0
+    for pos, x in enumerate(s[:-1]):
+        far = max(map(m.dist[x].__getitem__, s[pos + 1:]))
+        if far > best:
+            best = far
     return best
+
+
+def _set_distance(m: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]):
+    b = list(b)
+    if not b:
+        return INF
+    return min((min(map(m.dist[x].__getitem__, b)) for x in a), default=INF)

@@ -1,0 +1,18 @@
+"""Shared test settings.
+
+Property tests run under one deterministic hypothesis profile: the same
+examples on every run, no per-example deadline (timings on a loaded
+machine are not a property of the code) and a bounded example count, so
+the suite stays reproducible and its run time stays flat.  Hypothesis is
+an optional test dependency; without it only the property tests skip.
+"""
+
+try:
+    from hypothesis import HealthCheck, settings
+except ImportError:  # pragma: no cover - the property tests skip themselves
+    pass
+else:
+    settings.register_profile(
+        "deterministic", derandomize=True, deadline=None, max_examples=150,
+        database=None, suppress_health_check=[HealthCheck.too_slow])
+    settings.load_profile("deterministic")

@@ -7,7 +7,8 @@ import pytest
 
 from coarsedim import (INF, FiniteMetricSpace, ball, build_graph_metric,
                        diameter, set_distance, validate_metric)
-from coarsedim.generators import path_space, random_graph_space
+from coarsedim.generators import (cayley_ball_space, cycle_space, grid_space,
+                                  path_space, random_graph_space)
 
 from oracles import dijkstra_metric
 
@@ -135,3 +136,73 @@ def test_diameter_and_set_distance():
     assert set_distance(m, [0, 1], [1, 2]) == 0
     assert set_distance(m, [], [1]) == INF
     assert set_distance(m, [1], []) == INF
+
+
+def test_public_helpers_reject_bad_indices():
+    m = path_space(4)
+    for bad in (4, -1, True, "0"):
+        with pytest.raises(ValueError, match="out of range"):
+            ball(m, bad, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            diameter(m, [0, bad])
+        with pytest.raises(ValueError, match="out of range"):
+            set_distance(m, [0], [bad])
+        with pytest.raises(ValueError, match="out of range"):
+            set_distance(m, [bad], [0])
+
+
+CAYLEY_BALLS = ((12, (1, 5), 2), (20, (3, 4), 3), (30, (1, 7, 11), 2))
+
+
+def unit_graphs() -> dict:
+    """name -> (vertices, edges) for the unit-weight generator families:
+    grids, paths, cycles and circulant Cayley balls."""
+    out = {}
+    for w, h in ((1, 1), (1, 5), (3, 4), (6, 6)):
+        vertices = [f"{i},{j}" for i in range(w) for j in range(h)]
+        edges = [(f"{i},{j}", f"{i + 1},{j}") for i in range(w - 1) for j in range(h)]
+        edges += [(f"{i},{j}", f"{i},{j + 1}") for i in range(w) for j in range(h - 1)]
+        out[f"grid{w}x{h}"] = vertices, edges
+    for n in (2, 7):
+        out[f"P{n}"] = ([str(i) for i in range(n)],
+                        [(str(i), str(i + 1)) for i in range(n - 1)])
+    for n in (3, 8, 11):
+        out[f"C{n}"] = ([str(i) for i in range(n)],
+                        [(str(i), str((i + 1) % n)) for i in range(n)])
+    for n, gens, radius in CAYLEY_BALLS:
+        m = cayley_ball_space(n, gens, radius)
+        inside = {int(p) for p in m.points}
+        steps = {g % n for g in gens} | {-g % n for g in gens}
+        edges = [(str(v), str((v + st) % n)) for v in sorted(inside) for st in steps
+                 if (v + st) % n in inside and v < (v + st) % n]
+        out[m.name] = list(m.points), edges
+    return out
+
+
+def test_unit_weight_graph_metric_matches_dijkstra_oracle():
+    graphs = unit_graphs()
+    for name, (vertices, edges) in graphs.items():
+        table = dijkstra_metric(vertices, edges)
+        for weights in (None, [1] * len(edges)):
+            m = build_graph_metric(vertices, edges, weights)
+            for u in vertices:
+                for v in vertices:
+                    assert m.d(m.index(u), m.index(v)) == table[u][v], (name, u, v)
+            assert all(type(v) is int for row in m.dist for v in row), name
+    # The closed-form generators agree with the graph metrics.
+    for closed, name in ((grid_space(3, 4), "grid3x4"), (path_space(7), "P7"),
+                         (cycle_space(8), "C8")):
+        assert closed.dist == build_graph_metric(*graphs[name]).dist
+    for n, gens, radius in CAYLEY_BALLS:
+        m = cayley_ball_space(n, gens, radius)
+        assert m.dist == build_graph_metric(*graphs[m.name]).dist
+
+
+def test_unit_weight_disconnected_message_is_unchanged():
+    with pytest.raises(ValueError) as err:
+        build_graph_metric(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    assert str(err.value) == "graph is disconnected: no path between 'a' and 'c'"
+    with pytest.raises(ValueError) as err:
+        build_graph_metric(["a", "b", "c", "d"], [("a", "b"), ("c", "d")],
+                           weights=[2, 2])
+    assert str(err.value) == "graph is disconnected: no path between 'a' and 'c'"

@@ -1,0 +1,126 @@
+"""Property tests for the two exact fast paths: the nearest-first Lebesgue
+number against the definition, and the all-clear metric check against the
+full per-triple listing."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+given = hypothesis.given
+example = hypothesis.example
+
+from coarsedim import Cover, FiniteMetricSpace, lebesgue_number, validate_metric
+from coarsedim.generators import random_graph_space
+from coarsedim.metric import _all_clear, _list_violations
+
+from oracles import lebesgue_direct
+
+# 13 and 37 give entries of 7 to 9 bits, where lanes cross byte boundaries.
+SCALES = (1, 2, 13, 37, Fraction(1, 2), Fraction(2, 3), Fraction(5, 7))
+
+
+@st.composite
+def graph_metrics(draw, min_points=1, max_points=8):
+    """A random graph metric, scaled by an int or a Fraction."""
+    n = draw(st.integers(min_points, max_points))
+    m = random_graph_space(n, draw(st.integers(0, 10 ** 6)),
+                           edge_chance=draw(st.sampled_from(
+                               (Fraction(0), Fraction(1, 4), Fraction(3, 4)))),
+                           max_weight=draw(st.integers(1, 5)))
+    scale = draw(st.sampled_from(SCALES))
+    return FiniteMetricSpace(m.points, [[scale * v for v in row] for row in m.dist],
+                             name=m.name)
+
+
+@st.composite
+def covers(draw):
+    m = draw(graph_metrics(min_points=2))
+    n = len(m)
+    k = draw(st.integers(1, 5))
+    homes = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    members = [{x for x in range(n) if homes[x] == i} for i in range(k)]
+    extras = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=3))
+    members = [s for s in members if s]
+    if len(members) == 1:
+        members = [set(range(n - 1)), {n - 1}]
+    members += [s for s in extras if len(s) < n]
+    if draw(st.integers(0, 3)) == 1:
+        members.append(set(range(n)))  # a whole-space member: INF
+    return Cover(m, members, name="drawn")
+
+
+@given(covers())
+def test_lebesgue_number_matches_definition(c):
+    assert lebesgue_number(c) == lebesgue_direct(c.space, c.members)
+
+
+ENTRIES = st.one_of(st.integers(-3, 12),
+                    st.fractions(min_value=-2, max_value=12, max_denominator=6))
+POSITIVE = st.one_of(st.integers(1, 12),
+                     st.fractions(min_value=Fraction(1, 6), max_value=12,
+                                  max_denominator=6))
+
+
+def table(dist):
+    return FiniteMetricSpace([f"p{i}" for i in range(len(dist))], dist, name="table")
+
+
+@st.composite
+def tables(draw):
+    """A metric with injected faults, or an arbitrary table (half of them
+    symmetric with a zero diagonal, so that triangle faults show alone)."""
+    if draw(st.booleans()):
+        m = draw(graph_metrics(max_points=7))
+        dist = [list(row) for row in m.dist]
+        n = len(dist)
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            # A nudge by one unit makes violations with no slack at all.
+            value = draw(st.one_of(POSITIVE, ENTRIES, st.sampled_from(
+                (dist[i][j] + 1, dist[i][j] - 1, dist[i][j] + Fraction(1, 6)))))
+            dist[i][j] = value
+            if draw(st.integers(0, 3)):
+                dist[j][i] = value
+    else:
+        n = draw(st.integers(1, 5))
+        dist = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        if draw(st.booleans()):
+            for i in range(n):
+                dist[i][i] = 0
+                for j in range(i):
+                    dist[i][j] = dist[j][i]
+    return table(dist)
+
+
+@given(tables())
+@example(table([[0, -1], [-1, 0]]))                    # negative, else a metric
+@example(table([[0, 1, 3], [1, 0, 1], [3, 1, 0]]))     # triangle short by one
+@example(table([[0, Fraction(1, 3)], [Fraction(1, 3), 0]]))
+def test_validate_metric_matches_full_listing(m):
+    listing = _list_violations(m)
+    assert validate_metric(m) == listing
+    assert _all_clear(m.dist) == (listing == [])
+
+
+def test_validate_metric_at_lane_width_boundaries():
+    # Graph metrics whose entries reach 6 to 16 bits, then every distance
+    # moved by one in turn: the cases where a lane or guard bit one place
+    # off would let a neighbouring lane mask a violation.
+    widths = set()
+    for max_weight in (30, 40, 60, 80, 10000, 20000):
+        for seed in range(3):
+            base = random_graph_space(7, seed, max_weight=max_weight).dist
+            widths.add(max(map(max, base)).bit_length())
+            for i in range(7):
+                for j in range(i + 1, 7):
+                    for step in (1, -1):
+                        dist = [list(row) for row in base]
+                        dist[i][j] = dist[j][i] = base[i][j] + step
+                        m = table(dist)
+                        listing = _list_violations(m)
+                        assert validate_metric(m) == listing
+                        assert _all_clear(m.dist) == (listing == [])
+    assert {6, 7, 8, 14, 15} <= widths
