@@ -15,7 +15,11 @@ distance from x, see FiniteMetricSpace.nearest_first).  In a metric, a
 member without x contributes d(x, x) = 0, and for a member U containing x,
 d(x, X \\ U) is the distance to the first point of x's order that is not
 in U, which lies within the first |U| + 1 entries; the formula is thus
-evaluated exactly, with no scan of the complement.
+evaluated exactly, with no scan of the complement.  Both steps use the
+metric axioms (d(x, x) = 0 and d >= 0), so lebesgue_number, certify and
+verify_certificate require a space for which validate_metric returns no
+violations; the CLI loads only such spaces.  On a table that fails the
+check, the value returned need not be the formula's.
 """
 
 from __future__ import annotations
@@ -146,7 +150,10 @@ def mesh(c: Cover) -> Scalar:
 
 
 def lebesgue_number(c: Cover):
-    """Complement-distance Lebesgue number; INF when a member is the whole space."""
+    """Complement-distance Lebesgue number; INF when a member is the whole space.
+
+    c.space must be a metric (validate_metric(c.space) == []); see the
+    module docstring."""
     if not c.members:
         raise ValueError("Lebesgue number of a cover with no members is undefined")
     m = c.space
@@ -272,7 +279,10 @@ def check_equivariance(a: IsometricAction, c: Cover) -> tuple[bool, tuple | None
 
 def certify(c: Cover, meet_radius: Scalar | None = None,
             action: IsometricAction | None = None) -> CoverCertificate:
-    """Recompute every certified quantity from the raw cover."""
+    """Recompute every certified quantity from the raw cover.
+
+    c.space must be a metric (validate_metric(c.space) == []): the
+    Lebesgue number is computed with the metric axioms."""
     equivariant = None
     if action is not None:
         equivariant = check_equivariance(action, c)[0]
@@ -292,7 +302,9 @@ def certify(c: Cover, meet_radius: Scalar | None = None,
 
 def verify_certificate(c: Cover, cert: CoverCertificate,
                        action: IsometricAction | None = None) -> list[Violation]:
-    """Recompute and compare; any disagreement is a violation."""
+    """Recompute and compare; any disagreement is a violation.
+
+    Like certify, this requires c.space to be a metric."""
     fresh = certify(c, meet_radius=cert.meet_radius, action=action)
     out = []
     for field in ("dimension", "lebesgue", "mesh", "ball_meet", "equivariant"):

@@ -8,6 +8,7 @@ taken over an empty set.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -212,11 +213,8 @@ def build_graph_metric(vertices: Sequence[str], edges: Iterable[tuple],
         weights = list(weights)
         if len(weights) != len(edges):
             raise ValueError(f"{len(weights)} weights for {len(edges)} edges")
-    dist: list[list] = [[INF] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0
-    neighbours: list[set[int]] = [set() for _ in range(n)]
-    unit = True
+    # adjacency[i][j] is the lightest weight among the edges joining i and j.
+    adjacency: list[dict[int, Scalar]] = [{} for _ in range(n)]
     for pos, edge in enumerate(edges):
         u, v = edge
         if u not in index or v not in index:
@@ -227,42 +225,26 @@ def build_graph_metric(vertices: Sequence[str], edges: Iterable[tuple],
         i, j = index[u], index[v]
         if i == j:
             raise ValueError(f"self-loop at {u!r}")
-        if w < dist[i][j]:
-            dist[i][j] = dist[j][i] = w
-        neighbours[i].add(j)
-        neighbours[j].add(i)
-        unit = unit and type(w) is int and w == 1
+        if w < adjacency[i].get(j, INF):
+            adjacency[i][j] = adjacency[j][i] = w
 
-    if unit:
-        # Every edge has int weight 1: one breadth-first search per source
-        # gives the same table, in the same int type, as Floyd-Warshall.
-        for i in range(n):
-            row = dist[i] = [INF] * n
-            row[i] = 0
-            frontier = [i]
-            depth = 0
-            while frontier:
-                depth += 1
-                reached = []
-                for v in frontier:
-                    for u in neighbours[v]:
-                        if row[u] == INF:
-                            row[u] = depth
-                            reached.append(u)
-                frontier = reached
-    else:
-        # Floyd-Warshall; sums of ints/Fractions stay exact, INF only ever loses.
-        for k in range(n):
-            dk = dist[k]
-            for i in range(n):
-                dik = dist[i][k]
-                if dik == INF:
-                    continue
-                di = dist[i]
-                for j in range(n):
-                    alt = dik + dk[j]
-                    if alt < di[j]:
-                        di[j] = alt
+    # One Dijkstra per source: weights are positive, so a popped distance is
+    # final; sums of ints/Fractions stay exact, INF marks the unreached.
+    dist: list[list] = []
+    for source in range(n):
+        row = [INF] * n
+        row[source] = 0
+        heap = [(0, source)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if d > row[v]:
+                continue
+            for u, w in adjacency[v].items():
+                alt = d + w
+                if alt < row[u]:
+                    row[u] = alt
+                    heapq.heappush(heap, (alt, u))
+        dist.append(row)
 
     for i in range(n):
         for j in range(n):

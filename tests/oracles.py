@@ -1,8 +1,8 @@
 """Independent reference computations the tests compare against.
 
 Everything here is written from the definitions, in a deliberately different
-style and search space from the library (Dijkstra instead of Floyd-Warshall,
-serve-partitions instead of candidate backtracking, direct ball checks
+style and search space from the library (name-keyed Dijkstra over edge lists
+and Floyd-Warshall beside the library's index-based Dijkstra, serve-partitions instead of candidate backtracking, direct ball checks
 instead of complement distances), so agreement is evidence and not an echo.
 """
 
@@ -34,6 +34,21 @@ def dijkstra_metric(vertices, edges, weights=None) -> dict:
                     dist[u] = alt
                     heapq.heappush(heap, (alt, u))
         table[source] = dist
+    return table
+
+
+def floyd_warshall_metric(vertices, edges, weights=None) -> dict:
+    """All-pairs shortest paths as nested dicts, by relaxing through every
+    intermediate vertex in turn."""
+    if weights is None:
+        weights = [1] * len(edges)
+    table = {u: {v: 0 if u == v else inf for v in vertices} for u in vertices}
+    for (u, v), w in zip(edges, weights):
+        table[u][v] = table[v][u] = min(table[u][v], w)
+    for k in vertices:
+        for u in vertices:
+            for v in vertices:
+                table[u][v] = min(table[u][v], table[u][k] + table[k][v])
     return table
 
 

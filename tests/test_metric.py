@@ -10,7 +10,7 @@ from coarsedim import (INF, FiniteMetricSpace, ball, build_graph_metric,
 from coarsedim.generators import (cayley_ball_space, cycle_space, grid_space,
                                   path_space, random_graph_space)
 
-from oracles import dijkstra_metric
+from oracles import dijkstra_metric, floyd_warshall_metric
 
 
 def test_construction_rejects_bad_shapes():
@@ -154,9 +154,9 @@ def test_public_helpers_reject_bad_indices():
 CAYLEY_BALLS = ((12, (1, 5), 2), (20, (3, 4), 3), (30, (1, 7, 11), 2))
 
 
-def unit_graphs() -> dict:
-    """name -> (vertices, edges) for the unit-weight generator families:
-    grids, paths, cycles and circulant Cayley balls."""
+def generator_graphs() -> dict:
+    """name -> (vertices, edges) for the graphs behind the generator
+    families: grids, paths, cycles and circulant Cayley balls."""
     out = {}
     for w, h in ((1, 1), (1, 5), (3, 4), (6, 6)):
         vertices = [f"{i},{j}" for i in range(w) for j in range(h)]
@@ -179,16 +179,21 @@ def unit_graphs() -> dict:
     return out
 
 
-def test_unit_weight_graph_metric_matches_dijkstra_oracle():
-    graphs = unit_graphs()
+def test_graph_metric_matches_dijkstra_oracle_on_generator_graphs():
+    graphs = generator_graphs()
     for name, (vertices, edges) in graphs.items():
-        table = dijkstra_metric(vertices, edges)
-        for weights in (None, [1] * len(edges)):
+        rng = random.Random(name)
+        for weights in (None, [1] * len(edges),
+                        [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in edges]):
             m = build_graph_metric(vertices, edges, weights)
+            table = dijkstra_metric(vertices, edges, weights)
+            relaxed = floyd_warshall_metric(vertices, edges, weights)
             for u in vertices:
                 for v in vertices:
                     assert m.d(m.index(u), m.index(v)) == table[u][v], (name, u, v)
-            assert all(type(v) is int for row in m.dist for v in row), name
+                    assert table[u][v] == relaxed[u][v], (name, u, v)
+            if weights is None:
+                assert all(type(v) is int for row in m.dist for v in row), name
     # The closed-form generators agree with the graph metrics.
     for closed, name in ((grid_space(3, 4), "grid3x4"), (path_space(7), "P7"),
                          (cycle_space(8), "C8")):
@@ -198,11 +203,11 @@ def test_unit_weight_graph_metric_matches_dijkstra_oracle():
         assert m.dist == build_graph_metric(*graphs[m.name]).dist
 
 
-def test_unit_weight_disconnected_message_is_unchanged():
+def test_disconnected_graph_message_names_first_pair():
     with pytest.raises(ValueError) as err:
         build_graph_metric(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     assert str(err.value) == "graph is disconnected: no path between 'a' and 'c'"
     with pytest.raises(ValueError) as err:
         build_graph_metric(["a", "b", "c", "d"], [("a", "b"), ("c", "d")],
-                           weights=[2, 2])
+                           weights=[2, Fraction(1, 2)])
     assert str(err.value) == "graph is disconnected: no path between 'a' and 'c'"
