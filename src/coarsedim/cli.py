@@ -21,8 +21,8 @@ from .constructions import lift_equivariant, pushforward_cover
 from .covers import certify
 from .errors import InternalInvariantError, ResolutionError
 from .estimation import (EXACT_POINT_CAP, SUBSET_POINT_CAP, Infeasible,
-                         equivariant_cover_pipeline, family_profile, greedy_cover,
-                         min_dimension_cover_exact)
+                         _certified_exact_cover, equivariant_cover_pipeline,
+                         family_profile, greedy_cover)
 from .formats import (KIND_ORDER, FormatError, Workspace, action_to_dict,
                       certificate_to_dict, cover_to_dict, dumps, group_to_dict,
                       lift_trace_to_dict, load_entry, parse_document,
@@ -221,14 +221,13 @@ def cmd_estimate(args) -> int:
     use_exact = args.mode == "exact" or (args.mode == "auto"
                                          and len(m) <= args.max_points)
     if use_exact:
-        result = min_dimension_cover_exact(m, R, B if B is not None else 4 * R,
-                                           max_points=args.max_points,
-                                           subset_points=args.subset_points)
+        result = _certified_exact_cover(m, R, B if B is not None else 4 * R,
+                                        args.max_points, args.subset_points, certify)
         if isinstance(result, Infeasible):
             _emit_error("infeasible", result.message,
                         point=m.points[result.point])
             return 3
-        cover, cert = result, certify(result)
+        cover, cert = result
     else:
         cover, cert = greedy_cover(m, R)
     out = Path(args.out)

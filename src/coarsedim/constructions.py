@@ -25,6 +25,12 @@ from .metric import (INF, FiniteMetricSpace, Scalar, _set_distance, check_scalar
                      diameter)
 
 
+def _require_valid(c: Cover) -> None:
+    issues = validate_cover(c)
+    if issues:
+        raise ValueError("invalid cover: " + "; ".join(v.message for v in issues))
+
+
 def pushforward_cover(a: IsometricAction, q: QuotientSpace,
                       c: Cover) -> tuple[Cover, CoverCertificate]:
     """Image of a cover under the quotient projection, members deduplicated.
@@ -34,9 +40,7 @@ def pushforward_cover(a: IsometricAction, q: QuotientSpace,
     """
     if c.space != a.space or q.source != a.space:
         raise ValueError("pushforward needs a cover and quotient of the action's space")
-    issues = validate_cover(c)
-    if issues:
-        raise ValueError("invalid cover: " + "; ".join(v.message for v in issues))
+    _require_valid(c)
 
     members = []
     seen = set()
@@ -129,11 +133,15 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
         raise ValueError("quotient does not belong to the action's space")
     if c.space != q.space:
         raise ValueError("cover does not live on the quotient space")
-    issues = validate_cover(c)
-    if issues:
-        raise ValueError("invalid cover: " + "; ".join(v.message for v in issues))
+    _require_valid(c)
+    return _lift_certified(a, q, c, certify(c), R)
 
-    given = certify(c)
+
+def _lift_certified(a: IsometricAction, q: QuotientSpace, c: Cover,
+                    given: CoverCertificate, R: Scalar | None
+                    ) -> tuple[Cover, LiftTrace, CoverCertificate]:
+    """lift_equivariant's body, for a valid cover c of q.space whose
+    certificate `given` the caller already holds."""
     if R is None:
         R = given.lebesgue if given.lebesgue != INF else max(given.mesh, 1)
     check_scalar(R, "R")

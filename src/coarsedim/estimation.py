@@ -1,26 +1,33 @@
 """Cover-dimension estimation at a fixed scale, exact and greedy.
 
 "Exact" means: minimal dimension among covers drawn from a stated candidate
-family (closed balls of radius at most B, plus every subset of diameter at
-most B when the space is small enough to enumerate subsets).  The space of
-covers is searched completely by iterative deepening on the multiplicity
-cap, so the returned dimension is the true minimum over that family; there
-is no scope beyond it, and the test suite cross-checks the small cases
-against a naive enumerator.
+family.  A point set has diameter at most B exactly when it is a clique of
+the "within B" graph, so the family is the cliques of that graph: all of
+them (every subset of diameter at most B) when the space has at most
+subset_points points, else the closed balls of radius at most B among
+them.  Candidates, required balls and point sets are int bitmasks.  The
+space of covers is searched completely by iterative deepening on the
+multiplicity cap, so the returned dimension is the true minimum over that
+family; there is no scope beyond it, and the test suite cross-checks the
+small cases against a naive enumerator.
+
+Deepening starts at a lower bound on the multiplicity that holds for every
+cover with Lebesgue number >= R and mesh <= B, drawn from any family: two
+open R-balls whose union has diameter > B can share no member.  Every cap
+below the bound fails whatever the search does, so starting there returns
+the same cover as starting at cap 1.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
-from .covers import (Cover, CoverCertificate, certify, dimension, lebesgue_number,
-                     mesh)
-from .constructions import LiftTrace, lift_equivariant
+from .covers import Cover, CoverCertificate, certify, lebesgue_number
+from .constructions import LiftTrace, _lift_certified, _require_valid
 from .errors import CapExceededError, InternalInvariantError
 from .groups import IsometricAction, QuotientSpace, quotient
-from .metric import FiniteMetricSpace, Scalar, _diameter, ball, check_scalar
+from .metric import FiniteMetricSpace, Scalar, ball, check_scalar
 
 EXACT_POINT_CAP = 14
 SUBSET_POINT_CAP = 10
@@ -36,99 +43,160 @@ class Infeasible:
     message: str
 
 
-def _candidate_family(m: FiniteMetricSpace, B: Scalar,
-                      include_subsets: bool) -> list[frozenset[int]]:
-    """Closed balls of radius <= B, plus all subsets when allowed, every
-    candidate filtered to diameter <= B, deduplicated, deterministic order."""
-    seen = set()
-    out: list[frozenset[int]] = []
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
-    def push(cand: frozenset[int]):
-        if cand and cand not in seen:
-            if _diameter(m, cand) <= B:
-                seen.add(cand)
-                out.append(cand)
 
-    radii = sorted({0} | {m.dist[i][j] for i in range(len(m))
-                          for j in range(len(m)) if m.dist[i][j] <= B})
-    for x in range(len(m)):
-        for rho in radii:
-            push(ball(m, x, rho, "closed"))
+def _near_masks(m: FiniteMetricSpace, B: Scalar) -> list[int]:
+    """near[p] has bit q set when {p, q} has diameter <= B.  A point set has
+    diameter <= B exactly when it is a clique of this graph."""
+    n = len(m)
+    near = [1 << p for p in range(n)]
+    for p in range(n):
+        row = m.dist[p]
+        for q in range(p + 1, n):
+            if row[q] <= B:
+                near[p] |= 1 << q
+                near[q] |= 1 << p
+    return near
+
+
+def _open_ball_masks(m: FiniteMetricSpace, R: Scalar) -> list[int]:
+    """The open R-ball around each point, as a bitmask."""
+    return [sum(1 << y for y, v in enumerate(row) if v < R) for row in m.dist]
+
+
+def _candidate_family(m: FiniteMetricSpace, B: Scalar, near: Sequence[int],
+                      include_subsets: bool) -> list[int]:
+    """Every subset of diameter <= B when allowed, else the closed balls of
+    radius <= B that have diameter <= B; as bitmasks, in the order (size,
+    sorted indices), which is total on distinct sets."""
     if include_subsets:
-        points = list(range(len(m)))
-        for size in range(1, len(points) + 1):
-            for combo in itertools.combinations(points, size):
-                push(frozenset(combo))
-    out.sort(key=lambda cand: (len(cand), tuple(sorted(cand))))
-    return out
+        # Level by level: extending each clique of one level, in order, by
+        # each common neighbour above its top point, in increasing order,
+        # lists the next level already in (size, sorted indices) order.
+        out: list[int] = []
+        level = [(1 << p, near[p] >> (p + 1) << (p + 1)) for p in range(len(m))]
+        while level:
+            out.extend(clique for clique, _ in level)
+            grown = []
+            for clique, common in level:
+                while common:
+                    low = common & -common
+                    grown.append((clique | low,
+                                  common & near[low.bit_length() - 1] & ~(2 * low - 1)))
+                    common ^= low
+            level = grown
+        return out
+    seen: set[int] = set()
+    for x, order in enumerate(m.nearest_first()):
+        # The distinct closed balls around x are the prefixes of its
+        # nearest-first order that end where the distance changes.  Once a
+        # prefix is no clique, no longer one is.
+        row = m.dist[x]
+        cand, common = 0, -1
+        for i, y in enumerate(order):
+            if row[y] > B or not common >> y & 1:
+                break
+            cand |= 1 << y
+            common &= near[y]
+            if i + 1 == len(order) or row[order[i + 1]] != row[y]:
+                seen.add(cand)
+    return sorted(seen, key=lambda cand: (cand.bit_count(), _bits(cand)))
 
 
-def _search_with_cap(serve: Sequence[Sequence[int]],
-                     candidates: Sequence[frozenset[int]], n_points: int,
+def _multiplicity_lower_bound(needs: Sequence[int], near: Sequence[int]) -> int:
+    """A multiplicity that every cover with these required balls and mesh
+    <= B reaches somewhere, whatever its members.
+
+    Two required balls whose union has diameter > B can share no member.
+    So if the balls of x_1, ..., x_k all contain y and pairwise cannot
+    share, they need k distinct members, each containing y.  Such a set is
+    picked greedily, in index order, for every y.  Every required ball must
+    be a clique of `near`.
+    """
+    apart = []
+    for need in needs:
+        # The union of two cliques is a clique exactly when one lies within
+        # B of every point of the other.
+        reach = -1
+        for p in _bits(need):
+            reach &= near[p]
+        apart.append(sum(1 << z for z, other in enumerate(needs) if other & ~reach))
+    best = 1
+    for y in range(len(needs)):
+        # The lowest point whose ball contains y and that cannot share with
+        # any point taken so far, until none is left.
+        left = sum(1 << x for x, need in enumerate(needs) if need >> y & 1)
+        k = 0
+        while left:
+            k += 1
+            left &= apart[(left & -left).bit_length() - 1]
+        best = max(best, k)
+    return best
+
+
+def _search_with_cap(serve: Sequence[Sequence[int]], candidates: Sequence[int],
+                     serves: Sequence[int], n_points: int,
                      cap: int) -> tuple[int, ...] | None:
     """Pick candidates so every point's required ball is inside a chosen one
-    and no point lies in more than `cap` chosen members.  Backtracking with a
-    fail-first point order; deterministic."""
-    served_by: dict[int, list[int]] = {}
-    for x, sx in enumerate(serve):
-        for ci in sx:
-            served_by.setdefault(ci, []).append(x)
-    counts = [0] * n_points
-    satisfied = [0] * n_points
-    chosen: set[int] = set()
+    and no point lies in more than `cap` chosen members.
 
-    def feasible(ci: int) -> bool:
-        return all(counts[y] < cap for y in candidates[ci])
+    serve[x] lists the candidates containing x's required ball; serves[ci]
+    is the mask of the points whose required ball candidate ci contains.
+    Point multiplicities are kept bit-sliced: levels[k] is the mask of the
+    points in more than k chosen members, so a candidate is usable when it
+    misses levels[cap - 1], the points already at the cap.  Backtracking with
+    a fail-first point order (the first point with the fewest usable
+    candidates, stopping at none); deterministic.
+    """
+    everyone = (1 << n_points) - 1
+    chosen: list[int] = []
 
-    def pick_point() -> int | None:
-        best, best_options = None, None
-        for x in range(n_points):
-            if satisfied[x]:
-                continue
-            options = sum(1 for ci in serve[x] if ci not in chosen and feasible(ci))
-            if best_options is None or options < best_options:
-                best, best_options = x, options
-                if options == 0:
-                    break
-        return best
-
-    def descend() -> bool:
-        x = pick_point()
-        if x is None:
+    def descend(levels: list[int], served: int) -> bool:
+        if served == everyone:
             return True
-        for ci in serve[x]:
-            if ci in chosen or not feasible(ci):
+        full = levels[-1]
+        best = None
+        for x in range(n_points):
+            if served >> x & 1:
                 continue
-            chosen.add(ci)
-            for y in candidates[ci]:
-                counts[y] += 1
-            for z in served_by[ci]:
-                satisfied[z] += 1
-            if descend():
+            options = [ci for ci in serve[x] if not candidates[ci] & full]
+            if best is None or len(options) < len(best):
+                best = options
+                if not options:
+                    return False
+        for ci in best:
+            cand = candidates[ci]
+            chosen.append(ci)
+            if descend([levels[0] | cand] + [hi | lo & cand for lo, hi
+                                             in zip(levels, levels[1:])],
+                       served | serves[ci]):
                 return True
-            for z in served_by[ci]:
-                satisfied[z] -= 1
-            for y in candidates[ci]:
-                counts[y] -= 1
-            chosen.discard(ci)
+            chosen.pop()
         return False
 
-    if descend():
+    if descend([0] * cap, 0):
         return tuple(sorted(chosen))
     return None
 
 
-def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
-                              max_points: int = EXACT_POINT_CAP,
-                              subset_points: int = SUBSET_POINT_CAP
-                              ) -> Cover | Infeasible:
-    """Minimal-dimension cover with Lebesgue number >= R and mesh <= B,
-    drawn from the candidate family; Infeasible if some open R-ball fits in
-    no candidate.
+def _certified_exact_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar,
+                           max_points: int, subset_points: int,
+                           certify: Callable[[Cover], CoverCertificate]
+                           ) -> tuple[Cover, CoverCertificate] | Infeasible:
+    """min_dimension_cover_exact, also returning the certificate its answer
+    was checked with, so that callers need not certify it again.
 
-    Iterative deepening on the multiplicity cap guarantees minimality;
-    within a cap the search is plain backtracking with a fail-first point
-    order, which is enough at these sizes.  The result is deterministic.
+    `certify` is the caller's own binding of covers.certify: the CLI passes
+    cli.certify, which its exit-code tests replace to force a failed
+    postcondition.
     """
     check_scalar(R, "R")
     check_scalar(B, "B")
@@ -141,22 +209,27 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
             f"exact search is capped at {max_points} points and {m.name!r} has "
             f"{len(m)}; use greedy_cover for larger spaces")
 
-    candidates = _candidate_family(m, B, include_subsets=len(m) <= subset_points)
-    needs = [ball(m, x, R, "open") for x in range(len(m))]
+    n = len(m)
+    near = _near_masks(m, B)
+    candidates = _candidate_family(m, B, near, include_subsets=n <= subset_points)
+    needs = _open_ball_masks(m, R)
     serve = []
+    serves = [0] * len(candidates)
     for x, need in enumerate(needs):
-        sx = [ci for ci, cand in enumerate(candidates) if need <= cand]
+        sx = [ci for ci, cand in enumerate(candidates) if cand & need == need]
         if not sx:
             return Infeasible(
-                point=x, required=need,
+                point=x, required=ball(m, x, R, "open"),
                 message=(f"no candidate of diameter <= {B} contains the open "
                          f"{R}-ball around {m.points[x]}"))
+        for ci in sx:
+            serves[ci] |= 1 << x
         serve.append(sx)
 
-    for cap in range(1, len(m) + 1):
-        picked = _search_with_cap(serve, candidates, len(m), cap)
+    for cap in range(_multiplicity_lower_bound(needs, near), n + 1):
+        picked = _search_with_cap(serve, candidates, serves, n, cap)
         if picked is not None:
-            members = [candidates[ci] for ci in picked]
+            members = [_bits(candidates[ci]) for ci in picked]
             cover = Cover(m, members, name=f"{m.name}_exact_R{R}_B{B}")
             cert = certify(cover)
             if not cert.lebesgue >= R:
@@ -167,8 +240,30 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
                 raise InternalInvariantError(
                     f"search at multiplicity cap {cap} returned dimension "
                     f"{cert.dimension}")
-            return cover
+            return cover, cert
     raise InternalInvariantError("exact search failed with nonempty serve sets")
+
+
+def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
+                              max_points: int = EXACT_POINT_CAP,
+                              subset_points: int = SUBSET_POINT_CAP
+                              ) -> Cover | Infeasible:
+    """Minimal-dimension cover with Lebesgue number >= R and mesh <= B,
+    drawn from the candidate family; Infeasible if some open R-ball fits in
+    no candidate.
+
+    Candidates are the cliques of the "within B" graph (at most
+    subset_points points: every subset of diameter <= B) or the closed
+    balls among them, held as int bitmasks.  Iterative deepening on the
+    multiplicity cap guarantees minimality; within a cap the search is
+    backtracking on masks with a fail-first point order.  Deepening starts
+    at a lower bound that every cover meets (see _multiplicity_lower_bound),
+    so the caps it skips would fail under any family and the answer is the
+    one a start at cap 1 gives.  The result is deterministic, and its
+    Lebesgue number, mesh and dimension are certified before it returns.
+    """
+    result = _certified_exact_cover(m, R, B, max_points, subset_points, certify)
+    return result if isinstance(result, Infeasible) else result[0]
 
 
 def greedy_cover(m: FiniteMetricSpace, R: Scalar) -> tuple[Cover, CoverCertificate]:
@@ -258,17 +353,17 @@ def asdim_profile(m: FiniteMetricSpace, scales: Sequence[Scalar],
         use_exact = mode == "exact" or (mode == "auto" and len(m) <= max_points)
         if use_exact:
             B = bound if bound is not None else 4 * R
-            result = min_dimension_cover_exact(m, R, B, max_points=max_points,
-                                               subset_points=subset_points)
+            result = _certified_exact_cover(m, R, B, max_points, subset_points, certify)
             if isinstance(result, Infeasible):
                 entries.append(ProfileEntry(scale=R, mesh_bound=B, method="exact",
                                             dimension=None, mesh=None, cover=None,
                                             infeasible=result))
             else:
+                cover, cert = result
                 entries.append(ProfileEntry(scale=R, mesh_bound=B, method="exact",
-                                            dimension=dimension(result),
-                                            mesh=mesh(result), cover=result,
-                                            cover_name=result.name))
+                                            dimension=cert.dimension,
+                                            mesh=cert.mesh, cover=cover,
+                                            cover_name=cover.name))
         else:
             cover, cert = greedy_cover(m, R)
             entries.append(ProfileEntry(scale=R, mesh_bound=bound, method="greedy",
@@ -305,23 +400,27 @@ def equivariant_cover_pipeline(a: IsometricAction, R: Scalar,
         if quotient_cover.space != q.space:
             raise ValueError("supplied cover does not live on the quotient")
         qc = quotient_cover
+        # A cover that is both too coarse and invalid is reported as too
+        # coarse.  It is certified only once valid: an empty member has no
+        # diameter, so certify would fail on it with another message.
         supplied = lebesgue_number(qc)
         if not supplied >= R:
             raise ValueError(
                 f"supplied quotient cover has Lebesgue number {supplied}, below {R}")
+        _require_valid(qc)
+        given = certify(qc)
     else:
         use_exact = mode == "exact" or (mode == "auto" and len(q.space) <= max_points)
         if use_exact:
-            result = min_dimension_cover_exact(q.space, R, B if B is not None else 4 * R,
-                                               max_points=max_points,
-                                               subset_points=subset_points)
+            result = _certified_exact_cover(q.space, R, B if B is not None else 4 * R,
+                                            max_points, subset_points, certify)
             if isinstance(result, Infeasible):
                 return result
-            qc = result
+            qc, given = result
         else:
-            qc, _ = greedy_cover(q.space, R)
+            qc, given = greedy_cover(q.space, R)
 
-    cover, trace, cert = lift_equivariant(a, q, qc, R=R)
+    cover, trace, cert = _lift_certified(a, q, qc, given, R)
     return PipelineResult(quotient=q, quotient_cover=qc, cover=cover, trace=trace,
                           certificate=cert)
 

@@ -5,7 +5,18 @@ examples on every run, no per-example deadline (timings on a loaded
 machine are not a property of the code) and a bounded example count, so
 the suite stays reproducible and its run time stays flat.  Hypothesis is
 an optional test dependency; without it only the property tests skip.
+
+The package is imported from the checkout's src/ (pyproject.toml sets
+pytest's pythonpath), and so are the CLI subprocesses some tests start:
+src/ is put first on their PYTHONPATH.
 """
+
+import os
+from pathlib import Path
+
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                os.environ.get("PYTHONPATH")) if p)
 
 try:
     from hypothesis import HealthCheck, settings

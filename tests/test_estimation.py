@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+import coarsedim.constructions
+import coarsedim.estimation
 from coarsedim import (CapExceededError, Cover, Infeasible, PipelineResult,
-                       asdim_profile, dimension, equivariant_cover_pipeline,
-                       family_profile, greedy_cover, lebesgue_number, mesh,
-                       min_dimension_cover_exact, quotient, validate_cover,
-                       verify_certificate)
+                       asdim_profile, certify, dimension,
+                       equivariant_cover_pipeline, family_profile, greedy_cover,
+                       lebesgue_number, mesh, min_dimension_cover_exact,
+                       quotient, validate_cover, verify_certificate)
 from coarsedim.generators import (cycle_rotation_action, cycle_space,
-                                  grid_space, path_reflection_action,
-                                  path_space, random_graph_space)
+                                  grid_rotation_action, grid_space,
+                                  path_reflection_action, path_space,
+                                  random_graph_space)
 from coarsedim.metric import INF
 
 from oracles import min_dimension_partition
@@ -34,6 +37,38 @@ def test_exact_frozen_small_cases():
     # six-cycle at scale 1 splits into adjacent pairs
     c = min_dimension_cover_exact(cycle_space(6), 1, 2)
     assert dimension(c) == 0
+
+
+EXACT_FROZEN_MEMBERS = [
+    # at most SUBSET_POINT_CAP points: every subset of diameter <= B
+    (cycle_space(10), 2, 8, 14, [list(range(10))]),
+    (grid_space(3, 3), 1, 4, 14, [[x] for x in range(9)]),
+    (cycle_space(9), 2, 3, 14,
+     [[0, 1, 2], [0, 1, 8], [0, 7, 8], [1, 2, 3], [2, 3, 4], [3, 4, 5],
+      [4, 5, 6], [5, 6, 7], [6, 7, 8]]),
+    (grid_space(3, 3), 2, 3, 14,
+     [[0, 1, 3], [1, 2, 5], [0, 1, 2, 4], [0, 3, 4, 6], [2, 4, 5, 8],
+      [1, 3, 4, 5, 6, 7, 8]]),
+    # above it: closed balls only
+    (path_space(11), 2, 3, 14,
+     [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6], [5, 6, 7],
+      [6, 7, 8], [7, 8, 9], [8, 9, 10]]),
+    (cycle_space(14), 2, 3, 14,
+     [[0, 1, 2], [0, 1, 13], [0, 12, 13], [1, 2, 3], [2, 3, 4], [3, 4, 5],
+      [4, 5, 6], [5, 6, 7], [6, 7, 8], [7, 8, 9], [8, 9, 10], [9, 10, 11],
+      [10, 11, 12], [11, 12, 13]]),
+    (grid_space(4, 4), 2, 4, 16,
+     [[0, 1, 4], [0, 1, 2, 5], [9, 12, 13, 14], [7, 10, 11, 13, 14, 15],
+      [0, 4, 5, 8, 9, 10, 12, 13], [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 14]]),
+]
+
+
+@pytest.mark.parametrize("m, R, B, max_points, members", EXACT_FROZEN_MEMBERS,
+                         ids=lambda v: getattr(v, "name", None))
+def test_exact_frozen_members(m, R, B, max_points, members):
+    # The search order fixes which minimal cover comes back, member by member.
+    c = min_dimension_cover_exact(m, R, B, max_points=max_points)
+    assert [sorted(member) for member in c.members] == members
 
 
 def test_exact_reports_infeasible():
@@ -225,6 +260,34 @@ def test_pipeline_accepts_supplied_quotient_cover():
     thin = Cover(q.space, [frozenset({0, 1}), frozenset({1, 2})], name="t")
     with pytest.raises(ValueError):
         equivariant_cover_pipeline(a, 2, quotient_cover=thin)
+
+
+def test_pipeline_reports_an_invalid_supplied_cover():
+    a = path_reflection_action(path_space(5))
+    q = quotient(a)
+    # fine enough (a whole-space member), but with an empty member
+    empty = Cover(q.space, [frozenset(), frozenset(range(3))], name="e")
+    with pytest.raises(ValueError, match="invalid cover: member 0 is empty"):
+        equivariant_cover_pipeline(a, 1, quotient_cover=empty)
+    # too coarse and invalid at once: too coarse is what is reported
+    uncovered = Cover(q.space, [frozenset({0, 1})], name="u")
+    with pytest.raises(ValueError, match="supplied quotient cover has Lebesgue"):
+        equivariant_cover_pipeline(a, 1, quotient_cover=uncovered)
+
+
+def test_pipeline_certifies_each_cover_once(monkeypatch):
+    certified = []
+
+    def counting(c, *args, **kwargs):
+        certified.append(c.name)
+        return certify(c, *args, **kwargs)
+
+    for module in (coarsedim.constructions, coarsedim.estimation):
+        monkeypatch.setattr(module, "certify", counting)
+    a = grid_rotation_action(grid_space(6, 6), 6, 6)
+    result = equivariant_cover_pipeline(a, 2, mode="greedy")
+    # greedy_cover certifies the quotient cover, the lift its own output
+    assert certified == [result.quotient_cover.name, result.cover.name]
 
 
 def test_pipeline_greedy_mode_for_large_spaces():

@@ -1,6 +1,7 @@
-"""Property tests for the two exact fast paths: the nearest-first Lebesgue
-number against the definition, and the all-clear metric check against the
-full per-triple listing."""
+"""Property tests for the exact fast paths: the nearest-first Lebesgue
+number against the definition, the all-clear metric check against the
+full per-triple listing, and the bitmask exact search against the
+partition oracle."""
 
 from fractions import Fraction
 
@@ -11,11 +12,14 @@ st = hypothesis.strategies
 given = hypothesis.given
 example = hypothesis.example
 
-from coarsedim import Cover, FiniteMetricSpace, lebesgue_number, validate_metric
+from coarsedim import (Cover, FiniteMetricSpace, Infeasible, dimension,
+                       lebesgue_number, min_dimension_cover_exact, validate_metric)
+from coarsedim.estimation import (_multiplicity_lower_bound, _near_masks,
+                                  _open_ball_masks)
 from coarsedim.generators import random_graph_space
 from coarsedim.metric import _all_clear, _list_violations
 
-from oracles import lebesgue_direct
+from oracles import lebesgue_direct, min_dimension_partition
 
 # 13 and 37 give entries of 7 to 9 bits, where lanes cross byte boundaries.
 SCALES = (1, 2, 13, 37, Fraction(1, 2), Fraction(2, 3), Fraction(5, 7))
@@ -54,6 +58,40 @@ def covers(draw):
 @given(covers())
 def test_lebesgue_number_matches_definition(c):
     assert lebesgue_number(c) == lebesgue_direct(c.space, c.members)
+
+
+@st.composite
+def exact_problems(draw):
+    """A graph metric with R and B drawn from its own distances, so that
+    covers must overlap: R at a distance (its open ball stops short of it)
+    or halfway between two, above the least distance when it can be; B
+    mostly one of the two least distances below the diameter that every
+    open R-ball fits in, else any distance (often infeasible)."""
+    n = draw(st.sampled_from(range(3, 9)))      # evenly, not small-first
+    m = draw(graph_metrics(min_points=n, max_points=n))
+    values = sorted({v for row in m.dist for v in row if v > 0})
+    radii = values + [Fraction(u + v) / 2 for u, v in zip(values, values[1:])]
+    R = draw(st.sampled_from(sorted(radii)[1:] or radii))
+    widest = max(max(m.dist[x][y] for x in ball for y in ball)
+                 for ball in ([y for y in range(n) if row[y] < R] for row in m.dist))
+    tight = [v for v in values[:-1] if v >= widest][:2]   # not the diameter
+    B = draw(st.sampled_from(tight) if tight and draw(st.integers(0, 3)) else
+             st.sampled_from(values))
+    return m, R, B
+
+
+@given(exact_problems())
+def test_exact_search_matches_partition_oracle(problem):
+    m, R, B = problem
+    expected = min_dimension_partition(m, R, B)
+    result = min_dimension_cover_exact(m, R, B)
+    if expected is None:
+        assert isinstance(result, Infeasible)
+        return
+    assert dimension(result) == expected
+    # the cap the search starts from is met by every cover, so by the optimum
+    assert _multiplicity_lower_bound(_open_ball_masks(m, R),
+                                     _near_masks(m, B)) <= expected + 1
 
 
 ENTRIES = st.one_of(st.integers(-3, 12),
