@@ -20,9 +20,8 @@ from pathlib import Path
 from .constructions import lift_equivariant, pushforward_cover
 from .covers import certify
 from .errors import InternalInvariantError, ResolutionError
-from .estimation import (EXACT_POINT_CAP, SUBSET_POINT_CAP, Infeasible,
-                         _certified_exact_cover, equivariant_cover_pipeline,
-                         family_profile, greedy_cover)
+from .estimation import (EXACT_POINT_CAP, Infeasible, _estimate_cover,
+                         equivariant_cover_pipeline, family_profile)
 from .formats import (KIND_ORDER, FormatError, Workspace, action_to_dict,
                       certificate_to_dict, cover_to_dict, dumps, group_to_dict,
                       lift_trace_to_dict, load_entry, parse_document,
@@ -216,20 +215,13 @@ def cmd_sspace(args) -> int:
 def cmd_estimate(args) -> int:
     ws, _, _ = _load(args.files)
     m = _pick(ws, "space", args.space, "--space")
-    R = _scalar_arg(args.R, "--R")
-    B = _scalar_arg(args.B, "--B")
-    use_exact = args.mode == "exact" or (args.mode == "auto"
-                                         and len(m) <= args.max_points)
-    if use_exact:
-        result = _certified_exact_cover(m, R, B if B is not None else 4 * R,
-                                        args.max_points, args.subset_points, certify)
-        if isinstance(result, Infeasible):
-            _emit_error("infeasible", result.message,
-                        point=m.points[result.point])
-            return 3
-        cover, cert = result
-    else:
-        cover, cert = greedy_cover(m, R)
+    _, result = _estimate_cover(m, _scalar_arg(args.R, "--R"),
+                                _scalar_arg(args.B, "--B"), args.mode,
+                                args.max_points, certify)
+    if isinstance(result, Infeasible):
+        _emit_error("infeasible", result.message, point=m.points[result.point])
+        return 3
+    cover, cert = result
     out = Path(args.out)
     _write(out, cover_to_dict(cover))
     _write(out, certificate_to_dict(cert, cover.name, f"{cover.name}_cert"))
@@ -250,8 +242,7 @@ def cmd_profile(args) -> int:
         raise FormatError("--scales needs at least one scale, e.g. --scales 1,2")
     mesh_bounds = _scalar_list(args.mesh_bounds, "--mesh-bounds")
     fp = family_profile(spaces, scales, mesh_bounds, actions=actions,
-                        mode=args.mode, max_points=args.max_points,
-                        subset_points=args.subset_points)
+                        mode=args.mode, max_points=args.max_points)
     out = Path(args.out)
     _write(out, profile_to_dict(fp, args.name))
     out.mkdir(parents=True, exist_ok=True)
@@ -338,8 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--B", metavar="SCALAR", help="mesh bound (default 4R)")
     sp.add_argument("--mode", choices=("auto", "exact", "greedy"), default="auto")
     sp.add_argument("--max-points", type=int, default=EXACT_POINT_CAP)
-    sp.add_argument("--subset-points", type=int, default=SUBSET_POINT_CAP,
-                    help="largest space whose full subset family is searched")
 
     sp = command("profile", cmd_profile,
                  "dimension profile over scales, JSON plus CSV")
@@ -354,7 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated mesh bounds, one per scale")
     sp.add_argument("--mode", choices=("auto", "exact", "greedy"), default="auto")
     sp.add_argument("--max-points", type=int, default=EXACT_POINT_CAP)
-    sp.add_argument("--subset-points", type=int, default=SUBSET_POINT_CAP)
     sp.add_argument("--name", default="profile", help="output document name")
 
     sp = command("generate", cmd_generate,

@@ -4,7 +4,7 @@
 family.  A point set has diameter at most B exactly when it is a clique of
 the "within B" graph, so the family is the cliques of that graph: all of
 them (every subset of diameter at most B) when the space has at most
-subset_points points, else the closed balls of radius at most B among
+SUBSET_POINT_CAP points, else the closed balls of radius at most B among
 them.  Candidates, required balls and point sets are int bitmasks.  The
 space of covers is searched completely by iterative deepening on the
 multiplicity cap, so the returned dimension is the true minimum over that
@@ -72,12 +72,12 @@ def _open_ball_masks(m: FiniteMetricSpace, R: Scalar) -> list[int]:
     return [sum(1 << y for y, v in enumerate(row) if v < R) for row in m.dist]
 
 
-def _candidate_family(m: FiniteMetricSpace, B: Scalar, near: Sequence[int],
-                      include_subsets: bool) -> list[int]:
-    """Every subset of diameter <= B when allowed, else the closed balls of
-    radius <= B that have diameter <= B; as bitmasks, in the order (size,
-    sorted indices), which is total on distinct sets."""
-    if include_subsets:
+def _candidate_family(m: FiniteMetricSpace, B: Scalar, near: Sequence[int]
+                      ) -> list[int]:
+    """Every subset of diameter <= B on at most SUBSET_POINT_CAP points, else
+    the closed balls of radius <= B that have diameter <= B; as bitmasks, in
+    the order (size, sorted indices), which is total on distinct sets."""
+    if len(m) <= SUBSET_POINT_CAP:
         # Level by level: extending each clique of one level, in order, by
         # each common neighbour above its top point, in increasing order,
         # lists the next level already in (size, sorted indices) order.
@@ -188,8 +188,7 @@ def _search_with_cap(serve: Sequence[Sequence[int]], candidates: Sequence[int],
 
 
 def _certified_exact_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar,
-                           max_points: int, subset_points: int,
-                           certify: Callable[[Cover], CoverCertificate]
+                           max_points: int, certify: Callable[[Cover], CoverCertificate]
                            ) -> tuple[Cover, CoverCertificate] | Infeasible:
     """min_dimension_cover_exact, also returning the certificate its answer
     was checked with, so that callers need not certify it again.
@@ -211,7 +210,7 @@ def _certified_exact_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar,
 
     n = len(m)
     near = _near_masks(m, B)
-    candidates = _candidate_family(m, B, near, include_subsets=n <= subset_points)
+    candidates = _candidate_family(m, B, near)
     needs = _open_ball_masks(m, R)
     serve = []
     serves = [0] * len(candidates)
@@ -245,15 +244,14 @@ def _certified_exact_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar,
 
 
 def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
-                              max_points: int = EXACT_POINT_CAP,
-                              subset_points: int = SUBSET_POINT_CAP
+                              max_points: int = EXACT_POINT_CAP
                               ) -> Cover | Infeasible:
     """Minimal-dimension cover with Lebesgue number >= R and mesh <= B,
     drawn from the candidate family; Infeasible if some open R-ball fits in
     no candidate.
 
     Candidates are the cliques of the "within B" graph (at most
-    subset_points points: every subset of diameter <= B) or the closed
+    SUBSET_POINT_CAP points: every subset of diameter <= B) or the closed
     balls among them, held as int bitmasks.  Iterative deepening on the
     multiplicity cap guarantees minimality; within a cap the search is
     backtracking on masks with a fail-first point order.  Deepening starts
@@ -262,7 +260,7 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
     one a start at cap 1 gives.  The result is deterministic, and its
     Lebesgue number, mesh and dimension are certified before it returns.
     """
-    result = _certified_exact_cover(m, R, B, max_points, subset_points, certify)
+    result = _certified_exact_cover(m, R, B, max_points, certify)
     return result if isinstance(result, Infeasible) else result[0]
 
 
@@ -297,11 +295,31 @@ def greedy_cover(m: FiniteMetricSpace, R: Scalar) -> tuple[Cover, CoverCertifica
     return cover, cert
 
 
+def _estimate_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar | None, mode: str,
+                    max_points: int, certify: Callable[[Cover], CoverCertificate]
+                    ) -> tuple[Scalar | None,
+                               tuple[Cover, CoverCertificate] | Infeasible]:
+    """The cover at scale R that `mode` asks for, with the mesh bound that
+    was in force: None when greedy ran.
+
+    "exact" searches, "greedy" does not, and "auto" searches on spaces of at
+    most max_points points.  The search's mesh bound is B, or 4R when B is
+    None.  `certify` is passed to the exact search (see
+    _certified_exact_cover).
+    """
+    if mode not in ("auto", "exact", "greedy"):
+        raise ValueError(f"mode must be auto, exact or greedy, got {mode!r}")
+    if mode == "greedy" or (mode == "auto" and len(m) > max_points):
+        return None, greedy_cover(m, R)
+    B = B if B is not None else 4 * R
+    return B, _certified_exact_cover(m, R, B, max_points, certify)
+
+
 @dataclass(frozen=True)
 class ProfileEntry:
     """Best cover found at one scale: the target R, the mesh bound that was
-    in force (None when greedy ran unconstrained), and the cover's actual,
-    recomputed quantities.  cover_name survives serialization even when the
+    in force (None when greedy ran, as greedy takes none), and the cover's
+    actual, recomputed quantities.  cover_name survives serialization even when the
     cover object itself lives in another file."""
 
     scale: Scalar
@@ -323,13 +341,13 @@ class DimensionProfile:
 def asdim_profile(m: FiniteMetricSpace, scales: Sequence[Scalar],
                   mesh_bounds: Sequence[Scalar] | None = None,
                   mode: str = "auto",
-                  max_points: int = EXACT_POINT_CAP,
-                  subset_points: int = SUBSET_POINT_CAP) -> DimensionProfile:
+                  max_points: int = EXACT_POINT_CAP) -> DimensionProfile:
     """Best-found cover dimension per scale.
 
     Exact search when the space is within the cap (with mesh bound 4R per
     scale unless given), greedy beyond it; each entry records which method
-    produced it.  Scales must be positive and strictly increasing.
+    produced it, and greedy entries record no mesh bound.  Scales must be
+    positive and strictly increasing.
     """
     scales = list(scales)
     if not scales:
@@ -344,29 +362,20 @@ def asdim_profile(m: FiniteMetricSpace, scales: Sequence[Scalar],
         mesh_bounds = list(mesh_bounds)
         if len(mesh_bounds) != len(scales):
             raise ValueError(f"{len(mesh_bounds)} mesh bounds for {len(scales)} scales")
-    if mode not in ("auto", "exact", "greedy"):
-        raise ValueError(f"mode must be auto, exact or greedy, got {mode!r}")
 
     entries = []
     for i, R in enumerate(scales):
-        bound = mesh_bounds[i] if mesh_bounds is not None else None
-        use_exact = mode == "exact" or (mode == "auto" and len(m) <= max_points)
-        if use_exact:
-            B = bound if bound is not None else 4 * R
-            result = _certified_exact_cover(m, R, B, max_points, subset_points, certify)
-            if isinstance(result, Infeasible):
-                entries.append(ProfileEntry(scale=R, mesh_bound=B, method="exact",
-                                            dimension=None, mesh=None, cover=None,
-                                            infeasible=result))
-            else:
-                cover, cert = result
-                entries.append(ProfileEntry(scale=R, mesh_bound=B, method="exact",
-                                            dimension=cert.dimension,
-                                            mesh=cert.mesh, cover=cover,
-                                            cover_name=cover.name))
+        bound, result = _estimate_cover(
+            m, R, mesh_bounds[i] if mesh_bounds is not None else None, mode,
+            max_points, certify)
+        method = "greedy" if bound is None else "exact"
+        if isinstance(result, Infeasible):
+            entries.append(ProfileEntry(scale=R, mesh_bound=bound, method=method,
+                                        dimension=None, mesh=None, cover=None,
+                                        infeasible=result))
         else:
-            cover, cert = greedy_cover(m, R)
-            entries.append(ProfileEntry(scale=R, mesh_bound=bound, method="greedy",
+            cover, cert = result
+            entries.append(ProfileEntry(scale=R, mesh_bound=bound, method=method,
                                         dimension=cert.dimension, mesh=cert.mesh,
                                         cover=cover, cover_name=cover.name))
     return DimensionProfile(space_name=m.name, entries=tuple(entries))
@@ -386,8 +395,7 @@ class PipelineResult:
 def equivariant_cover_pipeline(a: IsometricAction, R: Scalar,
                                B: Scalar | None = None, mode: str = "auto",
                                quotient_cover: Cover | None = None,
-                               max_points: int = EXACT_POINT_CAP,
-                               subset_points: int = SUBSET_POINT_CAP
+                               max_points: int = EXACT_POINT_CAP
                                ) -> PipelineResult | Infeasible:
     """Quotient the action, cover the quotient at scale R, lift the cover.
 
@@ -410,15 +418,10 @@ def equivariant_cover_pipeline(a: IsometricAction, R: Scalar,
         _require_valid(qc)
         given = certify(qc)
     else:
-        use_exact = mode == "exact" or (mode == "auto" and len(q.space) <= max_points)
-        if use_exact:
-            result = _certified_exact_cover(q.space, R, B if B is not None else 4 * R,
-                                            max_points, subset_points, certify)
-            if isinstance(result, Infeasible):
-                return result
-            qc, given = result
-        else:
-            qc, given = greedy_cover(q.space, R)
+        _, result = _estimate_cover(q.space, R, B, mode, max_points, certify)
+        if isinstance(result, Infeasible):
+            return result
+        qc, given = result
 
     cover, trace, cert = _lift_certified(a, q, qc, given, R)
     return PipelineResult(quotient=q, quotient_cover=qc, cover=cover, trace=trace,
@@ -450,8 +453,7 @@ def family_profile(spaces: Sequence[FiniteMetricSpace], scales: Sequence[Scalar]
                    mesh_bounds: Sequence[Scalar] | None = None,
                    actions: Sequence[IsometricAction] | None = None,
                    mode: str = "auto",
-                   max_points: int = EXACT_POINT_CAP,
-                   subset_points: int = SUBSET_POINT_CAP) -> FamilyProfile:
+                   max_points: int = EXACT_POINT_CAP) -> FamilyProfile:
     """Profiles for a family of spaces, the family maximum per scale, and,
     when actions are supplied, the same for the quotients with a per-scale
     comparison.  A quotient dimension above the space's is reported, not
@@ -462,8 +464,7 @@ def family_profile(spaces: Sequence[FiniteMetricSpace], scales: Sequence[Scalar]
     if actions is not None and len(actions) != len(spaces):
         raise ValueError(f"{len(actions)} actions for {len(spaces)} spaces")
 
-    profiles = tuple(asdim_profile(m, scales, mesh_bounds, mode=mode,
-                                   max_points=max_points, subset_points=subset_points)
+    profiles = tuple(asdim_profile(m, scales, mesh_bounds, mode, max_points)
                      for m in spaces)
 
     family_dimension = []
@@ -483,8 +484,7 @@ def family_profile(spaces: Sequence[FiniteMetricSpace], scales: Sequence[Scalar]
             if a.space != m:
                 raise ValueError(f"action {a.name!r} does not act on {m.name!r}")
             q = quotient(a)
-            qprof = asdim_profile(q.space, scales, mesh_bounds, mode=mode,
-                                  max_points=max_points, subset_points=subset_points)
+            qprof = asdim_profile(q.space, scales, mesh_bounds, mode, max_points)
             qprofiles.append(qprof)
             for entry, qentry in zip(prof.entries, qprof.entries):
                 if entry.dimension is None or qentry.dimension is None:

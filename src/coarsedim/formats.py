@@ -338,12 +338,21 @@ def _entry_from_dict(d: dict) -> ProfileEntry:
                         infeasible=infeasible)
 
 
+def _profiles_to_list(profiles: Sequence[DimensionProfile]) -> list:
+    return [{"space": p.space_name,
+             "entries": [_entry_to_dict(e) for e in p.entries]}
+            for p in profiles]
+
+
+def _profiles_from_list(items: list) -> tuple[DimensionProfile, ...]:
+    return tuple(DimensionProfile(space_name=p["space"],
+                                  entries=tuple(map(_entry_from_dict, p["entries"])))
+                 for p in items)
+
+
 def profile_to_dict(fp: FamilyProfile, name: str) -> dict:
-    quotients = None
-    if fp.quotient_profiles is not None:
-        quotients = [{"space": p.space_name,
-                      "entries": [_entry_to_dict(e) for e in p.entries]}
-                     for p in fp.quotient_profiles]
+    quotients = (None if fp.quotient_profiles is None
+                 else _profiles_to_list(fp.quotient_profiles))
     comparisons = None
     if fp.comparisons is not None:
         comparisons = [{"space": rep.space_name,
@@ -357,9 +366,7 @@ def profile_to_dict(fp: FamilyProfile, name: str) -> dict:
         "format": FORMAT_TAG,
         "kind": "profile",
         "name": name,
-        "spaces": [{"space": p.space_name,
-                    "entries": [_entry_to_dict(e) for e in p.entries]}
-                   for p in fp.profiles],
+        "spaces": _profiles_to_list(fp.profiles),
         "family_dimension": list(fp.family_dimension),
         "family_mesh": [_opt_scalar_str(v) for v in fp.family_mesh],
         "quotients": quotients,
@@ -368,16 +375,9 @@ def profile_to_dict(fp: FamilyProfile, name: str) -> dict:
 
 
 def profile_from_dict(d: dict) -> FamilyProfile:
-    profiles = tuple(
-        DimensionProfile(space_name=p["space"],
-                         entries=tuple(_entry_from_dict(e) for e in p["entries"]))
-        for p in _require(d, "spaces", "profile"))
-    quotients = None
-    if d.get("quotients") is not None:
-        quotients = tuple(
-            DimensionProfile(space_name=p["space"],
-                             entries=tuple(_entry_from_dict(e) for e in p["entries"]))
-            for p in d["quotients"])
+    profiles = _profiles_from_list(_require(d, "spaces", "profile"))
+    quotients = (None if d.get("quotients") is None
+                 else _profiles_from_list(d["quotients"]))
     comparisons = None
     if d.get("comparisons") is not None:
         comparisons = tuple(

@@ -1,11 +1,12 @@
 """End-to-end command-line flows: every subcommand, every exit code, and
 byte-identical reruns."""
 
+import argparse
 import json
 
 import pytest
 
-from coarsedim.cli import main
+from coarsedim.cli import _build_parser, main
 from coarsedim.errors import InternalInvariantError
 
 
@@ -296,3 +297,37 @@ def test_internal_failure_exits_four(tmp_path, capsys, monkeypatch):
                        "--out", str(tmp_path))
     assert code == 4
     assert err[0]["error"] == "internal"
+
+
+def test_equivariant_cover_auto_mode_falls_back_to_greedy(tmp_path, capsys):
+    files = generate_path_instance(tmp_path, capsys)
+    # the quotient P5/Z2 has 3 points, above --max-points 2
+    code, out, _ = run(capsys, "equivariant-cover", *files, "--R", "1",
+                       "--max-points", "2", "--out", str(tmp_path))
+    assert code == 0
+    assert out[1].endswith("P5_mod_Z2_greedy_R1.cover.json")
+
+
+def test_cli_options_match_inventory():
+    # Adding or removing a command-line option means editing this list.
+    common = ["-h", "--help", "--out"]
+    inventory = {
+        "validate": common,
+        "quotient": common + ["--action"],
+        "pushforward": common + ["--action", "--cover"],
+        "lift": common + ["--action", "--cover", "--R"],
+        "equivariant-cover": common + ["--action", "--cover", "--R", "--B",
+                                       "--mode", "--max-points"],
+        "sspace": common + ["--name"],
+        "estimate": common + ["--space", "--R", "--B", "--mode", "--max-points"],
+        "profile": common + ["--space", "--action", "--scales", "--mesh-bounds",
+                             "--mode", "--max-points", "--name"],
+        "generate": common + ["--kind", "--params", "--seed"],
+    }
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert [s for a in parser._actions for s in a.option_strings] == ["-h", "--help"]
+    found = {name: sorted(s for a in sp._actions for s in a.option_strings)
+             for name, sp in sub.choices.items()}
+    assert found == {name: sorted(opts) for name, opts in inventory.items()}

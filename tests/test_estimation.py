@@ -296,3 +296,33 @@ def test_pipeline_greedy_mode_for_large_spaces():
     assert isinstance(result, PipelineResult)
     assert result.certificate.lebesgue >= 2
     assert result.certificate.equivariant is True
+
+
+def test_pipeline_rejects_unknown_mode():
+    a = path_reflection_action(path_space(5))
+    with pytest.raises(ValueError, match="mode must be auto, exact or greedy"):
+        equivariant_cover_pipeline(a, 1, mode="exatc")
+
+
+def test_pipeline_auto_mode_and_default_mesh_bound():
+    a = path_reflection_action(path_space(9))
+    # within max_points the quotient is searched exactly, under B = 4R
+    exact = equivariant_cover_pipeline(a, 1)
+    assert exact.quotient_cover.name == "P9_mod_Z2_exact_R1_B4"
+    # above it (the quotient has 5 points) auto falls back to greedy
+    greedy = equivariant_cover_pipeline(a, 1, max_points=4)
+    assert greedy.quotient_cover.name == "P9_mod_Z2_greedy_R1"
+    assert greedy.certificate.equivariant is True
+
+
+def test_greedy_entries_record_no_mesh_bound():
+    # greedy takes no mesh bound: its mesh 4 exceeds the bound 2 asked for
+    prof = asdim_profile(path_space(21), [1], mesh_bounds=[2])
+    entry = prof.entries[0]
+    assert (entry.method, entry.mesh_bound, entry.mesh) == ("greedy", None, 4)
+    # a greedy space against its exactly searched quotient
+    fam = family_profile([path_space(21)], [1], mesh_bounds=[2],
+                         actions=[path_reflection_action(path_space(21))])
+    qentry = fam.quotient_profiles[0].entries[0]
+    assert (qentry.method, qentry.mesh_bound) == ("exact", 2)
+    assert fam.comparisons[0].mesh_bound is None
