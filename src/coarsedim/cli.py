@@ -191,7 +191,8 @@ def cmd_equivariant_cover(args) -> int:
         a, _scalar_arg(args.R, "--R"), B=_scalar_arg(args.B, "--B"),
         mode=args.mode, quotient_cover=qc, max_points=args.max_points)
     if isinstance(result, Infeasible):
-        _emit_error("infeasible", result.message, point=result.point)
+        _emit_error("infeasible", result.message,
+                    point=quotient(a).space.points[result.point])
         return 3
     out = Path(args.out)
     _write(out, space_to_dict(result.quotient.space))

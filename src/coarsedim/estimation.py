@@ -295,6 +295,11 @@ def greedy_cover(m: FiniteMetricSpace, R: Scalar) -> tuple[Cover, CoverCertifica
     return cover, cert
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("auto", "exact", "greedy"):
+        raise ValueError(f"mode must be auto, exact or greedy, got {mode!r}")
+
+
 def _estimate_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar | None, mode: str,
                     max_points: int, certify: Callable[[Cover], CoverCertificate]
                     ) -> tuple[Scalar | None,
@@ -307,8 +312,7 @@ def _estimate_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar | None, mode: str
     None.  `certify` is passed to the exact search (see
     _certified_exact_cover).
     """
-    if mode not in ("auto", "exact", "greedy"):
-        raise ValueError(f"mode must be auto, exact or greedy, got {mode!r}")
+    _check_mode(mode)
     if mode == "greedy" or (mode == "auto" and len(m) > max_points):
         return None, greedy_cover(m, R)
     B = B if B is not None else 4 * R
@@ -402,9 +406,11 @@ def equivariant_cover_pipeline(a: IsometricAction, R: Scalar,
     The result is an invariant cover of the original space with Lebesgue
     number >= R, dimension no worse than the quotient cover's, and mesh
     controlled by the lift bound.  Estimator infeasibility is propagated.
+    An unknown mode raises even when a quotient cover is supplied.
     """
     q = quotient(a)
     if quotient_cover is not None:
+        _check_mode(mode)
         if quotient_cover.space != q.space:
             raise ValueError("supplied cover does not live on the quotient")
         qc = quotient_cover

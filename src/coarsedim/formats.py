@@ -14,6 +14,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .constructions import LiftMember, LiftPiece, LiftTrace, SSpace, build_sspace
@@ -95,9 +96,21 @@ def space_to_dict(m: FiniteMetricSpace) -> dict:
     }
 
 
+def _parse_table(rows) -> list:
+    """parse_scalar on every entry of a table of strings.  Each distinct
+    string is parsed once; a table with anything else in it (an unhashable
+    entry, a non-string, a bad string) is parsed entry by entry, so the
+    first bad entry in reading order raises."""
+    try:
+        parsed = {text: parse_scalar(text) for text in set(chain.from_iterable(rows))}
+    except (TypeError, FormatError):
+        return [[parse_scalar(v) for v in row] for row in rows]
+    return [list(map(parsed.__getitem__, row)) for row in rows]
+
+
 def space_from_dict(d: dict) -> FiniteMetricSpace:
     points = _require(d, "points", "space")
-    dist = [[parse_scalar(v) for v in row] for row in _require(d, "dist", "space")]
+    dist = _parse_table(_require(d, "dist", "space"))
     try:
         return FiniteMetricSpace(points, dist, name=_require(d, "name", "space"))
     except (ValueError, TypeError) as exc:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
+from array import array
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -58,8 +60,11 @@ class FiniteMetricSpace:
             if len(row) != len(self.points):
                 raise ValueError(f"distance table row {i} has length {len(row)}, "
                                  f"expected {len(self.points)}")
-            for j, v in enumerate(row):
-                check_scalar(v, f"dist[{i}][{j}]")
+            # Exact types pass in one C-level pass; any other row (bool,
+            # float, an int subclass) is checked entry by entry.
+            if not set(map(type, row)) <= {int, Fraction}:
+                for j, v in enumerate(row):
+                    check_scalar(v, f"dist[{i}][{j}]")
             rows.append(row)
         self.dist = tuple(rows)
         self.name = str(name)
@@ -83,11 +88,12 @@ class FiniteMetricSpace:
 
     def nearest_first(self) -> tuple[tuple[int, ...], ...]:
         """For every point, all points in order of distance from it (ties by
-        index).  Built on first use and kept: the table never changes."""
+        index).  Built on first use and kept: the table never changes.  The
+        sort runs on the integer-scaled table, which orders the same way."""
         if self._nearest is None:
             n = range(len(self.points))
             self._nearest = tuple(tuple(sorted(n, key=row.__getitem__))
-                                  for row in self.dist)
+                                  for row in _integer_rows(self.dist))
         return self._nearest
 
     def check_point(self, x: int) -> int:
@@ -111,26 +117,42 @@ def validate_metric(m: FiniteMetricSpace) -> list[Violation]:
     """Exhaustive check of the metric axioms; lists every violated pair/triple.
 
     A valid table is recognised by an all-clear pass that is exact, not a
-    filter: the table is scaled to integers by the LCM of its denominators
-    and each row is packed into one int with a fixed-width lane per point
-    and a guard bit at the top of every lane.  For each ordered pair (i, j),
-    row_j + d(i,j)*ONES + GUARDS - row_i keeps every guard bit exactly when
-    d(i,k) <= d(i,j) + d(j,k) for every k: lanes are wide enough that no
-    lane carries into or borrows from its neighbour, so the big-int sum is
-    the lane-wise sum.  When that pass fails, or an entry is negative, the
-    per-triple listing below runs and reports every violation, in the same
-    order and with the same messages whichever way the answer was reached.
+    filter: the table is taken as integer rows (as given when every entry is
+    an int, else scaled by the LCM of the denominators) and each row is
+    packed into one int with a fixed-width lane per point and a guard bit at
+    the top of every lane.  Lanes are 1, 2, 4 or 8 bytes wide, so a row
+    packs as one machine array; wider entries get wider lanes, packed entry
+    by entry.  For each ordered pair (i, j), row_j + d(i,j)*ONES + GUARDS -
+    row_i keeps every guard bit exactly when d(i,k) <= d(i,j) + d(j,k) for
+    every k: lanes are wide enough that no lane carries into or borrows from
+    its neighbour, so the big-int sum is the lane-wise sum.  When that pass
+    fails, or an entry is negative, the per-triple listing below runs and
+    reports every violation, in the same order and with the same messages
+    whichever way the answer was reached.
     """
     if _all_clear(m.dist):
         return []
     return _list_violations(m)
 
 
+def _integer_rows(dist) -> Sequence[Sequence[int]]:
+    """The table itself when every entry is an int, else the table scaled
+    to ints by the LCM of its denominators: the same order, ties and
+    triangle inequalities on a type that compares in C."""
+    if all(set(map(type, row)) <= {int} for row in dist):
+        return dist
+    scale = math.lcm(*(v.denominator for row in dist for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in dist]
+
+
+#: array typecodes of the unsigned machine lanes, by width in bytes.
+_LANE_CODES = {array(code).itemsize: code for code in "BHIQ"}
+
+
 def _all_clear(dist) -> bool:
     """Whether the table satisfies every metric axiom (see validate_metric)."""
     n = len(dist)
-    scale = math.lcm(*(v.denominator for row in dist for v in row))
-    rows = [[v.numerator * (scale // v.denominator) for v in row] for row in dist]
+    rows = _integer_rows(dist)
     if min(map(min, rows)) < 0:
         return False
     for i, row in enumerate(rows):
@@ -138,24 +160,32 @@ def _all_clear(dist) -> bool:
         # identity plus positivity.
         if row[i] != 0 or row.count(0) != 1:
             return False
-    if any(row != list(col) for row, col in zip(rows, zip(*rows))):
+    if any(tuple(row) != col for row, col in zip(rows, zip(*rows))):
         return False
     # A lane holds d(j,k) + d(i,j) + guard - d(i,k) with every entry below
     # 2**bits, so it stays in [guard - 2**bits, 2 * guard) and the guard bit
     # is set exactly when the triangle inequality holds.
     bits = max(map(max, rows)).bit_length()
     lane_bytes = (bits + 2 + 7) // 8
-    guard = 1 << (bits + 1)
-    ones = int.from_bytes((b"\x01" + b"\x00" * (lane_bytes - 1)) * n, "little")
-    guards = ones * guard
-    packed = [int.from_bytes(b"".join(v.to_bytes(lane_bytes, "little") for v in row),
-                             "little") for row in rows]
+    order = sys.byteorder
+    if lane_bytes <= 8:
+        code = _LANE_CODES[1 << (lane_bytes - 1).bit_length()]
+
+        def pack(row):
+            return int.from_bytes(array(code, row).tobytes(), order)
+    else:
+        def pack(row):
+            return int.from_bytes(b"".join(v.to_bytes(lane_bytes, order) for v in row),
+                                  order)
+    ones = pack([1] * n)
+    guards = ones << (bits + 1)
+    packed = [pack(row) for row in rows]
     shifted = [p + guards for p in packed]
+    times = {d: d * ones for d in set().union(*rows)}
     survived = guards
-    for i, row in enumerate(rows):
-        p_i = packed[i]
-        for j, d_ij in enumerate(row):
-            survived &= shifted[j] + d_ij * ones - p_i
+    for p_i, row in zip(packed, rows):
+        for s_j, d_ij in zip(shifted, row):
+            survived &= s_j + times[d_ij] - p_i
     return survived == guards
 
 

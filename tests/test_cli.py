@@ -133,6 +133,19 @@ def test_estimate_infeasible_exits_three(tmp_path, capsys):
     assert err[0]["point"] == "0"
 
 
+def test_infeasible_record_names_the_point(tmp_path, capsys):
+    # both commands name the point, not its index: for equivariant-cover it
+    # is the quotient point, named after its orbit's representative
+    files = generate_path_instance(tmp_path, capsys)
+    space = next(f for f in files if ".space." in f)
+    for argv in (["estimate", space], ["equivariant-cover", *files]):
+        code, out, err = run(capsys, *argv, "--R", "5", "--B", "1",
+                             "--out", str(tmp_path / "x"))
+        assert (code, out) == (3, [])
+        assert err[0]["error"] == "infeasible"
+        assert err[0]["point"] == "0"
+
+
 def test_estimate_greedy_mode(tmp_path, capsys):
     files = generate_path_instance(tmp_path, capsys, n=21)
     space = next(f for f in files if ".space." in f)

@@ -304,6 +304,15 @@ def test_pipeline_rejects_unknown_mode():
         equivariant_cover_pipeline(a, 1, mode="exatc")
 
 
+def test_pipeline_rejects_unknown_mode_with_supplied_cover():
+    a = path_reflection_action(path_space(5))
+    qc = min_dimension_cover_exact(quotient(a).space, 1, 2)
+    assert isinstance(equivariant_cover_pipeline(a, 1, quotient_cover=qc),
+                      PipelineResult)
+    with pytest.raises(ValueError, match="mode must be auto, exact or greedy"):
+        equivariant_cover_pipeline(a, 1, mode="exatc", quotient_cover=qc)
+
+
 def test_pipeline_auto_mode_and_default_mesh_bound():
     a = path_reflection_action(path_space(9))
     # within max_points the quotient is searched exactly, under B = 4R

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from coarsedim import (Cover, Decomposition, FormatError, ResolutionError,
-                       Workspace, build_sspace, certify, dumps, family_profile,
+from coarsedim import (Cover, Decomposition, FiniteMetricSpace, FormatError,
+                       ResolutionError, Workspace, build_sspace, certify, dumps, family_profile,
                        lift_equivariant, min_dimension_cover_exact, quotient)
 from coarsedim.formats import (action_to_dict, certificate_to_dict,
                                cover_to_dict, decomposition_to_dict,
@@ -15,7 +15,7 @@ from coarsedim.formats import (action_to_dict, certificate_to_dict,
                                lift_trace_to_dict, load_entry, object_to_dict,
                                parse_document, parse_scalar, profile_from_dict,
                                profile_to_csv, profile_to_dict, scalar_str,
-                               space_to_dict, sspace_to_dict)
+                               space_from_dict, space_to_dict, sspace_to_dict)
 from coarsedim.generators import (cycle_rotation_action, cycle_space,
                                   path_reflection_action, path_space)
 from coarsedim.groups import cyclic_group
@@ -237,6 +237,49 @@ def test_parse_document_rejects_malformed_input():
         parse_document('{"format": "other/9", "kind": "space"}')
     with pytest.raises(FormatError):
         parse_document('{"format": "coarsedim/1", "kind": "widget"}')
+
+
+def per_entry_space(d):
+    """space_from_dict as one parse_scalar call per entry."""
+    dist = [[parse_scalar(v) for v in row] for row in d["dist"]]
+    try:
+        return FiniteMetricSpace(d["points"], dist, name=d["name"])
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"bad space: {exc}") from None
+
+
+def load_outcome(load, dist):
+    """Each entry as (type, value), or the exception's type and message."""
+    d = {"name": "t", "points": ["a", "b", "c"], "dist": dist}
+    try:
+        m = load(d)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [[(type(v), v) for v in row] for row in m.dist]
+
+
+@pytest.mark.parametrize("dist", [
+    [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]],
+    [["0", "4/6", "2/3"], ["4/6", "0", "4/2"], ["2/3", "2", "0"]],  # types kept
+    [["0", " 5", "+5"], ["5", "0", "1_0"], ["+5", "1_0", "0"]],
+    [["0", 1, "2"], ["1", "0", "1"], ["2", "1", "0"]],               # JSON number
+    [["0", "1", "2"], ["1", "0", 1.5], ["2", "1", None]],
+    [["0", "inf", "2"], ["inf", "0", "1"], ["2", "1", "0"]],
+    [["0", "1", "3/0"], ["1", "0", "1"], ["3/0", "1", "0"]],
+    [["0", "1", "x"], ["y", "0", "1"], ["2", "1", "0"]],             # first in order
+    [[f"x{i}{j}" for j in range(20)] for i in range(3)],
+    [["0", "1", "2"], ["1", "0", "z"], ["2", "3/0", "0"]],
+    [["0", ["1"], "2"], ["1", "0", "1"], ["2", "1", "0"]],           # nested lists
+    [["0", "1", "2"], [["1", "0"], "0", "1"], ["2", "1", "0"]],
+    [[], [], []],
+    [["0", "1", "2"], [], ["2", "1", "0"]],
+    [],
+    "012",
+    5,
+    [5, 6, 7],
+])
+def test_space_from_dict_matches_per_entry_parse(dist):
+    assert load_outcome(space_from_dict, dist) == load_outcome(per_entry_space, dist)
 
 
 def test_load_entry_reports_validator_violations():

@@ -31,6 +31,26 @@ def test_construction_rejects_floats():
         FiniteMetricSpace(["a", "b"], [[0, True], [True, 0]])
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.5, INF])
+def test_construction_names_first_bad_entry(bad):
+    # exact rows pass in one check; a row with anything else is checked
+    # entry by entry, so the first bad entry in reading order is named
+    half = Fraction(1, 2)
+    dist = [[0, 1, half, 2], [1, 0, bad, 1.5], [half, bad, 0, 1], [2, 1.5, 1, 0]]
+    with pytest.raises(TypeError) as info:
+        FiniteMetricSpace(["a", "b", "c", "d"], dist)
+    assert str(info.value) == f"dist[1][2] must be an int or Fraction, got {bad!r}"
+
+
+def test_construction_accepts_int_subclasses():
+    class Length(int):
+        pass
+
+    m = FiniteMetricSpace(["a", "b"], [[0, Length(3)], [Length(3), 0]])
+    assert validate_metric(m) == []
+    assert m.nearest_first() == ((0, 1), (1, 0))
+
+
 def test_fractions_are_welcome():
     half = Fraction(1, 2)
     m = FiniteMetricSpace(["a", "b"], [[0, half], [half, 0]])

@@ -17,7 +17,7 @@ from coarsedim import (Cover, FiniteMetricSpace, Infeasible, dimension,
 from coarsedim.estimation import (_multiplicity_lower_bound, _near_masks,
                                   _open_ball_masks)
 from coarsedim.generators import random_graph_space
-from coarsedim.metric import _all_clear, _list_violations
+from coarsedim.metric import _all_clear, _integer_rows, _list_violations
 
 from oracles import lebesgue_direct, min_dimension_partition
 
@@ -162,3 +162,37 @@ def test_validate_metric_at_lane_width_boundaries():
                         assert validate_metric(m) == listing
                         assert _all_clear(m.dist) == (listing == [])
     assert {6, 7, 8, 14, 15} <= widths
+
+
+def test_validate_metric_at_machine_lane_boundaries():
+    # Entries of 6/7, 14/15, 30/31 and 62/63 bits sit on either side of the
+    # 1-, 2-, 4- and 8-byte lanes (an entry of b bits needs b + 2 lane
+    # bits); above 64 bits rows are packed entry by entry.  Each table is
+    # checked as given, with every distance moved by one in turn, and
+    # scaled by 1/3, so that the integer rows come from the LCM scaling.
+    widths = set()
+    base = random_graph_space(7, 0, max_weight=5).dist
+    top = max(map(max, base))
+    for bits in (6, 7, 14, 15, 30, 31, 62, 63, 100):
+        scaled = [[v * ((2 ** bits - 1) // top) for v in row] for row in base]
+        variants = [scaled]
+        for i in range(7):
+            for j in range(i + 1, 7):
+                for step in (1, -1):
+                    dist = [list(row) for row in scaled]
+                    dist[i][j] = dist[j][i] = scaled[i][j] + step
+                    variants.append(dist)
+        for dist in variants:
+            for m in (table(dist), table([[Fraction(v, 3) for v in row] for row in dist])):
+                widths.add(max(map(max, _integer_rows(m.dist))).bit_length())
+                listing = _list_violations(m)
+                assert validate_metric(m) == listing
+                assert _all_clear(m.dist) == (listing == [])
+    assert {6, 7, 14, 15, 30, 31, 62, 63, 100} <= widths
+
+
+@given(graph_metrics())
+def test_nearest_first_matches_sort_on_raw_distances(m):
+    n = range(len(m))
+    assert m.nearest_first() == tuple(tuple(sorted(n, key=row.__getitem__))
+                                      for row in m.dist)
