@@ -20,7 +20,7 @@ from .covers import (Cover, CoverCertificate, Decomposition, ball_meet_count,
                      verify_certificate)
 from .errors import (CapExceededError, InternalInvariantError, ResolutionError,
                      Violation)
-from .estimation import (EXACT_POINT_CAP, SUBSET_POINT_CAP, DimensionProfile,
+from .estimation import (EXACT_POINT_CAP, DimensionProfile,
                          FamilyProfile, GapReport, Infeasible, PipelineResult,
                          ProfileEntry, asdim_profile, equivariant_cover_pipeline,
                          family_profile, greedy_cover, min_dimension_cover_exact)

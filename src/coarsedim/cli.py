@@ -13,6 +13,7 @@ postcondition (an implementation bug, never the input's fault).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -357,8 +358,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves the parser as it was: every call gets a fresh namespace, and
+# the repeatable options default to None, not to a list that could be shared.
+_parser = functools.cache(_build_parser)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InternalInvariantError as exc:

@@ -1,21 +1,22 @@
 """Cover-dimension estimation at a fixed scale, exact and greedy.
 
-"Exact" means: minimal dimension among covers drawn from a stated candidate
-family.  A point set has diameter at most B exactly when it is a clique of
-the "within B" graph, so the family is the cliques of that graph: all of
-them (every subset of diameter at most B) when the space has at most
-SUBSET_POINT_CAP points, else the closed balls of radius at most B among
-them.  Candidates, required balls and point sets are int bitmasks.  The
-space of covers is searched completely by iterative deepening on the
-multiplicity cap, so the returned dimension is the true minimum over that
-family; there is no scope beyond it, and the test suite cross-checks the
-small cases against a naive enumerator.
+"Exact" means: minimal dimension among all covers with Lebesgue number >= R
+and mesh <= B, at every size the search accepts.  Any such cover serves
+each point's open R-ball from some member containing it; shrinking every
+member to the union of the balls it serves keeps both bounds and never
+raises a multiplicity.  So the search assigns points to serve-groups, each
+group's union of balls a set of diameter <= B (a clique of the "within B"
+graph), and no candidate family is listed.  Balls, unions and point sets
+are int bitmasks.  The assignments are searched completely by iterative
+deepening on the multiplicity cap, so the returned dimension is the true
+minimum; the test suite cross-checks it against a partition enumerator and
+a clique enumerator written from the definitions.
 
 Deepening starts at a lower bound on the multiplicity that holds for every
-cover with Lebesgue number >= R and mesh <= B, drawn from any family: two
-open R-balls whose union has diameter > B can share no member.  Every cap
-below the bound fails whatever the search does, so starting there returns
-the same cover as starting at cap 1.
+cover with Lebesgue number >= R and mesh <= B: two open R-balls whose union
+has diameter > B can share no member.  Every cap below the bound fails
+whatever the search does, so starting there returns the same cover as
+starting at cap 1.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ from .groups import IsometricAction, QuotientSpace, quotient
 from .metric import FiniteMetricSpace, Scalar, ball, check_scalar
 
 EXACT_POINT_CAP = 14
-SUBSET_POINT_CAP = 10
 
 
 @dataclass(frozen=True)
 class Infeasible:
-    """No candidate member contains some required ball; returned, not raised,
-    because at a too-small mesh bound this is an answer, not an accident."""
+    """Some required ball (the open R-ball around `point`) has diameter
+    above B, so no member of mesh <= B can contain it and no cover exists;
+    returned, not raised, because at a too-small mesh bound this is an
+    answer, not an accident."""
 
     point: int
     required: frozenset[int]
@@ -72,43 +74,13 @@ def _open_ball_masks(m: FiniteMetricSpace, R: Scalar) -> list[int]:
     return [sum(1 << y for y, v in enumerate(row) if v < R) for row in m.dist]
 
 
-def _candidate_family(m: FiniteMetricSpace, B: Scalar, near: Sequence[int]
-                      ) -> list[int]:
-    """Every subset of diameter <= B on at most SUBSET_POINT_CAP points, else
-    the closed balls of radius <= B that have diameter <= B; as bitmasks, in
-    the order (size, sorted indices), which is total on distinct sets."""
-    if len(m) <= SUBSET_POINT_CAP:
-        # Level by level: extending each clique of one level, in order, by
-        # each common neighbour above its top point, in increasing order,
-        # lists the next level already in (size, sorted indices) order.
-        out: list[int] = []
-        level = [(1 << p, near[p] >> (p + 1) << (p + 1)) for p in range(len(m))]
-        while level:
-            out.extend(clique for clique, _ in level)
-            grown = []
-            for clique, common in level:
-                while common:
-                    low = common & -common
-                    grown.append((clique | low,
-                                  common & near[low.bit_length() - 1] & ~(2 * low - 1)))
-                    common ^= low
-            level = grown
-        return out
-    seen: set[int] = set()
-    for x, order in enumerate(m.nearest_first()):
-        # The distinct closed balls around x are the prefixes of its
-        # nearest-first order that end where the distance changes.  Once a
-        # prefix is no clique, no longer one is.
-        row = m.dist[x]
-        cand, common = 0, -1
-        for i, y in enumerate(order):
-            if row[y] > B or not common >> y & 1:
-                break
-            cand |= 1 << y
-            common &= near[y]
-            if i + 1 == len(order) or row[order[i + 1]] != row[y]:
-                seen.add(cand)
-    return sorted(seen, key=lambda cand: (cand.bit_count(), _bits(cand)))
+def _reach(mask: int, near: Sequence[int]) -> int:
+    """The points within B of every point of `mask`.  The union of two
+    cliques is a clique exactly when one lies inside the other's reach."""
+    reach = -1
+    for p in _bits(mask):
+        reach &= near[p]
+    return reach
 
 
 def _multiplicity_lower_bound(needs: Sequence[int], near: Sequence[int]) -> int:
@@ -123,11 +95,7 @@ def _multiplicity_lower_bound(needs: Sequence[int], near: Sequence[int]) -> int:
     """
     apart = []
     for need in needs:
-        # The union of two cliques is a clique exactly when one lies within
-        # B of every point of the other.
-        reach = -1
-        for p in _bits(need):
-            reach &= near[p]
+        reach = _reach(need, near)
         apart.append(sum(1 << z for z, other in enumerate(needs) if other & ~reach))
     best = 1
     for y in range(len(needs)):
@@ -142,49 +110,70 @@ def _multiplicity_lower_bound(needs: Sequence[int], near: Sequence[int]) -> int:
     return best
 
 
-def _search_with_cap(serve: Sequence[Sequence[int]], candidates: Sequence[int],
-                     serves: Sequence[int], n_points: int,
-                     cap: int) -> tuple[int, ...] | None:
-    """Pick candidates so every point's required ball is inside a chosen one
-    and no point lies in more than `cap` chosen members.
+def _serve_groups(needs: Sequence[int], reaches: Sequence[int],
+                  cap: int) -> list[int] | None:
+    """Unions of required balls, each a clique, that together contain every
+    point's required ball with no point in more than `cap` of them; None if
+    there are none.
 
-    serve[x] lists the candidates containing x's required ball; serves[ci]
-    is the mask of the points whose required ball candidate ci contains.
-    Point multiplicities are kept bit-sliced: levels[k] is the mask of the
-    points in more than k chosen members, so a candidate is usable when it
-    misses levels[cap - 1], the points already at the cap.  Backtracking with
-    a fail-first point order (the first point with the fewest usable
-    candidates, stopping at none); deterministic.
+    reaches[x] is the reach of x's required ball.  Each group keeps its
+    union and the union's reach, and a ball may join a group when it lies
+    inside that reach.  Multiplicities are kept bit-sliced: levels[k] is the
+    mask of the points in more than k groups, and a step raises only the
+    points it newly covers, which must miss levels[cap - 1].  A point whose
+    ball already lies inside a union is served without a branch.  Otherwise
+    backtracking takes the first unserved point with the fewest options
+    (stopping at none) and tries a new group first, then each group in the
+    order opened; deterministic.
     """
-    everyone = (1 << n_points) - 1
-    chosen: list[int] = []
+    n = len(needs)
+    unions: list[int] = []
+    group_reach: list[int] = []
 
     def descend(levels: list[int], served: int) -> bool:
-        if served == everyone:
-            return True
         full = levels[-1]
         best = None
-        for x in range(n_points):
+        for x in range(n):
             if served >> x & 1:
                 continue
-            options = [ci for ci in serve[x] if not candidates[ci] & full]
+            need = needs[x]
+            if any(not need & ~union for union in unions):
+                served |= 1 << x
+                continue
+            # -1 stands for a new group.
+            options = [-1] if not need & full else []
+            options += [g for g, union in enumerate(unions)
+                        if not need & ~group_reach[g]
+                        and not need & ~union & full]
             if best is None or len(options) < len(best):
-                best = options
+                best, point = options, x
                 if not options:
                     return False
-        for ci in best:
-            cand = candidates[ci]
-            chosen.append(ci)
-            if descend([levels[0] | cand] + [hi | lo & cand for lo, hi
-                                             in zip(levels, levels[1:])],
-                       served | serves[ci]):
+        if best is None:
+            return True
+        need = needs[point]
+        for g in best:
+            if g < 0:
+                added = need
+                unions.append(need)
+                group_reach.append(reaches[point])
+            else:
+                added = need & ~unions[g]
+                saved = unions[g], group_reach[g]
+                unions[g] |= need
+                group_reach[g] &= reaches[point]
+            if descend([levels[0] | added] + [hi | lo & added for lo, hi
+                                              in zip(levels, levels[1:])],
+                       served | 1 << point):
                 return True
-            chosen.pop()
+            if g < 0:
+                unions.pop()
+                group_reach.pop()
+            else:
+                unions[g], group_reach[g] = saved
         return False
 
-    if descend([0] * cap, 0):
-        return tuple(sorted(chosen))
-    return None
+    return unions if descend([0] * cap, 0) else None
 
 
 def _certified_exact_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar,
@@ -210,26 +199,22 @@ def _certified_exact_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar,
 
     n = len(m)
     near = _near_masks(m, B)
-    candidates = _candidate_family(m, B, near)
     needs = _open_ball_masks(m, R)
-    serve = []
-    serves = [0] * len(candidates)
+    reaches = [_reach(need, near) for need in needs]
     for x, need in enumerate(needs):
-        sx = [ci for ci, cand in enumerate(candidates) if cand & need == need]
-        if not sx:
+        if need & ~reaches[x]:
             return Infeasible(
                 point=x, required=ball(m, x, R, "open"),
                 message=(f"no candidate of diameter <= {B} contains the open "
                          f"{R}-ball around {m.points[x]}"))
-        for ci in sx:
-            serves[ci] |= 1 << x
-        serve.append(sx)
 
     for cap in range(_multiplicity_lower_bound(needs, near), n + 1):
-        picked = _search_with_cap(serve, candidates, serves, n, cap)
-        if picked is not None:
-            members = [_bits(candidates[ci]) for ci in picked]
-            cover = Cover(m, members, name=f"{m.name}_exact_R{R}_B{B}")
+        unions = _serve_groups(needs, reaches, cap)
+        if unions is not None:
+            # Groups with equal unions are one member.
+            members = sorted(set(unions), key=lambda u: (u.bit_count(), _bits(u)))
+            cover = Cover(m, [_bits(u) for u in members],
+                          name=f"{m.name}_exact_R{R}_B{B}")
             cert = certify(cover)
             if not cert.lebesgue >= R:
                 raise InternalInvariantError("exact cover misses its Lebesgue target")
@@ -240,25 +225,25 @@ def _certified_exact_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar,
                     f"search at multiplicity cap {cap} returned dimension "
                     f"{cert.dimension}")
             return cover, cert
-    raise InternalInvariantError("exact search failed with nonempty serve sets")
+    raise InternalInvariantError("exact search failed with every required ball "
+                                 "a clique")
 
 
 def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
                               max_points: int = EXACT_POINT_CAP
                               ) -> Cover | Infeasible:
-    """Minimal-dimension cover with Lebesgue number >= R and mesh <= B,
-    drawn from the candidate family; Infeasible if some open R-ball fits in
-    no candidate.
+    """Minimal-dimension cover with Lebesgue number >= R and mesh <= B, over
+    all such covers; Infeasible if some open R-ball has diameter above B.
 
-    Candidates are the cliques of the "within B" graph (at most
-    SUBSET_POINT_CAP points: every subset of diameter <= B) or the closed
-    balls among them, held as int bitmasks.  Iterative deepening on the
-    multiplicity cap guarantees minimality; within a cap the search is
-    backtracking on masks with a fail-first point order.  Deepening starts
-    at a lower bound that every cover meets (see _multiplicity_lower_bound),
-    so the caps it skips would fail under any family and the answer is the
-    one a start at cap 1 gives.  The result is deterministic, and its
-    Lebesgue number, mesh and dimension are certified before it returns.
+    Points are assigned to serve-groups whose unions of required balls have
+    diameter <= B; the members are those unions, equal ones merged, in the
+    order (size, sorted indices).  Iterative deepening on the multiplicity
+    cap guarantees minimality; within a cap the search is backtracking on
+    int bitmasks with a fail-first point order.  Deepening starts at a lower
+    bound that every cover meets (see _multiplicity_lower_bound), so the
+    caps it skips would fail anyway and the answer is the one a start at
+    cap 1 gives.  The result is deterministic, and its Lebesgue number, mesh
+    and dimension are certified before it returns.
     """
     result = _certified_exact_cover(m, R, B, max_points, certify)
     return result if isinstance(result, Infeasible) else result[0]

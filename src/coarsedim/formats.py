@@ -92,8 +92,19 @@ def space_to_dict(m: FiniteMetricSpace) -> dict:
         "kind": "space",
         "name": m.name,
         "points": list(m.points),
-        "dist": [[scalar_str(v) for v in row] for row in m.dist],
+        "dist": _write_table(m.dist),
     }
+
+
+def _write_table(rows) -> list:
+    """scalar_str on every entry of a table.  When every entry is an int or
+    a Fraction, whose text depends on the value alone, each distinct value
+    is written once; any other table (INF, an int subclass, a non-scalar) is
+    written entry by entry, so the first bad entry in reading order raises."""
+    if not set(map(type, chain.from_iterable(rows))) <= {int, Fraction}:
+        return [[scalar_str(v) for v in row] for row in rows]
+    text = {v: scalar_str(v) for v in set(chain.from_iterable(rows))}
+    return [list(map(text.__getitem__, row)) for row in rows]
 
 
 def _parse_table(rows) -> list:

@@ -2,8 +2,10 @@
 
 Everything here is written from the definitions, in a deliberately different
 style and search space from the library (name-keyed Dijkstra over edge lists
-and Floyd-Warshall beside the library's index-based Dijkstra, serve-partitions instead of candidate backtracking, direct ball checks
-instead of complement distances), so agreement is evidence and not an echo.
+and Floyd-Warshall beside the library's index-based Dijkstra; serve-partitions
+and frozenset cliques beside the library's bitmask serve-groups; direct ball
+checks instead of complement distances), so agreement is evidence and not an
+echo.
 """
 
 from __future__ import annotations
@@ -129,3 +131,57 @@ def min_dimension_partition(space, R, B):
 
     place(0)
     return best[0] - 1
+
+
+def min_dimension_cliques(space, R, B):
+    """Minimal cover dimension with Lebesgue number >= R and mesh <= B, by
+    backtracking over every point set of diameter <= B as a candidate
+    member; None when no cover can exist.
+
+    Members of such a cover are sets of diameter <= B, and each open R-ball
+    lies inside one of them, so choosing members among all such sets, each
+    serving some point whose ball no chosen member contains yet, visits an
+    optimal cover.  Multiplicity caps are tried from 1 upwards.
+    """
+    n = len(space)
+    balls = [frozenset(y for y in range(n) if space.dist[x][y] < R)
+             for x in range(n)]
+    if any(_diameter(space, b) > B for b in balls):
+        return None
+    family = []
+    level = [frozenset([p]) for p in range(n)]
+    while level:
+        family += level
+        level = sorted({s | {p} for s in level for p in range(max(s) + 1, n)
+                        if all(space.dist[p][q] <= B for q in s)}, key=sorted)
+    # Largest sets first: any order is complete, and this one finds a
+    # whole-space member at once where one is allowed.
+    serve = [[c for c in reversed(family) if balls[x] <= c] for x in range(n)]
+
+    for cap in range(1, n + 1):
+        chosen: list[frozenset] = []
+        count = [0] * n
+
+        def complete() -> bool:
+            unserved = [x for x in range(n)
+                        if not any(balls[x] <= c for c in chosen)]
+            if not unserved:
+                return True
+            full = {y for y in range(n) if count[y] == cap}
+            options = {x: [c for c in serve[x] if full.isdisjoint(c)]
+                       for x in unserved}
+            x = min(unserved, key=lambda x: len(options[x]))
+            for c in options[x]:
+                chosen.append(c)
+                for y in c:
+                    count[y] += 1
+                if complete():
+                    return True
+                chosen.pop()
+                for y in c:
+                    count[y] -= 1
+            return False
+
+        if complete():
+            return cap - 1
+    raise AssertionError("the open balls themselves always form a cover")

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import coarsedim.cli
 from coarsedim.cli import _build_parser, main
 from coarsedim.errors import InternalInvariantError
 
@@ -344,3 +345,47 @@ def test_cli_options_match_inventory():
     found = {name: sorted(s for a in sp._actions for s in a.option_strings)
              for name, sp in sub.choices.items()}
     assert found == {name: sorted(opts) for name, opts in inventory.items()}
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # Calls in one process share one parser; repeatable options and defaults
+    # must not carry over from one call to the next.
+    inputs = tmp_path / "inputs"
+    for kind, params in (("path", "n=5"), ("cycle", "n=6")):
+        assert main(["generate", "--kind", kind, "--params", params,
+                     "--out", str(inputs)]) == 0
+    capsys.readouterr()
+    files = sorted(str(p) for p in inputs.iterdir())
+    calls = [
+        ["profile", *files, "--space", "P5", "--action", "P5_reflect",
+         "--space", "C6", "--action", "C6_rot3", "--scales", "1,2"],
+        ["profile", *files, "--scales", "1", "--name", "all"],
+        ["estimate", *files, "--space", "C6", "--R", "1"],
+        ["profile", *files, "--scales", "1", "--mode", "exatc"],
+        ["profile", *files, "--space", "P5", "--scales", "2"],
+    ]
+
+    def run_calls(out):
+        record = []
+        for i, argv in enumerate(calls):
+            target = out / str(i)
+            try:
+                code = main(argv + ["--out", str(target)])
+            except SystemExit as exc:
+                code = f"exit {exc.code}"
+            captured = capsys.readouterr()
+            written = {p.name: p.read_bytes() for p in sorted(target.glob("*"))}
+            record.append((code, captured.out.replace(str(out), "OUT"),
+                           captured.err, written))
+        return record
+
+    assert coarsedim.cli._parser() is coarsedim.cli._parser()
+    shared = run_calls(tmp_path / "shared")
+    monkeypatch.setattr(coarsedim.cli, "_parser", _build_parser)
+    fresh = run_calls(tmp_path / "fresh")
+    assert shared == fresh
+    assert [code for code, *_ in shared] == [0, 0, 0, "exit 2", 0]
+    # the second profile covers every loaded space, not the first call's list
+    assert b'"P5"' in shared[1][3]["all.profile.json"]
+    assert b'"C6"' in shared[1][3]["all.profile.json"]
+    assert b'"C6"' not in shared[4][3]["profile.profile.json"]

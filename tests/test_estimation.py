@@ -16,9 +16,9 @@ from coarsedim.generators import (cycle_rotation_action, cycle_space,
                                   grid_rotation_action, grid_space,
                                   path_reflection_action, path_space,
                                   random_graph_space)
-from coarsedim.metric import INF
+from coarsedim.metric import INF, FiniteMetricSpace
 
-from oracles import min_dimension_partition
+from oracles import min_dimension_cliques, min_dimension_partition
 
 
 def test_exact_frozen_small_cases():
@@ -40,26 +40,24 @@ def test_exact_frozen_small_cases():
 
 
 EXACT_FROZEN_MEMBERS = [
-    # at most SUBSET_POINT_CAP points: every subset of diameter <= B
     (cycle_space(10), 2, 8, 14, [list(range(10))]),
     (grid_space(3, 3), 1, 4, 14, [[x] for x in range(9)]),
     (cycle_space(9), 2, 3, 14,
      [[0, 1, 2], [0, 1, 8], [0, 7, 8], [1, 2, 3], [2, 3, 4], [3, 4, 5],
       [4, 5, 6], [5, 6, 7], [6, 7, 8]]),
     (grid_space(3, 3), 2, 3, 14,
-     [[0, 1, 3], [1, 2, 5], [0, 1, 2, 4], [0, 3, 4, 6], [2, 4, 5, 8],
-      [1, 3, 4, 5, 6, 7, 8]]),
-    # above it: closed balls only
+     [[0, 1, 3], [3, 6, 7], [5, 7, 8], [0, 1, 2, 4], [0, 3, 4, 6],
+      [4, 6, 7, 8], [1, 2, 3, 4, 5, 7, 8]]),
     (path_space(11), 2, 3, 14,
-     [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6], [5, 6, 7],
-      [6, 7, 8], [7, 8, 9], [8, 9, 10]]),
+     [[0, 1], [8, 9, 10], [0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7],
+      [6, 7, 8, 9]]),
     (cycle_space(14), 2, 3, 14,
-     [[0, 1, 2], [0, 1, 13], [0, 12, 13], [1, 2, 3], [2, 3, 4], [3, 4, 5],
-      [4, 5, 6], [5, 6, 7], [6, 7, 8], [7, 8, 9], [8, 9, 10], [9, 10, 11],
-      [10, 11, 12], [11, 12, 13]]),
+     [[0, 1, 2, 13], [0, 11, 12, 13], [1, 2, 3, 4], [3, 4, 5, 6], [5, 6, 7, 8],
+      [7, 8, 9, 10], [9, 10, 11, 12]]),
     (grid_space(4, 4), 2, 4, 16,
-     [[0, 1, 4], [0, 1, 2, 5], [9, 12, 13, 14], [7, 10, 11, 13, 14, 15],
-      [0, 4, 5, 8, 9, 10, 12, 13], [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 14]]),
+     [[0, 1, 2, 5], [0, 4, 5, 8], [10, 13, 14, 15], [1, 2, 3, 6, 7, 11],
+      [4, 8, 9, 12, 13, 14], [6, 7, 9, 10, 11, 14, 15],
+      [0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 13]]),
 ]
 
 
@@ -91,7 +89,7 @@ def test_exact_rejects_bad_scales():
 def test_exact_point_cap():
     with pytest.raises(CapExceededError):
         min_dimension_cover_exact(path_space(21), 1, 2)
-    # raising the cap disables the guard; balls-only candidates still suffice
+    # raising the cap disables the guard
     c = min_dimension_cover_exact(path_space(15), 1, 2, max_points=15)
     assert dimension(c) == 0
 
@@ -115,6 +113,52 @@ def test_exact_matches_partition_oracle():
                     assert dimension(result) == expected, (m.name, R, B)
                 checked += 1
     assert checked == 84
+
+
+# 11 to 14 points: too many for the partition oracle, not for the clique one.
+CLIQUE_ORACLE_SPACES = [
+    path_space(11), path_space(13), path_space(14), cycle_space(12),
+    cycle_space(14), grid_space(3, 4), grid_space(2, 7),
+    random_graph_space(12, 7, edge_chance=Fraction(1, 5)),
+    random_graph_space(14, 5, edge_chance=Fraction(1, 5)),
+]
+
+
+@pytest.mark.parametrize("m", CLIQUE_ORACLE_SPACES, ids=lambda m: m.name)
+def test_exact_matches_clique_oracle_above_ten_points(m):
+    scales = [(R, B) for R in (1, 2, 3) for B in (R, 2 * R, 4 * R)]
+    for R, B in scales + [(2, 3), (2, 4)]:
+        expected = min_dimension_cliques(m, R, B)
+        result = min_dimension_cover_exact(m, R, B)
+        if expected is None:
+            assert isinstance(result, Infeasible), (R, B)
+        else:
+            assert dimension(result) == expected, (R, B)
+
+
+@pytest.mark.parametrize("m, R, B", [
+    (path_space(11), 2, 3), (path_space(14), 2, 3), (cycle_space(14), 2, 3),
+    (grid_space(2, 7), 2, 4)], ids=lambda v: getattr(v, "name", None))
+def test_exact_finds_dimension_one_above_ten_points(m, R, B):
+    # Covers by closed balls alone reach dimension 2 here; blocks of four
+    # consecutive points (of four columns on the 2x7 grid) reach 1.
+    c = min_dimension_cover_exact(m, R, B)
+    cert = certify(c)
+    assert (cert.dimension, cert.lebesgue >= R, cert.mesh <= B) == (1, True, True)
+    assert verify_certificate(c, cert) == []
+
+
+def test_exact_infeasible_names_the_first_ball_that_is_no_clique():
+    # Twelve points, all 3 apart except b and c at 2: the open 5/2-balls are
+    # {x}, and {b, c} around b and around c, which B = 1 cannot hold.
+    points = ["a", "b", "c"] + [f"z{i}" for i in range(9)]
+    dist = [[0 if i == j else 3 for j in range(12)] for i in range(12)]
+    dist[1][2] = dist[2][1] = 2
+    m = FiniteMetricSpace(points, dist, name="twelve")
+    result = min_dimension_cover_exact(m, Fraction(5, 2), 1)
+    assert result == Infeasible(
+        point=1, required=frozenset({1, 2}),
+        message="no candidate of diameter <= 1 contains the open 5/2-ball around b")
 
 
 def test_exact_fractional_scales():

@@ -3,6 +3,7 @@ workspace resolution, certificate recomputation on load, CSV export."""
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -280,6 +281,44 @@ def load_outcome(load, dist):
 ])
 def test_space_from_dict_matches_per_entry_parse(dist):
     assert load_outcome(space_from_dict, dist) == load_outcome(per_entry_space, dist)
+
+
+class Loud(int):
+    def __str__(self):
+        return f"Loud({int(self)})"
+
+
+def write_outcome(write, dist):
+    """The bytes a space document is written as, or the error it raises."""
+    space = SimpleNamespace(name="t", points=[str(i) for i in range(len(dist))],
+                            dist=dist)
+    try:
+        return dumps(write(space))
+    except TypeError as exc:
+        return type(exc), str(exc)
+
+
+def per_entry_space_dict(m):
+    return {"format": "coarsedim/1", "kind": "space", "name": m.name,
+            "points": list(m.points),
+            "dist": [[scalar_str(v) for v in row] for row in m.dist]}
+
+
+@pytest.mark.parametrize("dist", [
+    [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+    [[0, Fraction(1, 2), 2], [Fraction(1, 2), 0, Fraction(4, 2)],
+     [2, Fraction(4, 2), 0]],
+    [[Fraction(4, 2), 2], [2, Fraction(0)]],
+    [[0, math.inf, 1], [math.inf, 0, math.inf], [1, math.inf, 0]],
+    [[0, Loud(3)], [3, 0]],
+    [[0, 3], [Loud(3), 0]],
+    [[0, 2, 2.0], [2.0, 0, 2], [2, 2, 0]],
+    [[0, 2.5, True], [2.5, 0, 1], [True, 1, 0]],
+    [],
+])
+def test_space_to_dict_matches_per_entry_write(dist):
+    assert write_outcome(space_to_dict, dist) == \
+        write_outcome(per_entry_space_dict, dist)
 
 
 def test_load_entry_reports_validator_violations():
