@@ -43,11 +43,16 @@ def _safe_name(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "._-" else "_" for ch in name)
 
 
-def _write(out_dir: Path, d: dict) -> None:
+def _write(out: str, *docs: dict) -> Path:
+    """Write the documents into directory `out`, created once, printing each
+    path; returns the directory."""
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{_safe_name(d['name'])}.{d['kind']}.json"
-    path.write_text(dumps(d), encoding="utf-8")
-    print(path)
+    for d in docs:
+        path = out_dir / f"{_safe_name(d['name'])}.{d['kind']}.json"
+        path.write_text(dumps(d), encoding="utf-8")
+        print(path)
+    return out_dir
 
 
 def _load(paths, collect: bool = False) -> tuple[Workspace, int, int]:
@@ -152,7 +157,7 @@ def cmd_quotient(args) -> int:
     ws, _, _ = _load(args.files)
     a = _pick(ws, "action", args.action, "--action")
     q = quotient(a)
-    _write(Path(args.out), space_to_dict(q.space))
+    _write(args.out, space_to_dict(q.space))
     return 0
 
 
@@ -162,10 +167,8 @@ def cmd_pushforward(args) -> int:
     c = _pick(ws, "cover", args.cover, "--cover")
     q = quotient(a)
     pushed, cert = pushforward_cover(a, q, c)
-    out = Path(args.out)
-    _write(out, space_to_dict(q.space))
-    _write(out, cover_to_dict(pushed))
-    _write(out, certificate_to_dict(cert, pushed.name, f"{pushed.name}_cert"))
+    _write(args.out, space_to_dict(q.space), cover_to_dict(pushed),
+           certificate_to_dict(cert, pushed.name, f"{pushed.name}_cert"))
     return 0
 
 
@@ -175,12 +178,11 @@ def cmd_lift(args) -> int:
     c = _pick(ws, "cover", args.cover, "--cover")
     q = quotient(a)
     lifted, trace, cert = lift_equivariant(a, q, c, R=_scalar_arg(args.R, "--R"))
-    out = Path(args.out)
-    _write(out, cover_to_dict(lifted))
-    _write(out, lift_trace_to_dict(trace, f"{lifted.name}_trace", a.name,
-                                   c.name, lifted.name))
-    _write(out, certificate_to_dict(cert, lifted.name, f"{lifted.name}_cert",
-                                    action_name=a.name))
+    _write(args.out, cover_to_dict(lifted),
+           lift_trace_to_dict(trace, f"{lifted.name}_trace", a.name, c.name,
+                              lifted.name),
+           certificate_to_dict(cert, lifted.name, f"{lifted.name}_cert",
+                               action_name=a.name))
     return 0
 
 
@@ -195,22 +197,20 @@ def cmd_equivariant_cover(args) -> int:
         _emit_error("infeasible", result.message,
                     point=quotient(a).space.points[result.point])
         return 3
-    out = Path(args.out)
-    _write(out, space_to_dict(result.quotient.space))
-    _write(out, cover_to_dict(result.quotient_cover))
-    _write(out, cover_to_dict(result.cover))
-    _write(out, lift_trace_to_dict(result.trace, f"{result.cover.name}_trace",
-                                   a.name, result.quotient_cover.name,
-                                   result.cover.name))
-    _write(out, certificate_to_dict(result.certificate, result.cover.name,
-                                    f"{result.cover.name}_cert", action_name=a.name))
+    _write(args.out, space_to_dict(result.quotient.space),
+           cover_to_dict(result.quotient_cover), cover_to_dict(result.cover),
+           lift_trace_to_dict(result.trace, f"{result.cover.name}_trace",
+                              a.name, result.quotient_cover.name,
+                              result.cover.name),
+           certificate_to_dict(result.certificate, result.cover.name,
+                               f"{result.cover.name}_cert", action_name=a.name))
     return 0
 
 
 def cmd_sspace(args) -> int:
     ws, _, _ = _load(args.files)
     s = _pick(ws, "sspace", args.name, "--name")
-    _write(Path(args.out), space_to_dict(s.assembled))
+    _write(args.out, space_to_dict(s.assembled))
     return 0
 
 
@@ -224,9 +224,8 @@ def cmd_estimate(args) -> int:
         _emit_error("infeasible", result.message, point=m.points[result.point])
         return 3
     cover, cert = result
-    out = Path(args.out)
-    _write(out, cover_to_dict(cover))
-    _write(out, certificate_to_dict(cert, cover.name, f"{cover.name}_cert"))
+    _write(args.out, cover_to_dict(cover),
+           certificate_to_dict(cert, cover.name, f"{cover.name}_cert"))
     return 0
 
 
@@ -245,9 +244,7 @@ def cmd_profile(args) -> int:
     mesh_bounds = _scalar_list(args.mesh_bounds, "--mesh-bounds")
     fp = family_profile(spaces, scales, mesh_bounds, actions=actions,
                         mode=args.mode, max_points=args.max_points)
-    out = Path(args.out)
-    _write(out, profile_to_dict(fp, args.name))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _write(args.out, profile_to_dict(fp, args.name))
     csv_path = out / f"{_safe_name(args.name)}.profile.csv"
     csv_path.write_text(profile_to_csv(fp), encoding="utf-8")
     print(csv_path)
@@ -265,11 +262,11 @@ def cmd_generate(args) -> int:
             raise FormatError(f"--params entries look like key=value, got {token!r}")
         params[key.strip()] = value.strip()
     instance = generate_instance(args.kind, params, seed=args.seed)
-    out = Path(args.out)
-    _write(out, space_to_dict(instance.space))
+    docs = [space_to_dict(instance.space)]
     if instance.action is not None:
-        _write(out, group_to_dict(instance.action.group))
-        _write(out, action_to_dict(instance.action))
+        docs += [group_to_dict(instance.action.group),
+                 action_to_dict(instance.action)]
+    _write(args.out, *docs)
     return 0
 
 

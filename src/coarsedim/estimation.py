@@ -11,12 +11,6 @@ are int bitmasks.  The assignments are searched completely by iterative
 deepening on the multiplicity cap, so the returned dimension is the true
 minimum; the test suite cross-checks it against a partition enumerator and
 a clique enumerator written from the definitions.
-
-Deepening starts at a lower bound on the multiplicity that holds for every
-cover with Lebesgue number >= R and mesh <= B: two open R-balls whose union
-has diameter > B can share no member.  Every cap below the bound fails
-whatever the search does, so starting there returns the same cover as
-starting at cap 1.
 """
 
 from __future__ import annotations
@@ -28,20 +22,20 @@ from .covers import Cover, CoverCertificate, certify, lebesgue_number
 from .constructions import LiftTrace, _lift_certified, _require_valid
 from .errors import CapExceededError, InternalInvariantError
 from .groups import IsometricAction, QuotientSpace, quotient
-from .metric import FiniteMetricSpace, Scalar, ball, check_scalar
+from .metric import FiniteMetricSpace, Scalar, ball, check_scalar, diameter
 
 EXACT_POINT_CAP = 14
 
 
 @dataclass(frozen=True)
 class Infeasible:
-    """Some required ball (the open R-ball around `point`) has diameter
-    above B, so no member of mesh <= B can contain it and no cover exists;
-    returned, not raised, because at a too-small mesh bound this is an
-    answer, not an accident."""
+    """The open R-ball around `point` (the first such point, by index) has
+    diameter above B, so no member of mesh <= B can contain it and no cover
+    exists; `message` names the point, the ball's diameter and B.  Returned,
+    not raised, because at a too-small mesh bound this is an answer, not an
+    accident.  A profile document keeps both fields."""
 
     point: int
-    required: frozenset[int]
     message: str
 
 
@@ -81,33 +75,6 @@ def _reach(mask: int, near: Sequence[int]) -> int:
     for p in _bits(mask):
         reach &= near[p]
     return reach
-
-
-def _multiplicity_lower_bound(needs: Sequence[int], near: Sequence[int]) -> int:
-    """A multiplicity that every cover with these required balls and mesh
-    <= B reaches somewhere, whatever its members.
-
-    Two required balls whose union has diameter > B can share no member.
-    So if the balls of x_1, ..., x_k all contain y and pairwise cannot
-    share, they need k distinct members, each containing y.  Such a set is
-    picked greedily, in index order, for every y.  Every required ball must
-    be a clique of `near`.
-    """
-    apart = []
-    for need in needs:
-        reach = _reach(need, near)
-        apart.append(sum(1 << z for z, other in enumerate(needs) if other & ~reach))
-    best = 1
-    for y in range(len(needs)):
-        # The lowest point whose ball contains y and that cannot share with
-        # any point taken so far, until none is left.
-        left = sum(1 << x for x, need in enumerate(needs) if need >> y & 1)
-        k = 0
-        while left:
-            k += 1
-            left &= apart[(left & -left).bit_length() - 1]
-        best = max(best, k)
-    return best
 
 
 def _serve_groups(needs: Sequence[int], reaches: Sequence[int],
@@ -204,11 +171,11 @@ def _certified_exact_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar,
     for x, need in enumerate(needs):
         if need & ~reaches[x]:
             return Infeasible(
-                point=x, required=ball(m, x, R, "open"),
-                message=(f"no candidate of diameter <= {B} contains the open "
-                         f"{R}-ball around {m.points[x]}"))
+                point=x,
+                message=(f"the open {R}-ball around {m.points[x]} has diameter "
+                         f"{diameter(m, _bits(need))}, above the mesh bound {B}"))
 
-    for cap in range(_multiplicity_lower_bound(needs, near), n + 1):
+    for cap in range(1, n + 1):
         unions = _serve_groups(needs, reaches, cap)
         if unions is not None:
             # Groups with equal unions are one member.
@@ -238,12 +205,10 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
     Points are assigned to serve-groups whose unions of required balls have
     diameter <= B; the members are those unions, equal ones merged, in the
     order (size, sorted indices).  Iterative deepening on the multiplicity
-    cap guarantees minimality; within a cap the search is backtracking on
-    int bitmasks with a fail-first point order.  Deepening starts at a lower
-    bound that every cover meets (see _multiplicity_lower_bound), so the
-    caps it skips would fail anyway and the answer is the one a start at
-    cap 1 gives.  The result is deterministic, and its Lebesgue number, mesh
-    and dimension are certified before it returns.
+    cap, from cap 1, guarantees minimality; within a cap the search is
+    backtracking on int bitmasks with a fail-first point order.  The result
+    is deterministic, and its Lebesgue number, mesh and dimension are
+    certified before it returns.
     """
     result = _certified_exact_cover(m, R, B, max_points, certify)
     return result if isinstance(result, Infeasible) else result[0]
@@ -428,7 +393,7 @@ class GapReport:
     mesh_bound: Scalar | None
     dimension: int | None
     quotient_dimension: int | None
-    relation: str        # "equal", "drop" (quotient lower) or "exceeds"
+    relation: str        # "equal", "drop" (quotient lower), "exceeds" or "infeasible"
 
 
 @dataclass(frozen=True)

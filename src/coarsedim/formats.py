@@ -350,7 +350,7 @@ def _entry_to_dict(entry: ProfileEntry) -> dict:
 def _entry_from_dict(d: dict) -> ProfileEntry:
     infeasible = None
     if d.get("infeasible") is not None:
-        infeasible = Infeasible(point=d["infeasible"]["point"], required=frozenset(),
+        infeasible = Infeasible(point=d["infeasible"]["point"],
                                 message=d["infeasible"]["message"])
     return ProfileEntry(scale=parse_scalar(d["scale"]),
                         mesh_bound=_opt_parse_scalar(d.get("mesh_bound")),
@@ -480,22 +480,6 @@ class Workspace:
         return sorted(n for (k, n) in self._objects if k == kind)
 
 
-def object_to_dict(obj, **context) -> dict:
-    if isinstance(obj, FiniteMetricSpace):
-        return space_to_dict(obj)
-    if isinstance(obj, FiniteGroup):
-        return group_to_dict(obj)
-    if isinstance(obj, IsometricAction):
-        return action_to_dict(obj)
-    if isinstance(obj, Cover):
-        return cover_to_dict(obj)
-    if isinstance(obj, Decomposition):
-        return decomposition_to_dict(obj)
-    if isinstance(obj, SSpace):
-        return sspace_to_dict(obj, **context)
-    raise TypeError(f"no serializer for {type(obj).__name__}")
-
-
 def parse_document(text: str) -> dict:
     try:
         d = json.loads(text)
@@ -512,7 +496,7 @@ def parse_document(text: str) -> dict:
     return d
 
 
-def load_entry(d: dict, ws: Workspace, validate: bool = True) -> tuple[str, str, object, list[Violation]]:
+def load_entry(d: dict, ws: Workspace) -> tuple[str, str, object, list[Violation]]:
     """Materialize one parsed document into the workspace.
 
     Returns (kind, name, object, violations).  Structural problems raise
@@ -525,34 +509,28 @@ def load_entry(d: dict, ws: Workspace, validate: bool = True) -> tuple[str, str,
     violations: list[Violation] = []
     if kind == "space":
         obj = space_from_dict(d)
-        if validate:
-            violations = validate_metric(obj)
+        violations = validate_metric(obj)
     elif kind == "group":
         obj = group_from_dict(d)
-        if validate:
-            violations = validate_group(obj)
+        violations = validate_group(obj)
     elif kind == "action":
         obj = action_from_dict(d, ws)
-        if validate:
-            violations = validate_action(obj)
+        violations = validate_action(obj)
     elif kind == "sspace":
         obj = sspace_from_dict(d, ws)
     elif kind == "cover":
         obj = cover_from_dict(d, ws)
-        if validate:
-            violations = validate_cover(obj)
+        violations = validate_cover(obj)
     elif kind == "decomposition":
         obj = decomposition_from_dict(d, ws)
-        if validate:
-            violations = validate_decomposition(obj)
+        violations = validate_decomposition(obj)
     elif kind == "certificate":
         obj = certificate_from_dict(d)
         cover = ws.get("cover", _require(d, "cover", "certificate"))
         action = None
         if d.get("action") is not None:
             action = ws.get("action", d["action"])
-        if validate:
-            violations = verify_certificate(cover, obj, action=action)
+        violations = verify_certificate(cover, obj, action=action)
     elif kind == "lift_trace":
         obj = lift_trace_from_dict(d)
     elif kind == "profile":

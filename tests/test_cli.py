@@ -3,6 +3,7 @@ byte-identical reruns."""
 
 import argparse
 import json
+import pathlib
 
 import pytest
 
@@ -145,6 +146,33 @@ def test_infeasible_record_names_the_point(tmp_path, capsys):
         assert (code, out) == (3, [])
         assert err[0]["error"] == "infeasible"
         assert err[0]["point"] == "0"
+
+
+def test_each_writing_command_creates_out_once(tmp_path, capsys, monkeypatch):
+    files = generate_path_instance(tmp_path, capsys, n=9)
+    space = next(f for f in files if ".space." in f)
+    made = []
+    real_mkdir = pathlib.Path.mkdir
+
+    def counting_mkdir(self, *args, **kwargs):
+        made.append(self)
+        return real_mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "mkdir", counting_mkdir)
+    cases = [
+        (["generate", "--kind", "path", "--params", "n=5"], 0, 1),
+        (["estimate", space, "--R", "1", "--B", "2"], 0, 1),
+        (["estimate", space, "--R", "5", "--B", "1"], 3, 0),
+        (["equivariant-cover", *files, "--R", "1"], 0, 1),
+        (["profile", *files, "--scales", "1,2", "--max-points", "16"], 0, 1),
+        (["estimate", space, "--R", "0"], 1, 0),
+    ]
+    for i, (argv, code, calls) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        made.clear()
+        assert run(capsys, *argv, "--out", str(out))[0] == code, argv
+        assert made == [out] * calls, argv
+        assert out.exists() == bool(calls), argv
 
 
 def test_estimate_greedy_mode(tmp_path, capsys):

@@ -72,8 +72,9 @@ def test_exact_frozen_members(m, R, B, max_points, members):
 def test_exact_reports_infeasible():
     result = min_dimension_cover_exact(path_space(5), 5, 1)
     assert isinstance(result, Infeasible)
-    assert result.point == 0
-    assert result.required == frozenset(range(5))
+    assert result == Infeasible(
+        point=0,
+        message="the open 5-ball around 0 has diameter 4, above the mesh bound 1")
     assert "around 0" in result.message
 
 
@@ -157,8 +158,8 @@ def test_exact_infeasible_names_the_first_ball_that_is_no_clique():
     m = FiniteMetricSpace(points, dist, name="twelve")
     result = min_dimension_cover_exact(m, Fraction(5, 2), 1)
     assert result == Infeasible(
-        point=1, required=frozenset({1, 2}),
-        message="no candidate of diameter <= 1 contains the open 5/2-ball around b")
+        point=1,
+        message="the open 5/2-ball around b has diameter 2, above the mesh bound 1")
 
 
 def test_exact_fractional_scales():
