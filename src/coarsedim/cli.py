@@ -219,11 +219,11 @@ def cmd_estimate(args) -> int:
     m = _pick(ws, "space", args.space, "--space")
     _, result = _estimate_cover(m, _scalar_arg(args.R, "--R"),
                                 _scalar_arg(args.B, "--B"), args.mode,
-                                args.max_points, certify)
+                                args.max_points)
     if isinstance(result, Infeasible):
         _emit_error("infeasible", result.message, point=m.points[result.point])
         return 3
-    cover, cert = result
+    cover, cert = result, certify(result)
     _write(args.out, cover_to_dict(cover),
            certificate_to_dict(cert, cover.name, f"{cover.name}_cert"))
     return 0

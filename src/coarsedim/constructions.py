@@ -6,9 +6,9 @@ at most a factor of the group order.  Lifting a cover back up is the real
 construction: the preimage of each member is split into well-separated
 pieces using subgroups generated by small displacements, and the resulting
 cover of the total space is invariant under the whole action with no loss
-of dimension.  Both directions certify each cover they touch once, check
-their postconditions against those certificates, and treat any failure as
-an implementation bug.
+of dimension.  Both directions check their postconditions against
+certificates from covers.certify, which measures each cover only once, and
+treat any failure as an implementation bug.
 """
 
 from __future__ import annotations
@@ -134,14 +134,7 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
     if c.space != q.space:
         raise ValueError("cover does not live on the quotient space")
     _require_valid(c)
-    return _lift_certified(a, q, c, certify(c), R)
-
-
-def _lift_certified(a: IsometricAction, q: QuotientSpace, c: Cover,
-                    given: CoverCertificate, R: Scalar | None
-                    ) -> tuple[Cover, LiftTrace, CoverCertificate]:
-    """lift_equivariant's body, for a valid cover c of q.space whose
-    certificate `given` the caller already holds."""
+    given = certify(c)
     if R is None:
         R = given.lebesgue if given.lebesgue != INF else max(given.mesh, 1)
     check_scalar(R, "R")

@@ -20,6 +20,9 @@ metric axioms (d(x, x) = 0 and d >= 0), so lebesgue_number, certify and
 verify_certificate require a space for which validate_metric returns no
 violations; the CLI loads only such spaces.  On a table that fails the
 check, the value returned need not be the formula's.
+
+certify keeps the dimension, Lebesgue number and mesh it measures on the
+Cover, keyed on its `space` and `members`; verify_certificate ignores them.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ class Cover:
             norm.append(member)
         self.members = tuple(norm)
         self.name = str(name)
+        self._measured = (None, None)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -277,12 +281,8 @@ def check_equivariance(a: IsometricAction, c: Cover) -> tuple[bool, tuple | None
     return True, None
 
 
-def certify(c: Cover, meet_radius: Scalar | None = None,
-            action: IsometricAction | None = None) -> CoverCertificate:
-    """Recompute every certified quantity from the raw cover.
-
-    c.space must be a metric (validate_metric(c.space) == []): the
-    Lebesgue number is computed with the metric axioms."""
+def _certificate(c: Cover, measured: tuple, meet_radius: Scalar | None,
+                 action: IsometricAction | None) -> CoverCertificate:
     equivariant = None
     if action is not None:
         equivariant = check_equivariance(action, c)[0]
@@ -290,22 +290,30 @@ def certify(c: Cover, meet_radius: Scalar | None = None,
     if meet_radius is not None:
         check_scalar(meet_radius, "meet_radius")
         meet = ball_meet_count(c, meet_radius)
-    return CoverCertificate(
-        dimension=dimension(c),
-        lebesgue=lebesgue_number(c),
-        mesh=mesh(c),
-        meet_radius=meet_radius,
-        ball_meet=meet,
-        equivariant=equivariant,
-    )
+    return CoverCertificate(*measured, meet_radius=meet_radius, ball_meet=meet,
+                            equivariant=equivariant)
+
+
+def certify(c: Cover, meet_radius: Scalar | None = None,
+            action: IsometricAction | None = None) -> CoverCertificate:
+    """Every certified quantity of the cover.  Dimension, Lebesgue number and
+    mesh are measured again only after `space` or `members` is reassigned.
+
+    c.space must be a metric (validate_metric(c.space) == []): the
+    Lebesgue number is computed with the metric axioms."""
+    if c._measured[:2] != (c.space, c.members):
+        c._measured = (c.space, c.members, dimension(c), lebesgue_number(c), mesh(c))
+    return _certificate(c, c._measured[2:], meet_radius, action)
 
 
 def verify_certificate(c: Cover, cert: CoverCertificate,
                        action: IsometricAction | None = None) -> list[Violation]:
-    """Recompute and compare; any disagreement is a violation.
+    """Recompute every quantity once from the raw cover, without certify's
+    record, and compare; any disagreement is a violation.
 
     Like certify, this requires c.space to be a metric."""
-    fresh = certify(c, meet_radius=cert.meet_radius, action=action)
+    fresh = _certificate(c, (dimension(c), lebesgue_number(c), mesh(c)),
+                         cert.meet_radius, action)
     out = []
     for field in ("dimension", "lebesgue", "mesh", "ball_meet", "equivariant"):
         claimed = getattr(cert, field)

@@ -16,10 +16,10 @@ a clique enumerator written from the definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .covers import Cover, CoverCertificate, certify, lebesgue_number
-from .constructions import LiftTrace, _lift_certified, _require_valid
+from .constructions import LiftTrace, lift_equivariant
 from .errors import CapExceededError, InternalInvariantError
 from .groups import IsometricAction, QuotientSpace, quotient
 from .metric import FiniteMetricSpace, Scalar, ball, check_scalar, diameter
@@ -143,15 +143,19 @@ def _serve_groups(needs: Sequence[int], reaches: Sequence[int],
     return unions if descend([0] * cap, 0) else None
 
 
-def _certified_exact_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar,
-                           max_points: int, certify: Callable[[Cover], CoverCertificate]
-                           ) -> tuple[Cover, CoverCertificate] | Infeasible:
-    """min_dimension_cover_exact, also returning the certificate its answer
-    was checked with, so that callers need not certify it again.
+def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
+                              max_points: int = EXACT_POINT_CAP
+                              ) -> Cover | Infeasible:
+    """Minimal-dimension cover with Lebesgue number >= R and mesh <= B, over
+    all such covers; Infeasible if some open R-ball has diameter above B.
 
-    `certify` is the caller's own binding of covers.certify: the CLI passes
-    cli.certify, which its exit-code tests replace to force a failed
-    postcondition.
+    Points are assigned to serve-groups whose unions of required balls have
+    diameter <= B; the members are those unions, equal ones merged, in the
+    order (size, sorted indices).  Iterative deepening on the multiplicity
+    cap, from cap 1, guarantees minimality; within a cap the search is
+    backtracking on int bitmasks with a fail-first point order.  The result
+    is deterministic, and its Lebesgue number, mesh and dimension are
+    certified before it returns.
     """
     check_scalar(R, "R")
     check_scalar(B, "B")
@@ -191,27 +195,9 @@ def _certified_exact_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar,
                 raise InternalInvariantError(
                     f"search at multiplicity cap {cap} returned dimension "
                     f"{cert.dimension}")
-            return cover, cert
+            return cover
     raise InternalInvariantError("exact search failed with every required ball "
                                  "a clique")
-
-
-def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
-                              max_points: int = EXACT_POINT_CAP
-                              ) -> Cover | Infeasible:
-    """Minimal-dimension cover with Lebesgue number >= R and mesh <= B, over
-    all such covers; Infeasible if some open R-ball has diameter above B.
-
-    Points are assigned to serve-groups whose unions of required balls have
-    diameter <= B; the members are those unions, equal ones merged, in the
-    order (size, sorted indices).  Iterative deepening on the multiplicity
-    cap, from cap 1, guarantees minimality; within a cap the search is
-    backtracking on int bitmasks with a fail-first point order.  The result
-    is deterministic, and its Lebesgue number, mesh and dimension are
-    certified before it returns.
-    """
-    result = _certified_exact_cover(m, R, B, max_points, certify)
-    return result if isinstance(result, Infeasible) else result[0]
 
 
 def greedy_cover(m: FiniteMetricSpace, R: Scalar) -> tuple[Cover, CoverCertificate]:
@@ -251,22 +237,19 @@ def _check_mode(mode: str) -> None:
 
 
 def _estimate_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar | None, mode: str,
-                    max_points: int, certify: Callable[[Cover], CoverCertificate]
-                    ) -> tuple[Scalar | None,
-                               tuple[Cover, CoverCertificate] | Infeasible]:
+                    max_points: int) -> tuple[Scalar | None, Cover | Infeasible]:
     """The cover at scale R that `mode` asks for, with the mesh bound that
     was in force: None when greedy ran.
 
     "exact" searches, "greedy" does not, and "auto" searches on spaces of at
     most max_points points.  The search's mesh bound is B, or 4R when B is
-    None.  `certify` is passed to the exact search (see
-    _certified_exact_cover).
+    None.
     """
     _check_mode(mode)
     if mode == "greedy" or (mode == "auto" and len(m) > max_points):
-        return None, greedy_cover(m, R)
+        return None, greedy_cover(m, R)[0]
     B = B if B is not None else 4 * R
-    return B, _certified_exact_cover(m, R, B, max_points, certify)
+    return B, min_dimension_cover_exact(m, R, B, max_points)
 
 
 @dataclass(frozen=True)
@@ -321,14 +304,14 @@ def asdim_profile(m: FiniteMetricSpace, scales: Sequence[Scalar],
     for i, R in enumerate(scales):
         bound, result = _estimate_cover(
             m, R, mesh_bounds[i] if mesh_bounds is not None else None, mode,
-            max_points, certify)
+            max_points)
         method = "greedy" if bound is None else "exact"
         if isinstance(result, Infeasible):
             entries.append(ProfileEntry(scale=R, mesh_bound=bound, method=method,
                                         dimension=None, mesh=None, cover=None,
                                         infeasible=result))
         else:
-            cover, cert = result
+            cover, cert = result, certify(result)
             entries.append(ProfileEntry(scale=R, mesh_bound=bound, method=method,
                                         dimension=cert.dimension, mesh=cert.mesh,
                                         cover=cover, cover_name=cover.name))
@@ -365,21 +348,18 @@ def equivariant_cover_pipeline(a: IsometricAction, R: Scalar,
             raise ValueError("supplied cover does not live on the quotient")
         qc = quotient_cover
         # A cover that is both too coarse and invalid is reported as too
-        # coarse.  It is certified only once valid: an empty member has no
-        # diameter, so certify would fail on it with another message.
+        # coarse.  lift_equivariant certifies it only once valid: certify
+        # fails on an empty member, which has no diameter.
         supplied = lebesgue_number(qc)
         if not supplied >= R:
             raise ValueError(
                 f"supplied quotient cover has Lebesgue number {supplied}, below {R}")
-        _require_valid(qc)
-        given = certify(qc)
     else:
-        _, result = _estimate_cover(q.space, R, B, mode, max_points, certify)
-        if isinstance(result, Infeasible):
-            return result
-        qc, given = result
+        _, qc = _estimate_cover(q.space, R, B, mode, max_points)
+        if isinstance(qc, Infeasible):
+            return qc
 
-    cover, trace, cert = _lift_certified(a, q, qc, given, R)
+    cover, trace, cert = lift_equivariant(a, q, qc, R)
     return PipelineResult(quotient=q, quotient_cover=qc, cover=cover, trace=trace,
                           certificate=cert)
 

@@ -11,6 +11,7 @@ validation failure.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from fractions import Fraction
@@ -82,6 +83,21 @@ def _require(d: dict, key: str, kind: str):
     if key not in d:
         raise FormatError(f"{kind} file is missing {key!r}")
     return d[key]
+
+
+def _nested_fields(kind: str):
+    """Make a `kind` reader raise FormatError on a bad nested field."""
+    def decorate(read):
+        @functools.wraps(read)
+        def checked(d: dict):
+            try:
+                return read(d)
+            except KeyError as exc:
+                raise FormatError(f"{kind} file is missing {exc}") from None
+            except (TypeError, AttributeError) as exc:
+                raise FormatError(f"bad {kind}: {exc}") from None
+        return checked
+    return decorate
 
 
 # ---------------------------------------------------------------- space
@@ -309,6 +325,7 @@ def lift_trace_to_dict(trace: LiftTrace, name: str, action_name: str,
     }
 
 
+@_nested_fields("lift_trace")
 def lift_trace_from_dict(d: dict) -> LiftTrace:
     entries = []
     for k, entry in enumerate(_require(d, "members", "lift_trace")):
@@ -398,6 +415,7 @@ def profile_to_dict(fp: FamilyProfile, name: str) -> dict:
     }
 
 
+@_nested_fields("profile")
 def profile_from_dict(d: dict) -> FamilyProfile:
     profiles = _profiles_from_list(_require(d, "spaces", "profile"))
     quotients = (None if d.get("quotients") is None

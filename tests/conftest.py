@@ -14,6 +14,8 @@ src/ is put first on their PYTHONPATH.
 import os
 from pathlib import Path
 
+import pytest
+
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (str(Path(__file__).resolve().parents[1] / "src"),
                 os.environ.get("PYTHONPATH")) if p)
@@ -27,3 +29,21 @@ else:
         "deterministic", derandomize=True, deadline=None, max_examples=150,
         database=None, suppress_health_check=[HealthCheck.too_slow])
     settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def lebesgue_calls(monkeypatch):
+    """The names of the covers whose Lebesgue number is computed, in order.
+    Every computation inside covers.certify and verify_certificate goes
+    through covers.lebesgue_number, which this replaces with a counter."""
+    import coarsedim.covers
+
+    calls = []
+    original = coarsedim.covers.lebesgue_number
+
+    def counting(c):
+        calls.append(c.name)
+        return original(c)
+
+    monkeypatch.setattr(coarsedim.covers, "lebesgue_number", counting)
+    return calls

@@ -83,6 +83,31 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert any(v["kind"] == "symmetry" for v in err[0]["violations"])
 
 
+def test_validate_reports_malformed_nested_fields(tmp_path, capsys):
+    head = {"format": "coarsedim/1", "name": "bad"}
+    docs = {
+        "noscale.profile.json": {
+            **head, "kind": "profile", "family_dimension": [0],
+            "family_mesh": ["1"],
+            "spaces": [{"space": "P5", "entries": [{"method": "exact"}]}]},
+        "listentry.profile.json": {
+            **head, "kind": "profile", "family_dimension": [0],
+            "family_mesh": ["1"], "spaces": [{"space": "P5", "entries": [[]]}]},
+        "nopieces.lift_trace.json": {
+            **head, "kind": "lift_trace", "R": "1", "s": "1",
+            "members": [{"member": [0], "fiber": [0], "basepoint": 0}]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    files = [str(tmp_path / name) for name in docs]
+    code, _, err = run(capsys, "validate", *files)
+    assert code == 1
+    assert [(rec["error"], rec["file"]) for rec in err] == \
+        [("format", f) for f in files]
+    assert err[0]["message"] == "profile file is missing 'scale'"
+    assert err[2]["message"] == "lift_trace file is missing 'pieces'"
+
+
 def test_validate_missing_file_wins_over_validation(tmp_path, capsys):
     bad = tmp_path / "bad.space.json"
     bad.write_text(json.dumps({
@@ -122,6 +147,16 @@ def test_estimate_writes_cover_and_certificate(tmp_path, capsys):
     # the written pair validates as a unit, certificate recomputation included
     code, _, _ = run(capsys, "validate", space, out[0], out[1])
     assert code == 0
+
+
+def test_exact_estimate_measures_its_cover_once(tmp_path, capsys, lebesgue_calls):
+    files = generate_path_instance(tmp_path, capsys)
+    space = next(f for f in files if ".space." in f)
+    code, out, _ = run(capsys, "estimate", space, "--R", "1", "--mode", "exact",
+                       "--out", str(tmp_path))
+    assert code == 0
+    # the search certifies its answer; the command reuses that certificate
+    assert lebesgue_calls == ["P5_exact_R1_B4"]
 
 
 def test_estimate_infeasible_exits_three(tmp_path, capsys):

@@ -146,3 +146,31 @@ def test_certify_and_verify_roundtrip():
                                 meet_radius=1, ball_meet=2, equivariant=True)
     bad = verify_certificate(c, tampered, action=a)
     assert [v.subject for v in bad] == [("dimension",)]
+
+
+def test_verify_certificate_measures_the_raw_cover_once(lebesgue_calls):
+    cert = certify(halves_cover())
+    c = halves_cover()
+    del lebesgue_calls[:]
+    assert verify_certificate(c, cert) == []
+    assert len(lebesgue_calls) == 1
+    # verification filled no record: certify measures, once
+    certify(c)
+    certify(c)
+    assert len(lebesgue_calls) == 2
+    # and read none: it measures again after certify
+    assert verify_certificate(c, cert) == []
+    assert len(lebesgue_calls) == 3
+
+
+def test_certify_measures_again_after_reassignment(lebesgue_calls):
+    c = halves_cover()
+    assert certify(c) == certify(c) == CoverCertificate(dimension=1, lebesgue=1,
+                                                        mesh=2)
+    assert len(lebesgue_calls) == 1
+    c.members = (frozenset(range(5)),)
+    assert certify(c) == CoverCertificate(dimension=0, lebesgue=INF, mesh=4)
+    assert len(lebesgue_calls) == 2
+    c.space = cycle_space(5)
+    assert certify(c) == CoverCertificate(dimension=0, lebesgue=INF, mesh=2)
+    assert len(lebesgue_calls) == 3

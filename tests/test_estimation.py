@@ -5,8 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-import coarsedim.constructions
-import coarsedim.estimation
 from coarsedim import (CapExceededError, Cover, Infeasible, PipelineResult,
                        asdim_profile, certify, dimension,
                        equivariant_cover_pipeline, family_profile, greedy_cover,
@@ -320,19 +318,15 @@ def test_pipeline_reports_an_invalid_supplied_cover():
         equivariant_cover_pipeline(a, 1, quotient_cover=uncovered)
 
 
-def test_pipeline_certifies_each_cover_once(monkeypatch):
-    certified = []
-
-    def counting(c, *args, **kwargs):
-        certified.append(c.name)
-        return certify(c, *args, **kwargs)
-
-    for module in (coarsedim.constructions, coarsedim.estimation):
-        monkeypatch.setattr(module, "certify", counting)
-    a = grid_rotation_action(grid_space(6, 6), 6, 6)
-    result = equivariant_cover_pipeline(a, 2, mode="greedy")
-    # greedy_cover certifies the quotient cover, the lift its own output
-    assert certified == [result.quotient_cover.name, result.cover.name]
+def test_pipeline_certifies_each_cover_once(lebesgue_calls):
+    # Counts computations, not certify calls: lift_equivariant asks certify
+    # for the quotient cover's certificate and gets the stored one.
+    for a, mode in ((grid_rotation_action(grid_space(6, 6), 6, 6), "greedy"),
+                    (path_reflection_action(path_space(9)), "exact")):
+        del lebesgue_calls[:]
+        result = equivariant_cover_pipeline(a, 2, mode=mode)
+        # the estimator measures the quotient cover, the lift its own output
+        assert lebesgue_calls == [result.quotient_cover.name, result.cover.name]
 
 
 def test_pipeline_greedy_mode_for_large_spaces():
