@@ -6,6 +6,10 @@ indentation, trailing newline), so serialize after deserialize reproduces a
 written file byte for byte.  Certificates are never trusted on load: their
 fields are recomputed from the referenced cover and any disagreement is a
 validation failure.
+
+The `*_from_dict` readers assume a well-formed document and raise whatever
+a missing or ill-typed field makes them raise; `load_entry` is the one place
+that turns that into a FormatError naming the kind.
 """
 
 from __future__ import annotations
@@ -79,27 +83,6 @@ def dumps(d: dict) -> str:
     return json.dumps(d, indent=2, ensure_ascii=False) + "\n"
 
 
-def _require(d: dict, key: str, kind: str):
-    if key not in d:
-        raise FormatError(f"{kind} file is missing {key!r}")
-    return d[key]
-
-
-def _nested_fields(kind: str):
-    """Make a `kind` reader raise FormatError on a bad nested field."""
-    def decorate(read):
-        @functools.wraps(read)
-        def checked(d: dict):
-            try:
-                return read(d)
-            except KeyError as exc:
-                raise FormatError(f"{kind} file is missing {exc}") from None
-            except (TypeError, AttributeError) as exc:
-                raise FormatError(f"bad {kind}: {exc}") from None
-        return checked
-    return decorate
-
-
 # ---------------------------------------------------------------- space
 
 def space_to_dict(m: FiniteMetricSpace) -> dict:
@@ -136,12 +119,7 @@ def _parse_table(rows) -> list:
 
 
 def space_from_dict(d: dict) -> FiniteMetricSpace:
-    points = _require(d, "points", "space")
-    dist = _parse_table(_require(d, "dist", "space"))
-    try:
-        return FiniteMetricSpace(points, dist, name=_require(d, "name", "space"))
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"bad space: {exc}") from None
+    return FiniteMetricSpace(d["points"], _parse_table(d["dist"]), name=d["name"])
 
 
 # ---------------------------------------------------------------- group
@@ -157,11 +135,7 @@ def group_to_dict(g: FiniteGroup) -> dict:
 
 
 def group_from_dict(d: dict) -> FiniteGroup:
-    try:
-        return FiniteGroup(_require(d, "elements", "group"), _require(d, "mul", "group"),
-                           name=_require(d, "name", "group"))
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"bad group: {exc}") from None
+    return FiniteGroup(d["elements"], d["mul"], name=d["name"])
 
 
 # ---------------------------------------------------------------- action
@@ -178,18 +152,15 @@ def action_to_dict(a: IsometricAction) -> dict:
 
 
 def action_from_dict(d: dict, ws: "Workspace") -> IsometricAction:
-    group = ws.get("group", _require(d, "group", "action"))
-    space = ws.get("space", _require(d, "space", "action"))
-    perm_map = _require(d, "perm", "action")
+    group = ws.get("group", d["group"])
+    space = ws.get("space", d["space"])
+    perm_map = d["perm"]
     perms = []
     for element in group.elements:
         if element not in perm_map:
             raise FormatError(f"action is missing the permutation for {element!r}")
         perms.append(perm_map[element])
-    try:
-        return IsometricAction(group, space, perms, name=_require(d, "name", "action"))
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"bad action: {exc}") from None
+    return IsometricAction(group, space, perms, name=d["name"])
 
 
 # ---------------------------------------------------------------- cover
@@ -205,12 +176,8 @@ def cover_to_dict(c: Cover) -> dict:
 
 
 def cover_from_dict(d: dict, ws: "Workspace") -> Cover:
-    space = ws.get("space", _require(d, "space", "cover"))
-    try:
-        return Cover(space, _require(d, "members", "cover"),
-                     name=_require(d, "name", "cover"))
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"bad cover: {exc}") from None
+    space = ws.get("space", d["space"])
+    return Cover(space, d["members"], name=d["name"])
 
 
 # ---------------------------------------------------------------- decomposition
@@ -227,13 +194,8 @@ def decomposition_to_dict(d: Decomposition) -> dict:
 
 
 def decomposition_from_dict(d: dict, ws: "Workspace") -> Decomposition:
-    space = ws.get("space", _require(d, "space", "decomposition"))
-    try:
-        return Decomposition(space, parse_scalar(_require(d, "r", "decomposition")),
-                             _require(d, "families", "decomposition"),
-                             name=_require(d, "name", "decomposition"))
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"bad decomposition: {exc}") from None
+    space = ws.get("space", d["space"])
+    return Decomposition(space, parse_scalar(d["r"]), d["families"], name=d["name"])
 
 
 # ---------------------------------------------------------------- sspace
@@ -250,15 +212,10 @@ def sspace_to_dict(s: SSpace, name: str | None = None) -> dict:
 
 
 def sspace_from_dict(d: dict, ws: "Workspace") -> SSpace:
-    components = [ws.get("space", cname)
-                  for cname in _require(d, "components", "sspace")]
-    basepoints = _require(d, "basepoints", "sspace")
-    weights = [parse_scalar(w) for w in _require(d, "weights", "sspace")]
-    try:
-        return build_sspace(components, basepoints, weights,
-                            name=_require(d, "name", "sspace"))
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"bad sspace: {exc}") from None
+    components = [ws.get("space", cname) for cname in d["components"]]
+    basepoints = d["basepoints"]
+    weights = [parse_scalar(w) for w in d["weights"]]
+    return build_sspace(components, basepoints, weights, name=d["name"])
 
 
 # ---------------------------------------------------------------- certificate
@@ -284,9 +241,9 @@ def certificate_from_dict(d: dict) -> CoverCertificate:
     """Rebuild the claimed certificate; the caller still has to verify it
     against the referenced cover (load_entry does)."""
     return CoverCertificate(
-        dimension=_require(d, "dimension", "certificate"),
-        lebesgue=parse_scalar(_require(d, "lebesgue", "certificate")),
-        mesh=parse_scalar(_require(d, "mesh", "certificate")),
+        dimension=d["dimension"],
+        lebesgue=parse_scalar(d["lebesgue"]),
+        mesh=parse_scalar(d["mesh"]),
         meet_radius=_opt_parse_scalar(d.get("meet_radius")),
         ball_meet=d.get("ball_meet"),
         equivariant=d.get("equivariant"),
@@ -325,10 +282,9 @@ def lift_trace_to_dict(trace: LiftTrace, name: str, action_name: str,
     }
 
 
-@_nested_fields("lift_trace")
 def lift_trace_from_dict(d: dict) -> LiftTrace:
     entries = []
-    for k, entry in enumerate(_require(d, "members", "lift_trace")):
+    for k, entry in enumerate(d["members"]):
         pieces = tuple(
             LiftPiece(rep=p["rep"], subgroup=tuple(p["subgroup"]),
                       piece=frozenset(p["piece"]))
@@ -338,9 +294,7 @@ def lift_trace_from_dict(d: dict) -> LiftTrace:
                                   fiber=frozenset(entry["fiber"]),
                                   basepoint=entry["basepoint"],
                                   pieces=pieces))
-    return LiftTrace(R=parse_scalar(_require(d, "R", "lift_trace")),
-                     s=parse_scalar(_require(d, "s", "lift_trace")),
-                     entries=tuple(entries))
+    return LiftTrace(R=parse_scalar(d["R"]), s=parse_scalar(d["s"]), entries=tuple(entries))
 
 
 # ---------------------------------------------------------------- profile
@@ -415,9 +369,8 @@ def profile_to_dict(fp: FamilyProfile, name: str) -> dict:
     }
 
 
-@_nested_fields("profile")
 def profile_from_dict(d: dict) -> FamilyProfile:
-    profiles = _profiles_from_list(_require(d, "spaces", "profile"))
+    profiles = _profiles_from_list(d["spaces"])
     quotients = (None if d.get("quotients") is None
                  else _profiles_from_list(d["quotients"]))
     comparisons = None
@@ -431,9 +384,8 @@ def profile_from_dict(d: dict) -> FamilyProfile:
             for rep in d["comparisons"])
     return FamilyProfile(
         profiles=profiles,
-        family_dimension=tuple(_require(d, "family_dimension", "profile")),
-        family_mesh=tuple(_opt_parse_scalar(v)
-                          for v in _require(d, "family_mesh", "profile")),
+        family_dimension=tuple(d["family_dimension"]),
+        family_mesh=tuple(_opt_parse_scalar(v) for v in d["family_mesh"]),
         quotient_profiles=quotients,
         comparisons=comparisons)
 
@@ -517,44 +469,50 @@ def parse_document(text: str) -> dict:
 def load_entry(d: dict, ws: Workspace) -> tuple[str, str, object, list[Violation]]:
     """Materialize one parsed document into the workspace.
 
-    Returns (kind, name, object, violations).  Structural problems raise
-    FormatError; missing references raise ResolutionError; metric/group/
-    action/cover/decomposition validators and certificate recomputation
-    only fill the violation list, so callers can report instead of abort.
+    Returns (kind, name, object, violations).  This is the one place that
+    reports a malformed document: the readers assume a well-formed one, and
+    whatever a bad field makes them raise becomes a FormatError here, "<kind>
+    file is missing '<key>'" for a missing key and "bad <kind>: ..." for the
+    rest.  Missing references raise ResolutionError.  The metric/group/
+    action/cover/decomposition validators and certificate recomputation run
+    after the object is built, outside that conversion, so a fault in one is
+    never reported as a bad file; they only fill the violation list, so
+    callers can report instead of abort.
     """
     kind = d["kind"]
-    name = _require(d, "name", kind)
-    violations: list[Violation] = []
-    if kind == "space":
-        obj = space_from_dict(d)
-        violations = validate_metric(obj)
-    elif kind == "group":
-        obj = group_from_dict(d)
-        violations = validate_group(obj)
-    elif kind == "action":
-        obj = action_from_dict(d, ws)
-        violations = validate_action(obj)
-    elif kind == "sspace":
-        obj = sspace_from_dict(d, ws)
-    elif kind == "cover":
-        obj = cover_from_dict(d, ws)
-        violations = validate_cover(obj)
-    elif kind == "decomposition":
-        obj = decomposition_from_dict(d, ws)
-        violations = validate_decomposition(obj)
-    elif kind == "certificate":
-        obj = certificate_from_dict(d)
-        cover = ws.get("cover", _require(d, "cover", "certificate"))
-        action = None
-        if d.get("action") is not None:
-            action = ws.get("action", d["action"])
-        violations = verify_certificate(cover, obj, action=action)
-    elif kind == "lift_trace":
-        obj = lift_trace_from_dict(d)
-    elif kind == "profile":
-        obj = profile_from_dict(d)
-    else:
-        raise FormatError(f"unknown kind {kind!r}")
+    check = None
+    try:
+        name = d["name"]
+        if kind == "space":
+            obj, check = space_from_dict(d), validate_metric
+        elif kind == "group":
+            obj, check = group_from_dict(d), validate_group
+        elif kind == "action":
+            obj, check = action_from_dict(d, ws), validate_action
+        elif kind == "sspace":
+            obj = sspace_from_dict(d, ws)
+        elif kind == "cover":
+            obj, check = cover_from_dict(d, ws), validate_cover
+        elif kind == "decomposition":
+            obj, check = decomposition_from_dict(d, ws), validate_decomposition
+        elif kind == "certificate":
+            obj = certificate_from_dict(d)
+            cover = ws.get("cover", d["cover"])
+            action = None if d.get("action") is None else ws.get("action", d["action"])
+            check = functools.partial(verify_certificate, cover, action=action)
+        elif kind == "lift_trace":
+            obj = lift_trace_from_dict(d)
+        elif kind == "profile":
+            obj = profile_from_dict(d)
+        else:
+            raise FormatError(f"unknown kind {kind!r}")
+    except (FormatError, ResolutionError):  # ResolutionError is a KeyError
+        raise
+    except KeyError as exc:
+        raise FormatError(f"{kind} file is missing {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise FormatError(f"bad {kind}: {exc}") from None
+    violations = [] if check is None else check(obj)
     if not violations:
         ws.add(kind, name, obj)
         if kind == "sspace":

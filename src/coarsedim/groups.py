@@ -13,6 +13,10 @@ from typing import Iterable, Sequence
 from .errors import CapExceededError, Violation
 from .metric import FiniteMetricSpace
 
+# Guardrails on the brute-force constructions, not tuning knobs.
+ISOMORPHISM_ORDER_CAP = 12
+DIRECT_SUM_ORDER_CAP = 64
+
 
 class FiniteGroup:
     """Elements named by strings, multiplication as an index table.
@@ -178,9 +182,6 @@ class IsometricAction:
         self.perms = tuple(rows)
         self.name = str(name)
 
-    def apply(self, g: int, x: int) -> int:
-        return self.perms[g][x]
-
     def __repr__(self) -> str:
         return (f"IsometricAction({self.name!r}: {self.group.name!r} "
                 f"on {self.space.name!r})")
@@ -341,17 +342,16 @@ def coset_representatives(g: FiniteGroup, subgroup: Iterable[int]) -> list[int]:
     return reps
 
 
-def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup,
-                     max_order: int = 12) -> dict[int, int] | None:
+def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> dict[int, int] | None:
     """Brute-force isomorphism search, None if the groups are not isomorphic.
 
     Candidate images are pruned by element order, and the map is grown from a
     small generating set, so the search is comfortable for the orders this
-    toolkit works at (the cap is a guardrail, not a tuning knob).
+    toolkit works at; above ISOMORPHISM_ORDER_CAP it refuses.
     """
-    if len(g1) > max_order or len(g2) > max_order:
+    if len(g1) > ISOMORPHISM_ORDER_CAP or len(g2) > ISOMORPHISM_ORDER_CAP:
         raise CapExceededError(
-            f"isomorphism search is capped at order {max_order}, "
+            f"isomorphism search is capped at order {ISOMORPHISM_ORDER_CAP}, "
             f"got orders {len(g1)} and {len(g2)}")
     if len(g1) != len(g2):
         return None
@@ -457,13 +457,13 @@ class DirectSum:
         return self._tuples[element]
 
 
-def direct_sum(components: Sequence[FiniteGroup], max_order: int = 64,
-               name: str | None = None) -> DirectSum:
+def direct_sum(components: Sequence[FiniteGroup], name: str | None = None) -> DirectSum:
     total = 1
     for g in components:
         total *= len(g)
-    if total > max_order:
-        raise CapExceededError(f"direct sum of order {total} exceeds the cap {max_order}")
+    if total > DIRECT_SUM_ORDER_CAP:
+        raise CapExceededError(
+            f"direct sum of order {total} exceeds the cap {DIRECT_SUM_ORDER_CAP}")
     return DirectSum(components, name=name)
 
 

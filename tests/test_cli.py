@@ -108,6 +108,33 @@ def test_validate_reports_malformed_nested_fields(tmp_path, capsys):
     assert err[2]["message"] == "lift_trace file is missing 'pieces'"
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("space", "dist", 5),
+    ("space", "dist", [7]),
+    ("action", "perm", 5),
+    ("sspace", "components", 5),
+    ("sspace", "weights", 5),
+])
+def test_validate_reports_a_wrong_type_field_and_goes_on(tmp_path, capsys,
+                                                         kind, field, value):
+    files = generate_path_instance(tmp_path, capsys)
+    space, group, action = (next(f for f in files if f".{k}." in f)
+                            for k in ("space", "group", "action"))
+    good = {"action": json.loads(pathlib.Path(action).read_text()),
+            "space": json.loads(pathlib.Path(space).read_text()),
+            "sspace": {"format": "coarsedim/1", "kind": "sspace", "name": "U",
+                       "components": ["P5"], "basepoints": [[2]],
+                       "weights": ["5"]}}[kind]
+    bad = tmp_path / f"bad.{kind}.json"
+    bad.write_text(json.dumps({**good, "name": "bad", field: value}))
+    code, _, err = run(capsys, "validate", space, group, str(bad), space)
+    assert code == 1
+    assert sorted((rec["error"], rec["file"], rec["message"].split(":")[0])
+                  for rec in err) == \
+        sorted([("format", str(bad), f"bad {kind}"),
+                ("format", space, "duplicate space named 'P5'")])
+
+
 def test_validate_missing_file_wins_over_validation(tmp_path, capsys):
     bad = tmp_path / "bad.space.json"
     bad.write_text(json.dumps({

@@ -10,6 +10,7 @@ import pytest
 from coarsedim import (Cover, Decomposition, FiniteMetricSpace, FormatError,
                        ResolutionError, Workspace, build_sspace, certify, dumps, family_profile,
                        lift_equivariant, min_dimension_cover_exact, quotient)
+from coarsedim import formats
 from coarsedim.formats import (action_to_dict, certificate_to_dict,
                                cover_to_dict, decomposition_to_dict,
                                group_to_dict, lift_trace_from_dict,
@@ -233,10 +234,7 @@ def test_parse_document_rejects_malformed_input():
 def per_entry_space(d):
     """space_from_dict as one parse_scalar call per entry."""
     dist = [[parse_scalar(v) for v in row] for row in d["dist"]]
-    try:
-        return FiniteMetricSpace(d["points"], dist, name=d["name"])
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"bad space: {exc}") from None
+    return FiniteMetricSpace(d["points"], dist, name=d["name"])
 
 
 def load_outcome(load, dist):
@@ -318,6 +316,33 @@ def test_load_entry_reports_validator_violations():
     kind, name, obj, violations = load_entry(parse_document(dumps(d)), ws)
     assert any(v.kind == "symmetry" for v in violations)
     assert not ws.has("space", "bad")
+
+
+@pytest.mark.parametrize("kind, field, value, message", [
+    ("group", "elements", None, "group file is missing 'elements'"),
+    ("decomposition", "r", "zz", "bad scalar 'zz'"),
+    ("space", "dist", 5, "bad space: 'int' object is not iterable"),
+], ids=["missing-key", "bad-scalar", "wrong-type"])
+def test_load_entry_reports_a_malformed_field_once(kind, field, value, message):
+    fx = fixtures()
+    d = {"group": group_to_dict(fx["group"]),
+         "decomposition": decomposition_to_dict(fx["decomp"]),
+         "space": space_to_dict(fx["space"])}[kind]
+    if value is None:
+        del d[field]
+    else:
+        d[field] = value
+    with pytest.raises(FormatError) as info:
+        load_entry(d, seeded_workspace(fx))
+    assert str(info.value) == message
+
+
+def test_load_entry_leaves_a_validator_fault_alone(monkeypatch):
+    def broken(m):
+        raise TypeError("fault in the validator")
+    monkeypatch.setattr(formats, "validate_metric", broken)
+    with pytest.raises(TypeError, match="fault in the validator"):
+        load_entry(space_to_dict(path_space(3)), Workspace())
 
 
 def test_load_entry_needs_references_loaded_first():
