@@ -10,16 +10,24 @@ with d(x, emptyset) = INF, which makes the contract exact: for every R <= L
 each open R-ball around any point sits inside some member, and for every
 R > L some open R-ball does not.
 
-It is evaluated on the space's nearest-first orders (every point sorted by
-distance from x, see FiniteMetricSpace.nearest_first).  In a metric, a
-member without x contributes d(x, x) = 0, and for a member U containing x,
-d(x, X \\ U) is the distance to the first point of x's order that is not
-in U, which lies within the first |U| + 1 entries; the formula is thus
-evaluated exactly, with no scan of the complement.  Both steps use the
-metric axioms (d(x, x) = 0 and d >= 0), so lebesgue_number, certify and
-verify_certificate require a space for which validate_metric returns no
-violations; the CLI loads only such spaces.  On a table that fails the
-check, the value returned need not be the formula's.
+A whole-space member answers at once: its complement is empty, so L is
+INF, and its diameter, the largest entry of the table, is the mesh.
+
+Otherwise L is evaluated on the space's nearest-first orders (every point
+sorted by distance from x, see FiniteMetricSpace.nearest_first).  In a
+metric, a member without x contributes d(x, x) = 0, and for a member U
+containing x, d(x, X \\ U) is the distance to the first point of x's order
+that is not in U.  Each point keeps a mask with bit k set when member k
+contains it, and one walk along x's order ANDs the masks of the points it
+passes: the bits left are the members that contain every point so far, and
+the step that clears the last of them lands on max over U of d(x, X \\ U).
+The formula is thus evaluated exactly, with no scan of the complement.
+
+These steps use the metric axioms (d(x, x) = 0, d >= 0 and symmetry), so
+mesh, lebesgue_number, certify and verify_certificate require a space for
+which validate_metric returns no violations; the CLI loads only such
+spaces.  On a table that fails the check, the value returned need not be
+the definition's.
 
 certify keeps the dimension, Lebesgue number and mesh it measures on the
 Cover, keyed on its `space` and `members`; verify_certificate ignores them.
@@ -27,8 +35,10 @@ Cover, keyed on its `space` and `members`; verify_certificate ignores them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, Violation
@@ -50,10 +60,15 @@ class Cover:
         norm = []
         for k, member in enumerate(members):
             member = frozenset(member)
-            for x in member:
-                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < len(space):
-                    raise ValueError(f"member {k} contains {x!r}, not a point index "
-                                     f"of {space.name!r}")
+            # Plain in-range ints pass in C; any other member is checked
+            # element by element, which names its first bad element.
+            if member and not (set(map(type, member)) <= {int}
+                               and min(member) >= 0 and max(member) < len(space)):
+                for x in member:
+                    if not isinstance(x, int) or isinstance(x, bool) \
+                            or not 0 <= x < len(space):
+                        raise ValueError(f"member {k} contains {x!r}, not a point index "
+                                         f"of {space.name!r}")
             norm.append(member)
         self.members = tuple(norm)
         self.name = str(name)
@@ -135,16 +150,16 @@ def validate_cover(c: Cover) -> list[Violation]:
 
 def dimension(c: Cover) -> int:
     """Largest number of members through one point, minus one."""
-    best = 0
-    for x in range(len(c.space)):
-        count = sum(1 for member in c.members if x in member)
-        if count > best:
-            best = count
-    return best - 1
+    return max(Counter(chain.from_iterable(c.members)).values(), default=0) - 1
 
 
 def mesh(c: Cover) -> Scalar:
-    """Largest member diameter."""
+    """Largest member diameter.  When a member is the whole space and none
+    is empty (an empty member has no diameter), that is the largest entry
+    of the table, as c.space is a metric; see the module docstring."""
+    n = len(c.space)
+    if all(c.members) and any(len(member) == n for member in c.members):
+        return max(map(max, c.space.dist))
     best: Scalar = 0
     for member in c.members:
         d = _diameter(c.space, member)
@@ -161,25 +176,27 @@ def lebesgue_number(c: Cover):
     if not c.members:
         raise ValueError("Lebesgue number of a cover with no members is undefined")
     m = c.space
-    containing: list[list[frozenset[int]]] = [[] for _ in range(len(m))]
-    for member in c.members:
+    if any(len(member) == len(m) for member in c.members):
+        return INF      # an empty complement, known before any order is built
+    # Bit k of masks[x] is set when member k contains x.  The walk along x's
+    # order keeps the members that hold every point passed, and stops where
+    # the last of them ends: at max over U of d(x, X \ U), or at x itself,
+    # d(x, x) = 0, when no member holds x.  No member is the whole space, so
+    # every walk stops.
+    masks = [0] * len(m)
+    for k, member in enumerate(c.members):
+        bit = 1 << k
         for x in member:
-            containing[x].append(member)
-    overall = None
+            masks[x] |= bit
+    overall = INF
     for x, order in enumerate(m.nearest_first()):
-        row = m.dist[x]
-        best_for_x = 0
-        for member in containing[x]:
-            for y in order:
-                if y not in member:
-                    if row[y] > best_for_x:
-                        best_for_x = row[y]
-                    break
-            else:
-                best_for_x = INF
+        alive = masks[x]
+        for y in order:
+            alive &= masks[y]
+            if not alive:
                 break
-        if overall is None or best_for_x < overall:
-            overall = best_for_x
+        if m.dist[x][y] < overall:
+            overall = m.dist[x][y]
     return overall
 
 
@@ -275,7 +292,7 @@ def check_equivariance(a: IsometricAction, c: Cover) -> tuple[bool, tuple | None
     family = set(c.members)
     for k, member in enumerate(c.members):
         for g in range(len(a.group)):
-            image = frozenset(a.perms[g][x] for x in member)
+            image = frozenset(map(a.perms[g].__getitem__, member))
             if image not in family:
                 return False, (k, g)
     return True, None

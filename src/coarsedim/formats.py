@@ -461,7 +461,7 @@ def parse_document(text: str) -> dict:
     if tag != FORMAT_TAG:
         raise FormatError(f"unsupported format tag {tag!r}, expected {FORMAT_TAG!r}")
     kind = d.get("kind")
-    if kind not in KIND_ORDER:
+    if not isinstance(kind, str) or kind not in KIND_ORDER:
         raise FormatError(f"unknown kind {kind!r}")
     return d
 

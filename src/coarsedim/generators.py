@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -235,7 +236,7 @@ def random_cover(space: FiniteMetricSpace, seed: int,
     uncovered points until everything is covered, deduplicated."""
     rng = random.Random(seed)
     n = len(space)
-    radii = sorted({space.dist[i][j] for i in range(n) for j in range(n)})
+    radii = sorted(set(chain.from_iterable(space.dist)))
     members = []
     seen = set()
 

@@ -8,6 +8,8 @@ import pathlib
 import pytest
 
 import coarsedim.cli
+import coarsedim.estimation
+import coarsedim.groups
 from coarsedim.cli import _build_parser, main
 from coarsedim.errors import InternalInvariantError
 
@@ -135,6 +137,18 @@ def test_validate_reports_a_wrong_type_field_and_goes_on(tmp_path, capsys,
                 ("format", space, "duplicate space named 'P5'")])
 
 
+def test_validate_reports_an_unhashable_kind_and_goes_on(tmp_path, capsys):
+    files = generate_path_instance(tmp_path, capsys)
+    space = next(f for f in files if ".space." in f)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"format": "coarsedim/1", "kind": [7], "name": "x"}))
+    code, _, err = run(capsys, "validate", space, str(bad), space)
+    assert code == 1
+    assert [(rec["error"], rec.get("file"), rec["message"]) for rec in err] == [
+        ("format", str(bad), "unknown kind [7]"),
+        ("format", space, "duplicate space named 'P5'")]
+
+
 def test_validate_missing_file_wins_over_validation(tmp_path, capsys):
     bad = tmp_path / "bad.space.json"
     bad.write_text(json.dumps({
@@ -208,6 +222,26 @@ def test_infeasible_record_names_the_point(tmp_path, capsys):
         assert (code, out) == (3, [])
         assert err[0]["error"] == "infeasible"
         assert err[0]["point"] == "0"
+
+
+def test_infeasible_equivariant_cover_builds_one_quotient(tmp_path, capsys,
+                                                         monkeypatch):
+    files = generate_path_instance(tmp_path, capsys, n=9)
+    calls = []
+    original = coarsedim.groups.quotient
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return original(*args, **kwargs)
+
+    for module in (coarsedim.groups, coarsedim.estimation, coarsedim.cli):
+        monkeypatch.setattr(module, "quotient", counting)
+    code, out, err = run(capsys, "equivariant-cover", *files, "--R", "5",
+                         "--B", "1", "--out", str(tmp_path / "x"))
+    assert (code, out) == (3, [])
+    assert err == [{"error": "infeasible", "point": "0", "message":
+                    "the open 5-ball around 0 has diameter 4, above the mesh bound 1"}]
+    assert calls == ["P9_reflect"]
 
 
 def test_each_writing_command_creates_out_once(tmp_path, capsys, monkeypatch):

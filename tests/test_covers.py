@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from coarsedim import (INF, Cover, CoverCertificate, Decomposition,
+from coarsedim import (INF, Cover, CoverCertificate, Decomposition, FiniteMetricSpace,
                        ball_meet_count, certify, check_equivariance,
                        decomposition_to_cover, dimension, is_r_disjoint,
                        lebesgue_number, mesh, validate_cover,
                        validate_decomposition, verify_certificate)
-from coarsedim.generators import (cycle_space, path_reflection_action,
+from coarsedim.generators import (cycle_space, grid_space, path_reflection_action,
                                   path_space, random_cover,
                                   random_decomposition, random_graph_space)
 
@@ -52,6 +52,43 @@ def test_lebesgue_matches_direct_oracle():
         assert lebesgue_number(c) == lebesgue_direct(m, c.members)
 
 
+def test_whole_space_member_needs_no_nearest_first_orders():
+    m = path_space(6)
+    c = Cover(m, [[0, 1, 2], range(6)], name="whole")
+    assert lebesgue_number(c) == INF
+    assert mesh(c) == 5
+    assert m._nearest is None
+
+
+def test_uncovered_point_gives_zero_lebesgue():
+    c = Cover(path_space(5), [[0, 1, 2], [1, 2, 3]], name="holey")
+    # point 4 is in no member, so every ball around it, however small, is
+    # outside the cover
+    assert lebesgue_number(c) == 0
+    assert dimension(c) == 1
+
+
+def test_random_cover_members_are_pinned():
+    # The members drawn for these spaces and seeds, recorded before the
+    # radius list was built another way: the same radii give the same draws.
+    g = random_graph_space(7, 3)
+    half = FiniteMetricSpace(g.points, [[Fraction(v, 2) for v in row] for row in g.dist],
+                             name="half")
+    pinned = [
+        (path_space(7), 1, [[4], [0, 1, 2], [3], [2, 3, 4, 5, 6]]),
+        (path_space(7), 7, [[0, 1, 2, 3, 4], [5], [6]]),
+        (cycle_space(6), 0, [[3], [1, 2, 3], [0, 1, 5], [3, 4, 5]]),
+        (grid_space(3, 3), 0, [[6], [0, 1, 2, 3, 4, 5, 6, 7, 8]]),
+        (grid_space(3, 3), 7, [[1, 2, 5], [0], [0, 1, 3, 4, 5, 6, 7], [8]]),
+        (random_graph_space(8, 5), 1, [[1, 4], [0], [2, 5], [3, 5, 6, 7]]),
+        (random_graph_space(8, 5), 7, [[2, 5], [0], [1, 4, 5, 6], [3], [3, 5, 7]]),
+        (half, 1, [[4], [0, 2, 3, 5], [1], [1, 2, 4, 6]]),
+        (half, 7, [[0, 1, 4, 6], [5], [2], [3]]),
+    ]
+    for m, seed, members in pinned:
+        assert [sorted(u) for u in random_cover(m, seed).members] == members
+
+
 def test_ball_meet_count():
     c = halves_cover()
     assert ball_meet_count(c, 1) == 2       # around point 2
@@ -77,6 +114,10 @@ def test_validate_cover_reports():
 def test_cover_constructor_checks_indices():
     with pytest.raises(ValueError):
         Cover(path_space(3), [[0, 7]])
+    for bad in (True, -1, 3, "0"):
+        with pytest.raises(ValueError, match=fr"^member 1 contains {bad!r}, "
+                                             r"not a point index of 'P3'$"):
+            Cover(path_space(3), [[0, 1], [2, bad]])
 
 
 def test_r_disjointness():

@@ -1,7 +1,7 @@
 """Property tests for the exact fast paths: the nearest-first Lebesgue
-number against the definition, the all-clear metric check against the
-full per-triple listing, and the bitmask exact search against the
-partition oracle."""
+number, the mesh and the dimension against the definitions, the all-clear
+metric check against the full per-triple listing, and the bitmask exact
+search against the partition oracle."""
 
 from fractions import Fraction
 
@@ -13,11 +13,12 @@ given = hypothesis.given
 example = hypothesis.example
 
 from coarsedim import (Cover, FiniteMetricSpace, Infeasible, dimension,
-                       lebesgue_number, min_dimension_cover_exact, validate_metric)
+                       lebesgue_number, mesh, min_dimension_cover_exact,
+                       validate_metric)
 from coarsedim.generators import random_graph_space
 from coarsedim.metric import _all_clear, _integer_rows, _list_violations
 
-from oracles import lebesgue_direct, min_dimension_partition
+from oracles import _diameter, lebesgue_direct, min_dimension_partition
 
 # 13 and 37 give entries of 7 to 9 bits, where lanes cross byte boundaries.
 SCALES = (1, 2, 13, 37, Fraction(1, 2), Fraction(2, 3), Fraction(5, 7))
@@ -56,6 +57,17 @@ def covers(draw):
 @given(covers())
 def test_lebesgue_number_matches_definition(c):
     assert lebesgue_number(c) == lebesgue_direct(c.space, c.members)
+
+
+@given(covers())
+def test_mesh_matches_largest_member_diameter(c):
+    assert mesh(c) == max(_diameter(c.space, member) for member in c.members)
+
+
+@given(covers())
+def test_dimension_matches_count_per_point(c):
+    counts = [sum(x in member for member in c.members) for x in range(len(c.space))]
+    assert dimension(c) == max(counts) - 1
 
 
 @st.composite
