@@ -189,10 +189,9 @@ def cmd_lift(args) -> int:
 def cmd_equivariant_cover(args) -> int:
     ws, _, _ = _load(args.files)
     a = _pick(ws, "action", args.action, "--action")
-    qc = ws.get("cover", args.cover) if args.cover is not None else None
     result = equivariant_cover_pipeline(
         a, _scalar_arg(args.R, "--R"), B=_scalar_arg(args.B, "--B"),
-        mode=args.mode, quotient_cover=qc, max_points=args.max_points)
+        mode=args.mode, max_points=args.max_points)
     if isinstance(result, Infeasible):
         # Quotient point i is orbit i, named after its least point.
         _emit_error("infeasible", result.message,
@@ -310,8 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = command("equivariant-cover", cmd_equivariant_cover,
                  "quotient, cover at scale R, lift back; the full pipeline")
     sp.add_argument("--action", metavar="NAME")
-    sp.add_argument("--cover", metavar="NAME",
-                    help="use this quotient cover instead of estimating one")
     sp.add_argument("--R", metavar="SCALAR", required=True)
     sp.add_argument("--B", metavar="SCALAR", help="mesh bound (default 4R)")
     sp.add_argument("--mode", choices=("auto", "exact", "greedy"), default="auto")

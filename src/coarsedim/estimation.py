@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .covers import Cover, CoverCertificate, certify, lebesgue_number
+from .covers import Cover, CoverCertificate, certify
 from .constructions import LiftTrace, lift_equivariant
 from .errors import CapExceededError, InternalInvariantError
 from .groups import IsometricAction, QuotientSpace, quotient
@@ -231,11 +231,6 @@ def greedy_cover(m: FiniteMetricSpace, R: Scalar) -> tuple[Cover, CoverCertifica
     return cover, cert
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("auto", "exact", "greedy"):
-        raise ValueError(f"mode must be auto, exact or greedy, got {mode!r}")
-
-
 def _estimate_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar | None, mode: str,
                     max_points: int) -> tuple[Scalar | None, Cover | Infeasible]:
     """The cover at scale R that `mode` asks for, with the mesh bound that
@@ -245,7 +240,8 @@ def _estimate_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar | None, mode: str
     most max_points points.  The search's mesh bound is B, or 4R when B is
     None.
     """
-    _check_mode(mode)
+    if mode not in ("auto", "exact", "greedy"):
+        raise ValueError(f"mode must be auto, exact or greedy, got {mode!r}")
     if mode == "greedy" or (mode == "auto" and len(m) > max_points):
         return None, greedy_cover(m, R)[0]
     B = B if B is not None else 4 * R
@@ -331,33 +327,20 @@ class PipelineResult:
 
 def equivariant_cover_pipeline(a: IsometricAction, R: Scalar,
                                B: Scalar | None = None, mode: str = "auto",
-                               quotient_cover: Cover | None = None,
                                max_points: int = EXACT_POINT_CAP
                                ) -> PipelineResult | Infeasible:
-    """Quotient the action, cover the quotient at scale R, lift the cover.
+    """Quotient the action, estimate a cover of the quotient at scale R as
+    `mode` asks, and lift it.
 
     The result is an invariant cover of the original space with Lebesgue
     number >= R, dimension no worse than the quotient cover's, and mesh
     controlled by the lift bound.  Estimator infeasibility is propagated.
-    An unknown mode raises even when a quotient cover is supplied.
+    To lift a quotient cover you already have, call lift_equivariant.
     """
     q = quotient(a)
-    if quotient_cover is not None:
-        _check_mode(mode)
-        if quotient_cover.space != q.space:
-            raise ValueError("supplied cover does not live on the quotient")
-        qc = quotient_cover
-        # A cover that is both too coarse and invalid is reported as too
-        # coarse.  lift_equivariant certifies it only once valid: certify
-        # fails on an empty member, which has no diameter.
-        supplied = lebesgue_number(qc)
-        if not supplied >= R:
-            raise ValueError(
-                f"supplied quotient cover has Lebesgue number {supplied}, below {R}")
-    else:
-        _, qc = _estimate_cover(q.space, R, B, mode, max_points)
-        if isinstance(qc, Infeasible):
-            return qc
+    _, qc = _estimate_cover(q.space, R, B, mode, max_points)
+    if isinstance(qc, Infeasible):
+        return qc
 
     cover, trace, cert = lift_equivariant(a, q, qc, R)
     return PipelineResult(quotient=q, quotient_cover=qc, cover=cover, trace=trace,

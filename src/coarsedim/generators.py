@@ -251,9 +251,9 @@ def random_cover(space: FiniteMetricSpace, seed: int,
     for _ in range(rng.randint(1, 3)):
         push(rng.randrange(n), rng.choice(small))
     covered = set().union(*members)
-    while len(covered) < n:
-        x = min(set(range(n)) - covered)
-        covered |= push(x, rng.choice(small))
+    for x in range(n):
+        if x not in covered:
+            covered |= push(x, rng.choice(small))
     return Cover(space, members, name=name or f"{space.name}_cover_s{seed}")
 
 
@@ -368,7 +368,11 @@ def generate_instance(kind: str, params: Mapping[str, str] | None = None,
         return GeneratedInstance(cayley_ball_space(n, gens, radius), None)
     if kind == "random":
         n = _int_param(params, "n", 8)
-        p = Fraction(params.get("p", "2/5"))
+        try:
+            p = Fraction(params.get("p", "2/5"))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"parameter 'p' must be a fraction, got "
+                             f"{params['p']!r}") from None
         maxw = _int_param(params, "maxw", 3)
         return GeneratedInstance(random_graph_space(n, seed, p, maxw), None)
     raise ValueError(f"unknown instance kind {kind!r}")

@@ -236,8 +236,8 @@ class QuotientSpace:
 
     space is the quotient itself; orbit_of maps a source point index to its
     quotient point index; fibers[i] lists the source points over quotient
-    point i (sorted); representatives[i] is the lowest-index fiber point,
-    which also names the quotient point.
+    point i (sorted), and the lowest-index fiber point names the quotient
+    point.
     """
 
     def __init__(self, space: FiniteMetricSpace, source: FiniteMetricSpace,
@@ -246,7 +246,6 @@ class QuotientSpace:
         self.source = source
         self.orbit_of = orbit_of
         self.fibers = fibers
-        self.representatives = tuple(f[0] for f in fibers)
 
     def fiber_of_set(self, qpoints: Iterable[int]) -> frozenset[int]:
         """Preimage of a set of quotient points, as source point indices."""

@@ -83,9 +83,6 @@ class FiniteMetricSpace:
         except KeyError:
             raise KeyError(f"unknown point {point!r} in space {self.name!r}") from None
 
-    def point_set(self, names: Iterable[str]) -> frozenset[int]:
-        return frozenset(self.index(p) for p in names)
-
     def nearest_first(self) -> tuple[tuple[int, ...], ...]:
         """For every point, all points in order of distance from it (ties by
         index).  Built on first use and kept: the table never changes.  The

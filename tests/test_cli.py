@@ -53,6 +53,11 @@ def test_generate_other_kinds(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--kind", "path",
                        "--params", "n", "--out", str(tmp_path))
     assert code == 1 and err[0]["error"] == "validation"
+    code, out, err = run(capsys, "generate", "--kind", "random",
+                         "--params", "p=1/0", "--out", str(tmp_path))
+    assert (code, out) == (1, [])
+    assert err == [{"error": "validation",
+                    "message": "parameter 'p' must be a fraction, got '1/0'"}]
 
 
 def test_quotient_flow(tmp_path, capsys):
@@ -355,6 +360,30 @@ def test_equivariant_cover_pipeline_flow(tmp_path, capsys):
     assert err[0]["error"] == "infeasible"
 
 
+@pytest.mark.parametrize("kind, params, mode", [
+    ("path", "n=9", "exact"), ("grid", "w=4,h=5", "greedy")])
+def test_lift_of_the_pipeline_quotient_cover_writes_the_same_files(
+        tmp_path, capsys, kind, params, mode):
+    # equivariant-cover always estimates; lift --cover lifts a cover the
+    # caller has, and given the pipeline's own quotient cover it agrees.
+    code, files, _ = run(capsys, "generate", "--kind", kind, "--params", params,
+                         "--out", str(tmp_path))
+    assert code == 0
+    code, piped, _ = run(capsys, "equivariant-cover", *files, "--R", "1",
+                         "--mode", mode, "--out", str(tmp_path / "pipeline"))
+    assert code == 0 and len(piped) == 5
+    qspace, qcover = piped[:2]
+    qname = json.loads(pathlib.Path(qcover).read_text())["name"]
+    code, lifted, _ = run(capsys, "lift", *files, qspace, qcover,
+                          "--cover", qname, "--R", "1",
+                          "--out", str(tmp_path / "lift"))
+    assert code == 0
+    assert ([pathlib.Path(f).name for f in lifted]
+            == [pathlib.Path(f).name for f in piped[2:]])
+    for ours, theirs in zip(lifted, piped[2:]):
+        assert pathlib.Path(ours).read_bytes() == pathlib.Path(theirs).read_bytes()
+
+
 def test_sspace_flow(tmp_path, capsys):
     generate_path_instance(tmp_path, capsys)
     run(capsys, "generate", "--kind", "cycle", "--params", "n=4,action=none",
@@ -454,8 +483,8 @@ def test_cli_options_match_inventory():
         "quotient": common + ["--action"],
         "pushforward": common + ["--action", "--cover"],
         "lift": common + ["--action", "--cover", "--R"],
-        "equivariant-cover": common + ["--action", "--cover", "--R", "--B",
-                                       "--mode", "--max-points"],
+        "equivariant-cover": common + ["--action", "--R", "--B", "--mode",
+                                       "--max-points"],
         "sspace": common + ["--name"],
         "estimate": common + ["--space", "--R", "--B", "--mode", "--max-points"],
         "profile": common + ["--space", "--action", "--scales", "--mesh-bounds",

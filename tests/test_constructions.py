@@ -110,8 +110,11 @@ def test_lift_rejects_bad_input():
         lift_equivariant(a, q, c, R=0)
     with pytest.raises(ValueError):
         lift_equivariant(a, q, Cover(m, [range(5)]), R=1)  # cover of the source
-    with pytest.raises(ValueError):
-        lift_equivariant(a, q, Cover(q.space, [[0, 1]]), R=1)  # not a cover
+    with pytest.raises(ValueError, match="invalid cover: member 0 is empty"):
+        lift_equivariant(a, q, Cover(q.space, [[], range(3)]), R=1)
+    # misses quotient point 2
+    with pytest.raises(ValueError, match="invalid cover: points not covered"):
+        lift_equivariant(a, q, Cover(q.space, [[0, 1]]), R=1)
 
 
 def _lift_cases():

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from coarsedim import (CapExceededError, Cover, Infeasible, PipelineResult,
+from coarsedim import (CapExceededError, Infeasible, PipelineResult,
                        asdim_profile, certify, dimension,
                        equivariant_cover_pipeline, family_profile, greedy_cover,
                        lebesgue_number, mesh, min_dimension_cover_exact,
-                       quotient, validate_cover, verify_certificate)
+                       validate_cover, verify_certificate)
 from coarsedim.generators import (cycle_rotation_action, cycle_space,
                                   grid_rotation_action, grid_space,
                                   path_reflection_action, path_space,
@@ -288,36 +288,6 @@ def test_pipeline_propagates_infeasibility():
     assert isinstance(result, Infeasible)
 
 
-def test_pipeline_accepts_supplied_quotient_cover():
-    a = path_reflection_action(path_space(5))
-    q = quotient(a)
-    qc = min_dimension_cover_exact(q.space, 1, 4)
-    result = equivariant_cover_pipeline(a, 1, quotient_cover=qc)
-    assert result.quotient_cover is qc
-    assert result.certificate.equivariant is True
-    # a cover of the wrong space is rejected
-    wrong = Cover(a.space, [frozenset(range(5))], name="w")
-    with pytest.raises(ValueError):
-        equivariant_cover_pipeline(a, 1, quotient_cover=wrong)
-    # as is one whose Lebesgue number is below the requested scale
-    thin = Cover(q.space, [frozenset({0, 1}), frozenset({1, 2})], name="t")
-    with pytest.raises(ValueError):
-        equivariant_cover_pipeline(a, 2, quotient_cover=thin)
-
-
-def test_pipeline_reports_an_invalid_supplied_cover():
-    a = path_reflection_action(path_space(5))
-    q = quotient(a)
-    # fine enough (a whole-space member), but with an empty member
-    empty = Cover(q.space, [frozenset(), frozenset(range(3))], name="e")
-    with pytest.raises(ValueError, match="invalid cover: member 0 is empty"):
-        equivariant_cover_pipeline(a, 1, quotient_cover=empty)
-    # too coarse and invalid at once: too coarse is what is reported
-    uncovered = Cover(q.space, [frozenset({0, 1})], name="u")
-    with pytest.raises(ValueError, match="supplied quotient cover has Lebesgue"):
-        equivariant_cover_pipeline(a, 1, quotient_cover=uncovered)
-
-
 def test_pipeline_certifies_each_cover_once(lebesgue_calls):
     # Counts computations, not certify calls: lift_equivariant asks certify
     # for the quotient cover's certificate and gets the stored one.
@@ -341,15 +311,6 @@ def test_pipeline_rejects_unknown_mode():
     a = path_reflection_action(path_space(5))
     with pytest.raises(ValueError, match="mode must be auto, exact or greedy"):
         equivariant_cover_pipeline(a, 1, mode="exatc")
-
-
-def test_pipeline_rejects_unknown_mode_with_supplied_cover():
-    a = path_reflection_action(path_space(5))
-    qc = min_dimension_cover_exact(quotient(a).space, 1, 2)
-    assert isinstance(equivariant_cover_pipeline(a, 1, quotient_cover=qc),
-                      PipelineResult)
-    with pytest.raises(ValueError, match="mode must be auto, exact or greedy"):
-        equivariant_cover_pipeline(a, 1, mode="exatc", quotient_cover=qc)
 
 
 def test_pipeline_auto_mode_and_default_mesh_bound():

@@ -80,7 +80,6 @@ def test_equality_ignores_name():
 def test_point_lookup():
     m = path_space(4)
     assert m.index("2") == 2
-    assert m.point_set(["0", "3"]) == frozenset({0, 3})
     with pytest.raises(KeyError):
         m.index("9")
     with pytest.raises(ValueError):
