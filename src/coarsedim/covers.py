@@ -13,15 +13,20 @@ R > L some open R-ball does not.
 A whole-space member answers at once: its complement is empty, so L is
 INF, and its diameter, the largest entry of the table, is the mesh.
 
-Otherwise L is evaluated on the space's nearest-first orders (every point
-sorted by distance from x, see FiniteMetricSpace.nearest_first).  In a
-metric, a member without x contributes d(x, x) = 0, and for a member U
-containing x, d(x, X \\ U) is the distance to the first point of x's order
-that is not in U.  Each point keeps a mask with bit k set when member k
-contains it, and one walk along x's order ANDs the masks of the points it
-passes: the bits left are the members that contain every point so far, and
-the step that clears the last of them lands on max over U of d(x, X \\ U).
-The formula is thus evaluated exactly, with no scan of the complement.
+Otherwise L is evaluated on the space's integer table (see
+FiniteMetricSpace.integer_rows), and every value returned is the table's
+own entry where the integer one stands.  In a metric, a member without x
+contributes d(x, x) = 0, and for a member U containing x, d(x, X \\ U) is
+the distance to the nearest point that is not in U.  Each point keeps a
+mask with bit k set when member k contains it.  Let L_x be the max over U
+of d(x, X \\ U) and L' the least L_x of the points before x: L_x >= L'
+exactly when some member contains the open L'-ball around x, that is when
+the masks of that ball's points share a bit.  One pass over x's row
+gathers the ball and the AND of its masks settles most points; only when
+it is zero is the ball sorted and walked nearest first, ANDing the masks
+of the points passed, and the step that clears the last bit lands on L_x.
+The formula is thus evaluated exactly, with no scan of the complement and
+no sort of a whole row but the first.
 
 These steps use the metric axioms (d(x, x) = 0, d >= 0 and symmetry), so
 mesh, lebesgue_number, certify and verify_certificate require a space for
@@ -38,7 +43,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import and_, lt
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, Violation
@@ -157,12 +164,12 @@ def mesh(c: Cover) -> Scalar:
     """Largest member diameter.  When a member is the whole space and none
     is empty (an empty member has no diameter), that is the largest entry
     of the table, as c.space is a metric; see the module docstring."""
-    n = len(c.space)
-    if all(c.members) and any(len(member) == n for member in c.members):
-        return max(map(max, c.space.dist))
+    m = c.space
+    if all(c.members) and any(len(member) == len(m) for member in c.members):
+        return _diameter(m, range(len(m)))
     best: Scalar = 0
     for member in c.members:
-        d = _diameter(c.space, member)
+        d = _diameter(m, member)
         if d > best:
             best = d
     return best
@@ -177,27 +184,34 @@ def lebesgue_number(c: Cover):
         raise ValueError("Lebesgue number of a cover with no members is undefined")
     m = c.space
     if any(len(member) == len(m) for member in c.members):
-        return INF      # an empty complement, known before any order is built
-    # Bit k of masks[x] is set when member k contains x.  The walk along x's
-    # order keeps the members that hold every point passed, and stops where
-    # the last of them ends: at max over U of d(x, X \ U), or at x itself,
-    # d(x, x) = 0, when no member holds x.  No member is the whole space, so
-    # every walk stops.
+        return INF      # an empty complement, known before any table is read
+    # Bit k of masks[x] is set when member k contains x; best is the least
+    # L_x so far, in the integer table, and the (x, y) where it stands (see
+    # the module docstring).  No member is the whole space, so the first
+    # point's walk, over the whole space, stops too.
     masks = [0] * len(m)
     for k, member in enumerate(c.members):
         bit = 1 << k
         for x in member:
             masks[x] |= bit
-    overall = INF
-    for x, order in enumerate(m.nearest_first()):
+    points = range(len(m))
+    best = None
+    for x, row in enumerate(m.integer_rows()):
         alive = masks[x]
-        for y in order:
+        if not alive:
+            return m.dist[x][x]     # in no member: L_x = d(x, x) = 0, the least
+        if best is None:
+            near = points
+        else:
+            near = list(compress(points, map(lt, row, repeat(best[0]))))
+            if reduce(and_, map(masks.__getitem__, near)):
+                continue
+        for y in sorted(near, key=row.__getitem__):
             alive &= masks[y]
             if not alive:
                 break
-        if m.dist[x][y] < overall:
-            overall = m.dist[x][y]
-    return overall
+        best = (row[y], x, y)
+    return m.dist[best[1]][best[2]]
 
 
 def ball_meet_count(c: Cover, radius: Scalar) -> int:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import gcd
+from operator import le
 from typing import Mapping, Sequence
 
 from .covers import Cover, Decomposition
@@ -241,7 +242,7 @@ def random_cover(space: FiniteMetricSpace, seed: int,
     seen = set()
 
     def push(center: int, rho):
-        b = frozenset(y for y in range(n) if space.dist[center][y] <= rho)
+        b = frozenset(compress(range(n), map(le, space.dist[center], repeat(rho))))
         if b not in seen:
             seen.add(b)
             members.append(b)
@@ -364,7 +365,11 @@ def generate_instance(kind: str, params: Mapping[str, str] | None = None,
         gens_text = params.get("gens")
         if not gens_text:
             raise ValueError("cayley-ball needs gens, e.g. gens=1+5")
-        gens = [int(tok) for tok in gens_text.split("+")]
+        try:
+            gens = [int(tok) for tok in gens_text.split("+")]
+        except ValueError:
+            raise ValueError(f"parameter 'gens' must be integers joined by '+', got "
+                             f"{gens_text!r}") from None
         return GeneratedInstance(cayley_ball_space(n, gens, radius), None)
     if kind == "random":
         n = _int_param(params, "n", 8)
@@ -373,6 +378,8 @@ def generate_instance(kind: str, params: Mapping[str, str] | None = None,
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"parameter 'p' must be a fraction, got "
                              f"{params['p']!r}") from None
+        if not 0 <= p <= 1:
+            raise ValueError(f"parameter 'p' must be in [0, 1], got {params['p']!r}")
         maxw = _int_param(params, "maxw", 3)
         return GeneratedInstance(random_graph_space(n, seed, p, maxw), None)
     raise ValueError(f"unknown instance kind {kind!r}")

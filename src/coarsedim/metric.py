@@ -13,6 +13,7 @@ import math
 import sys
 from array import array
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import Violation
@@ -55,6 +56,7 @@ class FiniteMetricSpace:
             raise ValueError(
                 f"distance table has {len(dist)} rows for {len(self.points)} points")
         rows = []
+        plain = True
         for i, row in enumerate(dist):
             row = tuple(row)
             if len(row) != len(self.points):
@@ -62,14 +64,16 @@ class FiniteMetricSpace:
                                  f"expected {len(self.points)}")
             # Exact types pass in one C-level pass; any other row (bool,
             # float, an int subclass) is checked entry by entry.
-            if not set(map(type, row)) <= {int, Fraction}:
+            types = set(map(type, row))
+            if not types <= {int, Fraction}:
                 for j, v in enumerate(row):
                     check_scalar(v, f"dist[{i}][{j}]")
+            plain = plain and types <= {int}
             rows.append(row)
         self.dist = tuple(rows)
         self.name = str(name)
         self._index = {p: i for i, p in enumerate(self.points)}
-        self._nearest = None
+        self._integers = self.dist if plain else None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -83,15 +87,16 @@ class FiniteMetricSpace:
         except KeyError:
             raise KeyError(f"unknown point {point!r} in space {self.name!r}") from None
 
-    def nearest_first(self) -> tuple[tuple[int, ...], ...]:
-        """For every point, all points in order of distance from it (ties by
-        index).  Built on first use and kept: the table never changes.  The
-        sort runs on the integer-scaled table, which orders the same way."""
-        if self._nearest is None:
-            n = range(len(self.points))
-            self._nearest = tuple(tuple(sorted(n, key=row.__getitem__))
-                                  for row in _integer_rows(self.dist))
-        return self._nearest
+    def integer_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The table as plain ints with the same order, ties, equalities and
+        triangle inequalities, so that comparisons on it run in C: the table
+        itself when every entry is a plain int, else the rows scaled by the
+        LCM of the denominators, built on first use and kept (the table
+        never changes).  An entry read off it maps back to the table's own
+        entry at the same row and column."""
+        if self._integers is None:
+            self._integers = _integer_rows(self.dist)
+        return self._integers
 
     def check_point(self, x: int) -> int:
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < len(self.points):
@@ -114,8 +119,9 @@ def validate_metric(m: FiniteMetricSpace) -> list[Violation]:
     """Exhaustive check of the metric axioms; lists every violated pair/triple.
 
     A valid table is recognised by an all-clear pass that is exact, not a
-    filter: the table is taken as integer rows (as given when every entry is
-    an int, else scaled by the LCM of the denominators) and each row is
+    filter: the table is taken as the space's integer rows (as given when
+    every entry is an int, else scaled by the LCM of the denominators, see
+    FiniteMetricSpace.integer_rows) and each row is
     packed into one int with a fixed-width lane per point and a guard bit at
     the top of every lane.  Lanes are 1, 2, 4 or 8 bytes wide, so a row
     packs as one machine array; wider entries get wider lanes, packed entry
@@ -127,29 +133,27 @@ def validate_metric(m: FiniteMetricSpace) -> list[Violation]:
     reports every violation, in the same order and with the same messages
     whichever way the answer was reached.
     """
-    if _all_clear(m.dist):
+    if _all_clear(m):
         return []
     return _list_violations(m)
 
 
-def _integer_rows(dist) -> Sequence[Sequence[int]]:
-    """The table itself when every entry is an int, else the table scaled
-    to ints by the LCM of its denominators: the same order, ties and
-    triangle inequalities on a type that compares in C."""
-    if all(set(map(type, row)) <= {int} for row in dist):
-        return dist
+def _integer_rows(dist) -> tuple[tuple[int, ...], ...]:
+    """The table scaled to plain ints by the LCM of its denominators (see
+    FiniteMetricSpace.integer_rows, the one caller)."""
     scale = math.lcm(*(v.denominator for row in dist for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in dist]
+    return tuple(tuple(v.numerator * (scale // v.denominator) for v in row)
+                 for row in dist)
 
 
 #: array typecodes of the unsigned machine lanes, by width in bytes.
 _LANE_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
 
-def _all_clear(dist) -> bool:
+def _all_clear(m: FiniteMetricSpace) -> bool:
     """Whether the table satisfies every metric axiom (see validate_metric)."""
-    n = len(dist)
-    rows = _integer_rows(dist)
+    n = len(m)
+    rows = m.integer_rows()
     if min(map(min, rows)) < 0:
         return False
     for i, row in enumerate(rows):
@@ -157,7 +161,7 @@ def _all_clear(dist) -> bool:
         # identity plus positivity.
         if row[i] != 0 or row.count(0) != 1:
             return False
-    if any(tuple(row) != col for row, col in zip(rows, zip(*rows))):
+    if any(row != col for row, col in zip(rows, zip(*rows))):
         return False
     # A lane holds d(j,k) + d(i,j) + guard - d(i,k) with every entry below
     # 2**bits, so it stays in [guard - 2**bits, 2 * guard) and the guard bit
@@ -307,15 +311,17 @@ def set_distance(m: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]):
 # of m, such as cover members; they skip the per-element range check.
 
 def _diameter(m: FiniteMetricSpace, s: Iterable[int]) -> Scalar:
-    s = sorted(s)
+    s = tuple(s)
     if not s:
         raise ValueError("diameter of the empty set is undefined")
-    best: Scalar = 0
-    for pos, x in enumerate(s[:-1]):
-        far = max(map(m.dist[x].__getitem__, s[pos + 1:]))
-        if far > best:
-            best = far
-    return best
+    if len(s) == 1:
+        return 0
+    # One gather of s per integer row; the entry is read back off the table.
+    rows = m.integer_rows()
+    gather = itemgetter(*s)
+    far = [max(gather(rows[x])) for x in s]
+    i = far.index(max(far))
+    return m.dist[s[i]][s[gather(rows[s[i]]).index(far[i])]]
 
 
 def _set_distance(m: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]):

@@ -47,3 +47,21 @@ def lebesgue_calls(monkeypatch):
 
     monkeypatch.setattr(coarsedim.covers, "lebesgue_number", counting)
     return calls
+
+
+@pytest.fixture
+def integer_table_builds(monkeypatch):
+    """The distance tables scaled to integer tables, in order.  A space
+    scales its table through metric._integer_rows, which this replaces with
+    a counter; a table of plain ints is its own integer table and builds none."""
+    import coarsedim.metric
+
+    builds = []
+    original = coarsedim.metric._integer_rows
+
+    def counting(dist):
+        builds.append(dist)
+        return original(dist)
+
+    monkeypatch.setattr(coarsedim.metric, "_integer_rows", counting)
+    return builds

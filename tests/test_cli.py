@@ -58,6 +58,16 @@ def test_generate_other_kinds(tmp_path, capsys):
     assert (code, out) == (1, [])
     assert err == [{"error": "validation",
                     "message": "parameter 'p' must be a fraction, got '1/0'"}]
+    code, out, err = run(capsys, "generate", "--kind", "random",
+                         "--params", "p=2", "--out", str(tmp_path))
+    assert (code, out) == (1, [])
+    assert err == [{"error": "validation",
+                    "message": "parameter 'p' must be in [0, 1], got '2'"}]
+    code, out, err = run(capsys, "generate", "--kind", "cayley-ball",
+                         "--params", "n=5,gens=1+,radius=1", "--out", str(tmp_path))
+    assert (code, out) == (1, [])
+    assert err == [{"error": "validation", "message":
+                    "parameter 'gens' must be integers joined by '+', got '1+'"}]
 
 
 def test_quotient_flow(tmp_path, capsys):

@@ -52,12 +52,17 @@ def test_lebesgue_matches_direct_oracle():
         assert lebesgue_number(c) == lebesgue_direct(m, c.members)
 
 
-def test_whole_space_member_needs_no_nearest_first_orders():
-    m = path_space(6)
+def test_whole_space_member_builds_no_integer_table(integer_table_builds):
+    # The Lebesgue number of a cover with a whole-space member is INF before
+    # any table is read; the mesh reads the largest entry off the table.
+    path = path_space(6)
+    m = FiniteMetricSpace(path.points, [[Fraction(v, 3) for v in row]
+                                        for row in path.dist], name="P6/3")
     c = Cover(m, [[0, 1, 2], range(6)], name="whole")
     assert lebesgue_number(c) == INF
-    assert mesh(c) == 5
-    assert m._nearest is None
+    assert integer_table_builds == []
+    assert mesh(c) == Fraction(5, 3)
+    assert len(integer_table_builds) == 1
 
 
 def test_uncovered_point_gives_zero_lebesgue():

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from coarsedim import (INF, FiniteMetricSpace, ball, build_graph_metric,
-                       diameter, set_distance, validate_metric)
+from coarsedim import (INF, Cover, FiniteMetricSpace, ball, build_graph_metric,
+                       certify, diameter, set_distance, validate_action,
+                       validate_metric)
 from coarsedim.generators import (cayley_ball_space, cycle_space, grid_space,
-                                  path_space, random_graph_space)
+                                  path_reflection_action, path_space,
+                                  random_graph_space)
 
 from oracles import dijkstra_metric, floyd_warshall_metric
 
@@ -48,7 +50,6 @@ def test_construction_accepts_int_subclasses():
 
     m = FiniteMetricSpace(["a", "b"], [[0, Length(3)], [Length(3), 0]])
     assert validate_metric(m) == []
-    assert m.nearest_first() == ((0, 1), (1, 0))
 
 
 def test_fractions_are_welcome():
@@ -56,6 +57,27 @@ def test_fractions_are_welcome():
     m = FiniteMetricSpace(["a", "b"], [[0, half], [half, 0]])
     assert validate_metric(m) == []
     assert m.d(0, 1) == Fraction(1, 2)
+
+
+def test_a_space_scales_its_table_once(integer_table_builds):
+    # Load checks and cover measurements all read one integer table per
+    # space: a Fraction table is scaled on first use and kept, and a table
+    # of plain ints is its own.
+    path = path_space(6)
+    m = FiniteMetricSpace(path.points, [[Fraction(v, 3) for v in row]
+                                        for row in path.dist], name="P6/3")
+    assert validate_metric(m) == []
+    cert = certify(Cover(m, [[0, 1, 2, 3], [2, 3, 4, 5]]))
+    assert (cert.lebesgue, cert.mesh) == (Fraction(2, 3), 1)
+    assert validate_action(path_reflection_action(m)) == []
+    assert integer_table_builds == [m.dist]
+    assert m.integer_rows() == tuple(map(tuple, path.dist))
+
+    assert path.integer_rows() is path.dist
+    assert validate_metric(path) == []
+    certify(Cover(path, [[0, 1, 2, 3], [2, 3, 4, 5]]))
+    assert validate_action(path_reflection_action(path)) == []
+    assert len(integer_table_builds) == 1
 
 
 def test_validate_metric_flags_each_axiom():

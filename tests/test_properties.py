@@ -1,7 +1,8 @@
-"""Property tests for the exact fast paths: the nearest-first Lebesgue
-number, the mesh and the dimension against the definitions, the all-clear
-metric check against the full per-triple listing, and the bitmask exact
-search against the partition oracle."""
+"""Property tests for the exact fast paths: the ball-test Lebesgue number,
+the mesh and the dimension against the definitions, on int, Fraction,
+mixed and int-subclass tables; the all-clear metric and action checks
+against their full listings; and the bitmask exact search against the
+partition oracle."""
 
 from fractions import Fraction
 
@@ -12,11 +13,15 @@ st = hypothesis.strategies
 given = hypothesis.given
 example = hypothesis.example
 
-from coarsedim import (Cover, FiniteMetricSpace, Infeasible, dimension,
-                       lebesgue_number, mesh, min_dimension_cover_exact,
+from coarsedim import (Cover, FiniteMetricSpace, Infeasible, IsometricAction,
+                       cyclic_group, dihedral_group, dimension, lebesgue_number,
+                       mesh, min_dimension_cover_exact, validate_action,
                        validate_metric)
-from coarsedim.generators import random_graph_space
-from coarsedim.metric import _all_clear, _integer_rows, _list_violations
+from coarsedim.formats import scalar_str
+from coarsedim.generators import (path_reflection_action, path_space,
+                                  random_graph_space, random_invariant_instance)
+from coarsedim.groups import _action_all_clear, _list_action_violations
+from coarsedim.metric import _all_clear, _list_violations
 
 from oracles import _diameter, lebesgue_direct, min_dimension_partition
 
@@ -24,16 +29,28 @@ from oracles import _diameter, lebesgue_direct, min_dimension_partition
 SCALES = (1, 2, 13, 37, Fraction(1, 2), Fraction(2, 3), Fraction(5, 7))
 
 
+class Length(int):
+    """A caller's own integer type."""
+
+
 @st.composite
 def graph_metrics(draw, min_points=1, max_points=8):
-    """A random graph metric, scaled by an int or a Fraction."""
+    """A random graph metric, scaled by an int or a Fraction, with its
+    integral entries as the scaling leaves them, as plain ints (a mixed
+    table, as formats._parse_table yields) or as an int subclass."""
     n = draw(st.integers(min_points, max_points))
     m = random_graph_space(n, draw(st.integers(0, 10 ** 6)),
                            edge_chance=draw(st.sampled_from(
                                (Fraction(0), Fraction(1, 4), Fraction(3, 4)))),
                            max_weight=draw(st.integers(1, 5)))
     scale = draw(st.sampled_from(SCALES))
-    return FiniteMetricSpace(m.points, [[scale * v for v in row] for row in m.dist],
+    integral = draw(st.sampled_from((None, int, Length)))
+
+    def entry(v):
+        v = scale * v
+        return integral(v.numerator) if integral and v.denominator == 1 else v
+
+    return FiniteMetricSpace(m.points, [list(map(entry, row)) for row in m.dist],
                              name=m.name)
 
 
@@ -56,12 +73,18 @@ def covers(draw):
 
 @given(covers())
 def test_lebesgue_number_matches_definition(c):
-    assert lebesgue_number(c) == lebesgue_direct(c.space, c.members)
+    expected = lebesgue_direct(c.space, c.members)
+    actual = lebesgue_number(c)
+    assert actual == expected
+    assert scalar_str(actual) == scalar_str(expected)
 
 
 @given(covers())
 def test_mesh_matches_largest_member_diameter(c):
-    assert mesh(c) == max(_diameter(c.space, member) for member in c.members)
+    expected = max(_diameter(c.space, member) for member in c.members)
+    actual = mesh(c)
+    assert actual == expected
+    assert scalar_str(actual) == scalar_str(expected)
 
 
 @given(covers())
@@ -147,7 +170,7 @@ def tables(draw):
 def test_validate_metric_matches_full_listing(m):
     listing = _list_violations(m)
     assert validate_metric(m) == listing
-    assert _all_clear(m.dist) == (listing == [])
+    assert _all_clear(m) == (listing == [])
 
 
 def test_validate_metric_at_lane_width_boundaries():
@@ -167,7 +190,7 @@ def test_validate_metric_at_lane_width_boundaries():
                         m = table(dist)
                         listing = _list_violations(m)
                         assert validate_metric(m) == listing
-                        assert _all_clear(m.dist) == (listing == [])
+                        assert _all_clear(m) == (listing == [])
     assert {6, 7, 8, 14, 15} <= widths
 
 
@@ -191,15 +214,65 @@ def test_validate_metric_at_machine_lane_boundaries():
                     variants.append(dist)
         for dist in variants:
             for m in (table(dist), table([[Fraction(v, 3) for v in row] for row in dist])):
-                widths.add(max(map(max, _integer_rows(m.dist))).bit_length())
+                widths.add(max(map(max, m.integer_rows())).bit_length())
                 listing = _list_violations(m)
                 assert validate_metric(m) == listing
-                assert _all_clear(m.dist) == (listing == [])
+                assert _all_clear(m) == (listing == [])
     assert {6, 7, 14, 15, 30, 31, 62, 63, 100} <= widths
 
 
-@given(graph_metrics())
-def test_nearest_first_matches_sort_on_raw_distances(m):
-    n = range(len(m))
-    assert m.nearest_first() == tuple(tuple(sorted(n, key=row.__getitem__))
-                                      for row in m.dist)
+def one_point_action(order):
+    space = FiniteMetricSpace(["p"], [[0]], name="point")
+    return IsometricAction(cyclic_group(order), space, [[0]] * order)
+
+
+def fraction_action():
+    path = path_space(5)
+    space = FiniteMetricSpace(path.points, [[Fraction(v, 3) for v in row]
+                                            for row in path.dist])
+    return path_reflection_action(space)
+
+
+def lawless_action():
+    # Every permutation of an equilateral triangle is an isometry, so only
+    # the action law fails here: g1 g1 is g2, but (0 1)(0 1) is no (0 1).
+    space = FiniteMetricSpace("abc", [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    return IsometricAction(cyclic_group(3), space, [[0, 1, 2], [1, 0, 2], [1, 0, 2]])
+
+
+@st.composite
+def actions(draw):
+    """An invariant instance's action, on its table or a Fraction scaling
+    of it, as built or with one fault: two images swapped in one
+    permutation, or one symmetric pair of distances changed."""
+    group = draw(st.sampled_from((cyclic_group(1), cyclic_group(2), cyclic_group(4),
+                                  dihedral_group(3))))
+    space, action = random_invariant_instance(group, draw(st.integers(1, 3)),
+                                              draw(st.integers(0, 10 ** 6)))
+    scale = draw(st.sampled_from((1, Fraction(2, 3))))
+    dist = [[scale * v for v in row] for row in space.dist]
+    perms = [list(perm) for perm in action.perms]
+    n = len(dist)
+    fault = draw(st.sampled_from((None, "swap", "distance")))
+    if fault and n > 1:
+        x = draw(st.integers(0, n - 1))
+        y = draw(st.integers(0, n - 1).filter(lambda y: y != x))
+        if fault == "swap":
+            perm = perms[draw(st.integers(0, len(perms) - 1))]
+            perm[x], perm[y] = perm[y], perm[x]
+        else:
+            dist[x][y] = dist[y][x] = dist[x][y] + draw(st.sampled_from(
+                (1, -1, Fraction(1, 3))))
+    space = FiniteMetricSpace(space.points, dist, name=space.name)
+    return IsometricAction(group, space, perms)
+
+
+@given(actions())
+@example(one_point_action(1))
+@example(one_point_action(2))
+@example(fraction_action())
+@example(lawless_action())
+def test_validate_action_matches_full_listing(a):
+    listing = _list_action_violations(a)
+    assert validate_action(a) == listing
+    assert _action_all_clear(a) == (listing == [])
