@@ -4,6 +4,8 @@ Every command loads its input documents into a workspace (validating each
 one on the way in), runs one construction, and writes the results as
 canonical JSON documents; written file paths go to standard output, one per
 line, and every problem goes to standard error as one JSON object per line.
+Two commands do half of that: `validate` writes nothing, and `generate`
+reads no files.
 
 Exit codes: 0 success, 1 validation or format failure, 2 unresolved
 reference or missing file, 3 infeasible estimation, 4 failed internal
@@ -28,7 +30,7 @@ from .formats import (KIND_ORDER, FormatError, Workspace, action_to_dict,
                       lift_trace_to_dict, load_entry, parse_document,
                       parse_scalar, profile_to_csv, profile_to_dict,
                       space_to_dict)
-from .generators import generate_instance
+from .generators import KIND_PARAMS, generate_instance
 from .groups import orbits, quotient
 
 
@@ -130,7 +132,7 @@ def _scalar_arg(text: str | None, flag: str):
     try:
         return parse_scalar(text)
     except FormatError:
-        raise FormatError(f"{flag} must be an integer, fraction p/q or inf, "
+        raise FormatError(f"{flag} must be an integer or fraction p/q, "
                           f"got {text!r}") from None
 
 
@@ -168,7 +170,7 @@ def cmd_pushforward(args) -> int:
     q = quotient(a)
     pushed, cert = pushforward_cover(a, q, c)
     _write(args.out, space_to_dict(q.space), cover_to_dict(pushed),
-           certificate_to_dict(cert, pushed.name, f"{pushed.name}_cert"))
+           certificate_to_dict(cert, pushed.name))
     return 0
 
 
@@ -179,10 +181,8 @@ def cmd_lift(args) -> int:
     q = quotient(a)
     lifted, trace, cert = lift_equivariant(a, q, c, R=_scalar_arg(args.R, "--R"))
     _write(args.out, cover_to_dict(lifted),
-           lift_trace_to_dict(trace, f"{lifted.name}_trace", a.name, c.name,
-                              lifted.name),
-           certificate_to_dict(cert, lifted.name, f"{lifted.name}_cert",
-                               action_name=a.name))
+           lift_trace_to_dict(trace, a.name, c.name, lifted.name),
+           certificate_to_dict(cert, lifted.name, action_name=a.name))
     return 0
 
 
@@ -199,11 +199,10 @@ def cmd_equivariant_cover(args) -> int:
         return 3
     _write(args.out, space_to_dict(result.quotient.space),
            cover_to_dict(result.quotient_cover), cover_to_dict(result.cover),
-           lift_trace_to_dict(result.trace, f"{result.cover.name}_trace",
-                              a.name, result.quotient_cover.name,
+           lift_trace_to_dict(result.trace, a.name, result.quotient_cover.name,
                               result.cover.name),
            certificate_to_dict(result.certificate, result.cover.name,
-                               f"{result.cover.name}_cert", action_name=a.name))
+                               action_name=a.name))
     return 0
 
 
@@ -224,8 +223,7 @@ def cmd_estimate(args) -> int:
         _emit_error("infeasible", result.message, point=m.points[result.point])
         return 3
     cover, cert = result, certify(result)
-    _write(args.out, cover_to_dict(cover),
-           certificate_to_dict(cert, cover.name, f"{cover.name}_cert"))
+    _write(args.out, cover_to_dict(cover), certificate_to_dict(cert, cover.name))
     return 0
 
 
@@ -282,14 +280,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name, func, help_text):
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
-        sp.add_argument("files", nargs="*", metavar="FILE",
-                        help="input documents (JSON)")
-        sp.add_argument("--out", default=".", metavar="DIR",
-                        help="directory for output documents (default: .)")
+        if name != "generate":
+            sp.add_argument("files", nargs="*", metavar="FILE",
+                            help="input documents (JSON)")
+        if name != "validate":
+            sp.add_argument("--out", default=".", metavar="DIR",
+                            help="directory for output documents (default: .)")
         return sp
 
-    sp = command("validate", cmd_validate,
-                 "validate documents; report problems as JSON lines")
+    command("validate", cmd_validate,
+            "validate documents; report problems as JSON lines")
 
     sp = command("quotient", cmd_quotient, "write the quotient space of an action")
     sp.add_argument("--action", metavar="NAME", help="action to quotient by")
@@ -344,8 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("generate", cmd_generate,
                  "write a generated space (and its canonical action, if any)")
-    sp.add_argument("--kind", required=True,
-                    choices=("path", "cycle", "grid", "cayley-ball", "random"))
+    sp.add_argument("--kind", required=True, choices=tuple(KIND_PARAMS))
     sp.add_argument("--params", metavar="LIST",
                     help="comma-separated key=value pairs, e.g. n=9,shift=4")
     sp.add_argument("--seed", type=int, default=0)

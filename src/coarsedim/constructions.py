@@ -9,6 +9,11 @@ cover of the total space is invariant under the whole action with no loss
 of dimension.  Both directions check their postconditions against
 certificates from covers.certify, which measures each cover only once, and
 treat any failure as an implementation bug.
+
+Of the builders here only build_sspace takes a name (the sspace reader
+passes the document's); the others name what they build after their inputs
+(`P9_cover_s4_pushed`, `C6_head2`, `Z2_on_U`); to rename an object, set its
+`.name` or call its constructor.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Iterable, Sequence
 from .covers import (Cover, CoverCertificate, certify, check_equivariance,
                      validate_cover, validate_decomposition, Decomposition)
 from .errors import InternalInvariantError
-from .groups import (FiniteGroup, IsometricAction, QuotientSpace, coset_representatives,
+from .groups import (IsometricAction, QuotientSpace, coset_representatives,
                      generated_subgroup, quotient)
 from .metric import (INF, FiniteMetricSpace, Scalar, _set_distance, check_scalar,
                      diameter)
@@ -90,7 +95,6 @@ class LiftMember:
     """How one quotient-cover member was split: its fiber, the chosen
     basepoint (lowest fiber index), and one piece per coset."""
 
-    member_index: int
     member: frozenset[int]
     fiber: frozenset[int]
     basepoint: int
@@ -100,7 +104,7 @@ class LiftMember:
 @dataclass(frozen=True)
 class LiftTrace:
     """Full audit trail of a lift: the effective radius R, the separation
-    scale s, and the per-member split data."""
+    scale s, and the split data of each member, in cover order."""
 
     R: Scalar
     s: Scalar
@@ -183,7 +187,7 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
                         f"lift pieces {i} and {j} of member {k} are {d} apart, "
                         f"need > {separation}")
 
-        entries.append(LiftMember(member_index=k, member=member, fiber=fiber,
+        entries.append(LiftMember(member=member, fiber=fiber,
                                   basepoint=basepoint, pieces=tuple(pieces)))
         for p in pieces:
             if p.piece not in seen:
@@ -306,18 +310,16 @@ def build_sspace(components: Sequence[FiniteMetricSpace],
     return SSpace(components, base_sets, tuple(weights), assembled, tuple(offsets))
 
 
-def sub_sspace(s: SSpace, count: int, name: str | None = None) -> SSpace:
+def sub_sspace(s: SSpace, count: int) -> SSpace:
     """The weighted union of the first `count` components, same weights."""
     if not 1 <= count <= len(s.components):
         raise ValueError(f"component count {count} out of range")
     return build_sspace(s.components[:count], s.basepoints[:count],
-                        s.weights[:count],
-                        name=name or f"{s.assembled.name}_head{count}")
+                        s.weights[:count], name=f"{s.assembled.name}_head{count}")
 
 
 def sspace_componentwise_action(s: SSpace,
-                                actions: Sequence[IsometricAction],
-                                name: str | None = None) -> IsometricAction:
+                                actions: Sequence[IsometricAction]) -> IsometricAction:
     """One group acting on every component at once, blockwise.
 
     All actions must share the same group table, act on the matching
@@ -345,8 +347,8 @@ def sspace_componentwise_action(s: SSpace,
             perm.extend(s.offsets[n] + act.perms[g][x]
                         for x in range(len(s.components[n])))
         perms.append(perm)
-    label = name or f"{group.name}_on_{s.assembled.name}"
-    return IsometricAction(group, s.assembled, perms, name=label)
+    return IsometricAction(group, s.assembled, perms,
+                           name=f"{group.name}_on_{s.assembled.name}")
 
 
 @dataclass(frozen=True)
@@ -361,8 +363,8 @@ class CommuteWitness:
     mapping: tuple[int, ...]
 
 
-def sspace_quotient_commute(s: SSpace, actions: Sequence[IsometricAction],
-                            name: str | None = None) -> CommuteWitness:
+def sspace_quotient_commute(s: SSpace,
+                            actions: Sequence[IsometricAction]) -> CommuteWitness:
     """Check that quotienting commutes with the weighted union, exactly.
 
     Left side: quotient of the assembled space under the blockwise action.
@@ -379,8 +381,7 @@ def sspace_quotient_commute(s: SSpace, actions: Sequence[IsometricAction],
     for n, q in enumerate(comp_quotients):
         image_basepoints.append(frozenset(q.orbit_of[y] for y in s.basepoints[n]))
     union = build_sspace([q.space for q in comp_quotients], image_basepoints,
-                         s.weights,
-                         name=name or f"{s.assembled.name}_quotients")
+                         s.weights, name=f"{s.assembled.name}_quotients")
 
     mapping = []
     for fiber in whole.fibers:

@@ -238,10 +238,12 @@ def _estimate_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar | None, mode: str
 
     "exact" searches, "greedy" does not, and "auto" searches on spaces of at
     most max_points points.  The search's mesh bound is B, or 4R when B is
-    None.
+    None.  max_points must be at least 1.
     """
     if mode not in ("auto", "exact", "greedy"):
         raise ValueError(f"mode must be auto, exact or greedy, got {mode!r}")
+    if max_points < 1:
+        raise ValueError(f"max_points must be at least 1, got {max_points}")
     if mode == "greedy" or (mode == "auto" and len(m) > max_points):
         return None, greedy_cover(m, R)[0]
     B = B if B is not None else 4 * R
@@ -252,15 +254,13 @@ def _estimate_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar | None, mode: str
 class ProfileEntry:
     """Best cover found at one scale: the target R, the mesh bound that was
     in force (None when greedy ran, as greedy takes none), and the cover's
-    actual, recomputed quantities.  cover_name survives serialization even when the
-    cover object itself lives in another file."""
+    name and actual, recomputed quantities."""
 
     scale: Scalar
     mesh_bound: Scalar | None
     method: str                      # "exact" or "greedy"
     dimension: int | None
     mesh: Scalar | None
-    cover: Cover | None
     cover_name: str | None = None
     infeasible: Infeasible | None = None
 
@@ -304,13 +304,13 @@ def asdim_profile(m: FiniteMetricSpace, scales: Sequence[Scalar],
         method = "greedy" if bound is None else "exact"
         if isinstance(result, Infeasible):
             entries.append(ProfileEntry(scale=R, mesh_bound=bound, method=method,
-                                        dimension=None, mesh=None, cover=None,
+                                        dimension=None, mesh=None,
                                         infeasible=result))
         else:
-            cover, cert = result, certify(result)
+            cert = certify(result)
             entries.append(ProfileEntry(scale=R, mesh_bound=bound, method=method,
                                         dimension=cert.dimension, mesh=cert.mesh,
-                                        cover=cover, cover_name=cover.name))
+                                        cover_name=result.name))
     return DimensionProfile(space_name=m.name, entries=tuple(entries))
 
 

@@ -29,7 +29,7 @@ from .errors import ResolutionError, Violation
 from .estimation import DimensionProfile, FamilyProfile, GapReport, Infeasible, \
     ProfileEntry
 from .groups import FiniteGroup, IsometricAction, validate_action, validate_group
-from .metric import INF, FiniteMetricSpace, Scalar, is_scalar, validate_metric
+from .metric import INF, FiniteMetricSpace, is_scalar, validate_metric
 
 FORMAT_TAG = "coarsedim/1"
 
@@ -200,11 +200,11 @@ def decomposition_from_dict(d: dict, ws: "Workspace") -> Decomposition:
 
 # ---------------------------------------------------------------- sspace
 
-def sspace_to_dict(s: SSpace, name: str | None = None) -> dict:
+def sspace_to_dict(s: SSpace) -> dict:
     return {
         "format": FORMAT_TAG,
         "kind": "sspace",
-        "name": name or s.assembled.name,
+        "name": s.assembled.name,
         "components": [comp.name for comp in s.components],
         "basepoints": [sorted(bp) for bp in s.basepoints],
         "weights": [scalar_str(w) for w in s.weights],
@@ -220,12 +220,12 @@ def sspace_from_dict(d: dict, ws: "Workspace") -> SSpace:
 
 # ---------------------------------------------------------------- certificate
 
-def certificate_to_dict(cert: CoverCertificate, cover_name: str, name: str,
+def certificate_to_dict(cert: CoverCertificate, cover_name: str,
                         action_name: str | None = None) -> dict:
     return {
         "format": FORMAT_TAG,
         "kind": "certificate",
-        "name": name,
+        "name": f"{cover_name}_cert",
         "cover": cover_name,
         "action": action_name,
         "dimension": cert.dimension,
@@ -252,12 +252,12 @@ def certificate_from_dict(d: dict) -> CoverCertificate:
 
 # ---------------------------------------------------------------- lift trace
 
-def lift_trace_to_dict(trace: LiftTrace, name: str, action_name: str,
+def lift_trace_to_dict(trace: LiftTrace, action_name: str,
                        source_cover: str, lifted_cover: str) -> dict:
     return {
         "format": FORMAT_TAG,
         "kind": "lift_trace",
-        "name": name,
+        "name": f"{lifted_cover}_trace",
         "action": action_name,
         "source_cover": source_cover,
         "cover": lifted_cover,
@@ -284,13 +284,12 @@ def lift_trace_to_dict(trace: LiftTrace, name: str, action_name: str,
 
 def lift_trace_from_dict(d: dict) -> LiftTrace:
     entries = []
-    for k, entry in enumerate(d["members"]):
+    for entry in d["members"]:
         pieces = tuple(
             LiftPiece(rep=p["rep"], subgroup=tuple(p["subgroup"]),
                       piece=frozenset(p["piece"]))
             for p in entry["pieces"])
-        entries.append(LiftMember(member_index=k,
-                                  member=frozenset(entry["member"]),
+        entries.append(LiftMember(member=frozenset(entry["member"]),
                                   fiber=frozenset(entry["fiber"]),
                                   basepoint=entry["basepoint"],
                                   pieces=pieces))
@@ -300,9 +299,6 @@ def lift_trace_from_dict(d: dict) -> LiftTrace:
 # ---------------------------------------------------------------- profile
 
 def _entry_to_dict(entry: ProfileEntry) -> dict:
-    cover_name = entry.cover_name
-    if cover_name is None and entry.cover is not None:
-        cover_name = entry.cover.name
     infeasible = None
     if entry.infeasible is not None:
         infeasible = {"point": entry.infeasible.point,
@@ -313,7 +309,7 @@ def _entry_to_dict(entry: ProfileEntry) -> dict:
         "method": entry.method,
         "dimension": entry.dimension,
         "mesh": _opt_scalar_str(entry.mesh),
-        "cover": cover_name,
+        "cover": entry.cover_name,
         "infeasible": infeasible,
     }
 
@@ -328,7 +324,6 @@ def _entry_from_dict(d: dict) -> ProfileEntry:
                         method=d["method"],
                         dimension=d.get("dimension"),
                         mesh=_opt_parse_scalar(d.get("mesh")),
-                        cover=None,
                         cover_name=d.get("cover"),
                         infeasible=infeasible)
 

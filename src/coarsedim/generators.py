@@ -4,6 +4,10 @@ canonical actions, and seeded random corpora.
 Every random construction threads a single random.Random(seed); there is no
 other source of randomness in the package, so any generated instance can be
 reproduced from its parameters alone.
+
+Each generator names what it builds after its parameters (`P9`, `C6_rot3`,
+`grid3x3_halfturn`, `P9_cover_s4`) and takes no name of its own; to rename
+an object, set its `.name` or call its constructor.
 """
 
 from __future__ import annotations
@@ -21,66 +25,62 @@ from .groups import FiniteGroup, IsometricAction, cyclic_group
 from .metric import FiniteMetricSpace, Scalar, build_graph_metric, check_scalar
 
 
-def path_space(n: int, name: str | None = None) -> FiniteMetricSpace:
+def path_space(n: int) -> FiniteMetricSpace:
     """Path with n vertices and unit edges: d(i, j) = |i - j|."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
     points = [str(i) for i in range(n)]
     dist = [[abs(i - j) for j in range(n)] for i in range(n)]
-    return FiniteMetricSpace(points, dist, name=name or f"P{n}")
+    return FiniteMetricSpace(points, dist, name=f"P{n}")
 
 
-def cycle_space(n: int, name: str | None = None) -> FiniteMetricSpace:
+def cycle_space(n: int) -> FiniteMetricSpace:
     """Cycle with n vertices and unit edges: d(i, j) = min(|i-j|, n-|i-j|)."""
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
     points = [str(i) for i in range(n)]
     dist = [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)]
-    return FiniteMetricSpace(points, dist, name=name or f"C{n}")
+    return FiniteMetricSpace(points, dist, name=f"C{n}")
 
 
-def grid_space(width: int, height: int, name: str | None = None) -> FiniteMetricSpace:
+def grid_space(width: int, height: int) -> FiniteMetricSpace:
     """width x height grid graph with unit edges (taxicab distances)."""
     if width < 1 or height < 1:
         raise ValueError("grid needs positive dimensions")
     coords = [(i, j) for i in range(width) for j in range(height)]
     points = [f"{i},{j}" for i, j in coords]
     dist = [[abs(a - c) + abs(b - d) for (c, d) in coords] for (a, b) in coords]
-    return FiniteMetricSpace(points, dist, name=name or f"grid{width}x{height}")
+    return FiniteMetricSpace(points, dist, name=f"grid{width}x{height}")
 
 
-def path_reflection_action(space: FiniteMetricSpace,
-                           name: str | None = None) -> IsometricAction:
+def path_reflection_action(space: FiniteMetricSpace) -> IsometricAction:
     """Order-two action flipping the path end to end."""
     n = len(space)
     group = cyclic_group(2)
     perms = [list(range(n)), [n - 1 - i for i in range(n)]]
-    return IsometricAction(group, space, perms, name=name or f"{space.name}_reflect")
+    return IsometricAction(group, space, perms, name=f"{space.name}_reflect")
 
 
-def cycle_rotation_action(space: FiniteMetricSpace, shift: int,
-                          name: str | None = None) -> IsometricAction:
+def cycle_rotation_action(space: FiniteMetricSpace, shift: int) -> IsometricAction:
     """Rotation of the n-cycle by `shift`, as the cyclic group it generates."""
     n = len(space)
     shift %= n
     order = n // gcd(n, shift) if shift else 1
     group = cyclic_group(order)
     perms = [[(i + k * shift) % n for i in range(n)] for k in range(order)]
-    return IsometricAction(group, space, perms,
-                           name=name or f"{space.name}_rot{shift}")
+    return IsometricAction(group, space, perms, name=f"{space.name}_rot{shift}")
 
 
-def cycle_reflection_action(space: FiniteMetricSpace,
-                            name: str | None = None) -> IsometricAction:
+def cycle_reflection_action(space: FiniteMetricSpace) -> IsometricAction:
     """Order-two action i -> -i mod n on the cycle."""
     n = len(space)
     group = cyclic_group(2)
     perms = [list(range(n)), [(n - i) % n for i in range(n)]]
-    return IsometricAction(group, space, perms, name=name or f"{space.name}_reflect")
+    return IsometricAction(group, space, perms, name=f"{space.name}_reflect")
 
 
-def grid_rotation_action(space: FiniteMetricSpace, width: int, height: int,
-                         name: str | None = None) -> IsometricAction:
+def grid_rotation_action(space: FiniteMetricSpace, width: int,
+                         height: int) -> IsometricAction:
     """Half-turn of the grid about its center."""
     if len(space) != width * height:
         raise ValueError("grid dimensions do not match the space")
@@ -90,11 +90,10 @@ def grid_rotation_action(space: FiniteMetricSpace, width: int, height: int,
         for j in range(height):
             flip[i * height + j] = (width - 1 - i) * height + (height - 1 - j)
     perms = [list(range(width * height)), flip]
-    return IsometricAction(group, space, perms, name=name or f"{space.name}_halfturn")
+    return IsometricAction(group, space, perms, name=f"{space.name}_halfturn")
 
 
-def cayley_ball_space(n: int, gens: Sequence[int], radius: int,
-                      name: str | None = None) -> FiniteMetricSpace:
+def cayley_ball_space(n: int, gens: Sequence[int], radius: int) -> FiniteMetricSpace:
     """Ball of the given radius around 0 in a circulant Cayley graph of Z/n,
     with the shortest-path metric of the induced subgraph.
 
@@ -128,16 +127,11 @@ def cayley_ball_space(n: int, gens: Sequence[int], radius: int,
             u = (v + st) % n
             if u in inside and v < u:
                 edges.append((str(v), str(u)))
-    if len(members) == 1:
-        return FiniteMetricSpace(vertices, [[0]],
-                                 name=name or f"cayley{n}r{radius}")
-    return build_graph_metric(vertices, edges,
-                              name=name or f"cayley{n}r{radius}")
+    return build_graph_metric(vertices, edges, name=f"cayley{n}r{radius}")
 
 
 def random_graph_space(n: int, seed: int, edge_chance: Fraction = Fraction(2, 5),
-                       max_weight: int = 3, name: str | None = None
-                       ) -> FiniteMetricSpace:
+                       max_weight: int = 3) -> FiniteMetricSpace:
     """Connected random graph metric: a random spanning tree plus extra edges,
     integer weights in 1..max_weight, shortest-path closure."""
     if n < 1:
@@ -163,20 +157,18 @@ def random_graph_space(n: int, seed: int, edge_chance: Fraction = Fraction(2, 5)
             if rng.randrange(den) < num:
                 edges.append((str(u), str(v)))
                 weights.append(rng.randint(1, max_weight))
-    return build_graph_metric(vertices, edges, weights,
-                              name=name or f"random{n}s{seed}")
+    return build_graph_metric(vertices, edges, weights, name=f"random{n}s{seed}")
 
 
-def random_invariant_instance(group: FiniteGroup, base_size: int, seed: int,
-                              max_weight: int = 4, name: str | None = None
+def random_invariant_instance(group: FiniteGroup, base_size: int, seed: int
                               ) -> tuple[FiniteMetricSpace, IsometricAction]:
     """Random space carrying a free action of the given group.
 
-    Points are (group element, slot) pairs.  Random edge costs are drawn
-    subject to c(g, i, j) = c(g^(-1), j, i), which makes the complete-graph
-    weight w((g,i),(h,j)) = c(g^(-1)h, i, j) symmetric and invariant under
-    left translation; the shortest-path closure is then a genuine invariant
-    metric, and left translation is the action.
+    Points are (group element, slot) pairs.  Random edge costs in 1..4 are
+    drawn subject to c(g, i, j) = c(g^(-1), j, i), which makes the
+    complete-graph weight w((g,i),(h,j)) = c(g^(-1)h, i, j) symmetric and
+    invariant under left translation; the shortest-path closure is then a
+    genuine invariant metric, and left translation is the action.
     """
     if base_size < 1:
         raise ValueError("base_size must be >= 1")
@@ -191,12 +183,12 @@ def random_invariant_instance(group: FiniteGroup, base_size: int, seed: int,
                     continue
                 if g == group.identity and i == j:
                     continue
-                w = rng.randint(1, max_weight)
+                w = rng.randint(1, 4)
                 cost[(g, i, j)] = w
                 cost[(ginv, j, i)] = w
 
     n = k * base_size
-    label = name or f"{group.name}xB{base_size}s{seed}"
+    label = f"{group.name}xB{base_size}s{seed}"
     points = [f"{group.elements[g]}.{i}" for g in range(k) for i in range(base_size)]
     dist = [[0] * n for _ in range(n)]
     for g in range(k):
@@ -231,8 +223,7 @@ def random_invariant_instance(group: FiniteGroup, base_size: int, seed: int,
     return space, action
 
 
-def random_cover(space: FiniteMetricSpace, seed: int,
-                 name: str | None = None) -> Cover:
+def random_cover(space: FiniteMetricSpace, seed: int) -> Cover:
     """Valid random cover: a few random closed balls, then balls around
     uncovered points until everything is covered, deduplicated."""
     rng = random.Random(seed)
@@ -255,12 +246,11 @@ def random_cover(space: FiniteMetricSpace, seed: int,
     for x in range(n):
         if x not in covered:
             covered |= push(x, rng.choice(small))
-    return Cover(space, members, name=name or f"{space.name}_cover_s{seed}")
+    return Cover(space, members, name=f"{space.name}_cover_s{seed}")
 
 
 def random_decomposition(space: FiniteMetricSpace, r: Scalar, seed: int,
-                         families: int | None = None,
-                         name: str | None = None) -> Decomposition:
+                         families: int | None = None) -> Decomposition:
     """Valid random decomposition at parameter r, built greedily.
 
     Points are taken in random order; each tries, in random family order, to
@@ -302,14 +292,18 @@ def random_decomposition(space: FiniteMetricSpace, r: Scalar, seed: int,
     if families is not None:
         while len(result) < families:
             result.append(tuple())
-    return Decomposition(space, r, result,
-                         name=name or f"{space.name}_decomp_r{r}_s{seed}")
+    return Decomposition(space, r, result, name=f"{space.name}_decomp_r{r}_s{seed}")
 
 
 @dataclass(frozen=True)
 class GeneratedInstance:
     space: FiniteMetricSpace
     action: IsometricAction | None
+
+
+# The parameters each kind takes, in the order its error message lists them.
+KIND_PARAMS = {"path": ("n",), "cycle": ("n", "action", "shift"), "grid": ("w", "h"),
+               "cayley-ball": ("n", "gens", "radius"), "random": ("n", "p", "maxw")}
 
 
 def _int_param(params: Mapping[str, str], key: str, default: int | None = None) -> int:
@@ -336,8 +330,17 @@ def generate_instance(kind: str, params: Mapping[str, str] | None = None,
       cayley-ball n, gens (e.g. "1+5"), radius; no action
       random      n (default 8), p (rational, default 2/5), maxw (default 3);
                   no action
+
+    Any other parameter is a ValueError.
     """
     params = dict(params or {})
+    if kind not in KIND_PARAMS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    takes = KIND_PARAMS[kind]
+    for key in params:
+        if key not in takes:
+            raise ValueError(f"unknown parameter {key!r} for {kind}; it takes "
+                             f"{', '.join(takes)}")
     if kind == "path":
         n = _int_param(params, "n", 5)
         space = path_space(n)
@@ -371,15 +374,14 @@ def generate_instance(kind: str, params: Mapping[str, str] | None = None,
             raise ValueError(f"parameter 'gens' must be integers joined by '+', got "
                              f"{gens_text!r}") from None
         return GeneratedInstance(cayley_ball_space(n, gens, radius), None)
-    if kind == "random":
-        n = _int_param(params, "n", 8)
-        try:
-            p = Fraction(params.get("p", "2/5"))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"parameter 'p' must be a fraction, got "
-                             f"{params['p']!r}") from None
-        if not 0 <= p <= 1:
-            raise ValueError(f"parameter 'p' must be in [0, 1], got {params['p']!r}")
-        maxw = _int_param(params, "maxw", 3)
-        return GeneratedInstance(random_graph_space(n, seed, p, maxw), None)
-    raise ValueError(f"unknown instance kind {kind!r}")
+    # kind == "random"
+    n = _int_param(params, "n", 8)
+    try:
+        p = Fraction(params.get("p", "2/5"))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"parameter 'p' must be a fraction, got "
+                         f"{params['p']!r}") from None
+    if not 0 <= p <= 1:
+        raise ValueError(f"parameter 'p' must be in [0, 1], got {params['p']!r}")
+    maxw = _int_param(params, "maxw", 3)
+    return GeneratedInstance(random_graph_space(n, seed, p, maxw), None)

@@ -3,6 +3,11 @@
 Everything here works over element indices into a fixed ordering; the orders
 involved are tiny (quotient constructions keep |G| in the single digits), so
 exhaustive checks and brute-force searches are the honest tool.
+
+Only the constructors FiniteGroup and IsometricAction take a name.  The
+builders here name what they build after their inputs (`Z4`, `D3`,
+`Z2+Z3`, `P9_mod_Z2`, `Z2+Z2_via_P9_reflect`); to rename an object, set its
+`.name` or call its constructor.
 """
 
 from __future__ import annotations
@@ -122,14 +127,14 @@ def validate_group(g: FiniteGroup) -> list[Violation]:
     return out
 
 
-def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
+def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
     mul = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup([str(i) for i in range(n)], mul, name=name or f"Z{n}")
+    return FiniteGroup([str(i) for i in range(n)], mul, name=f"Z{n}")
 
 
-def dihedral_group(n: int, name: str | None = None) -> FiniteGroup:
+def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the n-cycle: n rotations r{k}, n reflections s{k}.
 
     Built from the permutations themselves (x -> x+k and x -> k-x mod n),
@@ -154,7 +159,7 @@ def dihedral_group(n: int, name: str | None = None) -> FiniteGroup:
             composed = tuple(p[q[x]] for x in range(n))
             row.append(lookup[composed])
         mul.append(row)
-    return FiniteGroup(names, mul, name=name or f"D{n}")
+    return FiniteGroup(names, mul, name=f"D{n}")
 
 
 class IsometricAction:
@@ -288,7 +293,7 @@ class QuotientSpace:
         return f"QuotientSpace({self.space.name!r}, {len(self.space)} orbits)"
 
 
-def quotient(a: IsometricAction, name: str | None = None) -> QuotientSpace:
+def quotient(a: IsometricAction) -> QuotientSpace:
     """Quotient of the space by the action: points are orbits, and the
     distance between two orbits is the smallest distance between them.
 
@@ -298,7 +303,6 @@ def quotient(a: IsometricAction, name: str | None = None) -> QuotientSpace:
     """
     orbs = orbits(a)
     m = a.space
-    qname = name if name is not None else f"{m.name}_mod_{a.group.name}"
     qpoints = [m.points[orb[0]] for orb in orbs]
     dist = []
     for oa in orbs:
@@ -319,8 +323,8 @@ def quotient(a: IsometricAction, name: str | None = None) -> QuotientSpace:
     for qi, orb in enumerate(orbs):
         for x in orb:
             orbit_of[x] = qi
-    return QuotientSpace(FiniteMetricSpace(qpoints, dist, name=qname), m,
-                         tuple(orbit_of), tuple(orbs))
+    space = FiniteMetricSpace(qpoints, dist, name=f"{m.name}_mod_{a.group.name}")
+    return QuotientSpace(space, m, tuple(orbit_of), tuple(orbs))
 
 
 def generated_subgroup(g: FiniteGroup, generators: Iterable[int]) -> tuple[int, ...]:
@@ -448,15 +452,11 @@ class DirectSum:
     splits a sum element back into component indices.
     """
 
-    def __init__(self, components: Sequence[FiniteGroup], name: str | None = None):
+    def __init__(self, components: Sequence[FiniteGroup]):
         self.components = tuple(components)
         if not self.components:
             raise ValueError("direct sum needs at least one component")
         sizes = [len(g) for g in self.components]
-        total = 1
-        for s in sizes:
-            total *= s
-        self._sizes = sizes
         tuples = list(itertools.product(*[range(s) for s in sizes]))
         self._tuple_index = {t: i for i, t in enumerate(tuples)}
         self._tuples = tuples
@@ -471,8 +471,8 @@ class DirectSum:
                 prod = tuple(self.components[j].mul(t[j], u[j]) for j in range(len(sizes)))
                 row.append(self._tuple_index[prod])
             mul.append(row)
-        label = name or "+".join(g.name for g in self.components)
-        self.group = FiniteGroup(names, mul, name=label)
+        self.group = FiniteGroup(names, mul,
+                                 name="+".join(g.name for g in self.components))
         self.injections = []
         for j, g in enumerate(self.components):
             inj = []
@@ -486,40 +486,38 @@ class DirectSum:
         return self._tuples[element]
 
 
-def direct_sum(components: Sequence[FiniteGroup], name: str | None = None) -> DirectSum:
+def direct_sum(components: Sequence[FiniteGroup]) -> DirectSum:
     total = 1
     for g in components:
         total *= len(g)
     if total > DIRECT_SUM_ORDER_CAP:
         raise CapExceededError(
             f"direct sum of order {total} exceeds the cap {DIRECT_SUM_ORDER_CAP}")
-    return DirectSum(components, name=name)
+    return DirectSum(components)
 
 
-def extend_action(a: IsometricAction, dsum: DirectSum, component: int,
-                  iso: dict[int, int] | None = None,
-                  name: str | None = None) -> IsometricAction:
+def extend_action(a: IsometricAction, dsum: DirectSum,
+                  component: int) -> IsometricAction:
     """Let the full direct sum act on a's space through one of its components.
 
-    Component `component` of the sum acts as a's group does (via iso when the
-    tables differ); every other component acts trivially.  This is an action
+    Component `component` of the sum acts as a's group does (up to
+    isomorphism); every other component acts trivially.  This is an action
     because projecting to one component is a homomorphism.
     """
     if not 0 <= component < len(dsum.components):
         raise ValueError(f"component index {component} out of range")
     comp = dsum.components[component]
-    if iso is None:
-        if comp == a.group:
-            iso = {i: i for i in range(len(comp))}
-        else:
-            iso = find_isomorphism(comp, a.group)
-            if iso is None:
-                raise ValueError(
-                    f"component {comp.name!r} is not isomorphic to the acting "
-                    f"group {a.group.name!r}")
+    if comp == a.group:
+        iso = {i: i for i in range(len(comp))}
+    else:
+        iso = find_isomorphism(comp, a.group)
+        if iso is None:
+            raise ValueError(
+                f"component {comp.name!r} is not isomorphic to the acting "
+                f"group {a.group.name!r}")
     perms = []
     for elt in range(len(dsum.group)):
         part = dsum.project(elt)[component]
         perms.append(a.perms[iso[part]])
-    label = name or f"{dsum.group.name}_via_{a.name}"
-    return IsometricAction(dsum.group, a.space, perms, name=label)
+    return IsometricAction(dsum.group, a.space, perms,
+                           name=f"{dsum.group.name}_via_{a.name}")

@@ -68,6 +68,13 @@ def test_generate_other_kinds(tmp_path, capsys):
     assert (code, out) == (1, [])
     assert err == [{"error": "validation", "message":
                     "parameter 'gens' must be integers joined by '+', got '1+'"}]
+    for kind, params, message in (
+            ("grid", "W=5", "unknown parameter 'W' for grid; it takes w, h"),
+            ("path", "n=3,zz=4", "unknown parameter 'zz' for path; it takes n")):
+        code, out, err = run(capsys, "generate", "--kind", kind,
+                             "--params", params, "--out", str(tmp_path))
+        assert (code, out) == (1, [])
+        assert err == [{"error": "validation", "message": message}]
 
 
 def test_quotient_flow(tmp_path, capsys):
@@ -304,6 +311,36 @@ def test_estimate_rejects_float_scale(tmp_path, capsys):
     assert "--R" in err[0]["message"]
 
 
+def test_scalar_flag_message_lists_what_it_accepts(tmp_path, capsys):
+    files = generate_path_instance(tmp_path, capsys)
+    space = next(f for f in files if ".space." in f)
+    code, out, err = run(capsys, "estimate", space, "--R", "zz",
+                         "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, [])
+    assert err == [{"error": "validation",
+                    "message": "--R must be an integer or fraction p/q, got 'zz'"}]
+
+
+@pytest.mark.parametrize("max_points", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--R", "2", "--B", "4"],
+    ["estimate", "--R", "2", "--B", "4", "--mode", "exact"],
+    ["estimate", "--R", "2", "--B", "4", "--mode", "greedy"],
+    ["equivariant-cover", "--R", "2"],
+    ["profile", "--scales", "1,2"],
+], ids=["estimate", "estimate-exact", "estimate-greedy", "equivariant-cover",
+        "profile"])
+def test_max_points_below_one_is_rejected(tmp_path, capsys, argv, max_points):
+    files = generate_path_instance(tmp_path / "in", capsys, n=9)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, *argv, *files, "--max-points", max_points,
+                         "--out", str(out_dir))
+    assert (code, out) == (1, [])
+    assert err == [{"error": "validation",
+                    "message": f"max_points must be at least 1, got {max_points}"}]
+    assert not out_dir.exists()
+
+
 def test_estimate_ambiguous_space_exits_two(tmp_path, capsys):
     files = generate_path_instance(tmp_path, capsys)
     space = next(f for f in files if ".space." in f)
@@ -489,7 +526,7 @@ def test_cli_options_match_inventory():
     # Adding or removing a command-line option means editing this list.
     common = ["-h", "--help", "--out"]
     inventory = {
-        "validate": common,
+        "validate": ["-h", "--help"],
         "quotient": common + ["--action"],
         "pushforward": common + ["--action", "--cover"],
         "lift": common + ["--action", "--cover", "--R"],
@@ -508,6 +545,10 @@ def test_cli_options_match_inventory():
     found = {name: sorted(s for a in sp._actions for s in a.option_strings)
              for name, sp in sub.choices.items()}
     assert found == {name: sorted(opts) for name, opts in inventory.items()}
+    # Every command but generate reads FILE arguments.
+    reads = {name for name, sp in sub.choices.items()
+             if any(a.dest == "files" for a in sp._actions)}
+    assert reads == set(inventory) - {"generate"}
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):

@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 
 from coarsedim import (CapExceededError, Infeasible, PipelineResult,
-                       asdim_profile, certify, dimension,
-                       equivariant_cover_pipeline, family_profile, greedy_cover,
-                       lebesgue_number, mesh, min_dimension_cover_exact,
+                       asdim_profile, certify, cyclic_group, dihedral_group,
+                       dimension, equivariant_cover_pipeline, family_profile,
+                       greedy_cover, lebesgue_number, lift_equivariant, mesh,
+                       min_dimension_cover_exact, pushforward_cover, quotient,
                        validate_cover, verify_certificate)
-from coarsedim.generators import (cycle_rotation_action, cycle_space,
+from coarsedim.generators import (cycle_reflection_action,
+                                  cycle_rotation_action, cycle_space,
                                   grid_rotation_action, grid_space,
                                   path_reflection_action, path_space,
-                                  random_graph_space)
+                                  random_graph_space, random_invariant_instance)
 from coarsedim.metric import INF, FiniteMetricSpace
 
 from oracles import min_dimension_cliques, min_dimension_partition
@@ -335,3 +337,51 @@ def test_greedy_entries_record_no_mesh_bound():
     qentry = fam.quotient_profiles[0].entries[0]
     assert (qentry.method, qentry.mesh_bound) == ("exact", 2)
     assert fam.comparisons[0].mesh_bound is None
+
+
+def _theorem_actions():
+    actions = [path_reflection_action(path_space(n)) for n in range(5, 15)]
+    for n in range(6, 15):
+        c = cycle_space(n)
+        actions += [cycle_reflection_action(c), cycle_rotation_action(c, 1)]
+        if n % 2 == 0:
+            actions.append(cycle_rotation_action(c, n // 2))
+    actions += [grid_rotation_action(grid_space(w, h), w, h)
+                for w, h in ((3, 3), (3, 4), (2, 7), (4, 4))]
+    for group in (cyclic_group(2), cyclic_group(3), cyclic_group(4),
+                  dihedral_group(3), dihedral_group(4)):
+        actions += [random_invariant_instance(group, base, 0)[1]
+                    for base in range(1, 14 // len(group) + 1)]
+    return actions
+
+
+THEOREM_SCALES = [(1, 1), (1, 2), (2, 2), (2, 3), (2, 4), (3, 4), (3, 6)]
+
+
+@pytest.mark.parametrize("a", _theorem_actions(), ids=lambda a: a.name)
+def test_both_directions_of_the_theorem_hold_at_finite_scales(a):
+    # asdim(F\X) = asdim(X), one (R, B) at a time, with exact searches on both
+    # sides.  Only a complete search passes: a cover the search missed on
+    # either side can break an inequality.
+    m, q, order = a.space, quotient(a), len(a.group)
+
+    def exact(space, R, B):
+        return min_dimension_cover_exact(space, R, B, max_points=len(space))
+
+    for R, B in THEOREM_SCALES:
+        cover, qcover = exact(m, R, B), exact(q.space, R, B)
+        if not isinstance(cover, Infeasible):
+            # Pushforward: dim(F\X) <= dim(pushed) <= |F|(dim(X) + 1) - 1.
+            assert not isinstance(qcover, Infeasible)
+            pushed = pushforward_cover(a, q, cover)[1]
+            assert dimension(qcover) <= pushed.dimension \
+                <= order * (dimension(cover) + 1) - 1
+        if isinstance(qcover, Infeasible):
+            continue
+        # Lift: dim_{R, mesh(L)}(X) <= dim(L) <= dim(F\X), and the paper's
+        # form dim_{R, 4s(|F|+1)}(X) <= dim(F\X) with s = max(B, R).
+        lifted = lift_equivariant(a, q, qcover, R)[2]
+        assert dimension(exact(m, R, lifted.mesh)) <= lifted.dimension \
+            <= dimension(qcover)
+        s = max(B, R)
+        assert dimension(exact(m, R, 4 * s * (order + 1))) <= dimension(qcover)

@@ -149,28 +149,28 @@ def test_sspace_round_trip_is_byte_identical():
 def test_certificate_round_trip_and_recomputation():
     fx = fixtures()
     ws = seeded_workspace(fx)
-    d = certificate_to_dict(fx["cert"], "halves", "halves_cert")
+    d = certificate_to_dict(fx["cert"], "halves")
     kind, name, obj, violations = load_entry(parse_document(dumps(d)), ws)
     assert violations == []
     assert obj == fx["cert"]
-    assert dumps(certificate_to_dict(obj, "halves", "halves_cert")) == dumps(d)
+    assert dumps(certificate_to_dict(obj, "halves")) == dumps(d)
 
 
 def test_tampered_certificate_is_rejected():
     fx = fixtures()
     ws = seeded_workspace(fx)
-    d = certificate_to_dict(fx["cert"], "halves", "bad_cert")
+    d = certificate_to_dict(fx["cert"], "halves")
     d["dimension"] = d["dimension"] + 1
     kind, name, obj, violations = load_entry(parse_document(dumps(d)), ws)
     assert any(v.subject == ("dimension",) for v in violations)
-    assert not ws.has("certificate", "bad_cert")
+    assert not ws.has("certificate", "halves_cert")
 
 
 def test_equivariant_certificate_needs_its_action():
     fx = fixtures()
     ws = seeded_workspace(fx)
     ws.add("cover", fx["lifted"].name, fx["lifted"])
-    d = certificate_to_dict(fx["lift_cert"], fx["lifted"].name, "lc",
+    d = certificate_to_dict(fx["lift_cert"], fx["lifted"].name,
                             action_name=fx["action"].name)
     kind, name, obj, violations = load_entry(parse_document(dumps(d)), ws)
     assert violations == []
@@ -179,13 +179,13 @@ def test_equivariant_certificate_needs_its_action():
 
 def test_lift_trace_round_trip_is_byte_identical():
     fx = fixtures()
-    d = lift_trace_to_dict(fx["trace"], "t", fx["action"].name,
+    d = lift_trace_to_dict(fx["trace"], fx["action"].name,
                            fx["qc"].name, fx["lifted"].name)
     text = dumps(d)
     parsed = parse_document(text)
     obj = lift_trace_from_dict(parsed)
     assert obj == fx["trace"]
-    assert dumps(lift_trace_to_dict(obj, "t", fx["action"].name,
+    assert dumps(lift_trace_to_dict(obj, fx["action"].name,
                                     fx["qc"].name, fx["lifted"].name)) == text
 
 

@@ -93,8 +93,9 @@ def test_validate_metric_flags_each_axiom():
 
 
 def test_equality_ignores_name():
-    a = path_space(4, name="one")
-    b = path_space(4, name="two")
+    p = path_space(4)
+    a = FiniteMetricSpace(p.points, p.dist, name="one")
+    b = FiniteMetricSpace(p.points, p.dist, name="two")
     assert a == b
     assert a != path_space(5)
 

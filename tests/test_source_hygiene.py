@@ -1,0 +1,93 @@
+"""Nothing in the package is written and then never read.
+
+Two checks over every module of src/coarsedim except __init__.py (whose
+imports are the package's exports), with the standard library's ast only:
+
+* a module-level import binds a name that the module never loads;
+* a function assigns a local name that nothing in the function (nested
+  functions included) loads.  Names starting with "_" are exempt, as the
+  conventional "unused on purpose" marker.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coarsedim"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _loaded(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _stored_in_scope(func: ast.AST) -> list[ast.Name]:
+    """Names stored in the function's own body, not in a nested def or
+    lambda (those are scopes of their own and are checked as such)."""
+    out = []
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                             ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.append(node)
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def findings(source: str) -> list[str]:
+    """One line per finding, in source order; a local name is reported once,
+    at its first assignment."""
+    tree = ast.parse(source)
+    out = []
+    module_loads = _loaded(tree)
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in module_loads:
+                    out.append((stmt.lineno, f"import {bound!r} is never used"))
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        loads = _loaded(func)
+        first: dict[str, int] = {}
+        for name in _stored_in_scope(func):
+            if not name.id.startswith("_") and name.id not in loads:
+                first[name.id] = min(name.lineno, first.get(name.id, name.lineno))
+        out.extend((line, f"{func.name} assigns {name!r} and never reads it")
+                   for name, line in first.items())
+    return [f"line {line}: {message}" for line, message in sorted(out)]
+
+
+def test_the_checker_finds_both_kinds():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, json\n"
+        "from typing import Sequence as Seq\n"
+        "def f(xs):\n"
+        "    total = 0\n"
+        "    for x in xs:\n"
+        "        total += x\n"
+        "    kept = 1\n"
+        "    _, spare = divmod(kept, 2)\n"
+        "    def g():\n"
+        "        return kept\n"
+        "    return json.dumps(g())\n")
+    assert findings(source) == [
+        "line 2: import 'os' is never used",
+        "line 3: import 'Seq' is never used",
+        "line 5: f assigns 'total' and never reads it",
+        "line 9: f assigns 'spare' and never reads it",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_nothing_is_written_and_never_read(path):
+    assert findings(path.read_text(encoding="utf-8")) == []
