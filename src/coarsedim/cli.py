@@ -258,7 +258,10 @@ def cmd_generate(args) -> int:
         key, sep, value = token.partition("=")
         if not sep:
             raise FormatError(f"--params entries look like key=value, got {token!r}")
-        params[key.strip()] = value.strip()
+        key = key.strip()
+        if key in params:
+            raise FormatError(f"--params names {key!r} twice")
+        params[key] = value.strip()
     instance = generate_instance(args.kind, params, seed=args.seed)
     docs = [space_to_dict(instance.space)]
     if instance.action is not None:

@@ -325,7 +325,8 @@ def generate_instance(kind: str, params: Mapping[str, str] | None = None,
     Kinds and parameters:
       path        n (default 5); reflection action
       cycle       n (default 6), action=rotation|reflection|none,
-                  shift (default n//2 if even else 1); rotation action
+                  shift (rotation only; default n//2 if even else 1);
+                  rotation action
       grid        w,h (default 3,3); half-turn action
       cayley-ball n, gens (e.g. "1+5"), radius; no action
       random      n (default 8), p (rational, default 2/5), maxw (default 3);
@@ -352,6 +353,9 @@ def generate_instance(kind: str, params: Mapping[str, str] | None = None,
         if which == "rotation":
             shift = _int_param(params, "shift", n // 2 if n % 2 == 0 else 1)
             return GeneratedInstance(space, cycle_rotation_action(space, shift))
+        if "shift" in params:
+            raise ValueError(f"parameter 'shift' needs action=rotation, got "
+                             f"action={which}")
         if which == "reflection":
             return GeneratedInstance(space, cycle_reflection_action(space))
         if which == "none":

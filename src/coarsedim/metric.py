@@ -121,17 +121,33 @@ def validate_metric(m: FiniteMetricSpace) -> list[Violation]:
     A valid table is recognised by an all-clear pass that is exact, not a
     filter: the table is taken as the space's integer rows (as given when
     every entry is an int, else scaled by the LCM of the denominators, see
-    FiniteMetricSpace.integer_rows) and each row is
-    packed into one int with a fixed-width lane per point and a guard bit at
-    the top of every lane.  Lanes are 1, 2, 4 or 8 bytes wide, so a row
-    packs as one machine array; wider entries get wider lanes, packed entry
-    by entry.  For each ordered pair (i, j), row_j + d(i,j)*ONES + GUARDS -
-    row_i keeps every guard bit exactly when d(i,k) <= d(i,j) + d(j,k) for
-    every k: lanes are wide enough that no lane carries into or borrows from
-    its neighbour, so the big-int sum is the lane-wise sum.  When that pass
-    fails, or an entry is negative, the per-triple listing below runs and
-    reports every violation, in the same order and with the same messages
-    whichever way the answer was reached.
+    FiniteMetricSpace.integer_rows) and each row is packed into one int
+    with a fixed-width lane per point and a guard bit at the top of every
+    lane.  Lanes are 1, 2, 4 or 8 bytes wide, so a row packs as one machine
+    array; wider entries get wider lanes, packed entry by entry.  For a pair
+    (i, j), row_j + d(i,j)*ONES + GUARDS - row_i keeps every guard bit
+    exactly when d(i,k) <= d(i,j) + d(j,k) for every k: lanes are wide
+    enough that no lane carries into or borrows from its neighbour, so the
+    big-int sum is the lane-wise sum.
+
+    The pass checks that sum only for i's neighbours, found by walking the
+    distinct values of row i upwards: at each value, the lanes not yet
+    covered become neighbours j and are checked, and each neighbour covers
+    every k with d(i,k) >= d(i,j) + d(j,k) (read off the same sum).  The
+    walk stops once every lane is a neighbour or covered.  That is exact,
+    by strong induction on d(i,j): a neighbour is checked directly; any
+    other j is covered by a nearer neighbour j1 with d(j1,j) <= d(i,j) -
+    d(i,j1) < d(i,j), so d(i,k) <= d(i,j1) + d(j1,k) <= d(i,j1) + d(j1,j) +
+    d(j,k) <= d(i,j) + d(j,k).  On a graph metric the neighbours are the
+    graph's edges, so grids, paths, cycles, random graphs and their
+    quotients take about n * (degree + levels) big-int steps, where the
+    levels are the distinct values walked; a dense table in which no pair
+    has a third point on a geodesic makes every pair a neighbour and takes
+    about n**2 steps, each a few big-int operations.
+
+    When the pass fails, or an entry is negative, the per-triple listing
+    below runs and reports every violation, in the same order and with the
+    same messages whichever way the answer was reached.
     """
     if _all_clear(m):
         return []
@@ -165,12 +181,15 @@ def _all_clear(m: FiniteMetricSpace) -> bool:
         return False
     # A lane holds d(j,k) + d(i,j) + guard - d(i,k) with every entry below
     # 2**bits, so it stays in [guard - 2**bits, 2 * guard) and the guard bit
-    # is set exactly when the triangle inequality holds.
+    # is set exactly when the triangle inequality holds.  One less, it stays
+    # nonnegative and keeps the guard bit exactly when d(i,k) < d(i,j) +
+    # d(j,k), that is, when j does not cover k.
     bits = max(map(max, rows)).bit_length()
     lane_bytes = (bits + 2 + 7) // 8
     order = sys.byteorder
     if lane_bytes <= 8:
         code = _LANE_CODES[1 << (lane_bytes - 1).bit_length()]
+        lane_bytes = array(code).itemsize
 
         def pack(row):
             return int.from_bytes(array(code, row).tobytes(), order)
@@ -178,15 +197,30 @@ def _all_clear(m: FiniteMetricSpace) -> bool:
         def pack(row):
             return int.from_bytes(b"".join(v.to_bytes(lane_bytes, order) for v in row),
                                   order)
+    width = 8 * lane_bytes
     ones = pack([1] * n)
     guards = ones << (bits + 1)
     packed = [pack(row) for row in rows]
     shifted = [p + guards for p in packed]
-    times = {d: d * ones for d in set().union(*rows)}
     survived = guards
-    for p_i, row in zip(packed, rows):
-        for s_j, d_ij in zip(shifted, row):
-            survived &= s_j + times[d_ij] - p_i
+    for i, (p_i, row) in enumerate(zip(packed, rows)):
+        # The lanes j whose triangles d(i,k) <= d(i,j) + d(j,k) still need a
+        # check of their own (see validate_metric).  Lane i never does; a
+        # neighbour leaves once checked, and so does each j with d(i,j) >=
+        # d(i,j1) + d(j1,j) for a checked neighbour j1.
+        uncovered = guards ^ (1 << (i * width + bits + 1))
+        for d_ij in sorted(set(row))[1:]:
+            step = d_ij * ones - p_i
+            # Every nearer lane is covered, so these are the lanes at d_ij.
+            new = (step + guards) & uncovered
+            while new:
+                top = new.bit_length() - 1
+                new ^= 1 << top
+                lanes = shifted[top // width] + step
+                survived &= lanes
+                uncovered &= lanes - ones
+            if not uncovered:
+                break
     return survived == guards
 
 

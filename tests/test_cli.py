@@ -70,11 +70,18 @@ def test_generate_other_kinds(tmp_path, capsys):
                     "parameter 'gens' must be integers joined by '+', got '1+'"}]
     for kind, params, message in (
             ("grid", "W=5", "unknown parameter 'W' for grid; it takes w, h"),
-            ("path", "n=3,zz=4", "unknown parameter 'zz' for path; it takes n")):
+            ("path", "n=3,zz=4", "unknown parameter 'zz' for path; it takes n"),
+            ("cycle", "n=5,action=reflection,shift=2",
+             "parameter 'shift' needs action=rotation, got action=reflection"),
+            ("cycle", "n=5,action=none,shift=3",
+             "parameter 'shift' needs action=rotation, got action=none"),
+            ("cycle", "n=5,n=7", "--params names 'n' twice"),
+            ("grid", "w=3, h=4,h=4", "--params names 'h' twice")):
         code, out, err = run(capsys, "generate", "--kind", kind,
-                             "--params", params, "--out", str(tmp_path))
+                             "--params", params, "--out", str(tmp_path / "rejected"))
         assert (code, out) == (1, [])
         assert err == [{"error": "validation", "message": message}]
+        assert not (tmp_path / "rejected").exists()
 
 
 def test_quotient_flow(tmp_path, capsys):

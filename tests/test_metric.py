@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from coarsedim import (INF, Cover, FiniteMetricSpace, ball, build_graph_metric,
-                       certify, diameter, set_distance, validate_action,
-                       validate_metric)
-from coarsedim.generators import (cayley_ball_space, cycle_space, grid_space,
-                                  path_reflection_action, path_space,
-                                  random_graph_space)
+                       certify, cyclic_group, dihedral_group, diameter, quotient,
+                       set_distance, validate_action, validate_metric)
+from coarsedim.generators import (cayley_ball_space, cycle_space, generate_instance,
+                                  grid_space, path_reflection_action, path_space,
+                                  random_graph_space, random_invariant_instance)
+from coarsedim.metric import _all_clear
 
 from oracles import dijkstra_metric, floyd_warshall_metric
 
@@ -90,6 +91,25 @@ def test_validate_metric_flags_each_axiom():
 
     zero = FiniteMetricSpace(["a", "b"], [[0, 0], [0, 0]])
     assert {v.kind for v in validate_metric(zero)} == {"positivity"}
+
+
+def test_generator_outputs_pass_the_all_clear_check():
+    # Every space the generators make, and the quotient of each canonical
+    # action, is a metric that the all-clear pass accepts on its own, so
+    # that loading it never falls through to the per-triple listing.
+    spaces = [path_space(12), cycle_space(11), grid_space(3, 5), grid_space(30, 30),
+              cayley_ball_space(30, (1, 7, 11), 2), random_graph_space(40, 7),
+              random_graph_space(150, 3, edge_chance=Fraction(1, 50), max_weight=5)]
+    for seed, group in enumerate((cyclic_group(3), cyclic_group(4), dihedral_group(3))):
+        space, action = random_invariant_instance(group, 4, seed)
+        spaces += [space, quotient(action).space]
+    for kind, params in (("path", {"n": "9"}), ("cycle", {"n": "10"}),
+                         ("cycle", {"n": "9", "action": "reflection"}),
+                         ("grid", {"w": "30", "h": "30"}), ("grid", {"w": "4", "h": "7"})):
+        spaces.append(quotient(generate_instance(kind, params).action).space)
+    for m in spaces:
+        assert _all_clear(m), m.name
+        assert validate_metric(m) == [], m.name
 
 
 def test_equality_ignores_name():

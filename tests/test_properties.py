@@ -136,12 +136,30 @@ def table(dist):
 
 
 @st.composite
+def dense_tables(draw):
+    """A metric with every off-diagonal entry in [k, 2k): no pair has a
+    third point on a geodesic, so every pair is a neighbour of the walk."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, 40))
+    dist = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            dist[i][j] = dist[j][i] = draw(st.integers(k, 2 * k - 1))
+    return dist
+
+
+@st.composite
 def tables(draw):
-    """A metric with injected faults, or an arbitrary table (half of them
-    symmetric with a zero diagonal, so that triangle faults show alone)."""
-    if draw(st.booleans()):
-        m = draw(graph_metrics(max_points=7))
-        dist = [list(row) for row in m.dist]
+    """A metric with injected faults (a geodesic graph metric of up to 20
+    points, so that a neighbour can sit in the top lane, or a dense table),
+    or an arbitrary table (half of them symmetric with a zero diagonal, so
+    that triangle faults show alone)."""
+    source = draw(st.sampled_from(("graph", "dense", "arbitrary")))
+    if source != "arbitrary":
+        if source == "graph":
+            dist = [list(row) for row in draw(graph_metrics(max_points=20)).dist]
+        else:
+            dist = draw(dense_tables())
         n = len(dist)
         for _ in range(draw(st.integers(0, 3))):
             i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -167,6 +185,19 @@ def tables(draw):
 @example(table([[0, -1], [-1, 0]]))                    # negative, else a metric
 @example(table([[0, 1, 3], [1, 0, 1], [3, 1, 0]]))     # triangle short by one
 @example(table([[0, Fraction(1, 3)], [Fraction(1, 3), 0]]))
+# A metric whose 6-bit entries fill 8-bit lanes exactly: a neighbour found
+# from the top set bit sits at (bit_length - 1) // lane, not bit_length // lane.
+@example(table([[0, 28, 30, 14, 3, 44], [28, 0, 35, 42, 31, 16],
+                [30, 35, 0, 44, 27, 39], [14, 42, 44, 0, 17, 53],
+                [3, 31, 27, 17, 0, 47], [44, 16, 39, 53, 47, 0]]))
+# Not a metric, yet every violation is missed by a walk that marks lanes
+# covered without checking the neighbours that cover them.
+@example(table([[0, 3, 1, 4, 2], [3, 0, 1, 2, 1], [1, 1, 0, 3, 4],
+                [4, 2, 3, 0, 2], [2, 1, 4, 2, 0]]))
+# Not a metric, yet reported clear by a walk that covers k once d(i,k) >=
+# d(i,j) + d(j,k) - 1, one unit short of the geodesic test.
+@example(table([[0, 2, 4, 1, 6], [2, 0, 2, 2, 3], [4, 2, 0, 4, 2],
+                [1, 2, 4, 0, 5], [6, 3, 2, 5, 0]]))
 def test_validate_metric_matches_full_listing(m):
     listing = _list_violations(m)
     assert validate_metric(m) == listing
