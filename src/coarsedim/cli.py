@@ -291,6 +291,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="directory for output documents (default: .)")
         return sp
 
+    def estimator_flags(sp):
+        sp.add_argument("--mode", choices=("auto", "exact", "greedy"), default="auto")
+        sp.add_argument("--max-points", type=int, default=EXACT_POINT_CAP,
+                        help="largest space the exact search will accept")
+
     command("validate", cmd_validate,
             "validate documents; report problems as JSON lines")
 
@@ -314,9 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--action", metavar="NAME")
     sp.add_argument("--R", metavar="SCALAR", required=True)
     sp.add_argument("--B", metavar="SCALAR", help="mesh bound (default 4R)")
-    sp.add_argument("--mode", choices=("auto", "exact", "greedy"), default="auto")
-    sp.add_argument("--max-points", type=int, default=EXACT_POINT_CAP,
-                    help="largest space the exact search will accept")
+    estimator_flags(sp)
 
     sp = command("sspace", cmd_sspace,
                  "assemble a weighted disjoint union into a plain space")
@@ -327,8 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--space", metavar="NAME")
     sp.add_argument("--R", metavar="SCALAR", required=True)
     sp.add_argument("--B", metavar="SCALAR", help="mesh bound (default 4R)")
-    sp.add_argument("--mode", choices=("auto", "exact", "greedy"), default="auto")
-    sp.add_argument("--max-points", type=int, default=EXACT_POINT_CAP)
+    estimator_flags(sp)
 
     sp = command("profile", cmd_profile,
                  "dimension profile over scales, JSON plus CSV")
@@ -341,8 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated scales, e.g. 1,2,4")
     sp.add_argument("--mesh-bounds", metavar="LIST",
                     help="comma-separated mesh bounds, one per scale")
-    sp.add_argument("--mode", choices=("auto", "exact", "greedy"), default="auto")
-    sp.add_argument("--max-points", type=int, default=EXACT_POINT_CAP)
+    estimator_flags(sp)
     sp.add_argument("--name", default="profile", help="output document name")
 
     sp = command("generate", cmd_generate,

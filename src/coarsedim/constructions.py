@@ -47,13 +47,8 @@ def pushforward_cover(a: IsometricAction, q: QuotientSpace,
         raise ValueError("pushforward needs a cover and quotient of the action's space")
     _require_valid(c)
 
-    members = []
-    seen = set()
-    for member in c.members:
-        image = frozenset(q.orbit_of[x] for x in member)
-        if image not in seen:
-            seen.add(image)
-            members.append(image)
+    members = dict.fromkeys(frozenset(q.orbit_of[x] for x in member)
+                            for member in c.members)
     out = Cover(q.space, members, name=f"{c.name}_pushed")
     cert = certify(out)
 
@@ -153,8 +148,6 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
     separation = 2 * s
 
     entries = []
-    all_pieces: list[frozenset[int]] = []
-    seen: set[frozenset] = set()
     for k, member in enumerate(c.members):
         fiber = q.fiber_of_set(member)
         basepoint = min(fiber)
@@ -189,12 +182,9 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
 
         entries.append(LiftMember(member=member, fiber=fiber,
                                   basepoint=basepoint, pieces=tuple(pieces)))
-        for p in pieces:
-            if p.piece not in seen:
-                seen.add(p.piece)
-                all_pieces.append(p.piece)
 
-    out = Cover(m, all_pieces, name=f"{c.name}_lifted")
+    out = Cover(m, dict.fromkeys(p.piece for e in entries for p in e.pieces),
+                name=f"{c.name}_lifted")
     trace = LiftTrace(R=R, s=s, entries=tuple(entries))
 
     cert = certify(out, action=a)

@@ -53,6 +53,27 @@ from .groups import IsometricAction
 from .metric import INF, FiniteMetricSpace, Scalar, _diameter, _set_distance, check_scalar
 
 
+def _point_sets(space: FiniteMetricSpace, sets: Iterable[Iterable[int]],
+                what: str) -> tuple[frozenset[int], ...]:
+    """The sets as frozensets, checked to hold only point indices of the
+    space; the ValueError for a bad element begins with what.format(k),
+    where k is the index of its set."""
+    n = len(space)
+    out = []
+    for k, items in enumerate(sets):
+        items = frozenset(items)
+        # Plain in-range ints pass in C; any other set is checked element
+        # by element, which names its first bad element.
+        if items and not (set(map(type, items)) <= {int}
+                          and min(items) >= 0 and max(items) < n):
+            for x in items:
+                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
+                    raise ValueError(f"{what.format(k)} contains {x!r}, not a point "
+                                     f"index of {space.name!r}")
+        out.append(items)
+    return tuple(out)
+
+
 class Cover:
     """An ordered list of members (point index sets) over a fixed space.
 
@@ -64,20 +85,7 @@ class Cover:
     def __init__(self, space: FiniteMetricSpace, members: Iterable[Iterable[int]],
                  name: str = "cover"):
         self.space = space
-        norm = []
-        for k, member in enumerate(members):
-            member = frozenset(member)
-            # Plain in-range ints pass in C; any other member is checked
-            # element by element, which names its first bad element.
-            if member and not (set(map(type, member)) <= {int}
-                               and min(member) >= 0 and max(member) < len(space)):
-                for x in member:
-                    if not isinstance(x, int) or isinstance(x, bool) \
-                            or not 0 <= x < len(space):
-                        raise ValueError(f"member {k} contains {x!r}, not a point index "
-                                         f"of {space.name!r}")
-            norm.append(member)
-        self.members = tuple(norm)
+        self.members = _point_sets(space, members, "member {}")
         self.name = str(name)
         self._measured = (None, None)
 
@@ -101,19 +109,8 @@ class Decomposition:
         if r < 0:
             raise ValueError(f"r must be >= 0, got {r}")
         self.r = r
-        fams = []
-        for fi, family in enumerate(families):
-            pieces = []
-            for pi, piece in enumerate(family):
-                piece = frozenset(piece)
-                for x in piece:
-                    if not isinstance(x, int) or isinstance(x, bool) \
-                            or not 0 <= x < len(space):
-                        raise ValueError(f"family {fi} piece {pi} contains {x!r}, "
-                                         f"not a point index of {space.name!r}")
-                pieces.append(piece)
-            fams.append(tuple(pieces))
-        self.families = tuple(fams)
+        self.families = tuple(_point_sets(space, family, f"family {fi} piece {{}}")
+                              for fi, family in enumerate(families))
         self.name = str(name)
 
     def __repr__(self) -> str:
@@ -146,13 +143,16 @@ def validate_cover(c: Cover) -> list[Violation]:
                                  f"members {seen[member]} and {k} are the same point set"))
         else:
             seen[member] = k
-    covered = frozenset().union(*c.members) if c.members else frozenset()
-    missing = sorted(set(range(len(c.space))) - covered)
-    if missing:
-        out.append(Violation("coverage", tuple(missing),
-                             "points not covered: "
-                             + ", ".join(c.space.points[x] for x in missing)))
-    return out
+    return out + _coverage(c.space, c.members)
+
+
+def _coverage(space: FiniteMetricSpace, sets: Iterable[frozenset[int]]) -> list[Violation]:
+    """The "coverage" violation naming the points in none of the sets, if any."""
+    missing = sorted(set(range(len(space))).difference(*sets))
+    if not missing:
+        return []
+    return [Violation("coverage", tuple(missing), "points not covered: "
+                      + ", ".join(space.points[x] for x in missing))]
 
 
 def dimension(c: Cover) -> int:
@@ -243,7 +243,6 @@ def is_r_disjoint(space: FiniteMetricSpace, family: Sequence[Iterable[int]],
 
 def validate_decomposition(d: Decomposition) -> list[Violation]:
     out: list[Violation] = []
-    covered: set[int] = set()
     for fi, family in enumerate(d.families):
         ok, witness = is_r_disjoint(d.space, family, d.r)
         if not ok:
@@ -251,14 +250,7 @@ def validate_decomposition(d: Decomposition) -> list[Violation]:
             out.append(Violation(
                 "disjointness", (fi, i, j),
                 f"family {fi}: pieces {i} and {j} are {dist} apart, need > {d.r}"))
-        for piece in family:
-            covered.update(piece)
-    missing = sorted(set(range(len(d.space))) - covered)
-    if missing:
-        out.append(Violation("coverage", tuple(missing),
-                             "points not covered: "
-                             + ", ".join(d.space.points[x] for x in missing)))
-    return out
+    return out + _coverage(d.space, chain.from_iterable(d.families))
 
 
 def decomposition_to_cover(d: Decomposition) -> tuple[Cover, CoverCertificate]:
@@ -275,17 +267,9 @@ def decomposition_to_cover(d: Decomposition) -> tuple[Cover, CoverCertificate]:
         raise ValueError("invalid decomposition: " + "; ".join(v.message for v in issues))
     t = Fraction(d.r) / 4
     m = d.space
-    members = []
-    seen = set()
-    for family in d.families:
-        for piece in family:
-            if not piece:
-                continue
-            grown = frozenset(x for x in range(len(m))
-                              if _set_distance(m, (x,), piece) <= t)
-            if grown not in seen:
-                seen.add(grown)
-                members.append(grown)
+    members = dict.fromkeys(
+        frozenset(x for x in range(len(m)) if _set_distance(m, (x,), piece) <= t)
+        for piece in chain.from_iterable(d.families) if piece)
     out = Cover(m, members, name=f"{d.name}_thickened")
     cert = certify(out)
     if cert.dimension > len(d.families) - 1:

@@ -16,6 +16,8 @@ a clique enumerator written from the definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import le, lt
 from typing import Sequence
 
 from .covers import Cover, CoverCertificate, certify
@@ -49,23 +51,13 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _near_masks(m: FiniteMetricSpace, B: Scalar) -> list[int]:
-    """near[p] has bit q set when {p, q} has diameter <= B.  A point set has
-    diameter <= B exactly when it is a clique of this graph."""
-    n = len(m)
-    near = [1 << p for p in range(n)]
-    for p in range(n):
-        row = m.dist[p]
-        for q in range(p + 1, n):
-            if row[q] <= B:
-                near[p] |= 1 << q
-                near[q] |= 1 << p
-    return near
-
-
-def _open_ball_masks(m: FiniteMetricSpace, R: Scalar) -> list[int]:
-    """The open R-ball around each point, as a bitmask."""
-    return [sum(1 << y for y, v in enumerate(row) if v < R) for row in m.dist]
+def _ball_masks(m: FiniteMetricSpace, r: Scalar, within) -> list[int]:
+    """For each point p, the mask of the points q with within(d(p, q), r):
+    the closed r-balls for operator.le, the open ones for operator.lt.
+    Under le at r = B, a point set has diameter <= B exactly when it is a
+    clique of the graph these masks describe."""
+    bits = [1 << q for q in range(len(m))]
+    return [sum(compress(bits, map(within, row, repeat(r)))) for row in m.dist]
 
 
 def _reach(mask: int, near: Sequence[int]) -> int:
@@ -169,8 +161,8 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
             f"{len(m)}; use greedy_cover for larger spaces")
 
     n = len(m)
-    near = _near_masks(m, B)
-    needs = _open_ball_masks(m, R)
+    near = _ball_masks(m, B, le)
+    needs = _ball_masks(m, R, lt)
     reaches = [_reach(need, near) for need in needs]
     for x, need in enumerate(needs):
         if need & ~reaches[x]:
@@ -215,13 +207,7 @@ def greedy_cover(m: FiniteMetricSpace, R: Scalar) -> tuple[Cover, CoverCertifica
     for x in range(len(m)):
         if all(m.dist[x][c] > R for c in centers):
             centers.append(x)
-    balls = []
-    seen = set()
-    for c in centers:
-        b = ball(m, c, 2 * R, "closed")
-        if b not in seen:
-            seen.add(b)
-            balls.append(b)
+    balls = list(dict.fromkeys(ball(m, c, 2 * R, "closed") for c in centers))
     members = [b for b in balls if not any(b < other for other in balls)]
     cover = Cover(m, members, name=f"{m.name}_greedy_R{R}")
     cert = certify(cover)

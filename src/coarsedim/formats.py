@@ -19,7 +19,7 @@ import functools
 import io
 import json
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import Sequence
 
 from .constructions import LiftMember, LiftPiece, LiftTrace, SSpace, build_sspace
@@ -391,19 +391,13 @@ def profile_to_csv(fp: FamilyProfile) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["space", "scale", "mesh_bound", "method", "dimension", "mesh",
                      "quotient_dimension", "quotient_mesh", "relation"])
-    qmap = {}
-    if fp.quotient_profiles is not None:
-        for prof, qprof in zip(fp.profiles, fp.quotient_profiles):
-            for entry, qentry in zip(prof.entries, qprof.entries):
-                qmap[(prof.space_name, entry.scale)] = qentry
-    relmap = {}
-    if fp.comparisons is not None:
-        for rep in fp.comparisons:
-            relmap[(rep.space_name, rep.scale)] = rep.relation
-    for prof in fp.profiles:
-        for entry in prof.entries:
-            key = (prof.space_name, entry.scale)
-            qentry = qmap.get(key)
+    # One quotient profile per space and one comparison per space and
+    # scale, in the order of fp.profiles, as family_profile builds them.
+    reports = iter(fp.comparisons or ())
+    for prof, qprof in zip(fp.profiles, fp.quotient_profiles or repeat(None)):
+        for entry, qentry in zip(prof.entries,
+                                 repeat(None) if qprof is None else qprof.entries):
+            rep = next(reports, None)
             writer.writerow([
                 prof.space_name,
                 scalar_str(entry.scale),
@@ -413,7 +407,7 @@ def profile_to_csv(fp: FamilyProfile) -> str:
                 "" if entry.mesh is None else scalar_str(entry.mesh),
                 "" if qentry is None or qentry.dimension is None else qentry.dimension,
                 "" if qentry is None or qentry.mesh is None else scalar_str(qentry.mesh),
-                relmap.get(key, ""),
+                "" if rep is None else rep.relation,
             ])
     return buf.getvalue()
 

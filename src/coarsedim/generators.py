@@ -230,13 +230,10 @@ def random_cover(space: FiniteMetricSpace, seed: int) -> Cover:
     n = len(space)
     radii = sorted(set(chain.from_iterable(space.dist)))
     members = []
-    seen = set()
 
     def push(center: int, rho):
         b = frozenset(compress(range(n), map(le, space.dist[center], repeat(rho))))
-        if b not in seen:
-            seen.add(b)
-            members.append(b)
+        members.append(b)
         return b
 
     small = radii[:max(2, len(radii) * 2 // 3)]
@@ -246,7 +243,7 @@ def random_cover(space: FiniteMetricSpace, seed: int) -> Cover:
     for x in range(n):
         if x not in covered:
             covered |= push(x, rng.choice(small))
-    return Cover(space, members, name=f"{space.name}_cover_s{seed}")
+    return Cover(space, dict.fromkeys(members), name=f"{space.name}_cover_s{seed}")
 
 
 def random_decomposition(space: FiniteMetricSpace, r: Scalar, seed: int,

@@ -295,30 +295,23 @@ class QuotientSpace:
 
 def quotient(a: IsometricAction) -> QuotientSpace:
     """Quotient of the space by the action: points are orbits, and the
-    distance between two orbits is the smallest distance between them.
+    distance between the orbits of x and y is d(Fx, Fy) = min over group
+    elements f of d(x, f.y), measured from each orbit's least point.
 
-    For a valid isometric action that minimum does not depend on which
-    member of either orbit you measure from, and the result is again a
-    genuine metric.
+    The action must be a valid isometric action (validate_action(a) == []),
+    as the space must be a metric for covers; the CLI loads only such
+    actions.  Then the minimum does not depend on which members of the two
+    orbits are measured, it is the smallest distance between them, and the
+    result is again a genuine metric.
     """
     orbs = orbits(a)
     m = a.space
-    qpoints = [m.points[orb[0]] for orb in orbs]
-    dist = []
-    for oa in orbs:
-        row = []
-        for ob in orbs:
-            if oa is ob:
-                row.append(0)
-                continue
-            best = None
-            for x in oa:
-                dx = m.dist[x]
-                for y in ob:
-                    if best is None or dx[y] < best:
-                        best = dx[y]
-            row.append(best)
-        dist.append(row)
+    reps = [orb[0] for orb in orbs]
+    qpoints = [m.points[x] for x in reps]
+    images = [[perm[y] for y in reps] for perm in a.perms]
+    dist = [[min(column) for column in zip(*[map(row.__getitem__, image)
+                                             for image in images])]
+            for row in map(m.dist.__getitem__, reps)]
     orbit_of = [0] * len(m)
     for qi, orb in enumerate(orbs):
         for x in orb:

@@ -487,6 +487,33 @@ def test_profile_flow(tmp_path, capsys):
     assert code == 1
 
 
+def test_profile_csv_keeps_each_action_on_its_own_rows(tmp_path, capsys):
+    # One space profiled under two actions: each row pair must carry its own
+    # action's quotient, as the JSON does.
+    inputs = tmp_path / "inputs"
+    for shift in (6, 3):
+        code, _, _ = run(capsys, "generate", "--kind", "cycle",
+                         "--params", f"n=12,shift={shift}", "--out", str(inputs))
+        assert code == 0
+    code, out, _ = run(capsys, "profile", *sorted(map(str, inputs.iterdir())),
+                       "--space", "C12", "--action", "C12_rot6",
+                       "--space", "C12", "--action", "C12_rot3",
+                       "--scales", "1,2", "--mesh-bounds", "1,2", "--mode", "exact",
+                       "--out", str(tmp_path / "out"))
+    assert code == 0
+    d = json.loads(open(out[0]).read())
+    assert [(e["dimension"], e["mesh"]) for q in d["quotients"]
+            for e in q["entries"]] == [(0, "0"), (2, "2"), (0, "0"), (0, "1")]
+    assert [r["relation"] for r in d["comparisons"]] == \
+        ["equal", "equal", "equal", "drop"]
+    assert open(out[1]).read().splitlines()[1:] == [
+        "C12,1,1,exact,0,0,0,0,equal",
+        "C12,2,2,exact,2,2,2,2,equal",
+        "C12,1,1,exact,0,0,0,0,equal",
+        "C12,2,2,exact,2,2,0,1,drop",
+    ]
+
+
 def test_reruns_are_byte_identical(tmp_path, capsys):
     files = generate_path_instance(tmp_path, capsys)
     out1, out2 = tmp_path / "one", tmp_path / "two"

@@ -117,12 +117,16 @@ def test_validate_cover_reports():
 
 
 def test_cover_constructor_checks_indices():
-    with pytest.raises(ValueError):
-        Cover(path_space(3), [[0, 7]])
-    for bad in (True, -1, 3, "0"):
-        with pytest.raises(ValueError, match=fr"^member 1 contains {bad!r}, "
-                                             r"not a point index of 'P3'$"):
-            Cover(path_space(3), [[0, 1], [2, bad]])
+    # Cover and Decomposition check indices alike, each naming its own set.
+    builders = [(lambda sets: Cover(path_space(3), sets), "member 1"),
+                (lambda sets: Decomposition(path_space(3), 1, [sets]), "family 0 piece 1")]
+    for build, what in builders:
+        with pytest.raises(ValueError):
+            build([[0, 7]])
+        for bad in (True, -1, 3, "0"):
+            with pytest.raises(ValueError, match=fr"^{what} contains {bad!r}, "
+                                                 r"not a point index of 'P3'$"):
+                build([[0, 1], [2, bad]])
 
 
 def test_r_disjointness():

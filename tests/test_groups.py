@@ -1,10 +1,11 @@
 """Groups, actions, orbits, quotients and the small group-theory toolbox."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from coarsedim import (FiniteGroup, IsometricAction, coset_representatives,
+from coarsedim import (FiniteGroup, FiniteMetricSpace, IsometricAction, coset_representatives,
                        cyclic_group, dihedral_group, direct_sum, extend_action,
                        find_isomorphism, generated_subgroup, is_subgroup,
                        orbits, quotient, validate_action, validate_group,
@@ -104,16 +105,25 @@ def test_quotient_of_cycle_antipodal_frozen():
 
 
 def test_quotient_matches_direct_definition():
+    grid = grid_space(8, 8)
+    scaled = FiniteMetricSpace(grid.points,
+                               [[Fraction(2, 3) * v for v in row] for row in grid.dist])
     cases = [
         path_reflection_action(path_space(7)),
         cycle_rotation_action(cycle_space(8), 4),
         cycle_rotation_action(cycle_space(6), 2),
         grid_rotation_action(grid_space(3, 3), 3, 3),
+        IsometricAction(cyclic_group(1), path_space(5), [range(5)]),
+        IsometricAction(cyclic_group(2), FiniteMetricSpace(["x"], [[0]]), [[0], [0]]),
+        random_invariant_instance(dihedral_group(3), 2, 0)[1],
+        random_invariant_instance(dihedral_group(4), 2, 1)[1],
+        grid_rotation_action(scaled, 8, 8),
     ]
     for seed in range(5):
         group = cyclic_group(random.Random(seed).randint(2, 4))
         cases.append(random_invariant_instance(group, 2, seed)[1])
     for a in cases:
+        assert validate_action(a) == []
         q = quotient(a)
         assert validate_metric(q.space) == []
         for i, fi in enumerate(q.fibers):

@@ -1,12 +1,18 @@
 """Nothing in the package is written and then never read.
 
-Two checks over every module of src/coarsedim except __init__.py (whose
-imports are the package's exports), with the standard library's ast only:
+Three checks, with the standard library's ast only.  Over every module of
+src/coarsedim except __init__.py (whose imports are the package's exports):
 
 * a module-level import binds a name that the module never loads;
 * a function assigns a local name that nothing in the function (nested
   functions included) loads.  Names starting with "_" are exempt, as the
   conventional "unused on purpose" marker.
+
+Over the package as a whole, __init__.py included:
+
+* a module defines a private top-level function, class or constant (one
+  name starting with a single "_") that no module of the package loads,
+  imports or reads as an attribute.
 """
 
 import ast
@@ -66,6 +72,39 @@ def findings(source: str) -> list[str]:
     return [f"line {line}: {message}" for line, message in sorted(out)]
 
 
+def _private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((stmt.lineno, stmt.name))
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            out.extend((stmt.lineno, n.id) for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name))
+    return [(line, name) for line, name in out
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    out = _loaded(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """One line per private top-level name, by module and line, that no
+    module of `sources` (file name -> source) references."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    referenced = set().union(*map(_referenced, trees.values()))
+    return [f"{module} line {line}: {name} is never referenced"
+            for module, tree in sorted(trees.items())
+            for line, name in _private_definitions(tree) if name not in referenced]
+
+
 def test_the_checker_finds_both_kinds():
     source = (
         "from __future__ import annotations\n"
@@ -91,3 +130,38 @@ def test_the_checker_finds_both_kinds():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_nothing_is_written_and_never_read(path):
     assert findings(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_checker_finds_unreferenced_private_names():
+    sources = {
+        "a.py": ("_LIMIT = 3\n"
+                 "_SPARE: int = 4\n"
+                 "__all__ = []\n"
+                 "def _masks(m):\n"
+                 "    return _LIMIT\n"
+                 "def _near_masks(m):\n"
+                 "    return m\n"
+                 "def _imported():\n"
+                 "    pass\n"
+                 "def _as_attribute():\n"
+                 "    pass\n"
+                 "class _Old:\n"
+                 "    pass\n"
+                 "def public():\n"
+                 "    return _masks(0)\n"),
+        "b.py": ("from . import a\n"
+                 "from .a import _imported\n"
+                 "def f():\n"
+                 "    return a._as_attribute, _imported\n"),
+    }
+    assert unreferenced_private(sources) == [
+        "a.py line 2: _SPARE is never referenced",
+        "a.py line 6: _near_masks is never referenced",
+        "a.py line 12: _Old is never referenced",
+    ]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private(sources) == []
