@@ -16,7 +16,7 @@ a clique enumerator written from the definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import le, lt
 from typing import Sequence
 
@@ -239,16 +239,26 @@ def _estimate_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar | None, mode: str
 @dataclass(frozen=True)
 class ProfileEntry:
     """Best cover found at one scale: the target R, the mesh bound that was
-    in force (None when greedy ran, as greedy takes none), and the cover's
-    name and actual, recomputed quantities."""
+    in force (None when greedy ran, as greedy takes none), and either the
+    cover's name and actual, recomputed quantities or why no cover exists."""
 
     scale: Scalar
     mesh_bound: Scalar | None
-    method: str                      # "exact" or "greedy"
     dimension: int | None
     mesh: Scalar | None
     cover_name: str | None = None
     infeasible: Infeasible | None = None
+
+    def __post_init__(self):
+        found = (self.cover_name, self.dimension, self.mesh)
+        if [v is None for v in found] != [self.infeasible is not None] * 3:
+            raise ValueError(f"the entry at scale {self.scale} must hold either a "
+                             f"cover's name, dimension and mesh or an infeasible record")
+
+    @property
+    def method(self) -> str:
+        """"exact" or "greedy", as the mesh bound records."""
+        return "greedy" if self.mesh_bound is None else "exact"
 
 
 @dataclass(frozen=True)
@@ -263,10 +273,11 @@ def asdim_profile(m: FiniteMetricSpace, scales: Sequence[Scalar],
                   max_points: int = EXACT_POINT_CAP) -> DimensionProfile:
     """Best-found cover dimension per scale.
 
-    Exact search when the space is within the cap (with mesh bound 4R per
-    scale unless given), greedy beyond it; each entry records which method
-    produced it, and greedy entries record no mesh bound.  Scales must be
-    positive and strictly increasing.
+    "exact" searches at every scale and raises CapExceededError above
+    max_points points, "greedy" never searches, and "auto" searches within
+    max_points and runs greedy beyond.  A search's mesh bound is the scale's
+    entry of mesh_bounds, 4R when none are given; greedy entries record no
+    mesh bound.  Scales must be positive and strictly increasing.
     """
     scales = list(scales)
     if not scales:
@@ -287,16 +298,12 @@ def asdim_profile(m: FiniteMetricSpace, scales: Sequence[Scalar],
         bound, result = _estimate_cover(
             m, R, mesh_bounds[i] if mesh_bounds is not None else None, mode,
             max_points)
-        method = "greedy" if bound is None else "exact"
         if isinstance(result, Infeasible):
-            entries.append(ProfileEntry(scale=R, mesh_bound=bound, method=method,
-                                        dimension=None, mesh=None,
-                                        infeasible=result))
+            found = (None, None, None, result)
         else:
             cert = certify(result)
-            entries.append(ProfileEntry(scale=R, mesh_bound=bound, method=method,
-                                        dimension=cert.dimension, mesh=cert.mesh,
-                                        cover_name=result.name))
+            found = (cert.dimension, cert.mesh, result.name, None)
+        entries.append(ProfileEntry(R, bound, *found))
     return DimensionProfile(space_name=m.name, entries=tuple(entries))
 
 
@@ -342,16 +349,62 @@ class GapReport:
     mesh_bound: Scalar | None
     dimension: int | None
     quotient_dimension: int | None
-    relation: str        # "equal", "drop" (quotient lower), "exceeds" or "infeasible"
+
+    @property
+    def relation(self) -> str:
+        """"equal", "drop" (quotient lower), "exceeds" or "infeasible"."""
+        if self.dimension is None or self.quotient_dimension is None:
+            return "infeasible"
+        if self.quotient_dimension == self.dimension:
+            return "equal"
+        return "drop" if self.quotient_dimension < self.dimension else "exceeds"
+
+
+def _max_or_none(values: list) -> Scalar | None:
+    return None if None in values else max(values)
 
 
 @dataclass(frozen=True)
 class FamilyProfile:
+    """Profiles of a family of spaces and, when actions were given, one
+    profile of each space's quotient, all at the same scales.  The family
+    maxima and the comparisons are derived from these entries."""
+
     profiles: tuple[DimensionProfile, ...]
-    family_dimension: tuple[int | None, ...]       # max over spaces, per scale
-    family_mesh: tuple[Scalar | None, ...]         # max realized mesh, per scale
     quotient_profiles: tuple[DimensionProfile, ...] | None = None
-    comparisons: tuple[GapReport, ...] | None = None
+
+    def __post_init__(self):
+        if not self.profiles:
+            raise ValueError("at least one space is required")
+        if self.quotient_profiles is not None and \
+                len(self.quotient_profiles) != len(self.profiles):
+            raise ValueError(f"{len(self.quotient_profiles)} quotient profiles "
+                             f"for {len(self.profiles)} spaces")
+        if len({tuple(e.scale for e in p.entries) for p in
+                chain(self.profiles, self.quotient_profiles or ())}) > 1:
+            raise ValueError("every profile must have the same scales, in order")
+
+    @property
+    def family_dimension(self) -> tuple[int | None, ...]:
+        """Per scale, the spaces' largest dimension; None if one has no cover."""
+        return tuple(_max_or_none([e.dimension for e in entries])
+                     for entries in zip(*(p.entries for p in self.profiles)))
+
+    @property
+    def family_mesh(self) -> tuple[Scalar | None, ...]:
+        """Per scale, the spaces' largest mesh; None if one has no cover."""
+        return tuple(_max_or_none([e.mesh for e in entries])
+                     for entries in zip(*(p.entries for p in self.profiles)))
+
+    @property
+    def comparisons(self) -> tuple[GapReport, ...] | None:
+        """Per space and scale, in profile order; None without quotients."""
+        if self.quotient_profiles is None:
+            return None
+        return tuple(GapReport(p.space_name, e.scale, e.mesh_bound, e.dimension,
+                               qe.dimension)
+                     for p, qp in zip(self.profiles, self.quotient_profiles)
+                     for e, qe in zip(p.entries, qp.entries))
 
 
 def family_profile(spaces: Sequence[FiniteMetricSpace], scales: Sequence[Scalar],
@@ -359,57 +412,20 @@ def family_profile(spaces: Sequence[FiniteMetricSpace], scales: Sequence[Scalar]
                    actions: Sequence[IsometricAction] | None = None,
                    mode: str = "auto",
                    max_points: int = EXACT_POINT_CAP) -> FamilyProfile:
-    """Profiles for a family of spaces, the family maximum per scale, and,
-    when actions are supplied, the same for the quotients with a per-scale
-    comparison.  A quotient dimension above the space's is reported, not
-    asserted: at a fixed scale that is a finding, not a contradiction."""
+    """Profiles for a family of spaces and, when actions are supplied, for
+    their quotients; the family maxima and per-scale comparisons follow from
+    them.  A quotient dimension above the space's is reported, not asserted:
+    at a fixed scale that is a finding, not a contradiction."""
     spaces = list(spaces)
-    if not spaces:
-        raise ValueError("at least one space is required")
-    if actions is not None and len(actions) != len(spaces):
-        raise ValueError(f"{len(actions)} actions for {len(spaces)} spaces")
-
-    profiles = tuple(asdim_profile(m, scales, mesh_bounds, mode, max_points)
-                     for m in spaces)
-
-    family_dimension = []
-    family_mesh = []
-    for i in range(len(scales)):
-        dims = [p.entries[i].dimension for p in profiles]
-        meshes = [p.entries[i].mesh for p in profiles]
-        family_dimension.append(None if any(d is None for d in dims) else max(dims))
-        family_mesh.append(None if any(v is None for v in meshes) else max(meshes))
-
-    quotient_profiles = None
-    comparisons = None
     if actions is not None:
-        qprofiles = []
-        reports = []
-        for m, a, prof in zip(spaces, actions, profiles):
+        if len(actions) != len(spaces):
+            raise ValueError(f"{len(actions)} actions for {len(spaces)} spaces")
+        for m, a in zip(spaces, actions):
             if a.space != m:
                 raise ValueError(f"action {a.name!r} does not act on {m.name!r}")
-            q = quotient(a)
-            qprof = asdim_profile(q.space, scales, mesh_bounds, mode, max_points)
-            qprofiles.append(qprof)
-            for entry, qentry in zip(prof.entries, qprof.entries):
-                if entry.dimension is None or qentry.dimension is None:
-                    relation = "infeasible"
-                elif qentry.dimension == entry.dimension:
-                    relation = "equal"
-                elif qentry.dimension < entry.dimension:
-                    relation = "drop"
-                else:
-                    relation = "exceeds"
-                reports.append(GapReport(space_name=m.name, scale=entry.scale,
-                                         mesh_bound=entry.mesh_bound,
-                                         dimension=entry.dimension,
-                                         quotient_dimension=qentry.dimension,
-                                         relation=relation))
-        quotient_profiles = tuple(qprofiles)
-        comparisons = tuple(reports)
-
-    return FamilyProfile(profiles=profiles,
-                         family_dimension=tuple(family_dimension),
-                         family_mesh=tuple(family_mesh),
-                         quotient_profiles=quotient_profiles,
-                         comparisons=comparisons)
+    return FamilyProfile(
+        profiles=tuple(asdim_profile(m, scales, mesh_bounds, mode, max_points)
+                       for m in spaces),
+        quotient_profiles=None if actions is None else tuple(
+            asdim_profile(quotient(a).space, scales, mesh_bounds, mode, max_points)
+            for a in actions))

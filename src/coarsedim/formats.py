@@ -5,7 +5,9 @@ a file is a float.  The writer is canonical (fixed key order, two-space
 indentation, trailing newline), so serialize after deserialize reproduces a
 written file byte for byte.  Certificates are never trusted on load: their
 fields are recomputed from the referenced cover and any disagreement is a
-validation failure.
+validation failure.  A profile's family maxima, comparisons, relations and
+methods are re-derived from its entries and must agree; each entry's
+dimension and mesh stay claims, as its cover is not in the document.
 
 The `*_from_dict` readers assume a well-formed document and raise whatever
 a missing or ill-typed field makes them raise; `load_entry` is the one place
@@ -18,6 +20,7 @@ import csv
 import functools
 import io
 import json
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Sequence
@@ -26,8 +29,7 @@ from .constructions import LiftMember, LiftPiece, LiftTrace, SSpace, build_sspac
 from .covers import Cover, CoverCertificate, Decomposition, validate_cover, \
     validate_decomposition, verify_certificate
 from .errors import ResolutionError, Violation
-from .estimation import DimensionProfile, FamilyProfile, GapReport, Infeasible, \
-    ProfileEntry
+from .estimation import DimensionProfile, FamilyProfile, Infeasible, ProfileEntry
 from .groups import FiniteGroup, IsometricAction, validate_action, validate_group
 from .metric import INF, FiniteMetricSpace, is_scalar, validate_metric
 
@@ -299,10 +301,6 @@ def lift_trace_from_dict(d: dict) -> LiftTrace:
 # ---------------------------------------------------------------- profile
 
 def _entry_to_dict(entry: ProfileEntry) -> dict:
-    infeasible = None
-    if entry.infeasible is not None:
-        infeasible = {"point": entry.infeasible.point,
-                      "message": entry.infeasible.message}
     return {
         "scale": scalar_str(entry.scale),
         "mesh_bound": _opt_scalar_str(entry.mesh_bound),
@@ -310,22 +308,18 @@ def _entry_to_dict(entry: ProfileEntry) -> dict:
         "dimension": entry.dimension,
         "mesh": _opt_scalar_str(entry.mesh),
         "cover": entry.cover_name,
-        "infeasible": infeasible,
+        "infeasible": None if entry.infeasible is None else asdict(entry.infeasible),
     }
 
 
 def _entry_from_dict(d: dict) -> ProfileEntry:
-    infeasible = None
-    if d.get("infeasible") is not None:
-        infeasible = Infeasible(point=d["infeasible"]["point"],
-                                message=d["infeasible"]["message"])
+    record = d.get("infeasible")
     return ProfileEntry(scale=parse_scalar(d["scale"]),
                         mesh_bound=_opt_parse_scalar(d.get("mesh_bound")),
-                        method=d["method"],
                         dimension=d.get("dimension"),
                         mesh=_opt_parse_scalar(d.get("mesh")),
                         cover_name=d.get("cover"),
-                        infeasible=infeasible)
+                        infeasible=None if record is None else Infeasible(**record))
 
 
 def _profiles_to_list(profiles: Sequence[DimensionProfile]) -> list:
@@ -365,24 +359,15 @@ def profile_to_dict(fp: FamilyProfile, name: str) -> dict:
 
 
 def profile_from_dict(d: dict) -> FamilyProfile:
-    profiles = _profiles_from_list(d["spaces"])
-    quotients = (None if d.get("quotients") is None
-                 else _profiles_from_list(d["quotients"]))
-    comparisons = None
-    if d.get("comparisons") is not None:
-        comparisons = tuple(
-            GapReport(space_name=rep["space"], scale=parse_scalar(rep["scale"]),
-                      mesh_bound=_opt_parse_scalar(rep.get("mesh_bound")),
-                      dimension=rep.get("dimension"),
-                      quotient_dimension=rep.get("quotient_dimension"),
-                      relation=rep["relation"])
-            for rep in d["comparisons"])
-    return FamilyProfile(
-        profiles=profiles,
-        family_dimension=tuple(d["family_dimension"]),
-        family_mesh=tuple(_opt_parse_scalar(v) for v in d["family_mesh"]),
-        quotient_profiles=quotients,
-        comparisons=comparisons)
+    """The profile its entries describe.  Every other key is derived from
+    them, so the document must read exactly as profile_to_dict writes it."""
+    fp = FamilyProfile(
+        _profiles_from_list(d["spaces"]),
+        None if d["quotients"] is None else _profiles_from_list(d["quotients"]))
+    for key, value in profile_to_dict(fp, d["name"]).items():
+        if d[key] != value:
+            raise FormatError(f"profile {d['name']!r}: {key} disagrees with the entries")
+    return fp
 
 
 def profile_to_csv(fp: FamilyProfile) -> str:
@@ -391,8 +376,6 @@ def profile_to_csv(fp: FamilyProfile) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["space", "scale", "mesh_bound", "method", "dimension", "mesh",
                      "quotient_dimension", "quotient_mesh", "relation"])
-    # One quotient profile per space and one comparison per space and
-    # scale, in the order of fp.profiles, as family_profile builds them.
     reports = iter(fp.comparisons or ())
     for prof, qprof in zip(fp.profiles, fp.quotient_profiles or repeat(None)):
         for entry, qentry in zip(prof.entries,

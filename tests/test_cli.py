@@ -514,6 +514,59 @@ def test_profile_csv_keeps_each_action_on_its_own_rows(tmp_path, capsys):
     ]
 
 
+def _first_entry(d, key="spaces"):
+    return d[key][0]["entries"][0]
+
+
+# Each edit leaves a document whose stored values disagree with its entries.
+PROFILE_EDITS = {
+    "comparison-removed-family-value-added": (
+        lambda d: (d["comparisons"].pop(0), d["family_dimension"].append(0)),
+        "profile 'profile': family_dimension disagrees with the entries"),
+    "comparison-and-family-maximum-rewritten": (
+        lambda d: (d["comparisons"][0].update(quotient_dimension=5,
+                                              relation="exceeds"),
+                   d["family_dimension"].__setitem__(0, 9)),
+        "profile 'profile': family_dimension disagrees with the entries"),
+    "quotients-emptied": (
+        lambda d: d.update(quotients=[]),
+        "bad profile: 0 quotient profiles for 1 spaces"),
+    "exact-entry-without-mesh-bound": (
+        lambda d: _first_entry(d).update(mesh_bound=None),
+        "profile 'profile': spaces disagrees with the entries"),
+    "quotient-scale-changed": (
+        lambda d: d["quotients"][0]["entries"][1].update(scale="3"),
+        "bad profile: every profile must have the same scales, in order"),
+    "feasible-entry-also-infeasible": (
+        lambda d: _first_entry(d, "quotients").update(
+            infeasible={"point": 0, "message": "no cover"}),
+        "bad profile: the entry at scale 1 must hold either a cover's name, "
+        "dimension and mesh or an infeasible record"),
+    "unknown-method": (
+        lambda d: _first_entry(d).update(method="magic"),
+        "profile 'profile': spaces disagrees with the entries"),
+}
+
+
+@pytest.mark.parametrize("edit, message", PROFILE_EDITS.values(),
+                         ids=PROFILE_EDITS)
+def test_validate_rejects_a_profile_that_disagrees_with_its_entries(
+        tmp_path, capsys, edit, message):
+    files = generate_path_instance(tmp_path / "inputs", capsys, n=9)
+    code, out, _ = run(capsys, "profile", *files, "--action", "P9_reflect",
+                       "--scales", "1,2", "--mode", "exact",
+                       "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert run(capsys, "validate", out[0]) == (0, [], [])
+    d = json.loads(open(out[0]).read())
+    edit(d)
+    edited = tmp_path / "edited.profile.json"
+    edited.write_text(json.dumps(d))
+    code, _, err = run(capsys, "validate", str(edited))
+    assert code == 1
+    assert err == [{"error": "format", "message": message, "file": str(edited)}]
+
+
 def test_reruns_are_byte_identical(tmp_path, capsys):
     files = generate_path_instance(tmp_path, capsys)
     out1, out2 = tmp_path / "one", tmp_path / "two"

@@ -1,12 +1,13 @@
 """Exact and greedy cover-dimension estimation, profiles, and the
 quotient-then-lift pipeline."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from coarsedim import (CapExceededError, Infeasible, PipelineResult,
-                       asdim_profile, certify, cyclic_group, dihedral_group,
+from coarsedim import (CapExceededError, FamilyProfile, Infeasible,
+                       PipelineResult, ProfileEntry, asdim_profile, certify, cyclic_group, dihedral_group,
                        dimension, equivariant_cover_pipeline, family_profile,
                        greedy_cover, lebesgue_number, lift_equivariant, mesh,
                        min_dimension_cover_exact, pushforward_cover, quotient,
@@ -251,13 +252,48 @@ def test_family_profile_frozen_gap_reports():
     fam = family_profile(spaces, [1, 2], mesh_bounds=[2, 4], actions=actions,
                          max_points=16)
     assert fam.family_dimension == (0, 1)
-    assert fam.family_mesh is not None
+    # the largest realized mesh per scale, each within its mesh bound
+    for i, bound in enumerate((2, 4)):
+        assert fam.family_mesh[i] == max(p.entries[i].mesh for p in fam.profiles)
+        assert fam.family_mesh[i] <= bound
     assert fam.quotient_profiles is not None
     relations = [(r.space_name, r.scale, r.relation) for r in fam.comparisons]
     assert relations == [("P9", 1, "equal"), ("P9", 2, "drop"),
                          ("C8", 1, "equal"), ("C8", 2, "equal")]
     drop = [r for r in fam.comparisons if r.relation == "drop"]
     assert drop[0].dimension == 1 and drop[0].quotient_dimension == 0
+
+
+def test_family_profile_rejects_out_of_step_profiles():
+    spaces = [path_space(5), cycle_space(4)]
+    fam = family_profile(spaces, [1, 2], actions=[
+        path_reflection_action(spaces[0]), cycle_rotation_action(spaces[1], 2)])
+    with pytest.raises(ValueError, match="1 quotient profiles for 2 spaces"):
+        dataclasses.replace(fam, quotient_profiles=fam.quotient_profiles[:1])
+    shorter = dataclasses.replace(fam.profiles[1], entries=fam.profiles[1].entries[:1])
+    reordered = dataclasses.replace(fam.quotient_profiles[0],
+                                    entries=fam.quotient_profiles[0].entries[::-1])
+    for profiles, quotients in (((fam.profiles[0], shorter), None),
+                                (fam.profiles, (reordered, fam.quotient_profiles[1]))):
+        with pytest.raises(ValueError, match="the same scales, in order"):
+            FamilyProfile(profiles, quotients)
+    with pytest.raises(ValueError, match="at least one space"):
+        FamilyProfile(())
+
+
+def test_profile_entry_holds_a_cover_or_an_infeasible_record():
+    cover = ProfileEntry(1, 2, 0, 1, "c")
+    infeasible = ProfileEntry(1, 2, None, None, infeasible=Infeasible(0, "none"))
+    assert (cover.method, infeasible.method) == ("exact", "exact")
+    assert ProfileEntry(1, None, 0, 4, "g").method == "greedy"
+    for fields in (dict(dimension=None), dict(mesh=None), dict(cover_name=None),
+                   dict(infeasible=Infeasible(0, "none"))):
+        with pytest.raises(ValueError, match="either a cover's name"):
+            dataclasses.replace(cover, **fields)
+    with pytest.raises(ValueError, match="either a cover's name"):
+        dataclasses.replace(infeasible, dimension=0)
+    with pytest.raises(ValueError, match="either a cover's name"):
+        dataclasses.replace(infeasible, infeasible=None)
 
 
 def test_family_profile_without_actions():
