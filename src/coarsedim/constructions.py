@@ -6,9 +6,11 @@ at most a factor of the group order.  Lifting a cover back up is the real
 construction: the preimage of each member is split into well-separated
 pieces using subgroups generated by small displacements, and the resulting
 cover of the total space is invariant under the whole action with no loss
-of dimension.  Both directions check their postconditions against
-certificates from covers.certify, which measures each cover only once, and
-treat any failure as an implementation bug.
+of dimension.  The group permutes the pieces of one preimage, so each
+member's subgroup and piece are found once, at its basepoint, and the
+other pieces are their translates.  Both directions check their
+postconditions against certificates from covers.certify, which measures
+each cover only once, and treat any failure as an implementation bug.
 
 Of the builders here only build_sspace takes a name (the sspace reader
 passes the document's); the others name what they build after their inputs
@@ -111,11 +113,15 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
     """Lift a cover of the quotient to an invariant cover of the space.
 
     With s = max(mesh(c), R), the preimage of a member U splits into one
-    piece per coset of the subgroup generated by elements moving the
-    basepoint by at most 4s; a piece is the part of the fiber within s of
-    the subgroup's translates of its basepoint (closed balls: the
-    separation argument needs <=).  Certified, by one certificate of each
-    cover and a direct check of each split:
+    piece per coset fH of the subgroup H generated by elements moving the
+    basepoint x by at most 4s; the piece P over H is the part of the fiber
+    within s of the points H·x (closed balls: the separation argument needs
+    <=).  The piece over fH is the translate f·P, with subgroup fHf^-1 at
+    f·x, both read off the action and the group table: for a valid action
+    d(f·x, g·f·x) = d(x, f^-1 g f·x), and the fiber is invariant, so this is
+    what the same rule gives at f·x.  H, H·x and P are found once per
+    member.  Certified, by one certificate of each cover and a direct check
+    of each split:
 
       * the member family is invariant under the whole group,
       * mesh(out) < 4s(|F|+1),
@@ -147,20 +153,20 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
     s = max(given.mesh, R)
     separation = 2 * s
 
+    mul = group.mul_table
     entries = []
     for k, member in enumerate(c.members):
         fiber = q.fiber_of_set(member)
         basepoint = min(fiber)
-        base_subgroup = displacement_subgroup(a, basepoint, s)
-        reps = coset_representatives(group, base_subgroup)
+        subgroup = displacement_subgroup(a, basepoint, s)
+        centers = {a.perms[h][basepoint] for h in subgroup}
+        base = [y for y in fiber if any(m.dist[y][z] <= s for z in centers)]
         pieces = []
-        for f in reps:
-            x = a.perms[f][basepoint]
-            local = displacement_subgroup(a, x, s)
-            centers = {a.perms[h][x] for h in local}
-            piece = frozenset(y for y in fiber
-                              if any(m.dist[y][z] <= s for z in centers))
-            pieces.append(LiftPiece(rep=f, subgroup=local, piece=piece))
+        for f in coset_representatives(group, subgroup):
+            f_inv = group.inverse(f)
+            pieces.append(LiftPiece(
+                rep=f, subgroup=tuple(sorted(mul[mul[f][h]][f_inv] for h in subgroup)),
+                piece=frozenset(map(a.perms[f].__getitem__, base))))
 
         union: set[int] = set()
         for p in pieces:

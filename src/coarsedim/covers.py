@@ -11,7 +11,11 @@ each open R-ball around any point sits inside some member, and for every
 R > L some open R-ball does not.
 
 A whole-space member answers at once: its complement is empty, so L is
-INF, and its diameter, the largest entry of the table, is the mesh.
+INF, and its diameter, the largest entry of the table, is the mesh.  The
+space finds that entry on first use and keeps it (see
+FiniteMetricSpace.diameter), so measuring another such cover of the same
+space reads it without a scan.  check_equivariance skips such a member,
+as every permutation fixes the whole set.
 
 Otherwise L is evaluated on the space's integer table (see
 FiniteMetricSpace.integer_rows), and every value returned is the table's
@@ -36,6 +40,8 @@ the definition's.
 
 certify keeps the dimension, Lebesgue number and mesh it measures on the
 Cover, keyed on its `space` and `members`; verify_certificate ignores them.
+What the space keeps (its integer rows and its diameter) belongs to the
+table, not to certify's record, and both use it.
 """
 
 from __future__ import annotations
@@ -162,11 +168,11 @@ def dimension(c: Cover) -> int:
 
 def mesh(c: Cover) -> Scalar:
     """Largest member diameter.  When a member is the whole space and none
-    is empty (an empty member has no diameter), that is the largest entry
-    of the table, as c.space is a metric; see the module docstring."""
+    is empty (an empty member has no diameter), that is the space's kept
+    diameter, as c.space is a metric; see the module docstring."""
     m = c.space
     if all(c.members) and any(len(member) == len(m) for member in c.members):
-        return _diameter(m, range(len(m)))
+        return m.diameter()
     best: Scalar = 0
     for member in c.members:
         d = _diameter(m, member)
@@ -288,7 +294,10 @@ def check_equivariance(a: IsometricAction, c: Cover) -> tuple[bool, tuple | None
     if c.space != a.space:
         raise ValueError("cover and action live on different spaces")
     family = set(c.members)
+    n = len(c.space)
     for k, member in enumerate(c.members):
+        if len(member) == n:
+            continue    # every permutation fixes the whole set
         for g in range(len(a.group)):
             image = frozenset(map(a.perms[g].__getitem__, member))
             if image not in family:
@@ -324,7 +333,9 @@ def certify(c: Cover, meet_radius: Scalar | None = None,
 def verify_certificate(c: Cover, cert: CoverCertificate,
                        action: IsometricAction | None = None) -> list[Violation]:
     """Recompute every quantity once from the raw cover, without certify's
-    record, and compare; any disagreement is a violation.
+    record, and compare; any disagreement is a violation.  The space's own
+    kept values (its integer rows and diameter) are read, not recomputed:
+    they depend on the table alone, never on a cover.
 
     Like certify, this requires c.space to be a metric."""
     fresh = _certificate(c, (dimension(c), lebesgue_number(c), mesh(c)),

@@ -240,7 +240,10 @@ def _estimate_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar | None, mode: str
 class ProfileEntry:
     """Best cover found at one scale: the target R, the mesh bound that was
     in force (None when greedy ran, as greedy takes none), and either the
-    cover's name and actual, recomputed quantities or why no cover exists."""
+    cover's name and actual, recomputed quantities or why no cover exists.
+    Construction also rejects a scale that is not a positive exact scalar,
+    a mesh or mesh bound that is not a nonnegative one, and a dimension
+    that is not a nonnegative int."""
 
     scale: Scalar
     mesh_bound: Scalar | None
@@ -254,6 +257,19 @@ class ProfileEntry:
         if [v is None for v in found] != [self.infeasible is not None] * 3:
             raise ValueError(f"the entry at scale {self.scale} must hold either a "
                              f"cover's name, dimension and mesh or an infeasible record")
+        check_scalar(self.scale, "a profile entry's scale")
+        if not self.scale > 0:
+            raise ValueError(f"a profile entry's scale must be positive, got {self.scale}")
+        for field in ("mesh_bound", "mesh"):
+            value = getattr(self, field)
+            if value is not None and check_scalar(value, f"the {field} at scale "
+                                                  f"{self.scale}") < 0:
+                raise ValueError(f"the {field} at scale {self.scale} must be >= 0, "
+                                 f"got {value}")
+        d = self.dimension
+        if d is not None and (not isinstance(d, int) or isinstance(d, bool) or d < 0):
+            raise ValueError(f"the dimension at scale {self.scale} must be a "
+                             f"nonnegative int, got {d!r}")
 
     @property
     def method(self) -> str:

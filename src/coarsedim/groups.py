@@ -309,8 +309,7 @@ def quotient(a: IsometricAction) -> QuotientSpace:
     reps = [orb[0] for orb in orbs]
     qpoints = [m.points[x] for x in reps]
     images = [[perm[y] for y in reps] for perm in a.perms]
-    dist = [[min(column) for column in zip(*[map(row.__getitem__, image)
-                                             for image in images])]
+    dist = [list(map(min, zip(*[map(row.__getitem__, image) for image in images])))
             for row in map(m.dist.__getitem__, reps)]
     orbit_of = [0] * len(m)
     for qi, orb in enumerate(orbs):
@@ -321,23 +320,21 @@ def quotient(a: IsometricAction) -> QuotientSpace:
 
 
 def generated_subgroup(g: FiniteGroup, generators: Iterable[int]) -> tuple[int, ...]:
-    """Smallest subgroup containing the generators, by closure iteration."""
-    current = {g.identity}
-    for x in generators:
+    """Smallest subgroup containing the generators: the elements reached by
+    walking the table from the identity, multiplying on the right by a
+    generator at each step.  In a finite group that is the whole generated
+    subgroup, as each generator's inverse is one of its powers."""
+    gens = list(generators)
+    for x in gens:
         if not 0 <= x < len(g):
             raise ValueError(f"generator index {x} out of range")
-        current.add(x)
-        current.add(g.inverse(x))
-    while True:
-        new = set()
-        for a in current:
-            for b in current:
-                p = g.mul(a, b)
-                if p not in current:
-                    new.add(p)
-        if not new:
-            return tuple(sorted(current))
-        current |= new
+    reached = {g.identity}
+    frontier = [g.identity]
+    while frontier:
+        step = {p for a in frontier for p in map(g.mul_table[a].__getitem__, gens)}
+        frontier = step - reached
+        reached |= frontier
+    return tuple(sorted(reached))
 
 
 def is_subgroup(g: FiniteGroup, members: Iterable[int]) -> bool:

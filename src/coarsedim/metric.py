@@ -74,6 +74,7 @@ class FiniteMetricSpace:
         self.name = str(name)
         self._index = {p: i for i, p in enumerate(self.points)}
         self._integers = self.dist if plain else None
+        self._diameter = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -97,6 +98,17 @@ class FiniteMetricSpace:
         if self._integers is None:
             self._integers = _integer_rows(self.dist)
         return self._integers
+
+    def diameter(self) -> Scalar:
+        """The largest entry of the table, the space's diameter: located on
+        integer_rows() and read back off the table itself, computed on first
+        use and kept, like the integer rows."""
+        if self._diameter is None:
+            rows = self.integer_rows()
+            far = list(map(max, rows))
+            i = far.index(max(far))
+            self._diameter = self.dist[i][rows[i].index(far[i])]
+        return self._diameter
 
     def check_point(self, x: int) -> int:
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < len(self.points):

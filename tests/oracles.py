@@ -185,3 +185,53 @@ def min_dimension_cliques(space, R, B):
         if complete():
             return cap - 1
     raise AssertionError("the open balls themselves always form a cover")
+
+
+def subgroup_closure_direct(group, generators) -> tuple:
+    """Smallest subgroup containing the generators: the identity, the
+    generators and their inverses, closed under every pairwise product
+    until a round adds nothing."""
+    table = group.mul_table
+    current = {group.identity, *generators}
+    current |= {b for a in generators for b in range(len(group))
+                if table[a][b] == group.identity}
+    while True:
+        grown = current | {table[a][b] for a in current for b in current}
+        if grown == current:
+            return tuple(sorted(current))
+        current = grown
+
+
+def lift_pieces_direct(action, q, cover, s) -> list:
+    """The split of each quotient-cover member, per coset, from distances.
+
+    For each member: its fiber, the least fiber point x, and for each left
+    coset of the displacement subgroup H at x (lowest element first, cosets
+    in that order) the triple (f, H', piece) where H' is the subgroup
+    generated by the elements moving f.x by at most 4s, and the piece is the
+    set of fiber points within s of some h.f.x with h in H'.  Nothing is
+    translated: every coset is measured at its own point."""
+    space, group = action.space, action.group
+
+    def displacement(x):
+        return subgroup_closure_direct(
+            group, [g for g in range(len(group))
+                    if space.dist[x][action.perms[g][x]] <= 4 * s])
+
+    out = []
+    for member in cover.members:
+        fiber = frozenset(y for y in range(len(space)) if q.orbit_of[y] in member)
+        x = min(fiber)
+        base = displacement(x)
+        cosets: dict = {}
+        for f in range(len(group)):
+            cosets.setdefault(frozenset(group.mul_table[f][h] for h in base), f)
+        pieces = []
+        for f in sorted(cosets.values()):
+            fx = action.perms[f][x]
+            local = displacement(fx)
+            centers = [action.perms[h][fx] for h in local]
+            pieces.append((f, local, frozenset(
+                y for y in fiber if min(space.dist[y][z] for z in centers) <= s)))
+        out.append((fiber, x, pieces))
+    return out

@@ -567,6 +567,47 @@ def test_validate_rejects_a_profile_that_disagrees_with_its_entries(
     assert err == [{"error": "format", "message": message, "file": str(edited)}]
 
 
+def _set_dimensions(d, value):
+    for entry in d["spaces"][0]["entries"]:
+        entry["dimension"] = value
+    d["family_dimension"] = [value] * len(d["family_dimension"])
+
+
+# Each edit keeps the derived keys in step with the entries, so only the
+# entries' own types can reject it.
+ENTRY_EDITS = {
+    "dimension-not-a-number": (
+        lambda d: _set_dimensions(d, "x"),
+        "bad profile: the dimension at scale 1 must be a nonnegative int, got 'x'"),
+    "dimension-negative": (
+        lambda d: _set_dimensions(d, -3),
+        "bad profile: the dimension at scale 1 must be a nonnegative int, got -3"),
+    "dimension-bool": (
+        lambda d: _set_dimensions(d, True),
+        "bad profile: the dimension at scale 1 must be a nonnegative int, got True"),
+    "mesh-negative": (
+        lambda d: (_first_entry(d).update(mesh="-1"),
+                   d["family_mesh"].__setitem__(0, "-1")),
+        "bad profile: the mesh at scale 1 must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("edit, message", ENTRY_EDITS.values(), ids=ENTRY_EDITS)
+def test_validate_rejects_profile_entries_of_the_wrong_type(
+        tmp_path, capsys, edit, message):
+    files = generate_path_instance(tmp_path / "inputs", capsys, n=9)
+    code, out, _ = run(capsys, "profile", *files, "--scales", "1,2",
+                       "--mode", "exact", "--out", str(tmp_path / "out"))
+    assert code == 0
+    d = json.loads(open(out[0]).read())
+    edit(d)
+    edited = tmp_path / "edited.profile.json"
+    edited.write_text(json.dumps(d))
+    code, _, err = run(capsys, "validate", str(edited))
+    assert code == 1
+    assert err == [{"error": "format", "message": message, "file": str(edited)}]
+
+
 def test_reruns_are_byte_identical(tmp_path, capsys):
     files = generate_path_instance(tmp_path, capsys)
     out1, out2 = tmp_path / "one", tmp_path / "two"

@@ -86,6 +86,29 @@ def test_lift_on_long_path_frozen():
     assert cert.lebesgue >= 1
 
 
+def test_lift_finds_one_displacement_subgroup_per_member(monkeypatch):
+    # The other cosets' pieces and subgroups are translates and conjugates
+    # of the basepoint's, read off the action and the group table.
+    import coarsedim.constructions
+
+    calls = []
+    original = coarsedim.constructions.displacement_subgroup
+
+    def counting(a, x, s):
+        calls.append(x)
+        return original(a, x, s)
+
+    monkeypatch.setattr(coarsedim.constructions, "displacement_subgroup", counting)
+    m = path_space(21)
+    a = path_reflection_action(m)
+    q = quotient(a)
+    c = Cover(q.space, [[0, 1, 2], [2, 3, 4], [4, 5, 6], [6, 7, 8], [8, 9, 10]])
+    _, trace, _ = lift_equivariant(a, q, c, R=1)
+    assert calls == [e.basepoint for e in trace.entries] == [0, 2, 4, 6, 8]
+    assert [len(e.pieces) for e in trace.entries] == [2, 2, 2, 1, 1]
+    assert [p.subgroup for p in trace.entries[0].pieces] == [(0,), (0,)]
+
+
 def test_lift_default_radius_uses_cover_lebesgue():
     m = path_space(5)
     a = path_reflection_action(m)

@@ -183,6 +183,10 @@ def test_equivariance_check():
     assert not ok and witness == (0, 1)
     with pytest.raises(ValueError):
         check_equivariance(a, Cover(cycle_space(5), [range(5)]))
+    # A whole-space member is skipped, as every permutation fixes it; the
+    # witness still names the member beside it that is not invariant.
+    assert check_equivariance(a, Cover(m, [range(5), [0, 1], [3, 4]])) == (True, None)
+    assert check_equivariance(a, Cover(m, [range(5), [0, 1]])) == (False, (1, 1))
 
 
 def test_certify_and_verify_roundtrip():

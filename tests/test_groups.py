@@ -1,5 +1,6 @@
 """Groups, actions, orbits, quotients and the small group-theory toolbox."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from coarsedim.generators import (cycle_rotation_action, cycle_space,
                                   path_reflection_action, path_space,
                                   random_invariant_instance)
 
-from oracles import quotient_distance_direct
+from oracles import quotient_distance_direct, subgroup_closure_direct
 
 
 def test_cyclic_and_dihedral_are_groups():
@@ -157,6 +158,16 @@ def test_generated_subgroup_and_cosets():
     with pytest.raises(ValueError):
         coset_representatives(g, [g.index("s0")])  # not closed
     assert generated_subgroup(g, []) == (g.identity,)
+
+
+def test_generated_subgroup_matches_all_pairs_closure():
+    for g in (dihedral_group(4), cyclic_group(6)):
+        for k in range(len(g) + 1):
+            for gens in itertools.combinations(range(len(g)), k):
+                assert generated_subgroup(g, gens) == subgroup_closure_direct(g, gens)
+        assert generated_subgroup(g, []) == (g.identity,)
+        with pytest.raises(ValueError, match="generator index 8 out of range"):
+            generated_subgroup(g, [0, 8])
 
 
 def test_find_isomorphism():

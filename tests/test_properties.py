@@ -1,8 +1,9 @@
 """Property tests for the exact fast paths: the ball-test Lebesgue number,
 the mesh and the dimension against the definitions, on int, Fraction,
 mixed and int-subclass tables; the all-clear metric and action checks
-against their full listings; and the bitmask exact search against the
-partition oracle."""
+against their full listings; the bitmask exact search against the
+partition oracle; and the lift's translated pieces against pieces measured
+at every coset's own point."""
 
 from fractions import Fraction
 
@@ -12,18 +13,21 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 example = hypothesis.example
+settings = hypothesis.settings
 
 from coarsedim import (Cover, FiniteMetricSpace, Infeasible, IsometricAction,
                        cyclic_group, dihedral_group, dimension, lebesgue_number,
-                       mesh, min_dimension_cover_exact, validate_action,
-                       validate_metric)
+                       lift_equivariant, mesh, min_dimension_cover_exact,
+                       quotient, validate_action, validate_metric)
 from coarsedim.formats import scalar_str
-from coarsedim.generators import (path_reflection_action, path_space,
+from coarsedim.generators import (grid_rotation_action, grid_space,
+                                  path_reflection_action, path_space,
                                   random_graph_space, random_invariant_instance)
 from coarsedim.groups import _action_all_clear, _list_action_violations
 from coarsedim.metric import _all_clear, _list_violations
 
-from oracles import _diameter, lebesgue_direct, min_dimension_partition
+from oracles import (_diameter, lebesgue_direct, lift_pieces_direct,
+                     min_dimension_partition)
 
 # 13 and 37 give entries of 7 to 9 bits, where lanes cross byte boundaries.
 SCALES = (1, 2, 13, 37, Fraction(1, 2), Fraction(2, 3), Fraction(5, 7))
@@ -272,10 +276,10 @@ def lawless_action():
 
 
 @st.composite
-def actions(draw):
+def actions(draw, faulty=True):
     """An invariant instance's action, on its table or a Fraction scaling
-    of it, as built or with one fault: two images swapped in one
-    permutation, or one symmetric pair of distances changed."""
+    of it, as built or (when faulty) with one fault: two images swapped in
+    one permutation, or one symmetric pair of distances changed."""
     group = draw(st.sampled_from((cyclic_group(1), cyclic_group(2), cyclic_group(4),
                                   dihedral_group(3))))
     space, action = random_invariant_instance(group, draw(st.integers(1, 3)),
@@ -284,7 +288,7 @@ def actions(draw):
     dist = [[scale * v for v in row] for row in space.dist]
     perms = [list(perm) for perm in action.perms]
     n = len(dist)
-    fault = draw(st.sampled_from((None, "swap", "distance")))
+    fault = draw(st.sampled_from((None, "swap", "distance") if faulty else (None,)))
     if fault and n > 1:
         x = draw(st.integers(0, n - 1))
         y = draw(st.integers(0, n - 1).filter(lambda y: y != x))
@@ -307,3 +311,49 @@ def test_validate_action_matches_full_listing(a):
     listing = _list_action_violations(a)
     assert validate_action(a) == listing
     assert _action_all_clear(a) == (listing == [])
+
+
+def ball_lift(a, r, R=None):
+    """An action, its quotient, the cover of the quotient by the closed
+    r-balls around its points, and the radius R to lift it at."""
+    q = quotient(a)
+    members = dict.fromkeys(frozenset(y for y, d in enumerate(row) if d <= r)
+                            for row in q.space.dist)
+    return a, q, Cover(q.space, members), R
+
+
+@st.composite
+def lift_problems(draw):
+    """A valid action, a drawn invariant instance or a grid under the half
+    turn, with a cover of its quotient by small balls, lifted at its own
+    Lebesgue number or at R = v/4 for a distance v of the space, at most
+    four times the least quotient distance (a cover by balls has Lebesgue
+    number at least that distance).  The scale s is then small, and 4s is
+    a realized displacement, so displacement subgroups are often proper and
+    a member's preimage splits into translated pieces."""
+    if draw(st.booleans()):
+        a = draw(actions(faulty=False))
+    else:
+        width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        a = grid_rotation_action(grid_space(width, height), width, height)
+    values = sorted({v for row in quotient(a).space.dist for v in row})
+    least = values[1] if len(values) > 1 else 1
+    radii = [Fraction(v) / 4 for v in sorted({v for row in a.space.dist for v in row})
+             if 0 < v <= 4 * least]
+    return ball_lift(a, draw(st.sampled_from(values[:3])),
+                     draw(st.sampled_from([None] + radii)))
+
+
+@settings(max_examples=60)
+@given(lift_problems())
+# Singletons on the 9x9 quotient: s = 1, and 34 of its 41 members split in two.
+@example(ball_lift(grid_rotation_action(grid_space(9, 9), 9, 9), 0))
+# Under D3 at s = 1/4: one member splits over the three conjugate reflection
+# subgroups, the other over the two cosets of the rotations.
+@example(ball_lift(random_invariant_instance(dihedral_group(3), 2, 3)[1], 0,
+                   Fraction(1, 4)))
+def test_lift_pieces_match_the_per_coset_definition(problem):
+    a, q, c, R = problem
+    _, trace, _ = lift_equivariant(a, q, c, R)
+    assert [(e.fiber, e.basepoint, [(p.rep, p.subgroup, p.piece) for p in e.pieces])
+            for e in trace.entries] == lift_pieces_direct(a, q, c, trace.s)
