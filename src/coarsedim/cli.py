@@ -65,26 +65,25 @@ def _load(paths, collect: bool = False) -> tuple[Workspace, int, int]:
     counters are only meaningful to `validate`, which wants the full report.
     """
     ws = Workspace()
-    bad_validation = 0
-    bad_resolution = 0
+    bad = {"validation": 0, "resolution": 0}
+
+    def report(error: str, exc: Exception, path: Path, **extra) -> None:
+        """Raise exc; or, collecting, emit it as an `error` record naming
+        the file and count it as a resolution or a validation failure."""
+        if not collect:
+            raise exc
+        _emit_error(error, str(exc), file=str(path), **extra)
+        bad["resolution" if error == "resolution" else "validation"] += 1
+
     docs = []
     for p in paths:
         path = Path(p)
         try:
-            text = path.read_text(encoding="utf-8")
+            docs.append((path, parse_document(path.read_text(encoding="utf-8"))))
         except OSError as exc:
-            if not collect:
-                raise
-            _emit_error("resolution", str(exc), file=str(path))
-            bad_resolution += 1
-            continue
-        try:
-            docs.append((path, parse_document(text)))
+            report("resolution", exc, path)
         except FormatError as exc:
-            if not collect:
-                raise
-            _emit_error("format", str(exc), file=str(path))
-            bad_validation += 1
+            report("format", exc, path)
     # Dependencies before dependents (spaces/groups, then actions, ...);
     # ties keep command-line order.
     docs.sort(key=lambda item: KIND_ORDER[item[1]["kind"]])
@@ -92,24 +91,16 @@ def _load(paths, collect: bool = False) -> tuple[Workspace, int, int]:
         try:
             kind, name, _, violations = load_entry(d, ws)
         except (FormatError, ResolutionError) as exc:
-            if not collect:
-                raise
-            which = "resolution" if isinstance(exc, ResolutionError) else "format"
-            _emit_error(which, str(exc), file=str(path))
-            if which == "resolution":
-                bad_resolution += 1
-            else:
-                bad_validation += 1
+            report("resolution" if isinstance(exc, ResolutionError) else "format",
+                   exc, path)
             continue
         if violations:
-            if not collect:
-                raise FormatError(
-                    f"{kind} {name!r} in {path} failed validation", violations)
-            _emit_error("validation", f"{kind} {name!r} failed validation",
-                        file=str(path), kind=kind, name=name,
-                        violations=[v.to_dict() for v in violations])
-            bad_validation += 1
-    return ws, bad_validation, bad_resolution
+            where = "" if collect else f" in {path}"
+            report("validation", FormatError(f"{kind} {name!r}{where} failed validation",
+                                             violations),
+                   path, kind=kind, name=name,
+                   violations=[v.to_dict() for v in violations])
+    return ws, bad["validation"], bad["resolution"]
 
 
 def _pick(ws: Workspace, kind: str, name: str | None, flag: str):

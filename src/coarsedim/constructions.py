@@ -12,6 +12,10 @@ other pieces are their translates.  Both directions check their
 postconditions against certificates from covers.certify, which measures
 each cover only once, and treat any failure as an implementation bug.
 
+A weighted union (SSpace) is its components, their basepoint sets and
+weights, and the assembled space; the code here that maps the union's
+points to the components' reads one index derived from the components.
+
 Of the builders here only build_sspace takes a name (the sspace reader
 passes the document's); the others name what they build after their inputs
 (`P9_cover_s4_pushed`, `C6_head2`, `Z2_on_U`); to rename an object, set its
@@ -21,6 +25,8 @@ passes the document's); the others name what they build after their inputs
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .covers import (Cover, CoverCertificate, certify, check_equivariance,
@@ -28,8 +34,8 @@ from .covers import (Cover, CoverCertificate, certify, check_equivariance,
 from .errors import InternalInvariantError
 from .groups import (IsometricAction, QuotientSpace, coset_representatives,
                      generated_subgroup, quotient)
-from .metric import (INF, FiniteMetricSpace, Scalar, _set_distance, check_scalar,
-                     diameter)
+from .metric import (INF, FiniteMetricSpace, Scalar, _set_distance, check_positive,
+                     check_scalar, diameter)
 
 
 def _require_valid(c: Cover) -> None:
@@ -142,9 +148,7 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
     given = certify(c)
     if R is None:
         R = given.lebesgue if given.lebesgue != INF else max(given.mesh, 1)
-    check_scalar(R, "R")
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R}")
+    check_positive(R, "R")
     if not given.lebesgue >= R:
         raise ValueError(f"cover has Lebesgue number {given.lebesgue}, below the target {R}")
 
@@ -211,8 +215,16 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
     return out, trace, cert
 
 
+def _component_index(components: Sequence[FiniteMetricSpace]) -> tuple[tuple[int, int], ...]:
+    """(component, local point) of each point of the weighted union, in the
+    union's order: component by component, each in its own order."""
+    return tuple((n, x) for n, comp in enumerate(components) for x in range(len(comp)))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class SSpace:
-    """Weighted disjoint union of finite metric spaces.
+    """Weighted disjoint union of finite metric spaces: its components, their
+    basepoint sets and weights, and the assembled space.
 
     Within component n the metric is untouched; between components n and m
     the distance is d(x, Y_n) + d(y, Y_m) + max(w_n, w_m) where Y_n is the
@@ -220,25 +232,34 @@ class SSpace:
     increasing and each at least its component's basepoint-set diameter;
     that is exactly what makes the triangle inequality go through whichever
     components the three points sit in.
+
+    The assembled space lists the components' points in component order, so
+    point i of the union is the (component, local point) pair at position i
+    of one index, derived from the components, as the offsets are.  Two
+    unions are equal only when they are the same object.
     """
 
-    def __init__(self, components: Sequence[FiniteMetricSpace],
-                 basepoints: Sequence[frozenset[int]], weights: Sequence[Scalar],
-                 assembled: FiniteMetricSpace, offsets: tuple[int, ...]):
-        self.components = tuple(components)
-        self.basepoints = tuple(basepoints)
-        self.weights = tuple(weights)
-        self.assembled = assembled
-        self.offsets = offsets
+    components: tuple[FiniteMetricSpace, ...]
+    basepoints: tuple[frozenset[int], ...]
+    weights: tuple[Scalar, ...]
+    assembled: FiniteMetricSpace
+
+    @cached_property
+    def _index(self) -> tuple[tuple[int, int], ...]:
+        return _component_index(self.components)
+
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        """The union index of each component's first point."""
+        return tuple(accumulate(map(len, self.components[:-1]), initial=0))
 
     def global_index(self, component: int, local: int) -> int:
         return self.offsets[component] + local
 
     def component_of(self, index: int) -> tuple[int, int]:
-        for n in range(len(self.components) - 1, -1, -1):
-            if index >= self.offsets[n]:
-                return n, index - self.offsets[n]
-        raise ValueError(f"index {index} out of range")
+        if not 0 <= index < len(self._index):
+            raise ValueError(f"index {index} out of range")
+        return self._index[index]
 
     def __repr__(self) -> str:
         return (f"SSpace({self.assembled.name!r}, {len(self.components)} components, "
@@ -261,9 +282,7 @@ def build_sspace(components: Sequence[FiniteMetricSpace],
             raise ValueError(f"component {n} has an empty basepoint set")
         base_sets.append(bp)
     for n, w in enumerate(weights):
-        check_scalar(w, f"weight[{n}]")
-        if w <= 0:
-            raise ValueError(f"weight[{n}] must be positive, got {w}")
+        check_positive(w, f"weight[{n}]")
         d = diameter(components[n], base_sets[n])
         if w < d:
             raise ValueError(
@@ -274,36 +293,16 @@ def build_sspace(components: Sequence[FiniteMetricSpace],
                 f"weights must be strictly increasing, got {weights[n - 1]} then "
                 f"{weights[n]} at position {n}")
 
-    offsets = []
-    total = 0
-    for comp in components:
-        offsets.append(total)
-        total += len(comp)
-    points = []
-    for n, comp in enumerate(components):
-        points.extend(f"{n}/{p}" for p in comp.points)
-
+    index = _component_index(components)
+    points = [f"{n}/{components[n].points[x]}" for n, x in index]
     # distance from each point to its component's basepoint set, once
-    to_base = []
-    for n, comp in enumerate(components):
-        to_base.append([min(comp.dist[x][y] for y in base_sets[n])
-                        for x in range(len(comp))])
-
-    dist = [[0] * total for _ in range(total)]
-    for n, comp_n in enumerate(components):
-        for m_, comp_m in enumerate(components):
-            wmax = max(weights[n], weights[m_])
-            for i in range(len(comp_n)):
-                gi = offsets[n] + i
-                for j in range(len(comp_m)):
-                    gj = offsets[m_] + j
-                    if n == m_:
-                        dist[gi][gj] = comp_n.dist[i][j]
-                    else:
-                        dist[gi][gj] = to_base[n][i] + to_base[m_][j] + wmax
-
-    assembled = FiniteMetricSpace(points, dist, name=name)
-    return SSpace(components, base_sets, tuple(weights), assembled, tuple(offsets))
+    to_base = [min(components[n].dist[x][y] for y in base_sets[n]) for n, x in index]
+    dist = [[components[n].dist[x][y] if n == k
+             else to_base[i] + to_base[j] + max(weights[n], weights[k])
+             for j, (k, y) in enumerate(index)]
+            for i, (n, x) in enumerate(index)]
+    return SSpace(tuple(components), tuple(base_sets), tuple(weights),
+                  FiniteMetricSpace(points, dist, name=name))
 
 
 def sub_sspace(s: SSpace, count: int) -> SSpace:
@@ -336,13 +335,9 @@ def sspace_componentwise_action(s: SSpace,
                 raise ValueError(
                     f"basepoint set of component {n} is not invariant under "
                     f"{group.elements[g]}")
-    perms = []
-    for g in range(len(group)):
-        perm = []
-        for n, act in enumerate(actions):
-            perm.extend(s.offsets[n] + act.perms[g][x]
-                        for x in range(len(s.components[n])))
-        perms.append(perm)
+    offsets = s.offsets
+    perms = [[offsets[n] + actions[n].perms[g][x] for n, x in s._index]
+             for g in range(len(group))]
     return IsometricAction(group, s.assembled, perms,
                            name=f"{group.name}_on_{s.assembled.name}")
 
@@ -406,21 +401,15 @@ def restrict_decomposition(s: SSpace, d: Decomposition) -> list[Decomposition]:
     """
     if d.space != s.assembled:
         raise ValueError("decomposition does not live on this union")
-    out = []
-    for n, comp in enumerate(s.components):
-        lo = s.offsets[n]
-        hi = lo + len(comp)
-        families = []
-        for family in d.families:
-            pieces = []
-            for piece in family:
-                local = frozenset(x - lo for x in piece if lo <= x < hi)
-                if local:
-                    pieces.append(local)
-            families.append(pieces)
-        out.append(Decomposition(comp, d.r, families,
-                                 name=f"{d.name}_component{n}"))
-    return out
+    # per family, per piece: the piece's local points in each component
+    parts = [[[{x for k, x in map(s._index.__getitem__, piece) if k == n}
+               for n in range(len(s.components))]
+              for piece in family]
+             for family in d.families]
+    return [Decomposition(comp, d.r,
+                          [[part[n] for part in family if part[n]] for family in parts],
+                          name=f"{d.name}_component{n}")
+            for n, comp in enumerate(s.components)]
 
 
 def merge_decompositions(s: SSpace, head: Decomposition,

@@ -24,7 +24,8 @@ from .covers import Cover, CoverCertificate, certify
 from .constructions import LiftTrace, lift_equivariant
 from .errors import CapExceededError, InternalInvariantError
 from .groups import IsometricAction, QuotientSpace, quotient
-from .metric import FiniteMetricSpace, Scalar, ball, check_scalar, diameter
+from .metric import (FiniteMetricSpace, Scalar, ball, check_positive, check_scalar,
+                     diameter)
 
 EXACT_POINT_CAP = 14
 
@@ -149,10 +150,8 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
     is deterministic, and its Lebesgue number, mesh and dimension are
     certified before it returns.
     """
-    check_scalar(R, "R")
+    check_positive(R, "R")
     check_scalar(B, "B")
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R}")
     if B < 0:
         raise ValueError(f"B must be nonnegative, got {B}")
     if len(m) > max_points:
@@ -200,9 +199,7 @@ def greedy_cover(m: FiniteMetricSpace, R: Scalar) -> tuple[Cover, CoverCertifica
     another member keeps that property while shrinking multiplicities.
     Lebesgue number >= R is re-proved on the result by recomputation.
     """
-    check_scalar(R, "R")
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R}")
+    check_positive(R, "R")
     centers = []
     for x in range(len(m)):
         if all(m.dist[x][c] > R for c in centers):
@@ -257,9 +254,7 @@ class ProfileEntry:
         if [v is None for v in found] != [self.infeasible is not None] * 3:
             raise ValueError(f"the entry at scale {self.scale} must hold either a "
                              f"cover's name, dimension and mesh or an infeasible record")
-        check_scalar(self.scale, "a profile entry's scale")
-        if not self.scale > 0:
-            raise ValueError(f"a profile entry's scale must be positive, got {self.scale}")
+        check_positive(self.scale, "a profile entry's scale")
         for field in ("mesh_bound", "mesh"):
             value = getattr(self, field)
             if value is not None and check_scalar(value, f"the {field} at scale "
@@ -299,9 +294,7 @@ def asdim_profile(m: FiniteMetricSpace, scales: Sequence[Scalar],
     if not scales:
         raise ValueError("at least one scale is required")
     for i, R in enumerate(scales):
-        check_scalar(R, f"scale[{i}]")
-        if R <= 0:
-            raise ValueError(f"scale[{i}] = {R} must be positive")
+        check_positive(R, f"scale[{i}]")
         if i and not scales[i] > scales[i - 1]:
             raise ValueError("scales must be strictly increasing")
     if mesh_bounds is not None:

@@ -1,13 +1,15 @@
 """JSON formats for every object kind, and the named-object workspace.
 
 All scalars are serialized as exact strings ("5", "5/4", "inf"); nothing in
-a file is a float.  The writer is canonical (fixed key order, two-space
-indentation, trailing newline), so serialize after deserialize reproduces a
-written file byte for byte.  Certificates are never trusted on load: their
-fields are recomputed from the referenced cover and any disagreement is a
-validation failure.  A profile's family maxima, comparisons, relations and
-methods are re-derived from its entries and must agree; each entry's
-dimension and mesh stay claims, as its cover is not in the document.
+a file is a float.  Every document opens with the same envelope, "format",
+"kind" and "name" in that order (written by _document alone), then its own
+fields.  The writer is canonical (fixed key order, two-space indentation,
+trailing newline), so serialize after deserialize reproduces a written file
+byte for byte.  Certificates are never trusted on load: their fields are
+recomputed from the referenced cover and any disagreement is a validation
+failure.  A profile's family maxima, comparisons, relations and methods are
+re-derived from its entries and must agree; each entry's dimension and mesh
+stay claims, as its cover is not in the document.
 
 The `*_from_dict` readers assume a well-formed document and raise whatever
 a missing or ill-typed field makes them raise; `load_entry` is the one place
@@ -31,7 +33,7 @@ from .covers import Cover, CoverCertificate, Decomposition, validate_cover, \
 from .errors import ResolutionError, Violation
 from .estimation import DimensionProfile, FamilyProfile, Infeasible, ProfileEntry
 from .groups import FiniteGroup, IsometricAction, validate_action, validate_group
-from .metric import INF, FiniteMetricSpace, is_scalar, validate_metric
+from .metric import INF, FiniteMetricSpace, check_scalar, is_scalar, validate_metric
 
 FORMAT_TAG = "coarsedim/1"
 
@@ -85,16 +87,15 @@ def dumps(d: dict) -> str:
     return json.dumps(d, indent=2, ensure_ascii=False) + "\n"
 
 
+def _document(kind: str, name: str, **fields) -> dict:
+    """The envelope every document shares, then its own fields in order."""
+    return {"format": FORMAT_TAG, "kind": kind, "name": name, **fields}
+
+
 # ---------------------------------------------------------------- space
 
 def space_to_dict(m: FiniteMetricSpace) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "kind": "space",
-        "name": m.name,
-        "points": list(m.points),
-        "dist": _write_table(m.dist),
-    }
+    return _document("space", m.name, points=list(m.points), dist=_write_table(m.dist))
 
 
 def _write_table(rows) -> list:
@@ -127,13 +128,8 @@ def space_from_dict(d: dict) -> FiniteMetricSpace:
 # ---------------------------------------------------------------- group
 
 def group_to_dict(g: FiniteGroup) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "kind": "group",
-        "name": g.name,
-        "elements": list(g.elements),
-        "mul": [list(row) for row in g.mul_table],
-    }
+    return _document("group", g.name, elements=list(g.elements),
+                     mul=[list(row) for row in g.mul_table])
 
 
 def group_from_dict(d: dict) -> FiniteGroup:
@@ -143,14 +139,9 @@ def group_from_dict(d: dict) -> FiniteGroup:
 # ---------------------------------------------------------------- action
 
 def action_to_dict(a: IsometricAction) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "kind": "action",
-        "name": a.name,
-        "group": a.group.name,
-        "space": a.space.name,
-        "perm": {a.group.elements[g]: list(a.perms[g]) for g in range(len(a.group))},
-    }
+    return _document("action", a.name, group=a.group.name, space=a.space.name,
+                     perm={a.group.elements[g]: list(a.perms[g])
+                           for g in range(len(a.group))})
 
 
 def action_from_dict(d: dict, ws: "Workspace") -> IsometricAction:
@@ -168,13 +159,8 @@ def action_from_dict(d: dict, ws: "Workspace") -> IsometricAction:
 # ---------------------------------------------------------------- cover
 
 def cover_to_dict(c: Cover) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "kind": "cover",
-        "name": c.name,
-        "space": c.space.name,
-        "members": [sorted(member) for member in c.members],
-    }
+    return _document("cover", c.name, space=c.space.name,
+                     members=[sorted(member) for member in c.members])
 
 
 def cover_from_dict(d: dict, ws: "Workspace") -> Cover:
@@ -185,14 +171,9 @@ def cover_from_dict(d: dict, ws: "Workspace") -> Cover:
 # ---------------------------------------------------------------- decomposition
 
 def decomposition_to_dict(d: Decomposition) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "kind": "decomposition",
-        "name": d.name,
-        "space": d.space.name,
-        "r": scalar_str(d.r),
-        "families": [[sorted(piece) for piece in family] for family in d.families],
-    }
+    return _document("decomposition", d.name, space=d.space.name, r=scalar_str(d.r),
+                     families=[[sorted(piece) for piece in family]
+                               for family in d.families])
 
 
 def decomposition_from_dict(d: dict, ws: "Workspace") -> Decomposition:
@@ -203,14 +184,10 @@ def decomposition_from_dict(d: dict, ws: "Workspace") -> Decomposition:
 # ---------------------------------------------------------------- sspace
 
 def sspace_to_dict(s: SSpace) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "kind": "sspace",
-        "name": s.assembled.name,
-        "components": [comp.name for comp in s.components],
-        "basepoints": [sorted(bp) for bp in s.basepoints],
-        "weights": [scalar_str(w) for w in s.weights],
-    }
+    return _document("sspace", s.assembled.name,
+                     components=[comp.name for comp in s.components],
+                     basepoints=[sorted(bp) for bp in s.basepoints],
+                     weights=[scalar_str(w) for w in s.weights])
 
 
 def sspace_from_dict(d: dict, ws: "Workspace") -> SSpace:
@@ -224,19 +201,11 @@ def sspace_from_dict(d: dict, ws: "Workspace") -> SSpace:
 
 def certificate_to_dict(cert: CoverCertificate, cover_name: str,
                         action_name: str | None = None) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "kind": "certificate",
-        "name": f"{cover_name}_cert",
-        "cover": cover_name,
-        "action": action_name,
-        "dimension": cert.dimension,
-        "lebesgue": scalar_str(cert.lebesgue),
-        "mesh": scalar_str(cert.mesh),
-        "meet_radius": _opt_scalar_str(cert.meet_radius),
-        "ball_meet": cert.ball_meet,
-        "equivariant": cert.equivariant,
-    }
+    return _document("certificate", f"{cover_name}_cert", cover=cover_name,
+                     action=action_name, dimension=cert.dimension,
+                     lebesgue=scalar_str(cert.lebesgue), mesh=scalar_str(cert.mesh),
+                     meet_radius=_opt_scalar_str(cert.meet_radius),
+                     ball_meet=cert.ball_meet, equivariant=cert.equivariant)
 
 
 def certificate_from_dict(d: dict) -> CoverCertificate:
@@ -256,32 +225,17 @@ def certificate_from_dict(d: dict) -> CoverCertificate:
 
 def lift_trace_to_dict(trace: LiftTrace, action_name: str,
                        source_cover: str, lifted_cover: str) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "kind": "lift_trace",
-        "name": f"{lifted_cover}_trace",
-        "action": action_name,
-        "source_cover": source_cover,
-        "cover": lifted_cover,
-        "R": scalar_str(trace.R),
-        "s": scalar_str(trace.s),
-        "members": [
-            {
-                "member": sorted(entry.member),
+    members = [{"member": sorted(entry.member),
                 "fiber": sorted(entry.fiber),
                 "basepoint": entry.basepoint,
-                "pieces": [
-                    {
-                        "rep": piece.rep,
-                        "subgroup": list(piece.subgroup),
-                        "piece": sorted(piece.piece),
-                    }
-                    for piece in entry.pieces
-                ],
-            }
-            for entry in trace.entries
-        ],
-    }
+                "pieces": [{"rep": piece.rep,
+                            "subgroup": list(piece.subgroup),
+                            "piece": sorted(piece.piece)}
+                           for piece in entry.pieces]}
+               for entry in trace.entries]
+    return _document("lift_trace", f"{lifted_cover}_trace", action=action_name,
+                     source_cover=source_cover, cover=lifted_cover,
+                     R=scalar_str(trace.R), s=scalar_str(trace.s), members=members)
 
 
 def lift_trace_from_dict(d: dict) -> LiftTrace:
@@ -346,16 +300,10 @@ def profile_to_dict(fp: FamilyProfile, name: str) -> dict:
                         "quotient_dimension": rep.quotient_dimension,
                         "relation": rep.relation}
                        for rep in fp.comparisons]
-    return {
-        "format": FORMAT_TAG,
-        "kind": "profile",
-        "name": name,
-        "spaces": _profiles_to_list(fp.profiles),
-        "family_dimension": list(fp.family_dimension),
-        "family_mesh": [_opt_scalar_str(v) for v in fp.family_mesh],
-        "quotients": quotients,
-        "comparisons": comparisons,
-    }
+    return _document("profile", name, spaces=_profiles_to_list(fp.profiles),
+                     family_dimension=list(fp.family_dimension),
+                     family_mesh=[_opt_scalar_str(v) for v in fp.family_mesh],
+                     quotients=quotients, comparisons=comparisons)
 
 
 def profile_from_dict(d: dict) -> FamilyProfile:
@@ -471,6 +419,13 @@ def load_entry(d: dict, ws: Workspace) -> tuple[str, str, object, list[Violation
             obj = certificate_from_dict(d)
             cover = ws.get("cover", d["cover"])
             action = None if d.get("action") is None else ws.get("action", d["action"])
+            # What verify_certificate assumes, checked here so that a file
+            # breaking it is reported as a bad certificate.
+            if action is not None and action.space != cover.space:
+                raise ValueError(f"action {action.name!r} does not act on the space "
+                                 f"of cover {cover.name!r}")
+            if obj.meet_radius is not None:
+                check_scalar(obj.meet_radius, "meet_radius")
             check = functools.partial(verify_certificate, cover, action=action)
         elif kind == "lift_trace":
             obj = lift_trace_from_dict(d)

@@ -15,14 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain
 from math import gcd
-from operator import le
 from typing import Mapping, Sequence
 
 from .covers import Cover, Decomposition
 from .groups import FiniteGroup, IsometricAction, cyclic_group
-from .metric import FiniteMetricSpace, Scalar, build_graph_metric, check_scalar
+from .metric import FiniteMetricSpace, Scalar, ball, build_graph_metric, check_scalar
 
 
 def path_space(n: int) -> FiniteMetricSpace:
@@ -229,20 +228,14 @@ def random_cover(space: FiniteMetricSpace, seed: int) -> Cover:
     rng = random.Random(seed)
     n = len(space)
     radii = sorted(set(chain.from_iterable(space.dist)))
-    members = []
-
-    def push(center: int, rho):
-        b = frozenset(compress(range(n), map(le, space.dist[center], repeat(rho))))
-        members.append(b)
-        return b
-
     small = radii[:max(2, len(radii) * 2 // 3)]
-    for _ in range(rng.randint(1, 3)):
-        push(rng.randrange(n), rng.choice(small))
+    members = [ball(space, rng.randrange(n), rng.choice(small))
+               for _ in range(rng.randint(1, 3))]
     covered = set().union(*members)
     for x in range(n):
         if x not in covered:
-            covered |= push(x, rng.choice(small))
+            members.append(ball(space, x, rng.choice(small)))
+            covered |= members[-1]
     return Cover(space, dict.fromkeys(members), name=f"{space.name}_cover_s{seed}")
 
 

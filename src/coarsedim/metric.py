@@ -13,7 +13,8 @@ import math
 import sys
 from array import array
 from fractions import Fraction
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import itemgetter, le, lt
 from typing import Iterable, Sequence
 
 from .errors import Violation
@@ -35,6 +36,13 @@ def check_scalar(value, name: str = "value") -> Scalar:
     """Reject floats and anything else inexact."""
     if not is_scalar(value):
         raise TypeError(f"{name} must be an int or Fraction, got {value!r}")
+    return value
+
+
+def check_positive(value, name: str = "value") -> Scalar:
+    """check_scalar, then reject a value that is not above zero."""
+    if not check_scalar(value, name) > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
     return value
 
 
@@ -335,11 +343,10 @@ def ball(m: FiniteMetricSpace, x: int, r: Scalar, mode: str = "closed") -> froze
     """Open or closed ball around a point, as a set of point indices."""
     m.check_point(x)
     check_scalar(r, "radius")
-    if mode == "closed":
-        return frozenset(y for y in range(len(m)) if m.dist[x][y] <= r)
-    if mode == "open":
-        return frozenset(y for y in range(len(m)) if m.dist[x][y] < r)
-    raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
+    if mode not in ("closed", "open"):
+        raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
+    within = le if mode == "closed" else lt
+    return frozenset(compress(range(len(m)), map(within, m.dist[x], repeat(r))))
 
 
 def diameter(m: FiniteMetricSpace, s: Iterable[int]) -> Scalar:

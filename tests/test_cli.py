@@ -68,6 +68,16 @@ def test_generate_other_kinds(tmp_path, capsys):
     assert (code, out) == (1, [])
     assert err == [{"error": "validation", "message":
                     "parameter 'gens' must be integers joined by '+', got '1+'"}]
+    code, out, _ = run(capsys, "generate", "--kind", "cayley-ball",
+                       "--params", "n=12,gens=1+5,radius=2", "--out", str(tmp_path))
+    assert code == 0 and len(out) == 1 and out[0].endswith("cayley12r2.space.json")
+    assert len(json.loads(pathlib.Path(out[0]).read_text())["points"]) == 10
+    assert run(capsys, "validate", out[0]) == (0, [], [])
+    code, out, err = run(capsys, "generate", "--kind", "cayley-ball",
+                         "--params", "n=12,radius=2", "--out", str(tmp_path / "x"))
+    assert (code, out) == (1, [])
+    assert err == [{"error": "validation",
+                    "message": "cayley-ball needs gens, e.g. gens=1+5"}]
     for kind, params, message in (
             ("grid", "W=5", "unknown parameter 'W' for grid; it takes w, h"),
             ("path", "n=3,zz=4", "unknown parameter 'zz' for path; it takes n"),
@@ -112,6 +122,64 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert code == 1
     assert err[0]["error"] == "validation"
     assert any(v["kind"] == "symmetry" for v in err[0]["violations"])
+
+
+def test_loader_reports_violations_whole_or_raises_them(tmp_path, capsys):
+    # d(a,c) = 5 across two unit steps: two triangle violations, one each way
+    tri = tmp_path / "tri.space.json"
+    tri.write_text(json.dumps({
+        "format": "coarsedim/1", "kind": "space", "name": "tri",
+        "points": ["a", "b", "c"],
+        "dist": [["0", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]]}))
+    violations = [
+        {"kind": "triangle", "subject": [0, 1, 2], "message": "d(a,c) = 5 > 1 + 1 via b"},
+        {"kind": "triangle", "subject": [2, 1, 0], "message": "d(c,a) = 5 > 1 + 1 via b"}]
+    # validate collects: one record naming the file, the kind and the object
+    assert run(capsys, "validate", str(tri)) == (1, [], [{
+        "error": "validation", "message": "space 'tri' failed validation",
+        "file": str(tri), "kind": "space", "name": "tri", "violations": violations}])
+    # every other command raises at the first failure and writes nothing
+    assert run(capsys, "estimate", str(tri), "--R", "1",
+               "--out", str(tmp_path / "out")) == (1, [], [{
+        "error": "validation",
+        "message": f"space 'tri' in {tri} failed validation",
+        "violations": violations}])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"action": "C4_rot2"}, "bad certificate: action 'C4_rot2' does not act on "
+                            "the space of cover 'P5_mod_Z2_exact_R1_B4_lifted'"),
+    ({"meet_radius": "inf"}, "bad certificate: meet_radius must be an int or "
+                             "Fraction, got inf"),
+], ids=["action-elsewhere", "inexact-meet-radius"])
+def test_validate_reports_a_bad_certificate_and_goes_on(tmp_path, capsys,
+                                                        edit, message):
+    files = generate_path_instance(tmp_path, capsys)
+    code, cycle, _ = run(capsys, "generate", "--kind", "cycle", "--params", "n=4",
+                         "--out", str(tmp_path / "cycle"))
+    assert code == 0
+    code, out, _ = run(capsys, "quotient", *files, "--out", str(tmp_path))
+    qspace = out[0]
+    code, out, _ = run(capsys, "estimate", qspace, "--R", "1",
+                       "--out", str(tmp_path))
+    qcover = out[0]
+    code, lifted, _ = run(capsys, "lift", *files, qspace, qcover, "--R", "1",
+                          "--out", str(tmp_path / "lift"))
+    assert code == 0
+    cert = json.loads(pathlib.Path(lifted[2]).read_text())
+    bad = tmp_path / "bad.certificate.json"
+    bad.write_text(json.dumps({**cert, "name": "bad", **edit}))
+    trace = json.loads(pathlib.Path(lifted[1]).read_text())
+    del trace["members"][0]["pieces"]
+    broken = tmp_path / "broken.lift_trace.json"
+    broken.write_text(json.dumps({**trace, "name": "broken"}))
+    inputs = [*files, cycle[0], cycle[2], qspace, qcover, *lifted]
+    assert run(capsys, "validate", *inputs)[0] == 0
+    assert run(capsys, "validate", *inputs, str(bad), str(broken)) == (1, [], [
+        {"error": "format", "message": message, "file": str(bad)},
+        {"error": "format", "message": "lift_trace file is missing 'pieces'",
+         "file": str(broken)}])
 
 
 def test_validate_reports_malformed_nested_fields(tmp_path, capsys):

@@ -170,6 +170,20 @@ def test_generated_subgroup_matches_all_pairs_closure():
             generated_subgroup(g, [0, 8])
 
 
+def test_is_subgroup_matches_the_definition():
+    # a subset is a subgroup when it holds the identity, each member's
+    # inverse and each product of two members
+    klein = direct_sum([cyclic_group(2), cyclic_group(2)]).group
+    for g in (cyclic_group(1), cyclic_group(4), cyclic_group(6), dihedral_group(3),
+              dihedral_group(4), klein):
+        for k in range(len(g) + 1):
+            for subset in itertools.combinations(range(len(g)), k):
+                s = set(subset)
+                expected = (g.identity in s and all(g.inverse(a) in s for a in s)
+                            and all(g.mul(a, b) in s for a in s for b in s))
+                assert is_subgroup(g, subset) == expected, (g.name, subset)
+
+
 def test_find_isomorphism():
     z6 = cyclic_group(6)
     z2xz3 = direct_sum([cyclic_group(2), cyclic_group(3)]).group

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from coarsedim import (INF, Cover, FiniteMetricSpace, ball, build_graph_metric,
-                       certify, cyclic_group, dihedral_group, diameter, quotient,
-                       set_distance, validate_action, validate_metric)
+from coarsedim import (INF, Cover, FiniteMetricSpace, asdim_profile, ball,
+                       build_graph_metric, certify, cyclic_group, dihedral_group,
+                       diameter, greedy_cover, quotient, set_distance,
+                       validate_action, validate_metric)
 from coarsedim.generators import (cayley_ball_space, cycle_space, generate_instance,
                                   grid_space, path_reflection_action, path_space,
                                   random_graph_space, random_invariant_instance)
-from coarsedim.metric import _all_clear
+from coarsedim.metric import _all_clear, check_positive
 
 from oracles import dijkstra_metric, floyd_warshall_metric
 
@@ -204,6 +205,22 @@ def test_balls():
         ball(m, 2, 1, "half-open")
     with pytest.raises(TypeError):
         ball(m, 2, 1.5)
+
+
+def test_positive_scales_share_one_check():
+    m = path_space(5)
+    for value in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match=f"^R must be positive, got {value}$"):
+            check_positive(value, "R")
+        with pytest.raises(ValueError, match=f"^R must be positive, got {value}$"):
+            greedy_cover(m, value)
+        with pytest.raises(ValueError, match=f"^scale\\[1\\] must be positive, "
+                                             f"got {value}$"):
+            asdim_profile(m, [1, value])
+    for value in (1.5, True, "1"):
+        with pytest.raises(TypeError, match="R must be an int or Fraction"):
+            check_positive(value, "R")
+    assert check_positive(Fraction(1, 3), "R") == Fraction(1, 3)
 
 
 def test_diameter_and_set_distance():

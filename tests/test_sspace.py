@@ -40,6 +40,10 @@ def test_component_index_round_trip():
         for x in range(len(s.components[n])):
             gi = s.global_index(n, x)
             assert s.component_of(gi) == (n, x)
+    # 9 points: nothing at or past 9, nor below 0
+    for index in (9, 50, -1):
+        with pytest.raises(ValueError, match=f"index {index} out of range"):
+            s.component_of(index)
 
 
 def test_build_rejects_bad_weights():
