@@ -82,6 +82,8 @@ def _load(paths, collect: bool = False) -> tuple[Workspace, int, int]:
             docs.append((path, parse_document(path.read_text(encoding="utf-8"))))
         except OSError as exc:
             report("resolution", exc, path)
+        except UnicodeDecodeError as exc:
+            report("format", FormatError(f"not UTF-8 text: {exc}"), path)
         except FormatError as exc:
             report("format", exc, path)
     # Dependencies before dependents (spaces/groups, then actions, ...);

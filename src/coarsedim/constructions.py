@@ -254,6 +254,10 @@ class SSpace:
         return tuple(accumulate(map(len, self.components[:-1]), initial=0))
 
     def global_index(self, component: int, local: int) -> int:
+        if not 0 <= component < len(self.components):
+            raise ValueError(f"component {component} out of range")
+        if not 0 <= local < len(self.components[component]):
+            raise ValueError(f"local index {local} out of range for component {component}")
         return self.offsets[component] + local
 
     def component_of(self, index: int) -> tuple[int, int]:

@@ -23,14 +23,23 @@ own entry where the integer one stands.  In a metric, a member without x
 contributes d(x, x) = 0, and for a member U containing x, d(x, X \\ U) is
 the distance to the nearest point that is not in U.  Each point keeps a
 mask with bit k set when member k contains it.  Let L_x be the max over U
-of d(x, X \\ U) and L' the least L_x of the points before x: L_x >= L'
+of d(x, X \\ U).  Coverage is tested first, on the masks alone: a point
+in no member has L_x = d(x, x) = 0, the least value there is, and the
+first such point's diagonal entry is the answer.
+
+Every other point is in a member that is not the whole space, so its L_x
+is at least the least off-diagonal entry, which on a valid integer table
+is at least 1.  Let L' be the least L_x of the points before x: L_x >= L'
 exactly when some member contains the open L'-ball around x, that is when
 the masks of that ball's points share a bit.  One pass over x's row
 gathers the ball and the AND of its masks settles most points; only when
 it is zero is the ball sorted and walked nearest first, ANDing the masks
-of the points passed, and the step that clears the last bit lands on L_x.
-The formula is thus evaluated exactly, with no scan of the complement and
-no sort of a whole row but the first.
+of the points passed, and the step that clears the last bit lands on
+L_x < L'.  Once L' is 1 no later point can go below it, so the walk stops
+there; as L' only ever moves to a strictly smaller L_x, the (x, y) kept
+is the one the full walk would keep, and so is the entry returned, on a
+Fraction table too.  The formula is thus evaluated exactly, with no scan
+of the complement and no sort of a whole row but the first.
 
 These steps use the metric axioms (d(x, x) = 0, d >= 0 and symmetry), so
 mesh, lebesgue_number, certify and verify_certificate require a space for
@@ -171,7 +180,7 @@ def mesh(c: Cover) -> Scalar:
     is empty (an empty member has no diameter), that is the space's kept
     diameter, as c.space is a metric; see the module docstring."""
     m = c.space
-    if all(c.members) and any(len(member) == len(m) for member in c.members):
+    if all(c.members) and len(m) in map(len, c.members):
         return m.diameter()
     best: Scalar = 0
     for member in c.members:
@@ -182,14 +191,18 @@ def mesh(c: Cover) -> Scalar:
 
 
 def lebesgue_number(c: Cover):
-    """Complement-distance Lebesgue number; INF when a member is the whole space.
+    """Complement-distance Lebesgue number; INF when a member is the whole
+    space, and d(x, x) = 0 for the first point x in no member.  Otherwise
+    the least L_x, read off the table where it stands, with the walk
+    stopped once it reaches one integer unit, the least a covered point
+    can have.
 
     c.space must be a metric (validate_metric(c.space) == []); see the
     module docstring."""
     if not c.members:
         raise ValueError("Lebesgue number of a cover with no members is undefined")
     m = c.space
-    if any(len(member) == len(m) for member in c.members):
+    if len(m) in map(len, c.members):
         return INF      # an empty complement, known before any table is read
     # Bit k of masks[x] is set when member k contains x; best is the least
     # L_x so far, in the integer table, and the (x, y) where it stands (see
@@ -200,23 +213,26 @@ def lebesgue_number(c: Cover):
         bit = 1 << k
         for x in member:
             masks[x] |= bit
+    if 0 in masks:
+        x = masks.index(0)
+        return m.dist[x][x]     # in no member: L_x = d(x, x) = 0, the least
     points = range(len(m))
     best = None
     for x, row in enumerate(m.integer_rows()):
-        alive = masks[x]
-        if not alive:
-            return m.dist[x][x]     # in no member: L_x = d(x, x) = 0, the least
         if best is None:
             near = points
         else:
             near = list(compress(points, map(lt, row, repeat(best[0]))))
             if reduce(and_, map(masks.__getitem__, near)):
                 continue
+        alive = masks[x]
         for y in sorted(near, key=row.__getitem__):
             alive &= masks[y]
             if not alive:
                 break
         best = (row[y], x, y)
+        if best[0] == 1:
+            break       # one unit: no covered point goes below it
     return m.dist[best[1]][best[2]]
 
 

@@ -364,17 +364,25 @@ def set_distance(m: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]):
 # of m, such as cover members; they skip the per-element range check.
 
 def _diameter(m: FiniteMetricSpace, s: Iterable[int]) -> Scalar:
+    """Largest entry of the table between points of s, found in one C-level
+    pass over the integer rows of s gathered at s.  On an all-int table
+    those rows are the table, and the entry found is returned as it is;
+    otherwise the first row of s holding it, and the first column there,
+    locate it, and the table's own entry at that place is returned."""
     s = tuple(s)
     if not s:
         raise ValueError("diameter of the empty set is undefined")
     if len(s) == 1:
         return 0
-    # One gather of s per integer row; the entry is read back off the table.
     rows = m.integer_rows()
     gather = itemgetter(*s)
-    far = [max(gather(rows[x])) for x in s]
-    i = far.index(max(far))
-    return m.dist[s[i]][s[gather(rows[s[i]]).index(far[i])]]
+    top = max(map(max, map(gather, map(rows.__getitem__, s))))
+    if rows is m.dist:
+        return top
+    for x in s:
+        row = gather(rows[x])
+        if top in row:
+            return m.dist[x][s[row.index(top)]]
 
 
 def _set_distance(m: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]):

@@ -63,10 +63,10 @@ def quotient_distance_direct(action, x: int, y: int):
 
 def lebesgue_direct(space, members):
     """Largest r (a realized distance, or infinity) such that every open
-    r-ball around every point fits inside some member."""
+    r-ball around every point fits inside some member.  The open 0-ball is
+    empty and fits anywhere, so a point in no member gives 0."""
     n = len(space)
-    values = sorted({space.dist[i][j] for i in range(n) for j in range(n)
-                     if space.dist[i][j] > 0})
+    values = sorted({space.dist[i][j] for i in range(n) for j in range(n)})
 
     def fits_everywhere(r) -> bool:
         for x in range(n):
@@ -87,6 +87,11 @@ def lebesgue_direct(space, members):
 def _diameter(space, pts) -> int:
     pts = list(pts)
     return max((space.dist[a][b] for a in pts for b in pts), default=0)
+
+
+def mesh_direct(space, members):
+    """Largest distance between two points of one member, over all pairs."""
+    return max(_diameter(space, member) for member in members)
 
 
 def min_dimension_partition(space, R, B):

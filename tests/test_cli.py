@@ -256,6 +256,22 @@ def test_validate_missing_file_wins_over_validation(tmp_path, capsys):
     assert {rec["error"] for rec in err} == {"validation", "resolution"}
 
 
+def test_validate_reports_a_file_that_is_not_utf8_and_goes_on(tmp_path, capsys):
+    files = generate_path_instance(tmp_path, capsys)
+    space = next(f for f in files if ".space." in f)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    absent = str(tmp_path / "nothere.json")
+    code, _, err = run(capsys, "validate", str(bad), space, absent)
+    assert code == 2
+    assert [(rec["error"], rec.get("file")) for rec in err] == [
+        ("format", str(bad)), ("resolution", absent)]
+    assert err[0]["message"].startswith("not UTF-8 text: ")
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert [(rec["error"], rec.get("file")) for rec in err] == [("format", str(bad))]
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "quotient", str(tmp_path / "nowhere.json"),
                        "--out", str(tmp_path))

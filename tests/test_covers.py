@@ -6,15 +6,18 @@ from fractions import Fraction
 import pytest
 
 from coarsedim import (INF, Cover, CoverCertificate, Decomposition, FiniteMetricSpace,
-                       ball_meet_count, certify, check_equivariance,
-                       decomposition_to_cover, dimension, is_r_disjoint,
-                       lebesgue_number, mesh, validate_cover,
-                       validate_decomposition, verify_certificate)
+                       ball_meet_count, certify, check_equivariance, cyclic_group,
+                       decomposition_to_cover, dihedral_group, dimension,
+                       equivariant_cover_pipeline, is_r_disjoint,
+                       lebesgue_number, mesh, pushforward_cover, quotient,
+                       scalar_str, validate_cover, validate_decomposition,
+                       verify_certificate)
 from coarsedim.generators import (cycle_space, grid_space, path_reflection_action,
                                   path_space, random_cover,
-                                  random_decomposition, random_graph_space)
+                                  random_decomposition, random_graph_space,
+                                  random_invariant_instance)
 
-from oracles import lebesgue_direct
+from oracles import lebesgue_direct, mesh_direct
 
 
 def halves_cover():
@@ -71,6 +74,46 @@ def test_uncovered_point_gives_zero_lebesgue():
     # outside the cover
     assert lebesgue_number(c) == 0
     assert dimension(c) == 1
+
+
+def test_uncovered_point_wins_over_the_one_unit_floor():
+    # Point 0 reaches L_0 = 1, the least a covered point can have, before
+    # the walk gets to point 4, which is in no member: the answer is 0.
+    c = Cover(path_space(5), [[0], [1, 2, 3]], name="early")
+    assert lebesgue_number(c) == 0
+    assert lebesgue_direct(c.space, c.members) == 0
+
+
+def test_lebesgue_on_a_fraction_table_above_one_unit():
+    # P6 scaled by 2/3 has integer rows 2, 4, 6, ...: the least entry there
+    # is two units, so the walk never stops at one unit.
+    path = path_space(6)
+    m = FiniteMetricSpace(path.points, [[Fraction(2 * v, 3) for v in row]
+                                        for row in path.dist], name="P6*2/3")
+    for members in ([[0, 1, 2], [2, 3, 4, 5]], [[0, 1, 2, 3], [2, 3, 4, 5]],
+                    [[0, 1], [1, 2, 3], [3, 4, 5]]):
+        c = Cover(m, members)
+        expected = lebesgue_direct(m, c.members)
+        assert lebesgue_number(c) == expected
+        assert scalar_str(lebesgue_number(c)) == scalar_str(expected)
+
+
+@pytest.mark.parametrize("group", [cyclic_group(2), cyclic_group(3), dihedral_group(3)],
+                         ids=lambda g: g.name)
+@pytest.mark.parametrize("base", [3, 4, 5])
+def test_measurements_on_corpus_shaped_covers_match_oracles(group, base):
+    # The covers an invariant instance passes through: a random cover, its
+    # pushforward, and the pipeline's quotient and lifted covers.
+    for seed in (base, 100 + base):
+        space, action = random_invariant_instance(group, base, seed)
+        q = quotient(action)
+        cover = random_cover(space, seed)
+        pushed, _ = pushforward_cover(action, q, cover)
+        result = equivariant_cover_pipeline(action, 2, mode="auto")
+        for c in (cover, pushed, result.quotient_cover, result.cover):
+            for actual, expected in ((lebesgue_number(c), lebesgue_direct(c.space, c.members)),
+                                     (mesh(c), mesh_direct(c.space, c.members))):
+                assert scalar_str(actual) == scalar_str(expected)
 
 
 def test_random_cover_members_are_pinned():

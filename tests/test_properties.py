@@ -26,7 +26,7 @@ from coarsedim.generators import (grid_rotation_action, grid_space,
 from coarsedim.groups import _action_all_clear, _list_action_violations
 from coarsedim.metric import _all_clear, _list_violations
 
-from oracles import (_diameter, lebesgue_direct, lift_pieces_direct,
+from oracles import (lebesgue_direct, lift_pieces_direct, mesh_direct,
                      min_dimension_partition)
 
 # 13 and 37 give entries of 7 to 9 bits, where lanes cross byte boundaries.
@@ -72,6 +72,9 @@ def covers(draw):
     members += [s for s in extras if len(s) < n]
     if draw(st.integers(0, 3)) == 1:
         members.append(set(range(n)))  # a whole-space member: INF
+    if draw(st.integers(0, 3)) == 2:
+        hole = draw(st.integers(0, n - 1))  # a point in no member: 0
+        members = [s - {hole} for s in members if s - {hole}]
     return Cover(m, members, name="drawn")
 
 
@@ -85,7 +88,7 @@ def test_lebesgue_number_matches_definition(c):
 
 @given(covers())
 def test_mesh_matches_largest_member_diameter(c):
-    expected = max(_diameter(c.space, member) for member in c.members)
+    expected = mesh_direct(c.space, c.members)
     actual = mesh(c)
     assert actual == expected
     assert scalar_str(actual) == scalar_str(expected)

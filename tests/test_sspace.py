@@ -44,6 +44,10 @@ def test_component_index_round_trip():
     for index in (9, 50, -1):
         with pytest.raises(ValueError, match=f"index {index} out of range"):
             s.component_of(index)
+    # and no component or local index past its component's end, nor below 0
+    for component, local in ((0, 7), (-1, 0), (1, 9), (2, 0), (1, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            s.global_index(component, local)
 
 
 def test_build_rejects_bad_weights():
