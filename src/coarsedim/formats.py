@@ -5,7 +5,12 @@ a file is a float.  Every document opens with the same envelope, "format",
 "kind" and "name" in that order (written by _document alone), then its own
 fields.  The writer is canonical (fixed key order, two-space indentation,
 trailing newline), so serialize after deserialize reproduces a written file
-byte for byte.  Certificates are never trusted on load: their fields are
+byte for byte.  `dumps` builds that text with one string join per list or
+dict, and its bytes are json.dumps(d, indent=2, ensure_ascii=False) + "\n"
+exactly; json's own indenting encoder is pure Python, about twice as slow.
+It writes only what a document holds (dicts with string keys, lists,
+strings, ints, booleans and None) and raises TypeError on anything else, a
+float included.  Certificates are never trusted on load: their fields are
 recomputed from the referenced cover and any disagreement is a validation
 failure.  A profile's family maxima, comparisons, relations and methods are
 re-derived from its entries and must agree; each entry's dimension and mesh
@@ -84,7 +89,46 @@ def _opt_parse_scalar(text):
 
 
 def dumps(d: dict) -> str:
-    return json.dumps(d, indent=2, ensure_ascii=False) + "\n"
+    """The canonical text of a document (see the module docstring)."""
+    return _encode(d, "\n") + "\n"
+
+
+#: The string encoder json.dumps uses when ensure_ascii is false.
+_encode_str = json.encoder.encode_basestring
+
+
+def _encode(value, newline: str) -> str:
+    """value as json.dumps(indent=2, ensure_ascii=False) writes it, where
+    newline is a line break followed by the indent of value's own line.  A
+    list of only strings or only ints is written in one C-level map."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = newline + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            items = map(_encode_str, value)
+        elif kinds == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = map(_encode, value, repeat(inner))
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        # _encode_str raises TypeError on a key that is not a string.
+        items = [f"{_encode_str(k)}: {_encode(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    raise TypeError(f"not a document value: {value!r}")
 
 
 def _document(kind: str, name: str, **fields) -> dict:
@@ -99,30 +143,48 @@ def space_to_dict(m: FiniteMetricSpace) -> dict:
 
 
 def _write_table(rows) -> list:
-    """scalar_str on every entry of a table.  When every entry is an int or
-    a Fraction, whose text depends on the value alone, each distinct value
-    is written once; any other table (INF, an int subclass, a non-scalar) is
-    written entry by entry, so the first bad entry in reading order raises."""
-    if not set(map(type, chain.from_iterable(rows))) <= {int, Fraction}:
+    """scalar_str on every entry of a table.  When every entry is a plain
+    int, each distinct value is written once; any other table is written
+    entry by entry, so the first bad entry (INF, a float, ...) in reading
+    order raises.  That includes a table of Fractions: hashing a Fraction
+    runs in Python, so a set of them costs more than writing each entry."""
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
         return [[scalar_str(v) for v in row] for row in rows]
     text = {v: scalar_str(v) for v in set(chain.from_iterable(rows))}
     return [list(map(text.__getitem__, row)) for row in rows]
 
 
 def _parse_table(rows) -> list:
-    """parse_scalar on every entry of a table of strings.  Each distinct
-    string is parsed once; a table with anything else in it (an unhashable
-    entry, a non-string, a bad string) is parsed entry by entry, so the
-    first bad entry in reading order raises."""
+    """parse_scalar on every entry of a table of strings, as tuple rows,
+    which FiniteMetricSpace keeps without a copy.  Each distinct string is
+    parsed once; a table with anything else in it (an unhashable entry, a
+    non-string, a bad string) is parsed entry by entry, so the first bad
+    entry in reading order raises."""
     try:
         parsed = {text: parse_scalar(text) for text in set(chain.from_iterable(rows))}
     except (TypeError, FormatError):
         return [[parse_scalar(v) for v in row] for row in rows]
-    return [list(map(parsed.__getitem__, row)) for row in rows]
+    return [tuple(map(parsed.__getitem__, row)) for row in rows]
+
+
+def _check_arrays(field: str, *values) -> None:
+    """Raise TypeError unless each of values is a JSON array.  The
+    constructors take any sequence, and would read a string where an array
+    belongs character by character."""
+    if not set(map(type, values)) <= {list}:
+        bad = next(v for v in values if type(v) is not list)
+        raise TypeError(f"{field} must be an array, got {bad!r}")
 
 
 def space_from_dict(d: dict) -> FiniteMetricSpace:
-    return FiniteMetricSpace(d["points"], _parse_table(d["dist"]), name=d["name"])
+    points, dist = d["points"], d["dist"]
+    _check_arrays("points", points)
+    m = FiniteMetricSpace(points, _parse_table(dist), name=d["name"])
+    # Once the table is read, so that a table the constructor refuses (a
+    # short row, a bad entry) reports that fault first.
+    _check_arrays("dist", dist)
+    _check_arrays("each row of dist", *dist)
+    return m
 
 
 # ---------------------------------------------------------------- group
@@ -133,6 +195,7 @@ def group_to_dict(g: FiniteGroup) -> dict:
 
 
 def group_from_dict(d: dict) -> FiniteGroup:
+    _check_arrays("elements", d["elements"])
     return FiniteGroup(d["elements"], d["mul"], name=d["name"])
 
 

@@ -13,7 +13,7 @@ import math
 import sys
 from array import array
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter, le, lt
 from typing import Iterable, Sequence
 
@@ -60,28 +60,32 @@ class FiniteMetricSpace:
             raise ValueError("a metric space needs at least one point")
         if len(set(self.points)) != len(self.points):
             raise ValueError("point names must be distinct")
-        if len(dist) != len(self.points):
-            raise ValueError(
-                f"distance table has {len(dist)} rows for {len(self.points)} points")
-        rows = []
-        plain = True
-        for i, row in enumerate(dist):
-            row = tuple(row)
-            if len(row) != len(self.points):
-                raise ValueError(f"distance table row {i} has length {len(row)}, "
-                                 f"expected {len(self.points)}")
-            # Exact types pass in one C-level pass; any other row (bool,
-            # float, an int subclass) is checked entry by entry.
-            types = set(map(type, row))
-            if not types <= {int, Fraction}:
+        n = len(self.points)
+        if len(dist) != n:
+            raise ValueError(f"distance table has {len(dist)} rows for {n} points")
+        # Row lengths and exact entry types are checked in one C-level pass
+        # over the whole table (tuple rows are kept, not copied).  Any other
+        # table (a short row, a bool, a float, an int subclass, a row that
+        # is not iterable) is checked row by row, so that the first fault in
+        # reading order raises.
+        try:
+            rows = tuple(map(tuple, dist))
+            types = set(map(type, chain.from_iterable(rows)))
+            checked = set(map(len, rows)) == {n} and types <= {int, Fraction}
+        except TypeError:  # a row that is not iterable; the loop raises
+            checked = False
+        if not checked:
+            for i, row in enumerate(dist):
+                row = tuple(row)
+                if len(row) != n:
+                    raise ValueError(f"distance table row {i} has length {len(row)}, "
+                                     f"expected {n}")
                 for j, v in enumerate(row):
                     check_scalar(v, f"dist[{i}][{j}]")
-            plain = plain and types <= {int}
-            rows.append(row)
-        self.dist = tuple(rows)
+        self.dist = rows
         self.name = str(name)
         self._index = {p: i for i, p in enumerate(self.points)}
-        self._integers = self.dist if plain else None
+        self._integers = rows if types <= {int} else None
         self._diameter = None
 
     def __len__(self) -> int:
@@ -165,9 +169,11 @@ def validate_metric(m: FiniteMetricSpace) -> list[Violation]:
     has a third point on a geodesic makes every pair a neighbour and takes
     about n**2 steps, each a few big-int operations.
 
-    When the pass fails, or an entry is negative, the per-triple listing
-    below runs and reports every violation, in the same order and with the
-    same messages whichever way the answer was reached.
+    A negative entry needs no scan of its own: the lanes are unsigned, so
+    packing its row raises OverflowError, and the pass fails.  When the pass
+    fails, the per-triple listing below runs and reports every violation, in
+    the same order and with the same messages whichever way the answer was
+    reached.
     """
     if _all_clear(m):
         return []
@@ -187,14 +193,18 @@ _LANE_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
 
 def _all_clear(m: FiniteMetricSpace) -> bool:
-    """Whether the table satisfies every metric axiom (see validate_metric)."""
+    """Whether the table satisfies every metric axiom (see validate_metric).
+
+    Nothing scans for a negative entry: the checks before packing pass or
+    fail whatever the signs, and packing a row with a negative entry into
+    unsigned lanes raises OverflowError (array on 1-8 byte lanes,
+    int.to_bytes on wider ones), which is a failed pass."""
     n = len(m)
     rows = m.integer_rows()
-    if min(map(min, rows)) < 0:
-        return False
     for i, row in enumerate(rows):
-        # With nonnegative entries, a zero diagonal and one zero per row is
-        # identity plus positivity.
+        # With nonnegative entries (a negative one fails the packing
+        # below), a zero diagonal and one zero per row is identity plus
+        # positivity.
         if row[i] != 0 or row.count(0) != 1:
             return False
     if any(row != col for row, col in zip(rows, zip(*rows))):
@@ -220,7 +230,10 @@ def _all_clear(m: FiniteMetricSpace) -> bool:
     width = 8 * lane_bytes
     ones = pack([1] * n)
     guards = ones << (bits + 1)
-    packed = [pack(row) for row in rows]
+    try:
+        packed = [pack(row) for row in rows]
+    except OverflowError:  # a negative entry
+        return False
     shifted = [p + guards for p in packed]
     survived = guards
     for i, (p_i, row) in enumerate(zip(packed, rows)):

@@ -234,6 +234,31 @@ def test_validate_reports_a_wrong_type_field_and_goes_on(tmp_path, capsys,
                 ("format", space, "duplicate space named 'P5'")])
 
 
+@pytest.mark.parametrize("kind, fields, message", [
+    ("space", {"points": ["a", "b"], "dist": ["03", "30"]},
+     "bad space: each row of dist must be an array, got '03'"),
+    ("space", {"points": "ab", "dist": [["0", "3"], ["3", "0"]]},
+     "bad space: points must be an array, got 'ab'"),
+    ("group", {"elements": "ab", "mul": [[0, 1], [1, 0]]},
+     "bad group: elements must be an array, got 'ab'"),
+], ids=["space-dist-rows", "space-points", "group-elements"])
+def test_a_string_where_an_array_belongs_is_a_bad_file(tmp_path, capsys,
+                                                       kind, fields, message):
+    # A string is a sequence too: read character by character, each of
+    # these would load as a 2-point space or a 2-element group.
+    bad = tmp_path / f"s.{kind}.json"
+    bad.write_text(json.dumps({"format": "coarsedim/1", "kind": kind, "name": "s",
+                               **fields}))
+    assert run(capsys, "validate", str(bad)) == \
+        (1, [], [{"error": "format", "message": message, "file": str(bad)}])
+    if kind == "space":
+        code, out, err = run(capsys, "estimate", str(bad), "--R", "1",
+                             "--out", str(tmp_path / "out"))
+        assert (code, out) == (1, [])
+        assert err == [{"error": "validation", "message": message}]
+        assert not (tmp_path / "out").exists()
+
+
 def test_validate_reports_an_unhashable_kind_and_goes_on(tmp_path, capsys):
     files = generate_path_instance(tmp_path, capsys)
     space = next(f for f in files if ".space." in f)

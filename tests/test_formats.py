@@ -1,6 +1,7 @@
 """Serialization: exact scalars, canonical JSON documents for every kind,
 workspace resolution, certificate recomputation on load, CSV export."""
 
+import json
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -218,6 +219,42 @@ def test_profile_csv_shape():
     assert first[8] == "equal"
     second = lines[2].split(",")
     assert second[4] == "" and second[8] == "infeasible"
+
+
+def test_every_document_kind_is_written_as_json_dumps_writes_it():
+    fx = fixtures()
+    spaces = [path_space(5), cycle_space(4)]
+    actions = [path_reflection_action(spaces[0]),
+               cycle_rotation_action(spaces[1], 2)]
+    # An infeasible entry has a null dimension and mesh; without actions
+    # the quotients and comparisons are null.
+    with_quotients = family_profile(spaces, [1, 5], mesh_bounds=[2, 1], actions=actions)
+    plain = family_profile(spaces, [1, 5], mesh_bounds=[2, 1])
+    thirds = FiniteMetricSpace(["é", "漢", "\"q\""],
+                               [[0, Fraction(2, 3), 1], [Fraction(2, 3), 0, 1],
+                                [1, 1, 0]], name="tiers\tü")
+    docs = [space_to_dict(fx["space"]), space_to_dict(fx["q"].space),
+            space_to_dict(thirds), group_to_dict(fx["group"]),
+            action_to_dict(fx["action"]), cover_to_dict(fx["cover"]),
+            decomposition_to_dict(fx["decomp"]), sspace_to_dict(fx["union"]),
+            certificate_to_dict(fx["cert"], fx["cover"].name),
+            certificate_to_dict(fx["lift_cert"], fx["lifted"].name,
+                                action_name=fx["action"].name),
+            lift_trace_to_dict(fx["trace"], fx["action"].name, fx["qc"].name,
+                               fx["lifted"].name),
+            profile_to_dict(with_quotients, "fam"), profile_to_dict(plain, "bare")]
+    assert None in docs[-1].values()
+    for d in docs:
+        assert dumps(d) == json.dumps(d, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {"r": 1.5}, {"rows": [[0, 1], [1, 0.0]]}, {"nan": [math.nan]}, {1: "a"},
+    {"pair": (0, 1)}, {"set": {1}},
+], ids=["float", "nested-float", "nan", "int-key", "tuple", "set"])
+def test_dumps_refuses_what_no_document_holds(value):
+    with pytest.raises(TypeError):
+        dumps(value)
 
 
 def test_parse_document_rejects_malformed_input():

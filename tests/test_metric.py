@@ -12,7 +12,7 @@ from coarsedim import (INF, Cover, FiniteMetricSpace, asdim_profile, ball,
 from coarsedim.generators import (cayley_ball_space, cycle_space, generate_instance,
                                   grid_space, path_reflection_action, path_space,
                                   random_graph_space, random_invariant_instance)
-from coarsedim.metric import _all_clear, check_positive
+from coarsedim.metric import _all_clear, _list_violations, check_positive
 
 from oracles import dijkstra_metric, floyd_warshall_metric
 
@@ -44,6 +44,38 @@ def test_construction_names_first_bad_entry(bad):
     with pytest.raises(TypeError) as info:
         FiniteMetricSpace(["a", "b", "c", "d"], dist)
     assert str(info.value) == f"dist[1][2] must be an int or Fraction, got {bad!r}"
+
+
+@pytest.mark.parametrize("dist, error, message", [
+    ([[0, 1.5, 2], [1.5, 0], [2, 1, 0]], TypeError,
+     "dist[0][1] must be an int or Fraction, got 1.5"),
+    ([[0, 1], [1, True]], TypeError, "dist[1][1] must be an int or Fraction, got True"),
+    ([[0, 1, 2], [1, 0], [2, 1, 0]], ValueError,
+     "distance table row 1 has length 2, expected 3"),
+    ([[0, 2.5], 7], TypeError, "dist[0][1] must be an int or Fraction, got 2.5"),
+    ([[0, 1], 7], TypeError, "'int' object is not iterable"),
+], ids=["float-before-short-row", "bool", "short-row", "float-before-int-row",
+        "int-row"])
+def test_construction_raises_the_first_fault_in_reading_order(dist, error, message):
+    # The whole table is checked in one pass; on a failure the row-by-row
+    # loop names the first fault, as the constructor always has.
+    with pytest.raises(error) as info:
+        FiniteMetricSpace([str(i) for i in range(len(dist))], dist)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("scale", [1, 2 ** 62], ids=["machine-lanes", "wide-lanes"])
+def test_a_negative_entry_is_listed_like_any_other_violation(scale):
+    # P4 with d(0,3) = -1: identity and symmetry hold, so the all-clear
+    # pass reaches the packing, where the unsigned lanes refuse the entry.
+    # Scaled by 2**62 the entries need more than 8 bytes a lane.
+    dist = [[abs(i - j) * scale for j in range(4)] for i in range(4)]
+    dist[0][3] = dist[3][0] = -1
+    m = FiniteMetricSpace("abcd", dist)
+    assert not _all_clear(m)
+    listing = _list_violations(m)
+    assert validate_metric(m) == listing
+    assert [(v.kind, v.subject) for v in listing][:1] == [("positivity", (0, 3))]
 
 
 def test_construction_accepts_int_subclasses():

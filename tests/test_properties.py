@@ -2,9 +2,10 @@
 the mesh and the dimension against the definitions, on int, Fraction,
 mixed and int-subclass tables; the all-clear metric and action checks
 against their full listings; the bitmask exact search against the
-partition oracle; and the lift's translated pieces against pieces measured
-at every coset's own point."""
+partition oracle; the lift's translated pieces against pieces measured
+at every coset's own point; and the document writer against json.dumps."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from coarsedim import (Cover, FiniteMetricSpace, Infeasible, IsometricAction,
                        cyclic_group, dihedral_group, dimension, lebesgue_number,
                        lift_equivariant, mesh, min_dimension_cover_exact,
                        quotient, validate_action, validate_metric)
-from coarsedim.formats import scalar_str
+from coarsedim.formats import dumps, scalar_str
 from coarsedim.generators import (grid_rotation_action, grid_space,
                                   path_reflection_action, path_space,
                                   random_graph_space, random_invariant_instance)
@@ -360,3 +361,23 @@ def test_lift_pieces_match_the_per_coset_definition(problem):
     _, trace, _ = lift_equivariant(a, q, c, R)
     assert [(e.fiber, e.basepoint, [(p.rep, p.subgroup, p.piece) for p in e.pieces])
             for e in trace.entries] == lift_pieces_direct(a, q, c, trace.s)
+
+
+# Strings with what JSON escapes (quotes, backslashes, control characters)
+# and what ensure_ascii=False leaves alone (non-ASCII, line separators).
+json_strings = st.text(st.one_of(st.characters(),
+                                 st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé漢\u2028🙂')),
+                       max_size=8)
+json_ints = st.one_of(st.integers(-1000, 1000), st.integers(min_value=2 ** 64),
+                      st.integers(max_value=-2 ** 64))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), json_ints, json_strings,
+              st.lists(json_strings, max_size=4), st.lists(json_ints, max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(json_strings, inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(json_values)
+def test_dumps_is_json_dumps_with_two_space_indent(value):
+    assert dumps(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"

@@ -13,6 +13,11 @@ Over the package as a whole, __init__.py included:
 * a module defines a private top-level function, class or constant (one
   name starting with a single "_") that no module of the package loads,
   imports or reads as an attribute.
+
+And one check that keeps a single document writer: no module but formats
+calls json.dump or json.dumps with an indent (formats.dumps writes every
+document; compact one-line records, such as the CLI's error records, are
+fine).
 """
 
 import ast
@@ -165,3 +170,35 @@ def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private(sources) == []
+
+
+def indented_json_writes(source: str) -> list[str]:
+    """One line per call of json.dump or json.dumps, under any import name,
+    that passes an indent."""
+    tree = ast.parse(source)
+    return [f"line {node.lineno}: {ast.unparse(node.func)} with an indent"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (node.func.attr if isinstance(node.func, ast.Attribute)
+                 else getattr(node.func, "id", None)) in ("dump", "dumps")
+            and any(k.arg == "indent" for k in node.keywords)]
+
+
+def test_the_checker_finds_indented_json_writes():
+    source = ("import json\n"
+              "from json import dumps\n"
+              "def f(d, fh):\n"
+              "    fh.write(json.dumps(d, ensure_ascii=False))\n"
+              "    json.dump(d, fh, indent=2)\n"
+              "    return dumps(d, indent=None), json.dumps(d, indent=4)\n")
+    assert indented_json_writes(source) == [
+        "line 5: json.dump with an indent",
+        "line 6: dumps with an indent",
+        "line 6: json.dumps with an indent",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "formats.py"],
+                         ids=[p.name for p in MODULES if p.name != "formats.py"])
+def test_documents_have_one_writer(path):
+    assert indented_json_writes(path.read_text(encoding="utf-8")) == []
