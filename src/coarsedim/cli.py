@@ -125,8 +125,8 @@ def _scalar_arg(text: str | None, flag: str):
     try:
         return parse_scalar(text)
     except FormatError:
-        raise FormatError(f"{flag} must be an integer or fraction p/q, "
-                          f"got {text!r}") from None
+        raise FormatError(f"{flag} must be an integer or fraction p/q in lowest "
+                          f"terms, got {text!r}") from None
 
 
 def _scalar_list(text: str | None, flag: str):

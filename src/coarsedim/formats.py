@@ -10,15 +10,12 @@ dict, and its bytes are json.dumps(d, indent=2, ensure_ascii=False) + "\n"
 exactly; json's own indenting encoder is pure Python, about twice as slow.
 It writes only what a document holds (dicts with string keys, lists,
 strings, ints, booleans and None) and raises TypeError on anything else, a
-float included.  Certificates are never trusted on load: their fields are
-recomputed from the referenced cover and any disagreement is a validation
-failure.  A profile's family maxima, comparisons, relations and methods are
-re-derived from its entries and must agree; each entry's dimension and mesh
-stay claims, as its cover is not in the document.
-
-The `*_from_dict` readers assume a well-formed document and raise whatever
-a missing or ill-typed field makes them raise; `load_entry` is the one place
-that turns that into a FormatError naming the kind.
+float included.  A document loads only as what it names: load_entry writes
+the object it builds back and refuses any other document, so members are
+sorted, scalars in lowest terms and no key is extra; a profile's derived
+keys must be what its entries derive (each entry's dimension and mesh stay
+claims, as its cover is not in the document).  A certificate's fields are
+also recomputed from its cover; any disagreement is a validation failure.
 """
 
 from __future__ import annotations
@@ -68,16 +65,16 @@ def scalar_str(value) -> str:
 
 
 def parse_scalar(text: str):
+    """The scalar that scalar_str writes as text; "03", "2/4", "1/1", ... fail."""
     if not isinstance(text, str):
         raise FormatError(f"scalar must be a string, got {text!r}")
-    if text == "inf":
-        return INF
     try:
-        if "/" in text:
-            return Fraction(text)
-        return int(text)
+        value = INF if text == "inf" else Fraction(text) if "/" in text else int(text)
     except (ValueError, ZeroDivisionError):
-        raise FormatError(f"bad scalar {text!r}") from None
+        value = None
+    if value is None or scalar_str(value) != text:
+        raise FormatError(f"bad scalar {text!r}")
+    return value
 
 
 def _opt_scalar_str(value) -> str | None:
@@ -167,23 +164,15 @@ def _parse_table(rows) -> list:
     return [tuple(map(parsed.__getitem__, row)) for row in rows]
 
 
-def _check_arrays(field: str, *values) -> None:
-    """Raise TypeError unless each of values is a JSON array.  The
-    constructors take any sequence, and would read a string where an array
-    belongs character by character."""
-    if not set(map(type, values)) <= {list}:
-        bad = next(v for v in values if type(v) is not list)
-        raise TypeError(f"{field} must be an array, got {bad!r}")
-
-
 def space_from_dict(d: dict) -> FiniteMetricSpace:
-    points, dist = d["points"], d["dist"]
-    _check_arrays("points", points)
-    m = FiniteMetricSpace(points, _parse_table(dist), name=d["name"])
-    # Once the table is read, so that a table the constructor refuses (a
-    # short row, a bad entry) reports that fault first.
-    _check_arrays("dist", dist)
-    _check_arrays("each row of dist", *dist)
+    dist = d["dist"]
+    m = FiniteMetricSpace(d["points"], _parse_table(dist), name=d["name"])
+    # load_entry takes the table as read, so a string row (which the
+    # constructor reads character by character) is refused here; after the
+    # constructor, so that a short row or a bad entry is reported first.
+    if not set(map(type, dist)) <= {list}:
+        bad = next(row for row in dist if type(row) is not list)
+        raise TypeError(f"each row of dist must be an array, got {bad!r}")
     return m
 
 
@@ -195,7 +184,6 @@ def group_to_dict(g: FiniteGroup) -> dict:
 
 
 def group_from_dict(d: dict) -> FiniteGroup:
-    _check_arrays("elements", d["elements"])
     return FiniteGroup(d["elements"], d["mul"], name=d["name"])
 
 
@@ -370,15 +358,11 @@ def profile_to_dict(fp: FamilyProfile, name: str) -> dict:
 
 
 def profile_from_dict(d: dict) -> FamilyProfile:
-    """The profile its entries describe.  Every other key is derived from
-    them, so the document must read exactly as profile_to_dict writes it."""
-    fp = FamilyProfile(
+    """The profile its entries describe; every other key is derived from
+    them (load_entry checks that the document holds what they derive)."""
+    return FamilyProfile(
         _profiles_from_list(d["spaces"]),
         None if d["quotients"] is None else _profiles_from_list(d["quotients"]))
-    for key, value in profile_to_dict(fp, d["name"]).items():
-        if d[key] != value:
-            raise FormatError(f"profile {d['name']!r}: {key} disagrees with the entries")
-    return fp
 
 
 def profile_to_csv(fp: FamilyProfile) -> str:
@@ -453,14 +437,15 @@ def load_entry(d: dict, ws: Workspace) -> tuple[str, str, object, list[Violation
     """Materialize one parsed document into the workspace.
 
     Returns (kind, name, object, violations).  This is the one place that
-    reports a malformed document: the readers assume a well-formed one, and
-    whatever a bad field makes them raise becomes a FormatError here, "<kind>
-    file is missing '<key>'" for a missing key and "bad <kind>: ..." for the
-    rest.  Missing references raise ResolutionError.  The metric/group/
-    action/cover/decomposition validators and certificate recomputation run
-    after the object is built, outside that conversion, so a fault in one is
-    never reported as a bad file; they only fill the violation list, so
-    callers can report instead of abort.
+    reports a malformed document, by one rule: the object, written back by
+    its kind's *_to_dict, must equal the document (key order and whitespace
+    are free), else "<kind> '<name>': <key> is not as its object writes it".
+    What a bad field makes the readers raise becomes "<kind> file is missing
+    '<key>'" or "bad <kind>: ...", and a missing reference ResolutionError.
+    The validators and certificate recomputation run after the object is
+    built, outside that conversion, so a fault in one is never reported as
+    a bad file; they only fill the violation list, so callers can report
+    instead of abort.
     """
     kind = d["kind"]
     check = None
@@ -468,20 +453,28 @@ def load_entry(d: dict, ws: Workspace) -> tuple[str, str, object, list[Violation
         name = d["name"]
         if kind == "space":
             obj, check = space_from_dict(d), validate_metric
+            # The table is taken as read (parse_scalar and space_from_dict
+            # make it canonical); writing it again costs as much as reading.
+            written = _document("space", obj.name, points=list(obj.points), dist=d["dist"])
         elif kind == "group":
             obj, check = group_from_dict(d), validate_group
+            written = group_to_dict(obj)
         elif kind == "action":
             obj, check = action_from_dict(d, ws), validate_action
+            written = action_to_dict(obj)
         elif kind == "sspace":
             obj = sspace_from_dict(d, ws)
+            written = sspace_to_dict(obj)
         elif kind == "cover":
             obj, check = cover_from_dict(d, ws), validate_cover
+            written = cover_to_dict(obj)
         elif kind == "decomposition":
             obj, check = decomposition_from_dict(d, ws), validate_decomposition
+            written = decomposition_to_dict(obj)
         elif kind == "certificate":
             obj = certificate_from_dict(d)
             cover = ws.get("cover", d["cover"])
-            action = None if d.get("action") is None else ws.get("action", d["action"])
+            action = None if d["action"] is None else ws.get("action", d["action"])
             # What verify_certificate assumes, checked here so that a file
             # breaking it is reported as a bad certificate.
             if action is not None and action.space != cover.space:
@@ -490,12 +483,19 @@ def load_entry(d: dict, ws: Workspace) -> tuple[str, str, object, list[Violation
             if obj.meet_radius is not None:
                 check_scalar(obj.meet_radius, "meet_radius")
             check = functools.partial(verify_certificate, cover, action=action)
+            written = certificate_to_dict(obj, d["cover"], d["action"])
         elif kind == "lift_trace":
             obj = lift_trace_from_dict(d)
+            written = lift_trace_to_dict(obj, d["action"], d["source_cover"], d["cover"])
         elif kind == "profile":
             obj = profile_from_dict(d)
+            written = profile_to_dict(obj, name)
         else:
             raise FormatError(f"unknown kind {kind!r}")
+        if written != d:
+            key = next(k for k in {**written, **d}
+                       if k not in written or k not in d or written[k] != d[k])
+            raise FormatError(f"{kind} {name!r}: {key} is not as its object writes it")
     except (FormatError, ResolutionError):  # ResolutionError is a KeyError
         raise
     except KeyError as exc:

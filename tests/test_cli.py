@@ -238,9 +238,9 @@ def test_validate_reports_a_wrong_type_field_and_goes_on(tmp_path, capsys,
     ("space", {"points": ["a", "b"], "dist": ["03", "30"]},
      "bad space: each row of dist must be an array, got '03'"),
     ("space", {"points": "ab", "dist": [["0", "3"], ["3", "0"]]},
-     "bad space: points must be an array, got 'ab'"),
+     "space 's': points is not as its object writes it"),
     ("group", {"elements": "ab", "mul": [[0, 1], [1, 0]]},
-     "bad group: elements must be an array, got 'ab'"),
+     "group 's': elements is not as its object writes it"),
 ], ids=["space-dist-rows", "space-points", "group-elements"])
 def test_a_string_where_an_array_belongs_is_a_bad_file(tmp_path, capsys,
                                                        kind, fields, message):
@@ -257,6 +257,33 @@ def test_a_string_where_an_array_belongs_is_a_bad_file(tmp_path, capsys,
         assert (code, out) == (1, [])
         assert err == [{"error": "validation", "message": message}]
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, fields, message", [
+    ("sspace", {"name": "U", "components": ["P5"], "basepoints": [[2]], "weights": "5"},
+     "sspace 'U': weights is not as its object writes it"),
+    ("space", {"name": "s", "points": [1, True], "dist": [["0", "1"], ["1", "0"]]},
+     "space 's': points is not as its object writes it"),
+    ("space", {"name": "s", "points": ["a", "b"], "dist": [["0/1", "1"], ["1", "0"]]},
+     "bad scalar '0/1'"),
+    ("space", {"name": "s", "points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]],
+               "note": "x"},
+     "space 's': note is not as its object writes it"),
+    ("cover", {"name": "c", "space": "P5", "members": [[0, 1, 1, 2], [2, 3, 4]]},
+     "cover 'c': members is not as its object writes it"),
+    ("cover", {"name": "c", "space": "P5", "members": [[2, 1, 0], [2, 3, 4]]},
+     "cover 'c': members is not as its object writes it"),
+], ids=["sspace-weights-string", "space-points-not-strings", "scalar-not-lowest-terms",
+        "extra-key", "member-repeats-a-point", "member-unsorted"])
+def test_a_document_its_object_writes_otherwise_is_a_bad_file(tmp_path, capsys,
+                                                               kind, fields, message):
+    # Each of these loaded as some other object (the points "1" and "True",
+    # a Fraction table, a sorted member), so writing it back changed its bytes.
+    files = generate_path_instance(tmp_path, capsys)
+    bad = tmp_path / f"bad.{kind}.json"
+    bad.write_text(json.dumps({"format": "coarsedim/1", "kind": kind, **fields}))
+    assert run(capsys, "validate", *files, str(bad)) == \
+        (1, [], [{"error": "format", "message": message, "file": str(bad)}])
 
 
 def test_validate_reports_an_unhashable_kind_and_goes_on(tmp_path, capsys):
@@ -434,7 +461,8 @@ def test_scalar_flag_message_lists_what_it_accepts(tmp_path, capsys):
                          "--out", str(tmp_path / "out"))
     assert (code, out) == (1, [])
     assert err == [{"error": "validation",
-                    "message": "--R must be an integer or fraction p/q, got 'zz'"}]
+                    "message": "--R must be an integer or fraction p/q in lowest terms, "
+                               "got 'zz'"}]
 
 
 @pytest.mark.parametrize("max_points", ["0", "-1"])
@@ -631,18 +659,18 @@ def _first_entry(d, key="spaces"):
 PROFILE_EDITS = {
     "comparison-removed-family-value-added": (
         lambda d: (d["comparisons"].pop(0), d["family_dimension"].append(0)),
-        "profile 'profile': family_dimension disagrees with the entries"),
+        "profile 'profile': family_dimension is not as its object writes it"),
     "comparison-and-family-maximum-rewritten": (
         lambda d: (d["comparisons"][0].update(quotient_dimension=5,
                                               relation="exceeds"),
                    d["family_dimension"].__setitem__(0, 9)),
-        "profile 'profile': family_dimension disagrees with the entries"),
+        "profile 'profile': family_dimension is not as its object writes it"),
     "quotients-emptied": (
         lambda d: d.update(quotients=[]),
         "bad profile: 0 quotient profiles for 1 spaces"),
     "exact-entry-without-mesh-bound": (
         lambda d: _first_entry(d).update(mesh_bound=None),
-        "profile 'profile': spaces disagrees with the entries"),
+        "profile 'profile': spaces is not as its object writes it"),
     "quotient-scale-changed": (
         lambda d: d["quotients"][0]["entries"][1].update(scale="3"),
         "bad profile: every profile must have the same scales, in order"),
@@ -653,7 +681,7 @@ PROFILE_EDITS = {
         "dimension and mesh or an infeasible record"),
     "unknown-method": (
         lambda d: _first_entry(d).update(method="magic"),
-        "profile 'profile': spaces disagrees with the entries"),
+        "profile 'profile': spaces is not as its object writes it"),
 }
 
 

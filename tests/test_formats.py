@@ -14,7 +14,7 @@ from coarsedim import (Cover, Decomposition, FiniteMetricSpace, FormatError,
 from coarsedim import formats
 from coarsedim.formats import (action_to_dict, certificate_to_dict,
                                cover_to_dict, decomposition_to_dict,
-                               group_to_dict, lift_trace_from_dict,
+                               group_to_dict,
                                lift_trace_to_dict, load_entry,
                                parse_document, parse_scalar, profile_from_dict,
                                profile_to_csv, profile_to_dict, scalar_str,
@@ -35,7 +35,8 @@ def test_scalar_strings():
     assert parse_scalar("5") == 5
     assert parse_scalar("5/4") == Fraction(5, 4)
     assert parse_scalar("inf") == math.inf
-    for bad in ("1.5", "abc", "1/0", "", 5):
+    for bad in ("1.5", "abc", "1/0", "", 5, "03", " 3", "+3", "-0", "1_0", "2/4",
+                "4/2", "1/1", "0/1"):
         with pytest.raises(FormatError):
             parse_scalar(bad)
 
@@ -184,7 +185,7 @@ def test_lift_trace_round_trip_is_byte_identical():
                            fx["qc"].name, fx["lifted"].name)
     text = dumps(d)
     parsed = parse_document(text)
-    obj = lift_trace_from_dict(parsed)
+    obj = load_entry(parsed, Workspace())[2]
     assert obj == fx["trace"]
     assert dumps(lift_trace_to_dict(obj, fx["action"].name,
                                     fx["qc"].name, fx["lifted"].name)) == text
@@ -221,8 +222,13 @@ def test_profile_csv_shape():
     assert second[4] == "" and second[8] == "infeasible"
 
 
-def test_every_document_kind_is_written_as_json_dumps_writes_it():
-    fx = fixtures()
+DOCUMENT_IDS = ["space", "quotient-space", "fraction-space", "group", "action", "cover",
+                "decomposition", "sspace", "certificate", "equivariant-certificate",
+                "lift-trace", "profile", "bare-profile"]
+
+
+def every_document(fx) -> list[dict]:
+    """A document of every kind the CLI writes, in DOCUMENT_IDS order."""
     spaces = [path_space(5), cycle_space(4)]
     actions = [path_reflection_action(spaces[0]),
                cycle_rotation_action(spaces[1], 2)]
@@ -233,7 +239,7 @@ def test_every_document_kind_is_written_as_json_dumps_writes_it():
     thirds = FiniteMetricSpace(["é", "漢", "\"q\""],
                                [[0, Fraction(2, 3), 1], [Fraction(2, 3), 0, 1],
                                 [1, 1, 0]], name="tiers\tü")
-    docs = [space_to_dict(fx["space"]), space_to_dict(fx["q"].space),
+    return [space_to_dict(fx["space"]), space_to_dict(fx["q"].space),
             space_to_dict(thirds), group_to_dict(fx["group"]),
             action_to_dict(fx["action"]), cover_to_dict(fx["cover"]),
             decomposition_to_dict(fx["decomp"]), sspace_to_dict(fx["union"]),
@@ -243,9 +249,36 @@ def test_every_document_kind_is_written_as_json_dumps_writes_it():
             lift_trace_to_dict(fx["trace"], fx["action"].name, fx["qc"].name,
                                fx["lifted"].name),
             profile_to_dict(with_quotients, "fam"), profile_to_dict(plain, "bare")]
+
+
+def test_every_document_kind_is_written_as_json_dumps_writes_it():
+    docs = every_document(fixtures())
     assert None in docs[-1].values()
     for d in docs:
         assert dumps(d) == json.dumps(d, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("index", range(len(DOCUMENT_IDS)), ids=DOCUMENT_IDS)
+def test_load_entry_refuses_a_key_its_object_does_not_write(index):
+    fx = fixtures()
+    d = every_document(fx)[index]
+
+    def references():
+        """Every object the documents refer to, except d itself."""
+        ws = Workspace()
+        for kind, obj in [("space", fx["space"]), ("space", fx["q"].space),
+                          ("space", cycle_space(4)), ("group", fx["group"]),
+                          ("action", fx["action"]), ("cover", fx["cover"]),
+                          ("cover", fx["qc"]), ("cover", fx["lifted"])]:
+            if (kind, obj.name) != (d["kind"], d["name"]):
+                ws.add(kind, obj.name, obj)
+        return ws
+
+    assert load_entry(parse_document(dumps(d)), references())[3] == []
+    with pytest.raises(FormatError) as info:
+        load_entry(parse_document(dumps({**d, "note": None})), references())
+    assert str(info.value) == \
+        f"{d['kind']} {d['name']!r}: note is not as its object writes it"
 
 
 @pytest.mark.parametrize("value", [
