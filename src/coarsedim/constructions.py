@@ -34,8 +34,8 @@ from .covers import (Cover, CoverCertificate, certify, check_equivariance,
 from .errors import InternalInvariantError
 from .groups import (IsometricAction, QuotientSpace, coset_representatives,
                      generated_subgroup, quotient)
-from .metric import (INF, FiniteMetricSpace, Scalar, _set_distance, check_positive,
-                     check_scalar, diameter)
+from .metric import (INF, FiniteMetricSpace, Scalar, _set_distance, check_index,
+                     check_positive, check_scalar, diameter)
 
 
 def _require_valid(c: Cover) -> None:
@@ -254,16 +254,12 @@ class SSpace:
         return tuple(accumulate(map(len, self.components[:-1]), initial=0))
 
     def global_index(self, component: int, local: int) -> int:
-        if not 0 <= component < len(self.components):
-            raise ValueError(f"component {component} out of range")
-        if not 0 <= local < len(self.components[component]):
-            raise ValueError(f"local index {local} out of range for component {component}")
+        check_index(component, len(self.components), "a component index")
+        self.components[component].check_point(local)
         return self.offsets[component] + local
 
     def component_of(self, index: int) -> tuple[int, int]:
-        if not 0 <= index < len(self._index):
-            raise ValueError(f"index {index} out of range")
-        return self._index[index]
+        return self._index[self.assembled.check_point(index)]
 
     def __repr__(self) -> str:
         return (f"SSpace({self.assembled.name!r}, {len(self.components)} components, "
@@ -281,7 +277,7 @@ def build_sspace(components: Sequence[FiniteMetricSpace],
 
     base_sets = []
     for n, (comp, bp) in enumerate(zip(components, basepoints)):
-        bp = frozenset(comp.check_point(x) for x in bp)
+        bp = frozenset(comp.check_points(tuple(bp)))
         if not bp:
             raise ValueError(f"component {n} has an empty basepoint set")
         base_sets.append(bp)
@@ -372,9 +368,8 @@ def sspace_quotient_commute(s: SSpace,
     whole = quotient(assembled_action)
 
     comp_quotients = tuple(quotient(act) for act in actions)
-    image_basepoints = []
-    for n, q in enumerate(comp_quotients):
-        image_basepoints.append(frozenset(q.orbit_of[y] for y in s.basepoints[n]))
+    image_basepoints = [frozenset(q.orbit_of[y] for y in s.basepoints[n])
+                        for n, q in enumerate(comp_quotients)]
     union = build_sspace([q.space for q in comp_quotients], image_basepoints,
                          s.weights, name=f"{s.assembled.name}_quotients")
 
@@ -443,9 +438,7 @@ def merge_decompositions(s: SSpace, head: Decomposition,
     for i, tail in enumerate(tails):
         if tail.r < r:
             raise ValueError(f"tail {i} is only valid at r = {tail.r}, below {r}")
-    issues = validate_decomposition(head)
-    for i, tail in enumerate(tails):
-        issues.extend(validate_decomposition(tail))
+    issues = [v for d in (head, *tails) for v in validate_decomposition(d)]
     if issues:
         raise ValueError("invalid input decomposition: "
                          + "; ".join(v.message for v in issues))
@@ -456,11 +449,8 @@ def merge_decompositions(s: SSpace, head: Decomposition,
         raise ValueError(
             f"first tail weight {s.weights[n_head]} must exceed r = {r}")
 
-    n_families = len(head.families)
-    families: list[list[frozenset[int]]] = [[] for _ in range(n_families)]
-    for fi, family in enumerate(head.families):
-        # head indices coincide with union indices: components keep their order
-        families[fi].extend(family)
+    # head indices coincide with union indices: components keep their order
+    families = [list(family) for family in head.families]
     for i, tail in enumerate(tails):
         lo = s.offsets[n_head + i]
         for fi, family in enumerate(tail.families):

@@ -65,28 +65,25 @@ from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, Violation
 from .groups import IsometricAction
-from .metric import INF, FiniteMetricSpace, Scalar, _diameter, _set_distance, check_scalar
+from .metric import (INF, FiniteMetricSpace, Scalar, _diameter, _set_distance, check_count,
+                     check_indices, check_scalar)
 
 
 def _point_sets(space: FiniteMetricSpace, sets: Iterable[Iterable[int]],
                 what: str) -> tuple[frozenset[int], ...]:
-    """The sets as frozensets, checked to hold only point indices of the
-    space; the ValueError for a bad element begins with what.format(k),
-    where k is the index of its set."""
+    """The sets as frozensets, checked by check_indices to hold only point
+    indices of the space: all their points in one pass and, only if that
+    fails, set by set, naming what.format(k) for the first set k with a bad
+    point.  A set not yet frozen is checked as given, before True can merge
+    into 1, so its first bad point in reading order is named."""
+    sets = [items if type(items) is frozenset else tuple(items) for items in sets]
     n = len(space)
-    out = []
-    for k, items in enumerate(sets):
-        items = frozenset(items)
-        # Plain in-range ints pass in C; any other set is checked element
-        # by element, which names its first bad element.
-        if items and not (set(map(type, items)) <= {int}
-                          and min(items) >= 0 and max(items) < n):
-            for x in items:
-                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
-                    raise ValueError(f"{what.format(k)} contains {x!r}, not a point "
-                                     f"index of {space.name!r}")
-        out.append(items)
-    return tuple(out)
+    try:
+        check_indices(tuple(chain.from_iterable(sets)), n, "a point")
+    except ValueError:
+        for k, items in enumerate(sets):
+            check_indices(items, n, f"a point of {what.format(k)} over {space.name!r}")
+    return tuple(map(frozenset, sets))
 
 
 class Cover:
@@ -137,7 +134,9 @@ class Decomposition:
 class CoverCertificate:
     """Certified quantities of a cover.  Every field is recomputable from the
     cover itself, and verify_certificate insists on exact agreement; nothing
-    here is ever trusted from a file."""
+    here is ever trusted from a file.  Construction rejects a dimension or
+    ball_meet that is not a count, a meet_radius that is not exact and an
+    equivariant that is not a bool; each but the dimension may be None."""
 
     dimension: int
     lebesgue: Scalar | float
@@ -145,6 +144,16 @@ class CoverCertificate:
     meet_radius: Scalar | None = None
     ball_meet: int | None = None
     equivariant: bool | None = None
+
+    def __post_init__(self):
+        check_count(self.dimension, "dimension")
+        if self.ball_meet is not None:
+            check_count(self.ball_meet, "ball_meet")
+        if type(self.equivariant) not in (bool, type(None)):
+            raise ValueError(f"equivariant must be a bool or None, got "
+                             f"{self.equivariant!r}")
+        if self.meet_radius is not None:
+            check_scalar(self.meet_radius, "meet_radius")
 
 
 def validate_cover(c: Cover) -> list[Violation]:
@@ -182,12 +191,7 @@ def mesh(c: Cover) -> Scalar:
     m = c.space
     if all(c.members) and len(m) in map(len, c.members):
         return m.diameter()
-    best: Scalar = 0
-    for member in c.members:
-        d = _diameter(m, member)
-        if d > best:
-            best = d
-    return best
+    return max((_diameter(m, member) for member in c.members), default=0)
 
 
 def lebesgue_number(c: Cover):
@@ -240,12 +244,8 @@ def ball_meet_count(c: Cover, radius: Scalar) -> int:
     """Largest number of members met by one open ball of the given radius."""
     check_scalar(radius, "radius")
     m = c.space
-    best = 0
-    for x in range(len(m)):
-        count = sum(1 for member in c.members if _set_distance(m, (x,), member) < radius)
-        if count > best:
-            best = count
-    return best
+    return max(sum(1 for member in c.members if _set_distance(m, (x,), member) < radius)
+               for x in range(len(m)))
 
 
 def is_r_disjoint(space: FiniteMetricSpace, family: Sequence[Iterable[int]],
@@ -254,7 +254,7 @@ def is_r_disjoint(space: FiniteMetricSpace, family: Sequence[Iterable[int]],
     is (i, j, distance) for the first offending pair in index order; empty sets
     never collide (their distance is INF)."""
     check_scalar(r, "r")
-    sets = [frozenset(space.check_point(x) for x in piece) for piece in family]
+    sets = [frozenset(space.check_points(tuple(piece))) for piece in family]
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
             d = _set_distance(space, sets[i], sets[j])
@@ -323,13 +323,8 @@ def check_equivariance(a: IsometricAction, c: Cover) -> tuple[bool, tuple | None
 
 def _certificate(c: Cover, measured: tuple, meet_radius: Scalar | None,
                  action: IsometricAction | None) -> CoverCertificate:
-    equivariant = None
-    if action is not None:
-        equivariant = check_equivariance(action, c)[0]
-    meet = None
-    if meet_radius is not None:
-        check_scalar(meet_radius, "meet_radius")
-        meet = ball_meet_count(c, meet_radius)
+    equivariant = None if action is None else check_equivariance(action, c)[0]
+    meet = None if meet_radius is None else ball_meet_count(c, meet_radius)
     return CoverCertificate(*measured, meet_radius=meet_radius, ball_meet=meet,
                             equivariant=equivariant)
 

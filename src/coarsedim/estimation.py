@@ -24,8 +24,8 @@ from .covers import Cover, CoverCertificate, certify
 from .constructions import LiftTrace, lift_equivariant
 from .errors import CapExceededError, InternalInvariantError
 from .groups import IsometricAction, QuotientSpace, quotient
-from .metric import (FiniteMetricSpace, Scalar, ball, check_positive, check_scalar,
-                     diameter)
+from .metric import (FiniteMetricSpace, Scalar, ball, check_count, check_positive,
+                     check_scalar, diameter)
 
 EXACT_POINT_CAP = 14
 
@@ -36,10 +36,17 @@ class Infeasible:
     diameter above B, so no member of mesh <= B can contain it and no cover
     exists; `message` names the point, the ball's diameter and B.  Returned,
     not raised, because at a too-small mesh bound this is an answer, not an
-    accident.  A profile document keeps both fields."""
+    accident.  A profile document keeps both fields; construction rejects a
+    point that is not a count and a message that is not a str."""
 
     point: int
     message: str
+
+    def __post_init__(self):
+        check_count(self.point, "an infeasible record's point")
+        if not isinstance(self.message, str):
+            raise ValueError(f"an infeasible record's message must be a str, "
+                             f"got {self.message!r}")
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -261,10 +268,8 @@ class ProfileEntry:
                                                   f"{self.scale}") < 0:
                 raise ValueError(f"the {field} at scale {self.scale} must be >= 0, "
                                  f"got {value}")
-        d = self.dimension
-        if d is not None and (not isinstance(d, int) or isinstance(d, bool) or d < 0):
-            raise ValueError(f"the dimension at scale {self.scale} must be a "
-                             f"nonnegative int, got {d!r}")
+        if self.dimension is not None:
+            check_count(self.dimension, f"the dimension at scale {self.scale}")
 
     @property
     def method(self) -> str:

@@ -16,6 +16,8 @@ sorted, scalars in lowest terms and no key is extra; a profile's derived
 keys must be what its entries derive (each entry's dimension and mesh stay
 claims, as its cover is not in the document).  A certificate's fields are
 also recomputed from its cover; any disagreement is a validation failure.
+A lift trace loads only beside its action, against which its indices are
+checked; what they index is not re-derived.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from .covers import Cover, CoverCertificate, Decomposition, validate_cover, \
 from .errors import ResolutionError, Violation
 from .estimation import DimensionProfile, FamilyProfile, Infeasible, ProfileEntry
 from .groups import FiniteGroup, IsometricAction, validate_action, validate_group
-from .metric import INF, FiniteMetricSpace, check_scalar, is_scalar, validate_metric
+from .metric import (INF, FiniteMetricSpace, check_index, check_indices, is_scalar,
+                     validate_metric)
 
 FORMAT_TAG = "coarsedim/1"
 
@@ -289,7 +292,11 @@ def lift_trace_to_dict(trace: LiftTrace, action_name: str,
                      R=scalar_str(trace.R), s=scalar_str(trace.s), members=members)
 
 
-def lift_trace_from_dict(d: dict) -> LiftTrace:
+def lift_trace_from_dict(d: dict, ws: "Workspace") -> LiftTrace:
+    """The trace as read, once its action resolves, with every index in it
+    checked against that action: points against its space, coset
+    representatives and subgroup elements against its group, and members
+    against its orbit count."""
     entries = []
     for entry in d["members"]:
         pieces = tuple(
@@ -300,7 +307,20 @@ def lift_trace_from_dict(d: dict) -> LiftTrace:
                                   fiber=frozenset(entry["fiber"]),
                                   basepoint=entry["basepoint"],
                                   pieces=pieces))
-    return LiftTrace(R=parse_scalar(d["R"]), s=parse_scalar(d["s"]), entries=tuple(entries))
+    trace = LiftTrace(R=parse_scalar(d["R"]), s=parse_scalar(d["s"]), entries=tuple(entries))
+    action = ws.get("action", d["action"])
+    n, order = len(action.space), len(action.group)
+    # An orbit is named by its least point, the least of its images.
+    orbit_count = len(set(map(min, zip(*action.perms))))
+    for entry in d["members"]:
+        check_indices(entry["member"], orbit_count, "a member's orbit")
+        check_indices(entry["fiber"], n, "a fiber's point")
+        check_index(entry["basepoint"], n, "a basepoint")
+        for p in entry["pieces"]:
+            check_index(p["rep"], order, "a piece's coset representative")
+            check_indices(p["subgroup"], order, "a piece's subgroup element")
+            check_indices(p["piece"], n, "a piece's point")
+    return trace
 
 
 # ---------------------------------------------------------------- profile
@@ -480,12 +500,10 @@ def load_entry(d: dict, ws: Workspace) -> tuple[str, str, object, list[Violation
             if action is not None and action.space != cover.space:
                 raise ValueError(f"action {action.name!r} does not act on the space "
                                  f"of cover {cover.name!r}")
-            if obj.meet_radius is not None:
-                check_scalar(obj.meet_radius, "meet_radius")
             check = functools.partial(verify_certificate, cover, action=action)
             written = certificate_to_dict(obj, d["cover"], d["action"])
         elif kind == "lift_trace":
-            obj = lift_trace_from_dict(d)
+            obj = lift_trace_from_dict(d, ws)
             written = lift_trace_to_dict(obj, d["action"], d["source_cover"], d["cover"])
         elif kind == "profile":
             obj = profile_from_dict(d)

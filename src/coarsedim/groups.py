@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, Violation
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, check_index, check_indices
 
 # Guardrails on the brute-force constructions, not tuning knobs.
 ISOMORPHISM_ORDER_CAP = 12
@@ -42,25 +42,19 @@ class FiniteGroup:
         n = len(self.elements)
         if len(mul) != n:
             raise ValueError(f"multiplication table has {len(mul)} rows for {n} elements")
-        rows = []
-        for i, row in enumerate(mul):
-            row = tuple(row)
+        self.mul_table = tuple(map(tuple, mul))
+        for i, row in enumerate(self.mul_table):
             if len(row) != n:
                 raise ValueError(f"multiplication table row {i} has length {len(row)}")
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                    raise ValueError(f"table entry {v!r} in row {i} is not an element index")
-            rows.append(row)
-        self.mul_table = tuple(rows)
+            check_indices(row, n, f"a table entry in row {i}")
         self.name = str(name)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self.identity = self._find_identity()
 
     def _find_identity(self) -> int:
-        for e in range(len(self.elements)):
-            row_ok = all(self.mul_table[e][a] == a for a in range(len(self.elements)))
-            col_ok = all(self.mul_table[a][e] == a for a in range(len(self.elements)))
-            if row_ok and col_ok:
+        every = range(len(self.elements))
+        for e in every:
+            if all(self.mul_table[e][a] == a == self.mul_table[a][e] for a in every):
                 return e
         raise ValueError(f"group {self.name!r} has no two-sided identity")
 
@@ -143,23 +137,12 @@ def dihedral_group(n: int) -> FiniteGroup:
     """
     if n < 3:
         raise ValueError("dihedral parameter must be >= 3")
-    perms = []
-    names = []
-    for k in range(n):
-        perms.append(tuple((x + k) % n for x in range(n)))
-        names.append(f"r{k}")
-    for k in range(n):
-        perms.append(tuple((k - x) % n for x in range(n)))
-        names.append(f"s{k}")
+    perms = ([tuple((x + k) % n for x in range(n)) for k in range(n)]
+             + [tuple((k - x) % n for x in range(n)) for k in range(n)])
     lookup = {p: i for i, p in enumerate(perms)}
-    mul = []
-    for p in perms:
-        row = []
-        for q in perms:
-            composed = tuple(p[q[x]] for x in range(n))
-            row.append(lookup[composed])
-        mul.append(row)
-    return FiniteGroup(names, mul, name=f"D{n}")
+    mul = [[lookup[tuple(map(p.__getitem__, q))] for q in perms] for p in perms]
+    return FiniteGroup([f"r{k}" for k in range(n)] + [f"s{k}" for k in range(n)], mul,
+                       name=f"D{n}")
 
 
 class IsometricAction:
@@ -177,15 +160,13 @@ class IsometricAction:
         if len(perms) != len(group):
             raise ValueError(f"{len(perms)} permutations for {len(group)} group elements")
         n = len(space)
-        rows = []
-        for g, perm in enumerate(perms):
-            perm = tuple(perm)
-            if len(perm) != n or sorted(perm) != list(range(n)):
+        self.perms = tuple(map(tuple, perms))
+        for g, perm in enumerate(self.perms):
+            check_indices(perm, n, f"an image under {group.elements[g]!r}")
+            if len(perm) != n or len(set(perm)) != n:
                 raise ValueError(
                     f"permutation for {group.elements[g]!r} is not a bijection on "
                     f"{n} points")
-            rows.append(perm)
-        self.perms = tuple(rows)
         self.name = str(name)
 
     def __repr__(self) -> str:
@@ -324,10 +305,7 @@ def generated_subgroup(g: FiniteGroup, generators: Iterable[int]) -> tuple[int, 
     walking the table from the identity, multiplying on the right by a
     generator at each step.  In a finite group that is the whole generated
     subgroup, as each generator's inverse is one of its powers."""
-    gens = list(generators)
-    for x in gens:
-        if not 0 <= x < len(g):
-            raise ValueError(f"generator index {x} out of range")
+    gens = check_indices(list(generators), len(g), f"a generator of {g.name!r}")
     reached = {g.identity}
     frontier = [g.identity]
     while frontier:
@@ -372,8 +350,9 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> dict[int, int] | None:
             f"got orders {len(g1)} and {len(g2)}")
     if len(g1) != len(g2):
         return None
-    if sorted(g1.element_order(a) for a in range(len(g1))) != \
-            sorted(g2.element_order(a) for a in range(len(g2))):
+    orders1 = [g1.element_order(a) for a in range(len(g1))]
+    orders2 = [g2.element_order(a) for a in range(len(g2))]
+    if sorted(orders1) != sorted(orders2):
         return None
 
     gens: list[int] = []
@@ -385,8 +364,6 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> dict[int, int] | None:
         if len(generated) == len(g1):
             break
 
-    orders1 = [g1.element_order(a) for a in range(len(g1))]
-    orders2 = [g2.element_order(a) for a in range(len(g2))]
     candidates = [[b for b in range(len(g2)) if orders2[b] == orders1[a]] for a in gens]
 
     for images in itertools.product(*candidates):
@@ -440,31 +417,18 @@ class DirectSum:
         self.components = tuple(components)
         if not self.components:
             raise ValueError("direct sum needs at least one component")
-        sizes = [len(g) for g in self.components]
-        tuples = list(itertools.product(*[range(s) for s in sizes]))
-        self._tuple_index = {t: i for i, t in enumerate(tuples)}
+        comps = self.components
+        tuples = list(itertools.product(*(range(len(g)) for g in comps)))
         self._tuples = tuples
-        names = []
-        for t in tuples:
-            names.append("(" + ",".join(self.components[j].elements[t[j]]
-                                        for j in range(len(sizes))) + ")")
-        mul = []
-        for t in tuples:
-            row = []
-            for u in tuples:
-                prod = tuple(self.components[j].mul(t[j], u[j]) for j in range(len(sizes)))
-                row.append(self._tuple_index[prod])
-            mul.append(row)
-        self.group = FiniteGroup(names, mul,
-                                 name="+".join(g.name for g in self.components))
-        self.injections = []
-        for j, g in enumerate(self.components):
-            inj = []
-            for a in range(len(g)):
-                t = tuple(a if jj == j else self.components[jj].identity
-                          for jj in range(len(sizes)))
-                inj.append(self._tuple_index[t])
-            self.injections.append(tuple(inj))
+        index = {t: i for i, t in enumerate(tuples)}
+        names = ["(" + ",".join(g.elements[a] for g, a in zip(comps, t)) + ")"
+                 for t in tuples]
+        mul = [[index[tuple(g.mul(a, b) for g, a, b in zip(comps, t, u))] for u in tuples]
+               for t in tuples]
+        self.group = FiniteGroup(names, mul, name="+".join(g.name for g in comps))
+        ident = tuple(g.identity for g in comps)
+        self.injections = [tuple(index[ident[:j] + (a,) + ident[j + 1:]] for a in range(len(g)))
+                           for j, g in enumerate(comps)]
 
     def project(self, element: int) -> tuple[int, ...]:
         return self._tuples[element]
@@ -488,8 +452,7 @@ def extend_action(a: IsometricAction, dsum: DirectSum,
     isomorphism); every other component acts trivially.  This is an action
     because projecting to one component is a homomorphism.
     """
-    if not 0 <= component < len(dsum.components):
-        raise ValueError(f"component index {component} out of range")
+    check_index(component, len(dsum.components), "a component index")
     comp = dsum.components[component]
     if comp == a.group:
         iso = {i: i for i in range(len(comp))}

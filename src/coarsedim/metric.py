@@ -3,7 +3,9 @@
 Distances are ints or Fractions, never floats: every downstream certificate
 is an exact comparison, and a single rounded value would poison all of them.
 The one non-rational value in the toolkit is INF, the marker for a minimum
-taken over an empty set.
+taken over an empty set.  The rules every constructor checks its input by
+are written here once: check_scalar, check_index (and check_indices for a
+whole collection) and check_count.
 """
 
 from __future__ import annotations
@@ -44,6 +46,32 @@ def check_positive(value, name: str = "value") -> Scalar:
     if not check_scalar(value, name) > 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
+
+
+def check_count(value, what: str) -> int:
+    """Reject anything but a nonnegative int (a bool is not one)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{what} must be a nonnegative int, got {value!r}")
+    return value
+
+
+def check_index(value, n: int, what: str) -> int:
+    """Reject anything but an int (a bool is not one) in range(n)."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < n:
+        raise ValueError(f"{what} must be an int in range({n}), got {value!r}")
+    return value
+
+
+def check_indices(values, n: int, what: str):
+    """check_index on every element of a collection, which is returned.  A
+    collection of plain ints in range passes on C-level passes alone; any
+    other is checked element by element, so the first bad one in iteration
+    order raises."""
+    if values and not ({int}.issuperset(map(type, values))
+                       and 0 <= min(values) and max(values) < n):
+        for value in values:
+            check_index(value, n, what)
+    return values
 
 
 class FiniteMetricSpace:
@@ -123,9 +151,11 @@ class FiniteMetricSpace:
         return self._diameter
 
     def check_point(self, x: int) -> int:
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < len(self.points):
-            raise ValueError(f"point index {x!r} out of range for space {self.name!r}")
-        return x
+        return check_index(x, len(self.points), f"a point index of {self.name!r}")
+
+    def check_points(self, xs):
+        """check_indices against the points; xs is returned."""
+        return check_indices(xs, len(self.points), f"a point index of {self.name!r}")
 
     def __eq__(self, other) -> bool:
         # The label is not part of the geometry.
@@ -364,13 +394,12 @@ def ball(m: FiniteMetricSpace, x: int, r: Scalar, mode: str = "closed") -> froze
 
 def diameter(m: FiniteMetricSpace, s: Iterable[int]) -> Scalar:
     """Largest pairwise distance within s; the empty set has no diameter."""
-    return _diameter(m, {m.check_point(x) for x in s})
+    return _diameter(m, set(m.check_points(tuple(s))))
 
 
 def set_distance(m: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]):
     """min d(x, y) over x in a, y in b; INF when either side is empty."""
-    return _set_distance(m, [m.check_point(x) for x in set(a)],
-                         [m.check_point(y) for y in set(b)])
+    return _set_distance(m, set(m.check_points(tuple(a))), set(m.check_points(tuple(b))))
 
 
 # The unchecked forms below are for point sets already known to be indices

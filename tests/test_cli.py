@@ -286,6 +286,83 @@ def test_a_document_its_object_writes_otherwise_is_a_bad_file(tmp_path, capsys,
         (1, [], [{"error": "format", "message": message, "file": str(bad)}])
 
 
+def _edit(*keys_and_value):
+    """An edit that sets the value at a path of keys and indices."""
+    *keys, value = keys_and_value
+
+    def edit(d):
+        for key in keys[:-1]:
+            d = d[key]
+        d[keys[-1]] = value
+    return edit
+
+
+# Each edit leaves the document as its object writes it, so only the index
+# rule, the count rule or the trace's action can refuse it: (kind of the
+# edited document, edit, error, message).  Each validates at exit 0 when
+# neither the index nor the count is checked.
+INDEX_AND_COUNT_EDITS = {
+    "perm-row-with-a-bool": (
+        "action", _edit("perm", "0", [0, True, 2, 3, 4]), "format",
+        "bad action: an image under '0' must be an int in range(5), got True"),
+    "perm-row-with-a-float": (
+        "action", _edit("perm", "1", [4, 3, 2, 1.0, 0]), "format",
+        "bad action: an image under '1' must be an int in range(5), got 1.0"),
+    "certificate-dimension-false": (
+        "certificate", _edit("dimension", False), "format",
+        "bad certificate: dimension must be a nonnegative int, got False"),
+    "certificate-ball-meet-float": (
+        # the largest number of members an open 2-ball meets is 3
+        "certificate", lambda d: d.update(meet_radius="2", ball_meet=3.0), "format",
+        "bad certificate: ball_meet must be a nonnegative int, got 3.0"),
+    "certificate-equivariant-one": (
+        "certificate", _edit("equivariant", 1), "format",
+        "bad certificate: equivariant must be a bool or None, got 1"),
+    "infeasible-point-string": (
+        "profile", _edit("spaces", 0, "entries", 1, "infeasible", "point", "x"), "format",
+        "bad profile: an infeasible record's point must be a nonnegative int, got 'x'"),
+    "infeasible-message-number": (
+        "profile", _edit("spaces", 0, "entries", 1, "infeasible", "message", 5), "format",
+        "bad profile: an infeasible record's message must be a str, got 5"),
+    "trace-basepoint-string": (
+        "lift_trace", _edit("members", 0, "basepoint", "zz"), "format",
+        "bad lift_trace: a basepoint must be an int in range(5), got 'zz'"),
+    "trace-rep-true": (
+        "lift_trace", _edit("members", 0, "pieces", 0, "rep", True), "format",
+        "bad lift_trace: a piece's coset representative must be an int in range(2), "
+        "got True"),
+    "trace-action-missing": (
+        "lift_trace", _edit("action", "nosuch"), "resolution",
+        "no action named 'nosuch' is loaded"),
+}
+
+
+@pytest.mark.parametrize("kind, edit, error, message", INDEX_AND_COUNT_EDITS.values(),
+                         ids=INDEX_AND_COUNT_EDITS)
+def test_a_bad_index_count_or_trace_action_is_refused(tmp_path, capsys,
+                                                        kind, edit, error, message):
+    files = generate_path_instance(tmp_path / "inputs", capsys)
+    code, lifted, _ = run(capsys, "equivariant-cover", *files, "--R", "1",
+                          "--out", str(tmp_path / "lift"))
+    assert code == 0
+    # scale 5 under mesh bound 1 is infeasible: entry 1 holds the record
+    code, profile, _ = run(capsys, "profile", *files, "--action", "P5_reflect",
+                           "--scales", "1,5", "--mesh-bounds", "2,1", "--mode", "exact",
+                           "--out", str(tmp_path / "profile"))
+    assert code == 0
+    # an edited action is validated with its space and group alone, as
+    # every output depends on it
+    docs = files if kind == "action" else [*files, *lifted, profile[0]]
+    assert run(capsys, "validate", *docs)[0] == 0
+    path = next(p for p in docs if p.endswith(f".{kind}.json"))
+    d = json.loads(pathlib.Path(path).read_text())
+    edit(d)
+    pathlib.Path(path).write_text(json.dumps(d))
+    assert run(capsys, "validate", *docs) == (
+        {"format": 1, "resolution": 2}[error], [],
+        [{"error": error, "message": message, "file": path}])
+
+
 def test_validate_reports_an_unhashable_kind_and_goes_on(tmp_path, capsys):
     files = generate_path_instance(tmp_path, capsys)
     space = next(f for f in files if ".space." in f)

@@ -167,9 +167,12 @@ def test_cover_constructor_checks_indices():
         with pytest.raises(ValueError):
             build([[0, 7]])
         for bad in (True, -1, 3, "0"):
-            with pytest.raises(ValueError, match=fr"^{what} contains {bad!r}, "
-                                                 r"not a point index of 'P3'$"):
+            with pytest.raises(ValueError, match=fr"^a point of {what} over 'P3' must "
+                                                 fr"be an int in range\(3\), got {bad!r}$"):
                 build([[0, 1], [2, bad]])
+        # True is checked before a set can merge it into 1
+        with pytest.raises(ValueError, match=fr"^a point of {what} over 'P3' .* got True$"):
+            build([[0, 2], [1, True]])
 
 
 def test_r_disjointness():

@@ -185,7 +185,9 @@ def test_lift_trace_round_trip_is_byte_identical():
                            fx["qc"].name, fx["lifted"].name)
     text = dumps(d)
     parsed = parse_document(text)
-    obj = load_entry(parsed, Workspace())[2]
+    ws = Workspace()    # a trace's indices are checked against its action
+    ws.add("action", fx["action"].name, fx["action"])
+    obj = load_entry(parsed, ws)[2]
     assert obj == fx["trace"]
     assert dumps(lift_trace_to_dict(obj, fx["action"].name,
                                     fx["qc"].name, fx["lifted"].name)) == text

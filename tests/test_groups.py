@@ -166,7 +166,8 @@ def test_generated_subgroup_matches_all_pairs_closure():
             for gens in itertools.combinations(range(len(g)), k):
                 assert generated_subgroup(g, gens) == subgroup_closure_direct(g, gens)
         assert generated_subgroup(g, []) == (g.identity,)
-        with pytest.raises(ValueError, match="generator index 8 out of range"):
+        with pytest.raises(ValueError, match=fr"^a generator of '{g.name}' must be an int "
+                                             fr"in range\({len(g)}\), got 8$"):
             generated_subgroup(g, [0, 8])
 
 

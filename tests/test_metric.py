@@ -7,7 +7,7 @@ import pytest
 
 from coarsedim import (INF, Cover, FiniteMetricSpace, asdim_profile, ball,
                        build_graph_metric, certify, cyclic_group, dihedral_group,
-                       diameter, greedy_cover, quotient, set_distance,
+                       diameter, greedy_cover, is_r_disjoint, quotient, set_distance,
                        validate_action, validate_metric)
 from coarsedim.generators import (cayley_ball_space, cycle_space, generate_instance,
                                   grid_space, path_reflection_action, path_space,
@@ -269,15 +269,21 @@ def test_diameter_and_set_distance():
 
 def test_public_helpers_reject_bad_indices():
     m = path_space(4)
+    message = r"^a point index of 'P4' must be an int in range\(4\), got "
     for bad in (4, -1, True, "0"):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=message):
             ball(m, bad, 1)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=message):
             diameter(m, [0, bad])
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=message):
             set_distance(m, [0], [bad])
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=message):
             set_distance(m, [bad], [0])
+    # True is checked before a set can merge it into 1
+    for helper in (lambda s: diameter(m, s), lambda s: set_distance(m, [0], s),
+                   lambda s: is_r_disjoint(m, [s], 1)):
+        with pytest.raises(ValueError, match=message + "True$"):
+            helper([1, True])
 
 
 CAYLEY_BALLS = ((12, (1, 5), 2), (20, (3, 4), 3), (30, (1, 7, 11), 2))

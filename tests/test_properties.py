@@ -25,7 +25,7 @@ from coarsedim.generators import (grid_rotation_action, grid_space,
                                   path_reflection_action, path_space,
                                   random_graph_space, random_invariant_instance)
 from coarsedim.groups import _action_all_clear, _list_action_violations
-from coarsedim.metric import _all_clear, _list_violations
+from coarsedim.metric import _all_clear, _list_violations, check_indices
 
 from oracles import (lebesgue_direct, lift_pieces_direct, mesh_direct,
                      min_dimension_partition)
@@ -381,3 +381,29 @@ json_values = st.recursive(
 @given(json_values)
 def test_dumps_is_json_dumps_with_two_space_indent(value):
     assert dumps(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+def first_non_index(values, n):
+    """The first element, by a plain loop, that is not an int in range(n) (a
+    bool is not one), as a 1-tuple; None when there is none."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+            return (v,)
+    return None
+
+
+@given(st.integers(0, 6),
+       st.lists(st.one_of(st.integers(-3, 9), st.booleans(), st.floats(-3, 9),
+                          st.text(max_size=2), st.builds(Length, st.integers(-3, 9))),
+                max_size=8))
+@example(5, [0, 1, 2])
+@example(5, [4, 3, 2, 1.0, 0])
+@example(0, [])
+def test_check_indices_is_the_element_by_element_rule(n, values):
+    bad = first_non_index(values, n)
+    if bad is None:
+        assert check_indices(values, n, "x") is values
+    else:
+        with pytest.raises(ValueError) as info:
+            check_indices(values, n, "x")
+        assert str(info.value) == f"x must be an int in range({n}), got {bad[0]!r}"

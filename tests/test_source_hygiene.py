@@ -17,7 +17,9 @@ Over the package as a whole, __init__.py included:
 And one check that keeps a single document writer: no module but formats
 calls json.dump or json.dumps with an indent (formats.dumps writes every
 document; compact one-line records, such as the CLI's error records, are
-fine).
+fine).  Another keeps the scalar, index and count rules written once: no
+module but metric calls isinstance with bool (check_scalar, check_index,
+check_indices and check_count tell a bool from an int for every caller).
 """
 
 import ast
@@ -202,3 +204,30 @@ def test_the_checker_finds_indented_json_writes():
                          ids=[p.name for p in MODULES if p.name != "formats.py"])
 def test_documents_have_one_writer(path):
     assert indented_json_writes(path.read_text(encoding="utf-8")) == []
+
+
+def bool_tests(source: str) -> list[str]:
+    """One line per isinstance call whose class argument is bool or a
+    tuple holding it."""
+    tree = ast.parse(source)
+    return [f"line {node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2 and "bool" in _loaded(node.args[1])]
+
+
+def test_the_checker_finds_bool_tests():
+    source = ("def f(x, y):\n"
+              "    if isinstance(x, bool):\n"
+              "        return isinstance(y, (int, bool))\n"
+              "    return isinstance(x, int) or isinstance(bool, type)\n")
+    assert bool_tests(source) == [
+        "line 2: isinstance(x, bool)",
+        "line 3: isinstance(y, (int, bool))",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "metric.py"],
+                         ids=[p.name for p in MODULES if p.name != "metric.py"])
+def test_only_metric_tells_a_bool_from_an_int(path):
+    assert bool_tests(path.read_text(encoding="utf-8")) == []
