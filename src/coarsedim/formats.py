@@ -16,8 +16,8 @@ sorted, scalars in lowest terms and no key is extra; a profile's derived
 keys must be what its entries derive (each entry's dimension and mesh stay
 claims, as its cover is not in the document).  A certificate's fields are
 also recomputed from its cover; any disagreement is a validation failure.
-A lift trace loads only beside its action, against which its indices are
-checked; what they index is not re-derived.
+A lift trace loads only beside its action and both its covers; its indices
+are checked against the action, and what they index is not re-derived.
 """
 
 from __future__ import annotations
@@ -293,10 +293,10 @@ def lift_trace_to_dict(trace: LiftTrace, action_name: str,
 
 
 def lift_trace_from_dict(d: dict, ws: "Workspace") -> LiftTrace:
-    """The trace as read, once its action resolves, with every index in it
-    checked against that action: points against its space, coset
-    representatives and subgroup elements against its group, and members
-    against its orbit count."""
+    """The trace as read, once its action and both its covers resolve, with
+    every index in it checked against that action: points against its
+    space, coset representatives and subgroup elements against its group,
+    and members against its orbit count."""
     entries = []
     for entry in d["members"]:
         pieces = tuple(
@@ -309,6 +309,8 @@ def lift_trace_from_dict(d: dict, ws: "Workspace") -> LiftTrace:
                                   pieces=pieces))
     trace = LiftTrace(R=parse_scalar(d["R"]), s=parse_scalar(d["s"]), entries=tuple(entries))
     action = ws.get("action", d["action"])
+    ws.get("cover", d["source_cover"])
+    ws.get("cover", d["cover"])
     n, order = len(action.space), len(action.group)
     # An orbit is named by its least point, the least of its images.
     orbit_count = len(set(map(min, zip(*action.perms))))

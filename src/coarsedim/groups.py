@@ -189,10 +189,10 @@ def validate_action(a: IsometricAction) -> list[Violation]:
 
 
 def _action_all_clear(a: IsometricAction) -> bool:
-    """Whether the action has no violation (see validate_action).  The
-    identity needs no check of its own: the law at (e, e) makes its
-    permutation idempotent, and the one idempotent bijection is the
-    identity."""
+    """Whether the action has no violation (see validate_action).  The law,
+    checked first, proves the identity: at (e, e) it makes e's permutation
+    idempotent, and the one idempotent bijection is the identity.  So the
+    isometry of e, wherever the group lists it, is not gathered."""
     perms = a.perms
     if len(a.space) == 1:
         return True     # (0,) is the one permutation of one point
@@ -200,6 +200,7 @@ def _action_all_clear(a: IsometricAction) -> bool:
     for after_k, column in zip(gathers, zip(*a.group.mul_table)):
         if list(map(after_k, perms)) != list(map(perms.__getitem__, column)):
             return False
+    del gathers[a.group.identity]
     rows = a.space.integer_rows()
     return all(tuple(map(moved, moved(rows))) == rows for moved in gathers)
 

@@ -15,6 +15,7 @@ import math
 import sys
 from array import array
 from fractions import Fraction
+from functools import partial
 from itertools import chain, compress, repeat
 from operator import itemgetter, le, lt
 from typing import Iterable, Sequence
@@ -175,14 +176,17 @@ def validate_metric(m: FiniteMetricSpace) -> list[Violation]:
     A valid table is recognised by an all-clear pass that is exact, not a
     filter: the table is taken as the space's integer rows (as given when
     every entry is an int, else scaled by the LCM of the denominators, see
-    FiniteMetricSpace.integer_rows) and each row is packed into one int
-    with a fixed-width lane per point and a guard bit at the top of every
-    lane.  Lanes are 1, 2, 4 or 8 bytes wide, so a row packs as one machine
-    array; wider entries get wider lanes, packed entry by entry.  For a pair
-    (i, j), row_j + d(i,j)*ONES + GUARDS - row_i keeps every guard bit
-    exactly when d(i,k) <= d(i,j) + d(j,k) for every k: lanes are wide
-    enough that no lane carries into or borrows from its neighbour, so the
-    big-int sum is the lane-wise sum.
+    FiniteMetricSpace.integer_rows) and each row is packed into one int with
+    a fixed-width lane per point and a guard bit at the top of every lane.
+    Each row's distinct values are sorted once, before packing: the row
+    maxima they end with set the lane width, and those after the 0 are the
+    levels of the walk below.  A row packs as bytes(row) on one-byte lanes
+    (every entry below 64), as one machine array on 2-, 4- or 8-byte lanes,
+    and entry by entry on wider ones.  For a pair (i, j), row_j +
+    d(i,j)*ONES + GUARDS - row_i keeps every guard bit exactly when d(i,k)
+    <= d(i,j) + d(j,k) for every k: lanes are wide enough that no lane
+    carries into or borrows from its neighbour, so the big-int sum is the
+    lane-wise sum.
 
     The pass checks that sum only for i's neighbours, found by walking the
     distinct values of row i upwards: at each value, the lanes not yet
@@ -200,10 +204,11 @@ def validate_metric(m: FiniteMetricSpace) -> list[Violation]:
     about n**2 steps, each a few big-int operations.
 
     A negative entry needs no scan of its own: the lanes are unsigned, so
-    packing its row raises OverflowError, and the pass fails.  When the pass
-    fails, the per-triple listing below runs and reports every violation, in
-    the same order and with the same messages whichever way the answer was
-    reached.
+    packing its row raises ValueError (bytes, on one-byte lanes) or
+    OverflowError (array and int.to_bytes, on wider ones), and the pass
+    fails.  When the pass fails, the per-triple listing below runs and
+    reports every violation, in the same order and with the same messages
+    whichever way the answer was reached.
     """
     if _all_clear(m):
         return []
@@ -218,8 +223,8 @@ def _integer_rows(dist) -> tuple[tuple[int, ...], ...]:
                  for row in dist)
 
 
-#: array typecodes of the unsigned machine lanes, by width in bytes.
-_LANE_CODES = {array(code).itemsize: code for code in "BHIQ"}
+#: Row packers by lane width in bytes: bytes for one, else a machine array.
+_LANES = {**{array(code).itemsize: partial(array, code) for code in "HIQ"}, 1: bytes}
 
 
 def _all_clear(m: FiniteMetricSpace) -> bool:
@@ -227,8 +232,7 @@ def _all_clear(m: FiniteMetricSpace) -> bool:
 
     Nothing scans for a negative entry: the checks before packing pass or
     fail whatever the signs, and packing a row with a negative entry into
-    unsigned lanes raises OverflowError (array on 1-8 byte lanes,
-    int.to_bytes on wider ones), which is a failed pass."""
+    unsigned lanes raises, which is a failed pass."""
     n = len(m)
     rows = m.integer_rows()
     for i, row in enumerate(rows):
@@ -243,36 +247,31 @@ def _all_clear(m: FiniteMetricSpace) -> bool:
     # 2**bits, so it stays in [guard - 2**bits, 2 * guard) and the guard bit
     # is set exactly when the triangle inequality holds.  One less, it stays
     # nonnegative and keeps the guard bit exactly when d(i,k) < d(i,j) +
-    # d(j,k), that is, when j does not cover k.
-    bits = max(map(max, rows)).bit_length()
+    # d(j,k), that is, when j does not cover k.  Levels: see validate_metric.
+    levels = [sorted(set(row)) for row in rows]
+    bits = max(map(itemgetter(-1), levels)).bit_length()
     lane_bytes = (bits + 2 + 7) // 8
-    order = sys.byteorder
     if lane_bytes <= 8:
-        code = _LANE_CODES[1 << (lane_bytes - 1).bit_length()]
-        lane_bytes = array(code).itemsize
-
-        def pack(row):
-            return int.from_bytes(array(code, row).tobytes(), order)
-    else:
-        def pack(row):
-            return int.from_bytes(b"".join(v.to_bytes(lane_bytes, order) for v in row),
-                                  order)
+        lane_bytes = 1 << (lane_bytes - 1).bit_length()
+    order = sys.byteorder
+    lane = _LANES.get(lane_bytes) or (
+        lambda row: b"".join(v.to_bytes(lane_bytes, order) for v in row))
     width = 8 * lane_bytes
-    ones = pack([1] * n)
+    ones = int.from_bytes(lane([1] * n), order)
     guards = ones << (bits + 1)
     try:
-        packed = [pack(row) for row in rows]
-    except OverflowError:  # a negative entry
+        packed = list(map(int.from_bytes, map(lane, rows), repeat(order)))
+    except (ValueError, OverflowError):  # a negative entry
         return False
     shifted = [p + guards for p in packed]
     survived = guards
-    for i, (p_i, row) in enumerate(zip(packed, rows)):
+    for i, (p_i, row_levels) in enumerate(zip(packed, levels)):
         # The lanes j whose triangles d(i,k) <= d(i,j) + d(j,k) still need a
         # check of their own (see validate_metric).  Lane i never does; a
         # neighbour leaves once checked, and so does each j with d(i,j) >=
         # d(i,j1) + d(j1,j) for a checked neighbour j1.
         uncovered = guards ^ (1 << (i * width + bits + 1))
-        for d_ij in sorted(set(row))[1:]:
+        for d_ij in row_levels[1:]:
             step = d_ij * ones - p_i
             # Every nearer lane is covered, so these are the lanes at d_ij.
             new = (step + guards) & uncovered

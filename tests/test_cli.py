@@ -298,9 +298,9 @@ def _edit(*keys_and_value):
 
 
 # Each edit leaves the document as its object writes it, so only the index
-# rule, the count rule or the trace's action can refuse it: (kind of the
-# edited document, edit, error, message).  Each validates at exit 0 when
-# neither the index nor the count is checked.
+# rule, the count rule or the trace's references can refuse it: (kind of
+# the edited document, edit, error, message).  Each validates at exit 0 when
+# neither the index, the count nor the reference is checked.
 INDEX_AND_COUNT_EDITS = {
     "perm-row-with-a-bool": (
         "action", _edit("perm", "0", [0, True, 2, 3, 4]), "format",
@@ -334,6 +334,10 @@ INDEX_AND_COUNT_EDITS = {
     "trace-action-missing": (
         "lift_trace", _edit("action", "nosuch"), "resolution",
         "no action named 'nosuch' is loaded"),
+    "trace-covers-missing": (
+        "lift_trace", lambda d: d.update(cover="nosuch", source_cover="alsonot",
+                                         name="nosuch_trace"), "resolution",
+        "no cover named 'alsonot' is loaded"),
 }
 
 

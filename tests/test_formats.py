@@ -185,8 +185,10 @@ def test_lift_trace_round_trip_is_byte_identical():
                            fx["qc"].name, fx["lifted"].name)
     text = dumps(d)
     parsed = parse_document(text)
-    ws = Workspace()    # a trace's indices are checked against its action
+    ws = Workspace()    # a trace loads beside its action and both covers
     ws.add("action", fx["action"].name, fx["action"])
+    ws.add("cover", fx["qc"].name, fx["qc"])
+    ws.add("cover", fx["lifted"].name, fx["lifted"])
     obj = load_entry(parsed, ws)[2]
     assert obj == fx["trace"]
     assert dumps(lift_trace_to_dict(obj, fx["action"].name,

@@ -16,8 +16,8 @@ given = hypothesis.given
 example = hypothesis.example
 settings = hypothesis.settings
 
-from coarsedim import (Cover, FiniteMetricSpace, Infeasible, IsometricAction,
-                       cyclic_group, dihedral_group, dimension, lebesgue_number,
+from coarsedim import (Cover, FiniteGroup, FiniteMetricSpace, Infeasible,
+                       IsometricAction, cyclic_group, dihedral_group, dimension, lebesgue_number,
                        lift_equivariant, mesh, min_dimension_cover_exact,
                        quotient, validate_action, validate_metric)
 from coarsedim.formats import dumps, scalar_str
@@ -156,6 +156,14 @@ def dense_tables(draw):
     return dist
 
 
+def grid_corners_moved(step):
+    """The 10x10 grid, 100 one-byte lanes, with its corner-to-corner
+    distance 18 moved by step."""
+    dist = [list(row) for row in grid_space(10, 10).dist]
+    dist[0][99] = dist[99][0] = 18 + step
+    return table(dist)
+
+
 @st.composite
 def tables(draw):
     """A metric with injected faults (a geodesic graph metric of up to 20
@@ -206,6 +214,10 @@ def tables(draw):
 # d(i,j) + d(j,k) - 1, one unit short of the geodesic test.
 @example(table([[0, 2, 4, 1, 6], [2, 0, 2, 2, 3], [4, 2, 0, 4, 2],
                 [1, 2, 4, 0, 5], [6, 3, 2, 5, 0]]))
+# Past the 20 points drawn above: one more breaks 196 triangles through the
+# corners, one less is still a metric, passed by the walk alone.
+@example(grid_corners_moved(1))
+@example(grid_corners_moved(-1))
 def test_validate_metric_matches_full_listing(m):
     listing = _list_violations(m)
     assert validate_metric(m) == listing
@@ -272,6 +284,13 @@ def fraction_action():
     return path_reflection_action(space)
 
 
+def late_identity_action():
+    # Z2 listed as [s, e]: s swaps the ends of an edge of P3, which obeys
+    # the law but moves d(0,2), so only s's isometry check can fail.
+    z2 = FiniteGroup(["s", "e"], [[1, 0], [0, 1]], name="Z2_late")
+    return IsometricAction(z2, path_space(3), [[1, 0, 2], [0, 1, 2]])
+
+
 def lawless_action():
     # Every permutation of an equilateral triangle is an isometry, so only
     # the action law fails here: g1 g1 is g2, but (0 1)(0 1) is no (0 1).
@@ -311,6 +330,7 @@ def actions(draw, faulty=True):
 @example(one_point_action(2))
 @example(fraction_action())
 @example(lawless_action())
+@example(late_identity_action())
 def test_validate_action_matches_full_listing(a):
     listing = _list_action_violations(a)
     assert validate_action(a) == listing
