@@ -154,17 +154,26 @@ def _write_table(rows) -> list:
     return [list(map(text.__getitem__, row)) for row in rows]
 
 
+class _Parsed(dict):
+    """parse_scalar of each string looked up, parsed on its first lookup."""
+
+    def __missing__(self, text):
+        value = self[text] = parse_scalar(text)
+        return value
+
+
 def _parse_table(rows) -> list:
     """parse_scalar on every entry of a table of strings, as tuple rows,
-    which FiniteMetricSpace keeps without a copy.  Each distinct string is
-    parsed once; a table with anything else in it (an unhashable entry, a
-    non-string, a bad string) is parsed entry by entry, so the first bad
-    entry in reading order raises."""
+    which FiniteMetricSpace keeps without a copy.  One pass maps the table
+    and parses each distinct string the first time it meets it; a table
+    with anything else in it (an unhashable entry, a non-string, a bad
+    string) is parsed entry by entry, so the first bad entry in reading
+    order raises."""
+    parsed = _Parsed()
     try:
-        parsed = {text: parse_scalar(text) for text in set(chain.from_iterable(rows))}
+        return [tuple(map(parsed.__getitem__, row)) for row in rows]
     except (TypeError, FormatError):
         return [[parse_scalar(v) for v in row] for row in rows]
-    return [tuple(map(parsed.__getitem__, row)) for row in rows]
 
 
 def space_from_dict(d: dict) -> FiniteMetricSpace:

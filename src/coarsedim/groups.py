@@ -8,12 +8,18 @@ Only the constructors FiniteGroup and IsometricAction take a name.  The
 builders here name what they build after their inputs (`Z4`, `D3`,
 `Z2+Z3`, `P9_mod_Z2`, `Z2+Z2_via_P9_reflect`); to rename an object, set its
 `.name` or call its constructor.
+
+quotient keeps the QuotientSpace it builds on the action, keyed on the
+action's `group`, `space` and `perms` and on the quotient space's name.
+What that space keeps (its integer rows and its diameter) then serves
+every caller of quotient(a).
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+from dataclasses import dataclass
+from operator import is_not, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, Violation
@@ -168,6 +174,7 @@ class IsometricAction:
                     f"permutation for {group.elements[g]!r} is not a bijection on "
                     f"{n} points")
         self.name = str(name)
+        self._quotient = (None, None, None, None)
 
     def __repr__(self) -> str:
         return (f"IsometricAction({self.name!r}: {self.group.name!r} "
@@ -248,21 +255,20 @@ def orbits(a: IsometricAction) -> list[tuple[int, ...]]:
     return out
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class QuotientSpace:
     """The quotient metric space of an isometric action, with its fiber data.
 
     space is the quotient itself; orbit_of maps a source point index to its
     quotient point index; fibers[i] lists the source points over quotient
     point i (sorted), and the lowest-index fiber point names the quotient
-    point.
+    point.  Frozen, as quotient(a) hands the same one to every caller.
     """
 
-    def __init__(self, space: FiniteMetricSpace, source: FiniteMetricSpace,
-                 orbit_of: tuple[int, ...], fibers: tuple[tuple[int, ...], ...]):
-        self.space = space
-        self.source = source
-        self.orbit_of = orbit_of
-        self.fibers = fibers
+    space: FiniteMetricSpace
+    source: FiniteMetricSpace
+    orbit_of: tuple[int, ...]
+    fibers: tuple[tuple[int, ...], ...]
 
     def fiber_of_set(self, qpoints: Iterable[int]) -> frozenset[int]:
         """Preimage of a set of quotient points, as source point indices."""
@@ -285,7 +291,16 @@ def quotient(a: IsometricAction) -> QuotientSpace:
     actions.  Then the minimum does not depend on which members of the two
     orbits are measured, it is the smallest distance between them, and the
     result is again a genuine metric.
+
+    The result is kept on the action.  It is built again only after
+    `group`, `space` or `perms` is reassigned, or the space, the group or
+    the kept quotient space is renamed.
     """
+    made = (a.group, a.space, a.perms)
+    name = f"{a.space.name}_mod_{a.group.name}"
+    *kept_from, kept = a._quotient
+    if not any(map(is_not, kept_from, made)) and kept.space.name == name:
+        return kept
     orbs = orbits(a)
     m = a.space
     reps = [orb[0] for orb in orbs]
@@ -297,8 +312,10 @@ def quotient(a: IsometricAction) -> QuotientSpace:
     for qi, orb in enumerate(orbs):
         for x in orb:
             orbit_of[x] = qi
-    space = FiniteMetricSpace(qpoints, dist, name=f"{m.name}_mod_{a.group.name}")
-    return QuotientSpace(space, m, tuple(orbit_of), tuple(orbs))
+    q = QuotientSpace(FiniteMetricSpace(qpoints, dist, name=name), m, tuple(orbit_of),
+                      tuple(orbs))
+    a._quotient = (*made, q)
+    return q
 
 
 def generated_subgroup(g: FiniteGroup, generators: Iterable[int]) -> tuple[int, ...]:

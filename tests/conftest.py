@@ -50,6 +50,24 @@ def lebesgue_calls(monkeypatch):
 
 
 @pytest.fixture
+def quotient_builds(monkeypatch):
+    """The actions whose quotient table is built, in order.  Each build in
+    groups.quotient calls groups.orbits once, which this replaces with a
+    counter; a quotient returned as kept builds nothing."""
+    import coarsedim.groups
+
+    builds = []
+    original = coarsedim.groups.orbits
+
+    def counting(a):
+        builds.append(a.name)
+        return original(a)
+
+    monkeypatch.setattr(coarsedim.groups, "orbits", counting)
+    return builds
+
+
+@pytest.fixture
 def integer_table_builds(monkeypatch):
     """The distance tables scaled to integer tables, in order.  A space
     scales its table through metric._integer_rows, which this replaces with

@@ -2,13 +2,14 @@
 
 import itertools
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
 from coarsedim import (FiniteGroup, FiniteMetricSpace, IsometricAction, coset_representatives,
-                       cyclic_group, dihedral_group, direct_sum, extend_action,
-                       find_isomorphism, generated_subgroup, is_subgroup,
+                       cyclic_group, dihedral_group, direct_sum, equivariant_cover_pipeline,
+                       extend_action, find_isomorphism, generated_subgroup, is_subgroup,
                        orbits, quotient, validate_action, validate_group,
                        validate_metric)
 from coarsedim.errors import CapExceededError
@@ -145,6 +146,51 @@ def test_quotient_distance_is_representative_independent():
                 continue
             values = {min(m.dist[x][y] for y in fj) for x in fi}
             assert values == {q.space.dist[i][j]}
+
+
+def test_quotient_is_kept_on_its_action():
+    a = cycle_rotation_action(cycle_space(4), 2)
+    assert quotient(a) is quotient(a)
+
+
+def _copy_space(a, q):
+    a.space = FiniteMetricSpace(a.space.points, a.space.dist, name=a.space.name)
+
+
+@pytest.mark.parametrize("change, name", [
+    (_copy_space, "C4_mod_Z2"),
+    (lambda a, q: setattr(a, "group", cyclic_group(2)), "C4_mod_Z2"),
+    (lambda a, q: setattr(a, "perms", tuple(list(a.perms))), "C4_mod_Z2"),
+    (lambda a, q: setattr(a, "perms", ((0, 1, 2, 3), (0, 3, 2, 1))), "C4_mod_Z2"),
+    (lambda a, q: setattr(a.space, "name", "renamed"), "renamed_mod_Z2"),
+    (lambda a, q: setattr(a.group, "name", "C2"), "C4_mod_C2"),
+    (lambda a, q: setattr(q.space, "name", "mine"), "C4_mod_Z2"),
+], ids=["space-copied", "group-copied", "perms-copied", "perms-reflection",
+        "space-renamed", "group-renamed", "quotient-renamed"])
+def test_quotient_is_built_again_after_its_inputs_change(change, name):
+    a = cycle_rotation_action(cycle_space(4), 2)
+    q = quotient(a)
+    change(a, q)
+    fresh = quotient(a)
+    assert fresh is not q and quotient(a) is fresh
+    assert fresh.space.name == name and fresh.source is a.space
+    built = quotient(IsometricAction(a.group, a.space, a.perms))
+    assert ((fresh.space.points, fresh.space.dist, fresh.orbit_of, fresh.fibers)
+            == (built.space.points, built.space.dist, built.orbit_of, built.fibers))
+
+
+def test_a_quotient_space_is_frozen():
+    q = quotient(cycle_rotation_action(cycle_space(4), 2))
+    for field in ("space", "source", "orbit_of", "fibers"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(q, field, getattr(q, field))
+
+
+def test_quotient_then_pipeline_builds_one_quotient(quotient_builds):
+    a = path_reflection_action(path_space(9))
+    q = quotient(a)
+    assert equivariant_cover_pipeline(a, 2).quotient is q
+    assert quotient_builds == ["P9_reflect"]
 
 
 def test_generated_subgroup_and_cosets():
