@@ -47,6 +47,25 @@ which validate_metric returns no violations; the CLI loads only such
 spaces.  On a table that fails the check, the value returned need not be
 the definition's.
 
+Given an action, certify and verify_certificate run the equivariance check
+first; it maps the first member of each member-orbit under every element,
+so it also learns whether F fixes that member.  When the cover is
+invariant with no whole-space member, each quantity is measured once per
+orbit.  Proof: each g is an isometry permuting the members, so B(gx, r) =
+g.B(x, r) lies in gU exactly when B(x, r) lies in U, and diam gU = diam U;
+L_x and the multiplicity are constant on orbits, and in a member U that F
+fixes, d(gx, y) = d(x, g^-1 y) with g^-1 y in U.  So the multiplicity is
+counted and the Lebesgue walk run at the orbit-least points only (x with
+x = min of g.x over F), and the mesh measures the first member of each
+member-orbit, in a member F fixes gathering only its orbit-least points'
+rows.  The points of least L_x form an invariant set, so the first of
+them, the one the walk keeps, is orbit-least; the first member of largest
+diameter is the first of its orbit, and its entry is located on all its
+rows: the entries returned are the full measurement's.  This needs a
+valid action (validate_action(a) == []), as quotient does; the CLI loads
+only such actions.  With no action, a cover that is not invariant or a
+whole-space member, every point and member is measured.
+
 certify keeps the dimension, Lebesgue number and mesh it measures on the
 Cover, keyed on its `space` and `members`; verify_certificate ignores them.
 What the space keeps (its integer rows and its diameter) belongs to the
@@ -179,27 +198,35 @@ def _coverage(space: FiniteMetricSpace, sets: Iterable[frozenset[int]]) -> list[
                       + ", ".join(space.points[x] for x in missing))]
 
 
-def dimension(c: Cover) -> int:
-    """Largest number of members through one point, minus one."""
-    return max(Counter(chain.from_iterable(c.members)).values(), default=0) - 1
+def dimension(c: Cover, _points: frozenset[int] | None = None) -> int:
+    """Largest number of members through one point, minus one.  certify
+    passes the orbit-least points as _points, and only they are counted."""
+    members = c.members if _points is None else map(_points.intersection, c.members)
+    return max(Counter(chain.from_iterable(members)).values(), default=0) - 1
 
 
-def mesh(c: Cover) -> Scalar:
+def mesh(c: Cover, _reads: Iterable[tuple[frozenset[int], Iterable[int]]] | None = None
+         ) -> Scalar:
     """Largest member diameter.  When a member is the whole space and none
     is empty (an empty member has no diameter), that is the space's kept
-    diameter, as c.space is a metric; see the module docstring."""
+    diameter, as c.space is a metric; see the module docstring.  certify
+    passes as _reads one member of each member-orbit, in index order, with
+    the points whose rows are read, and only those members are measured."""
     m = c.space
+    if _reads is not None:
+        return max((_diameter(m, member, rows) for member, rows in _reads), default=0)
     if all(c.members) and len(m) in map(len, c.members):
         return m.diameter()
     return max((_diameter(m, member) for member in c.members), default=0)
 
 
-def lebesgue_number(c: Cover):
+def lebesgue_number(c: Cover, _points: Iterable[int] | None = None):
     """Complement-distance Lebesgue number; INF when a member is the whole
     space, and d(x, x) = 0 for the first point x in no member.  Otherwise
     the least L_x, read off the table where it stands, with the walk
     stopped once it reaches one integer unit, the least a covered point
-    can have.
+    can have.  certify passes the orbit-least points as _points, and the
+    walk visits only they, in increasing order.
 
     c.space must be a metric (validate_metric(c.space) == []); see the
     module docstring."""
@@ -221,8 +248,10 @@ def lebesgue_number(c: Cover):
         x = masks.index(0)
         return m.dist[x][x]     # in no member: L_x = d(x, x) = 0, the least
     points = range(len(m))
+    rows = m.integer_rows()
     best = None
-    for x, row in enumerate(m.integer_rows()):
+    for x in points if _points is None else sorted(_points):
+        row = rows[x]
         if best is None:
             near = points
         else:
@@ -306,24 +335,57 @@ def decomposition_to_cover(d: Decomposition) -> tuple[Cover, CoverCertificate]:
 
 def check_equivariance(a: IsometricAction, c: Cover) -> tuple[bool, tuple | None]:
     """Whether the member family is preserved by every group element, as a
-    family of sets.  Witness on failure: (member index, group element)."""
+    family of sets.  Witness on failure: (member index, group element), the
+    first in index order.  The action must be valid (validate_action(a) ==
+    []), as for quotient; the CLI loads only such actions."""
+    witness = _member_orbits(a, c)[0]
+    return witness is None, witness
+
+
+def _member_orbits(a: IsometricAction, c: Cover) -> tuple[tuple | None, list | None]:
+    """check_equivariance's witness, None when the family is invariant, and
+    then, unless a member is the whole space, (member, fixed) for the first
+    member of each member-orbit in index order, fixed when F fixes it.
+
+    Only those first members are mapped: under a valid action the images of
+    an image hU are images (gh)U of U, so a member already seen as an image
+    has every image in the family, and the first failing (member, element)
+    is the one a check of every member finds."""
     if c.space != a.space:
         raise ValueError("cover and action live on different spaces")
     family = set(c.members)
     n = len(c.space)
+    seen: set[frozenset[int]] = set()
+    firsts: list | None = []
     for k, member in enumerate(c.members):
         if len(member) == n:
-            continue    # every permutation fixes the whole set
-        for g in range(len(a.group)):
-            image = frozenset(map(a.perms[g].__getitem__, member))
-            if image not in family:
-                return False, (k, g)
-    return True, None
+            firsts = None   # every permutation fixes the whole set
+        elif member not in seen:
+            orbit = {frozenset(map(perm.__getitem__, member)) for perm in a.perms}
+            if not orbit <= family:
+                return (k, next(g for g, perm in enumerate(a.perms)
+                                if frozenset(map(perm.__getitem__, member)) not in family)), None
+            seen |= orbit
+            if firsts is not None:
+                firsts.append((member, len(orbit) == 1))
+    return None, firsts
+
+
+def _measure(c: Cover, action: IsometricAction | None, firsts: list | None) -> tuple:
+    """Dimension, Lebesgue number and mesh of c: per orbit when firsts (from
+    _member_orbits) shows c invariant with no whole-space member, else at
+    every point and member; the same table entries either way (see the
+    module docstring)."""
+    if firsts is None:
+        return dimension(c), lebesgue_number(c), mesh(c)
+    least = frozenset(map(min, zip(*action.perms)))
+    return (dimension(c, least), lebesgue_number(c, least),
+            mesh(c, [(member, least & member if fixed else member)
+                     for member, fixed in firsts]))
 
 
 def _certificate(c: Cover, measured: tuple, meet_radius: Scalar | None,
-                 action: IsometricAction | None) -> CoverCertificate:
-    equivariant = None if action is None else check_equivariance(action, c)[0]
+                 equivariant: bool | None) -> CoverCertificate:
     meet = None if meet_radius is None else ball_meet_count(c, meet_radius)
     return CoverCertificate(*measured, meet_radius=meet_radius, ball_meet=meet,
                             equivariant=equivariant)
@@ -332,13 +394,17 @@ def _certificate(c: Cover, measured: tuple, meet_radius: Scalar | None,
 def certify(c: Cover, meet_radius: Scalar | None = None,
             action: IsometricAction | None = None) -> CoverCertificate:
     """Every certified quantity of the cover.  Dimension, Lebesgue number and
-    mesh are measured again only after `space` or `members` is reassigned.
+    mesh are measured again only after `space` or `members` is reassigned;
+    with an action that leaves the cover invariant, once per orbit.
 
     c.space must be a metric (validate_metric(c.space) == []): the
-    Lebesgue number is computed with the metric axioms."""
+    Lebesgue number is computed with the metric axioms.  An action must be
+    valid (validate_action(action) == []): the orbit measurement uses it."""
+    witness, firsts = (None, None) if action is None else _member_orbits(action, c)
     if c._measured[:2] != (c.space, c.members):
-        c._measured = (c.space, c.members, dimension(c), lebesgue_number(c), mesh(c))
-    return _certificate(c, c._measured[2:], meet_radius, action)
+        c._measured = (c.space, c.members, *_measure(c, action, firsts))
+    return _certificate(c, c._measured[2:], meet_radius,
+                        None if action is None else witness is None)
 
 
 def verify_certificate(c: Cover, cert: CoverCertificate,
@@ -348,9 +414,11 @@ def verify_certificate(c: Cover, cert: CoverCertificate,
     kept values (its integer rows and diameter) are read, not recomputed:
     they depend on the table alone, never on a cover.
 
-    Like certify, this requires c.space to be a metric."""
-    fresh = _certificate(c, (dimension(c), lebesgue_number(c), mesh(c)),
-                         cert.meet_radius, action)
+    Like certify, this requires c.space to be a metric and an action to be
+    valid, and measures an invariant cover once per orbit."""
+    witness, firsts = (None, None) if action is None else _member_orbits(action, c)
+    fresh = _certificate(c, _measure(c, action, firsts), cert.meet_radius,
+                         None if action is None else witness is None)
     out = []
     for field in ("dimension", "lebesgue", "mesh", "ball_meet", "equivariant"):
         claimed = getattr(cert, field)

@@ -140,7 +140,9 @@ def _serve_groups(needs: Sequence[int], reaches: Sequence[int],
                 unions[g], group_reach[g] = saved
         return False
 
-    return unions if descend([0] * cap, 0) else None
+    found = descend([0] * cap, 0)
+    del descend     # it holds itself in its closure: a cycle, else left to gc
+    return unions if found else None
 
 
 def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,

@@ -17,7 +17,8 @@ keys must be what its entries derive (each entry's dimension and mesh stay
 claims, as its cover is not in the document).  A certificate's fields are
 also recomputed from its cover; any disagreement is a validation failure.
 A lift trace loads only beside its action and both its covers; its indices
-are checked against the action, and what they index is not re-derived.
+are checked against the action, and each entry's fiber, basepoint and
+pieces and the trace's s against what the lift makes them.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from itertools import chain, repeat
 from typing import Sequence
 
 from .constructions import LiftMember, LiftPiece, LiftTrace, SSpace, build_sspace
-from .covers import Cover, CoverCertificate, Decomposition, validate_cover, \
+from .covers import Cover, CoverCertificate, Decomposition, mesh, validate_cover, \
     validate_decomposition, verify_certificate
 from .errors import ResolutionError, Violation
 from .estimation import DimensionProfile, FamilyProfile, Infeasible, ProfileEntry
-from .groups import FiniteGroup, IsometricAction, validate_action, validate_group
+from .groups import FiniteGroup, IsometricAction, orbits, validate_action, validate_group
 from .metric import (INF, FiniteMetricSpace, check_index, check_indices, is_scalar,
                      validate_metric)
 
@@ -305,7 +306,11 @@ def lift_trace_from_dict(d: dict, ws: "Workspace") -> LiftTrace:
     """The trace as read, once its action and both its covers resolve, with
     every index in it checked against that action: points against its
     space, coset representatives and subgroup elements against its group,
-    and members against its orbit count."""
+    and members against its orbit count.  Then each entry must be a split
+    of its own fiber, as the lift makes it: the fiber is the union of the
+    orbits its member names (orbit i is the i-th by least point), the
+    basepoint is the fiber's least point, and the pieces are disjoint with
+    the fiber as their union; and s must be max(mesh(source cover), R)."""
     entries = []
     for entry in d["members"]:
         pieces = tuple(
@@ -318,19 +323,31 @@ def lift_trace_from_dict(d: dict, ws: "Workspace") -> LiftTrace:
                                   pieces=pieces))
     trace = LiftTrace(R=parse_scalar(d["R"]), s=parse_scalar(d["s"]), entries=tuple(entries))
     action = ws.get("action", d["action"])
-    ws.get("cover", d["source_cover"])
+    source = ws.get("cover", d["source_cover"])
     ws.get("cover", d["cover"])
     n, order = len(action.space), len(action.group)
-    # An orbit is named by its least point, the least of its images.
-    orbit_count = len(set(map(min, zip(*action.perms))))
+    orbs = orbits(action)
     for entry in d["members"]:
-        check_indices(entry["member"], orbit_count, "a member's orbit")
+        check_indices(entry["member"], len(orbs), "a member's orbit")
         check_indices(entry["fiber"], n, "a fiber's point")
         check_index(entry["basepoint"], n, "a basepoint")
         for p in entry["pieces"]:
             check_index(p["rep"], order, "a piece's coset representative")
             check_indices(p["subgroup"], order, "a piece's subgroup element")
             check_indices(p["piece"], n, "a piece's point")
+    for k, entry in enumerate(trace.entries):
+        if entry.fiber != frozenset(chain.from_iterable(map(orbs.__getitem__, entry.member))):
+            raise ValueError(f"member {k}'s fiber is not the union of the orbits it names")
+        if entry.basepoint != min(entry.fiber, default=None):
+            raise ValueError(f"member {k}'s basepoint is not the least point of its fiber")
+        pieces = [p.piece for p in entry.pieces]
+        union = frozenset().union(*pieces)
+        if union != entry.fiber or sum(map(len, pieces)) != len(union):
+            raise ValueError(f"member {k}'s pieces are not a partition of its fiber")
+    s = max(mesh(source), trace.R)
+    if trace.s != s:
+        raise ValueError(f"s is {scalar_str(trace.s)}, not max(mesh of "
+                         f"{source.name!r}, R) = {scalar_str(s)}")
     return trace
 
 

@@ -404,12 +404,14 @@ def set_distance(m: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]):
 # The unchecked forms below are for point sets already known to be indices
 # of m, such as cover members; they skip the per-element range check.
 
-def _diameter(m: FiniteMetricSpace, s: Iterable[int]) -> Scalar:
+def _diameter(m: FiniteMetricSpace, s: Iterable[int],
+              rows_of: Iterable[int] | None = None) -> Scalar:
     """Largest entry of the table between points of s, found in one C-level
-    pass over the integer rows of s gathered at s.  On an all-int table
-    those rows are the table, and the entry found is returned as it is;
-    otherwise the first row of s holding it, and the first column there,
-    locate it, and the table's own entry at that place is returned."""
+    pass over the integer rows of s (or of rows_of, points of s whose rows
+    hold that entry too) gathered at s.  On an all-int table those rows are
+    the table, and the entry found is returned as it is; otherwise the
+    first row of s holding it, and the first column there, locate it, and
+    the table's own entry at that place is returned."""
     s = tuple(s)
     if not s:
         raise ValueError("diameter of the empty set is undefined")
@@ -417,7 +419,7 @@ def _diameter(m: FiniteMetricSpace, s: Iterable[int]) -> Scalar:
         return 0
     rows = m.integer_rows()
     gather = itemgetter(*s)
-    top = max(map(max, map(gather, map(rows.__getitem__, s))))
+    top = max(map(max, map(gather, map(rows.__getitem__, s if rows_of is None else rows_of))))
     if rows is m.dist:
         return top
     for x in s:

@@ -35,15 +35,17 @@ else:
 def lebesgue_calls(monkeypatch):
     """The names of the covers whose Lebesgue number is computed, in order.
     Every computation inside covers.certify and verify_certificate goes
-    through covers.lebesgue_number, which this replaces with a counter."""
+    through covers.lebesgue_number, at every point or (with an action that
+    leaves the cover invariant) at the orbit-least points it is passed,
+    which this replaces with a counter."""
     import coarsedim.covers
 
     calls = []
     original = coarsedim.covers.lebesgue_number
 
-    def counting(c):
+    def counting(c, *points):
         calls.append(c.name)
-        return original(c)
+        return original(c, *points)
 
     monkeypatch.setattr(coarsedim.covers, "lebesgue_number", counting)
     return calls

@@ -240,3 +240,15 @@ def lift_pieces_direct(action, q, cover, s) -> list:
                 y for y in fiber if min(space.dist[y][z] for z in centers) <= s)))
         out.append((fiber, x, pieces))
     return out
+
+
+def equivariance_witness_direct(action, members):
+    """The first (member index, group element), in index order, whose image
+    is not a member; None when every element maps the family onto itself.
+    Every member is mapped by every element, the whole space included."""
+    family = [set(m) for m in members]
+    for k, member in enumerate(family):
+        for g, perm in enumerate(action.perms):
+            if {perm[x] for x in member} not in family:
+                return k, g
+    return None

@@ -367,6 +367,46 @@ def test_a_bad_index_count_or_trace_action_is_refused(tmp_path, capsys,
         [{"error": error, "message": message, "file": path}])
 
 
+# Edits that leave a lift trace of P9 under its reflection at R=1 canonical
+# and every index in range, so only the trace's own invariants refuse them:
+# (edit, message).  Member 0 names orbit {0, 8}, split into [0] and [8].
+TRACE_EDITS = {
+    "s-not-the-lift's": (
+        _edit("s", "99"), "s is 99, not max(mesh of 'P9_mod_Z2_exact_R1_B4', R) = 1"),
+    "fiber-not-its-orbits": (
+        _edit("members", 0, "fiber", [0]),
+        "member 0's fiber is not the union of the orbits it names"),
+    "basepoint-not-least": (
+        _edit("members", 0, "basepoint", 8),
+        "member 0's basepoint is not the least point of its fiber"),
+    "piece-outside-the-fiber": (
+        _edit("members", 0, "pieces", 0, "piece", [5, 6, 7]),
+        "member 0's pieces are not a partition of its fiber"),
+    "pieces-overlap": (
+        _edit("members", 0, "pieces", 1, "piece", [0, 8]),
+        "member 0's pieces are not a partition of its fiber"),
+    "pieces-short-of-the-fiber": (
+        _edit("members", 0, "pieces", 1, "piece", [0]),
+        "member 0's pieces are not a partition of its fiber"),
+}
+
+
+@pytest.mark.parametrize("edit, message", TRACE_EDITS.values(), ids=TRACE_EDITS)
+def test_a_lift_trace_that_is_not_the_lift_is_refused(tmp_path, capsys, edit, message):
+    files = generate_path_instance(tmp_path / "inputs", capsys, n=9)
+    code, lifted, _ = run(capsys, "equivariant-cover", *files, "--R", "1",
+                          "--out", str(tmp_path / "lift"))
+    assert code == 0
+    docs = [*files, *lifted]
+    assert run(capsys, "validate", *docs)[0] == 0
+    path = next(p for p in docs if p.endswith(".lift_trace.json"))
+    d = json.loads(pathlib.Path(path).read_text())
+    edit(d)
+    pathlib.Path(path).write_text(json.dumps(d))
+    assert run(capsys, "validate", *docs) == (
+        1, [], [{"error": "format", "message": f"bad lift_trace: {message}", "file": path}])
+
+
 def test_validate_reports_an_unhashable_kind_and_goes_on(tmp_path, capsys):
     files = generate_path_instance(tmp_path, capsys)
     space = next(f for f in files if ".space." in f)

@@ -2,6 +2,7 @@
 quotient-then-lift pipeline."""
 
 import dataclasses
+import gc
 from fractions import Fraction
 
 import pytest
@@ -324,6 +325,19 @@ def test_pipeline_propagates_infeasibility():
     a = path_reflection_action(path_space(5))
     result = equivariant_cover_pipeline(a, 5, B=1)
     assert isinstance(result, Infeasible)
+
+
+def test_exact_search_leaves_nothing_for_the_cyclic_collector():
+    min_dimension_cover_exact(grid_space(3, 4), 2, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        # a feasible search at caps 1 and 2, and an infeasible one
+        assert dimension(min_dimension_cover_exact(grid_space(3, 4), 2, 4)) == 1
+        assert isinstance(min_dimension_cover_exact(path_space(9), 5, 1), Infeasible)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pipeline_certifies_each_cover_once(lebesgue_calls):

@@ -1,12 +1,16 @@
 """Property tests for the exact fast paths: the ball-test Lebesgue number,
 the mesh and the dimension against the definitions, on int, Fraction,
-mixed and int-subclass tables; the all-clear metric and action checks
-against their full listings; the bitmask exact search against the
-partition oracle; the lift's translated pieces against pieces measured
-at every coset's own point; and the document writer against json.dumps."""
+mixed and int-subclass tables, and their per-orbit measurement of an
+invariant cover against the measurement at every point; the all-clear
+metric and action checks against their full listings; the bitmask exact
+search against the partition oracle; the lift's translated pieces against
+pieces measured at every coset's own point; and the document writer
+against json.dumps."""
 
 import json
+import math
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -16,19 +20,20 @@ given = hypothesis.given
 example = hypothesis.example
 settings = hypothesis.settings
 
-from coarsedim import (Cover, FiniteGroup, FiniteMetricSpace, Infeasible,
-                       IsometricAction, cyclic_group, dihedral_group, dimension, lebesgue_number,
+from coarsedim import (INF, Cover, CoverCertificate, FiniteGroup, FiniteMetricSpace,
+                       Infeasible, IsometricAction, certify, check_equivariance,
+                       cyclic_group, dihedral_group, dimension, lebesgue_number,
                        lift_equivariant, mesh, min_dimension_cover_exact,
-                       quotient, validate_action, validate_metric)
+                       quotient, validate_action, validate_metric, verify_certificate)
 from coarsedim.formats import dumps, scalar_str
 from coarsedim.generators import (grid_rotation_action, grid_space,
-                                  path_reflection_action, path_space,
+                                  path_reflection_action, path_space, random_cover,
                                   random_graph_space, random_invariant_instance)
 from coarsedim.groups import _action_all_clear, _list_action_violations
 from coarsedim.metric import _all_clear, _list_violations, check_indices
 
-from oracles import (lebesgue_direct, lift_pieces_direct, mesh_direct,
-                     min_dimension_partition)
+from oracles import (equivariance_witness_direct, lebesgue_direct, lift_pieces_direct,
+                     mesh_direct, min_dimension_partition)
 
 # 13 and 37 give entries of 7 to 9 bits, where lanes cross byte boundaries.
 SCALES = (1, 2, 13, 37, Fraction(1, 2), Fraction(2, 3), Fraction(5, 7))
@@ -381,6 +386,71 @@ def test_lift_pieces_match_the_per_coset_definition(problem):
     _, trace, _ = lift_equivariant(a, q, c, R)
     assert [(e.fiber, e.basepoint, [(p.rep, p.subgroup, p.piece) for p in e.pieces])
             for e in trace.entries] == lift_pieces_direct(a, q, c, trace.s)
+
+
+def orbit_problem(a, seed, kind):
+    """An action and a cover of its space: the orbit closure of a random
+    cover, the same with each member replaced by the union of its images
+    (a member F fixes), a random cover of the quotient lifted, or a random
+    cover as drawn, which is seldom invariant."""
+    c = random_cover(a.space, seed)
+    if kind in ("closure", "saturated"):
+        images = [[frozenset(map(perm.__getitem__, member)) for perm in a.perms]
+                  for member in c.members]
+        if kind == "saturated":
+            images = [[frozenset().union(*orbit)] for orbit in images]
+        return a, Cover(a.space, dict.fromkeys(chain.from_iterable(images)))
+    if kind == "lifted":
+        q = quotient(a)
+        return a, lift_equivariant(a, q, random_cover(q.space, seed))[0]
+    return a, c
+
+
+@st.composite
+def orbit_problems(draw):
+    """orbit_problem on a random invariant instance of Z2, Z3, Z4, Z6, D3 or
+    D4, on its int table or that table scaled by 2/3."""
+    group = draw(st.sampled_from((cyclic_group(2), cyclic_group(3), cyclic_group(4),
+                                  cyclic_group(6), dihedral_group(3), dihedral_group(4))))
+    space, action = random_invariant_instance(group, draw(st.integers(1, 4)),
+                                              draw(st.integers(0, 10 ** 6)))
+    if draw(st.booleans()):
+        space = FiniteMetricSpace(space.points, [[Fraction(2, 3) * v for v in row]
+                                                 for row in space.dist], name=space.name)
+        action = IsometricAction(group, space, action.perms)
+    return orbit_problem(action, draw(st.integers(0, 10 ** 6)),
+                         draw(st.sampled_from(("closure", "saturated", "lifted", "drawn"))))
+
+
+@given(orbit_problems())
+# The half turn of a 3x5 grid fixes its centre.  Both covers are invariant,
+# with no whole-space member, and have members F fixes that hold the centre.
+@example(orbit_problem(grid_rotation_action(grid_space(3, 5), 3, 5), 2, "closure"))
+@example(orbit_problem(grid_rotation_action(grid_space(3, 5), 3, 5), 1, "lifted"))
+def test_per_orbit_certificate_is_the_full_measurement(problem):
+    a, c = problem
+    witness = equivariance_witness_direct(a, c.members)
+    assert check_equivariance(a, c) == (witness is None, witness)
+    cert = certify(Cover(c.space, c.members), action=a)
+    plain = certify(Cover(c.space, c.members))
+    assert (cert.equivariant, plain.equivariant) == (witness is None, None)
+    full = (dimension(c), lebesgue_number(c), mesh(c))
+    for measured in ((cert.dimension, cert.lebesgue, cert.mesh),
+                     (plain.dimension, plain.lebesgue, plain.mesh)):
+        assert measured == full
+        assert list(map(type, measured)) == list(map(type, full))
+    assert verify_certificate(c, cert, action=a) == []
+    if witness is None:
+        # One unit of the integer table off the mesh or the Lebesgue number.
+        unit = Fraction(1, math.lcm(*(Fraction(v).denominator
+                                      for row in c.space.dist for v in row)))
+        tampered = [CoverCertificate(cert.dimension, cert.lebesgue, cert.mesh + unit,
+                                     equivariant=True)]
+        if cert.lebesgue != INF:
+            tampered.append(CoverCertificate(cert.dimension, cert.lebesgue - unit,
+                                             cert.mesh, equivariant=True))
+        for bad, field in zip(tampered, ("mesh", "lebesgue")):
+            assert [v.subject for v in verify_certificate(c, bad, action=a)] == [(field,)]
 
 
 # Strings with what JSON escapes (quotes, backslashes, control characters)
