@@ -10,7 +10,8 @@ graph), and no candidate family is listed.  Balls, unions and point sets
 are int bitmasks.  The assignments are searched completely by iterative
 deepening on the multiplicity cap, so the returned dimension is the true
 minimum; the test suite cross-checks it against a partition enumerator and
-a clique enumerator written from the definitions.
+a clique enumerator written from the definitions.  "Greedy" is the search's
+first descent at B = 4R: one pass, no multiplicity cap, no backtracking.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .covers import Cover, CoverCertificate, certify
 from .constructions import LiftTrace, lift_equivariant
 from .errors import CapExceededError, InternalInvariantError
 from .groups import IsometricAction, QuotientSpace, quotient
-from .metric import (FiniteMetricSpace, Scalar, ball, check_count, check_positive,
-                     check_scalar, diameter)
+from .metric import (FiniteMetricSpace, Scalar, check_count, check_positive, check_scalar,
+                     diameter)
 
 EXACT_POINT_CAP = 14
 
@@ -168,7 +169,6 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
             f"exact search is capped at {max_points} points and {m.name!r} has "
             f"{len(m)}; use greedy_cover for larger spaces")
 
-    n = len(m)
     near = _ball_masks(m, B, le)
     needs = _ball_masks(m, R, lt)
     reaches = [_reach(need, near) for need in needs]
@@ -179,7 +179,7 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
                 message=(f"the open {R}-ball around {m.points[x]} has diameter "
                          f"{diameter(m, _bits(need))}, above the mesh bound {B}"))
 
-    for cap in range(1, n + 1):
+    for cap in range(1, len(m) + 1):
         unions = _serve_groups(needs, reaches, cap)
         if unions is not None:
             # Groups with equal unions are one member.
@@ -201,21 +201,26 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
 
 
 def greedy_cover(m: FiniteMetricSpace, R: Scalar) -> tuple[Cover, CoverCertificate]:
-    """Closed 2R-balls around a greedy R-net, redundant members pruned.
-
-    The net is R-dense, so the open R-ball around any point sits inside the
-    closed 2R-ball of its nearest center; pruning members contained in
-    another member keeps that property while shrinking multiplicities.
-    Lebesgue number >= R is re-proved on the result by recomputation.
+    """One pass of the exact search's serve-group rule at mesh bound 4R,
+    with no multiplicity cap and no backtracking: its first descent.  In
+    index order, a point whose open R-ball lies in no group's union joins
+    the first group, in opening order, whose reach contains the ball, else
+    opens a new one (the ball has diameter < 2R, so the pass never fails).
+    The members are the unions in opening order, equal ones merged: mesh
+    <= 4R, and Lebesgue number >= R, re-proved on the result.
     """
     check_positive(R, "R")
-    centers = []
-    for x in range(len(m)):
-        if all(m.dist[x][c] > R for c in centers):
-            centers.append(x)
-    balls = list(dict.fromkeys(ball(m, c, 2 * R, "closed") for c in centers))
-    members = [b for b in balls if not any(b < other for other in balls)]
-    cover = Cover(m, members, name=f"{m.name}_greedy_R{R}")
+    near = _ball_masks(m, 4 * R, le)
+    unions, group_reach = [], []
+    for need in _ball_masks(m, R, lt):
+        if all(need & ~union for union in unions):
+            g = next((g for g, r in enumerate(group_reach) if not need & ~r), len(unions))
+            if g == len(unions):
+                unions.append(0)
+                group_reach.append(-1)
+            unions[g] |= need
+            group_reach[g] &= _reach(need, near)
+    cover = Cover(m, map(_bits, dict.fromkeys(unions)), name=f"{m.name}_greedy_R{R}")
     cert = certify(cover)
     if not cert.lebesgue >= R:
         raise InternalInvariantError(
@@ -225,12 +230,10 @@ def greedy_cover(m: FiniteMetricSpace, R: Scalar) -> tuple[Cover, CoverCertifica
 
 def _estimate_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar | None, mode: str,
                     max_points: int) -> tuple[Scalar | None, Cover | Infeasible]:
-    """The cover at scale R that `mode` asks for, with the mesh bound that
-    was in force: None when greedy ran.
-
-    "exact" searches, "greedy" does not, and "auto" searches on spaces of at
-    most max_points points.  The search's mesh bound is B, or 4R when B is
-    None.  max_points must be at least 1.
+    """The cover at scale R that `mode` asks for, with the mesh bound the
+    search ran under: None when greedy ran, whose 4R is its own bound.
+    "exact" searches under B, or 4R when B is None; "greedy" runs the first
+    descent; "auto" searches within max_points points, which must be >= 1.
     """
     if mode not in ("auto", "exact", "greedy"):
         raise ValueError(f"mode must be auto, exact or greedy, got {mode!r}")
@@ -244,8 +247,8 @@ def _estimate_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar | None, mode: str
 
 @dataclass(frozen=True)
 class ProfileEntry:
-    """Best cover found at one scale: the target R, the mesh bound that was
-    in force (None when greedy ran, as greedy takes none), and either the
+    """Best cover found at one scale: the target R, the mesh bound the search
+    ran under (None when greedy ran: its 4R is its own), and either the
     cover's name and actual, recomputed quantities or why no cover exists.
     Construction also rejects a scale that is not a positive exact scalar,
     a mesh or mesh bound that is not a nonnegative one, and a dimension
@@ -292,10 +295,10 @@ def asdim_profile(m: FiniteMetricSpace, scales: Sequence[Scalar],
     """Best-found cover dimension per scale.
 
     "exact" searches at every scale and raises CapExceededError above
-    max_points points, "greedy" never searches, and "auto" searches within
-    max_points and runs greedy beyond.  A search's mesh bound is the scale's
-    entry of mesh_bounds, 4R when none are given; greedy entries record no
-    mesh bound.  Scales must be positive and strictly increasing.
+    max_points points, "greedy" runs the first descent (mesh <= 4R), and
+    "auto" searches within max_points and runs greedy beyond.  A search's
+    mesh bound is the scale's entry of mesh_bounds, 4R when none are given;
+    greedy entries record none.  Scales must be positive, strictly increasing.
     """
     scales = list(scales)
     if not scales:
@@ -304,16 +307,13 @@ def asdim_profile(m: FiniteMetricSpace, scales: Sequence[Scalar],
         check_positive(R, f"scale[{i}]")
         if i and not scales[i] > scales[i - 1]:
             raise ValueError("scales must be strictly increasing")
-    if mesh_bounds is not None:
-        mesh_bounds = list(mesh_bounds)
-        if len(mesh_bounds) != len(scales):
-            raise ValueError(f"{len(mesh_bounds)} mesh bounds for {len(scales)} scales")
+    mesh_bounds = [None] * len(scales) if mesh_bounds is None else list(mesh_bounds)
+    if len(mesh_bounds) != len(scales):
+        raise ValueError(f"{len(mesh_bounds)} mesh bounds for {len(scales)} scales")
 
     entries = []
-    for i, R in enumerate(scales):
-        bound, result = _estimate_cover(
-            m, R, mesh_bounds[i] if mesh_bounds is not None else None, mode,
-            max_points)
+    for R, B in zip(scales, mesh_bounds):
+        bound, result = _estimate_cover(m, R, B, mode, max_points)
         if isinstance(result, Infeasible):
             found = (None, None, None, result)
         else:

@@ -17,8 +17,10 @@ keys must be what its entries derive (each entry's dimension and mesh stay
 claims, as its cover is not in the document).  A certificate's fields are
 also recomputed from its cover; any disagreement is a validation failure.
 A lift trace loads only beside its action and both its covers; its indices
-are checked against the action, and each entry's fiber, basepoint and
-pieces and the trace's s against what the lift makes them.
+are checked against the action, its entries against the source cover's
+members, each entry's fiber, basepoint and pieces and the trace's s
+against what the lift makes them, and its pieces against the lifted
+cover's members.
 """
 
 from __future__ import annotations
@@ -307,10 +309,12 @@ def lift_trace_from_dict(d: dict, ws: "Workspace") -> LiftTrace:
     every index in it checked against that action: points against its
     space, coset representatives and subgroup elements against its group,
     and members against its orbit count.  Then each entry must be a split
-    of its own fiber, as the lift makes it: the fiber is the union of the
-    orbits its member names (orbit i is the i-th by least point), the
-    basepoint is the fiber's least point, and the pieces are disjoint with
-    the fiber as their union; and s must be max(mesh(source cover), R)."""
+    of its own fiber, as the lift makes it: entry k's member is the source
+    cover's member k, the fiber is the union of the orbits it names (orbit
+    i is the i-th by least point), the basepoint is the fiber's least point,
+    and the pieces are disjoint with the fiber as their union.  s must be
+    max(mesh(source cover), R), and the lifted cover's members must be the
+    pieces, in order, equal ones once."""
     entries = []
     for entry in d["members"]:
         pieces = tuple(
@@ -324,7 +328,7 @@ def lift_trace_from_dict(d: dict, ws: "Workspace") -> LiftTrace:
     trace = LiftTrace(R=parse_scalar(d["R"]), s=parse_scalar(d["s"]), entries=tuple(entries))
     action = ws.get("action", d["action"])
     source = ws.get("cover", d["source_cover"])
-    ws.get("cover", d["cover"])
+    lifted = ws.get("cover", d["cover"])
     n, order = len(action.space), len(action.group)
     orbs = orbits(action)
     for entry in d["members"]:
@@ -335,7 +339,13 @@ def lift_trace_from_dict(d: dict, ws: "Workspace") -> LiftTrace:
             check_index(p["rep"], order, "a piece's coset representative")
             check_indices(p["subgroup"], order, "a piece's subgroup element")
             check_indices(p["piece"], n, "a piece's point")
-    for k, entry in enumerate(trace.entries):
+    if len(trace.entries) != len(source.members):
+        raise ValueError(f"{len(trace.entries)} entries for the "
+                         f"{len(source.members)} members of {source.name!r}")
+    for k, (entry, member) in enumerate(zip(trace.entries, source.members)):
+        if entry.member != member:
+            raise ValueError(f"member {k} names other orbits than member {k} of "
+                             f"{source.name!r}")
         if entry.fiber != frozenset(chain.from_iterable(map(orbs.__getitem__, entry.member))):
             raise ValueError(f"member {k}'s fiber is not the union of the orbits it names")
         if entry.basepoint != min(entry.fiber, default=None):
@@ -348,6 +358,10 @@ def lift_trace_from_dict(d: dict, ws: "Workspace") -> LiftTrace:
     if trace.s != s:
         raise ValueError(f"s is {scalar_str(trace.s)}, not max(mesh of "
                          f"{source.name!r}, R) = {scalar_str(s)}")
+    if tuple(dict.fromkeys(p.piece for e in trace.entries for p in e.pieces)) != \
+            lifted.members:
+        raise ValueError(f"the members of {lifted.name!r} are not the trace's pieces, "
+                         "in order")
     return trace
 
 

@@ -367,10 +367,32 @@ def test_a_bad_index_count_or_trace_action_is_refused(tmp_path, capsys,
         [{"error": error, "message": message, "file": path}])
 
 
+def _swap(*keys_and_indices):
+    """An edit that swaps two items of the list at a path of keys."""
+    *keys, i, j = keys_and_indices
+
+    def edit(d):
+        for key in keys:
+            d = d[key]
+        d[i], d[j] = d[j], d[i]
+    return edit
+
+
 # Edits that leave a lift trace of P9 under its reflection at R=1 canonical
 # and every index in range, so only the trace's own invariants refuse them:
-# (edit, message).  Member 0 names orbit {0, 8}, split into [0] and [8].
+# (edit, message).  Member 0 names orbit {0, 8}, split into [0] and [8]; the
+# source cover has 5 singleton members.
 TRACE_EDITS = {
+    "entries-swapped": (
+        _swap("members", 0, 1),
+        "member 0 names other orbits than member 0 of 'P9_mod_Z2_exact_R1_B4'"),
+    "an-entry-short": (
+        lambda d: d["members"].pop(),
+        "4 entries for the 5 members of 'P9_mod_Z2_exact_R1_B4'"),
+    "pieces-swapped": (
+        _swap("members", 0, "pieces", 0, 1),
+        "the members of 'P9_mod_Z2_exact_R1_B4_lifted' are not the trace's pieces, "
+        "in order"),
     "s-not-the-lift's": (
         _edit("s", "99"), "s is 99, not max(mesh of 'P9_mod_Z2_exact_R1_B4', R) = 1"),
     "fiber-not-its-orbits": (
@@ -883,6 +905,22 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
                           "n=5", "--out", str(regen))
     for a, b in zip(sorted(files), sorted(files2)):
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_greedy_reruns_are_byte_identical(tmp_path, capsys):
+    code, files, _ = run(capsys, "generate", "--kind", "grid",
+                         "--params", "w=12,h=12", "--out", str(tmp_path / "in"))
+    assert code == 0
+    written = []
+    for out in (tmp_path / "one", tmp_path / "two"):
+        code, paths, _ = run(capsys, "equivariant-cover", *files, "--mode", "greedy",
+                             "--R", "2", "--out", str(out))
+        assert code == 0 and len(paths) == 5
+        written.append({pathlib.Path(p).name: pathlib.Path(p).read_bytes()
+                        for p in paths})
+    assert written[0] == written[1]
+    cert = json.loads(written[0]["grid12x12_mod_Z2_greedy_R2_lifted_cert.certificate.json"])
+    assert (cert["dimension"], cert["equivariant"]) == (3, True)
 
 
 def test_internal_failure_exits_four(tmp_path, capsys, monkeypatch):

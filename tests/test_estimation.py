@@ -172,10 +172,13 @@ def test_exact_fractional_scales():
 
 def test_greedy_frozen_path_nine():
     cover, cert = greedy_cover(path_space(9), 2)
-    # net 0, 3, 6; the ball around 0 lies inside the ball around 3 and is pruned
-    assert cover.members == (frozenset(range(8)), frozenset(range(2, 9)))
-    assert cert.dimension == 1
-    assert cert.mesh == 7
+    # The first descent at mesh bound 8: every open 2-ball joins the group
+    # point 0 opened, so one member holds the whole path.  Its mesh is 8,
+    # above the 7 of the earlier R-net cover: the mesh may rise, but only
+    # within 4R.
+    assert cover.members == (frozenset(range(9)),)
+    assert cert.dimension == 0
+    assert cert.mesh == 8 <= 4 * 2
     assert cert.lebesgue >= 2
 
 
@@ -196,6 +199,24 @@ def test_greedy_certificate_verifies():
             assert verify_certificate(cover, cert) == []
     with pytest.raises(ValueError):
         greedy_cover(path_space(5), 0)
+
+
+@pytest.mark.parametrize("R, dim", [(1, 0), (2, 3), (3, 3)])
+def test_greedy_dimension_on_grid_twenty(R, dim):
+    _, cert = greedy_cover(grid_space(20, 20), R)
+    assert cert.dimension == dim
+    assert cert.lebesgue >= R and cert.mesh <= 4 * R
+
+
+@pytest.mark.parametrize("side, lifted_mesh", [(12, 22), (14, 26)])
+def test_greedy_pipeline_on_half_turn_grids(side, lifted_mesh):
+    # The quotient's first descent lifts to dimension 3 at scale 2.
+    a = grid_rotation_action(grid_space(side, side), side, side)
+    result = equivariant_cover_pipeline(a, 2, mode="greedy")
+    cert = result.certificate
+    assert (cert.dimension, cert.mesh, cert.equivariant) == (3, lifted_mesh, True)
+    assert cert.lebesgue >= 2
+    assert result.quotient_cover.name == f"grid{side}x{side}_mod_Z2_greedy_R2"
 
 
 def test_profile_frozen():

@@ -3,9 +3,10 @@ the mesh and the dimension against the definitions, on int, Fraction,
 mixed and int-subclass tables, and their per-orbit measurement of an
 invariant cover against the measurement at every point; the all-clear
 metric and action checks against their full listings; the bitmask exact
-search against the partition oracle; the lift's translated pieces against
-pieces measured at every coset's own point; and the document writer
-against json.dumps."""
+search against the partition oracle; the greedy first descent's Lebesgue
+number, mesh and dimension against the definitions; the lift's translated
+pieces against pieces measured at every coset's own point; and the
+document writer against json.dumps."""
 
 import json
 import math
@@ -22,11 +23,11 @@ settings = hypothesis.settings
 
 from coarsedim import (INF, Cover, CoverCertificate, FiniteGroup, FiniteMetricSpace,
                        Infeasible, IsometricAction, certify, check_equivariance,
-                       cyclic_group, dihedral_group, dimension, lebesgue_number,
-                       lift_equivariant, mesh, min_dimension_cover_exact,
+                       cyclic_group, dihedral_group, dimension, greedy_cover,
+                       lebesgue_number, lift_equivariant, mesh, min_dimension_cover_exact,
                        quotient, validate_action, validate_metric, verify_certificate)
 from coarsedim.formats import dumps, scalar_str
-from coarsedim.generators import (grid_rotation_action, grid_space,
+from coarsedim.generators import (cycle_space, grid_rotation_action, grid_space,
                                   path_reflection_action, path_space, random_cover,
                                   random_graph_space, random_invariant_instance)
 from coarsedim.groups import _action_all_clear, _list_action_violations
@@ -135,6 +136,54 @@ def test_exact_search_matches_partition_oracle(problem):
         assert isinstance(result, Infeasible)
         return
     assert dimension(result) == expected
+
+
+GREEDY_SCALES = (1, Fraction(4, 3), 2, 3)
+
+
+def grid8x8_two_thirds():
+    base = grid_space(8, 8)
+    return FiniteMetricSpace(base.points, [[Fraction(2, 3) * v for v in row]
+                                           for row in base.dist], name="grid8x8_two_thirds")
+
+
+@st.composite
+def greedy_problems(draw):
+    """A path, a cycle, a grid up to 8x8, a seeded random graph or the
+    2/3-scaled 8x8 grid, at one of the scales 1, 4/3, 2 and 3."""
+    kind = draw(st.sampled_from(("path", "cycle", "grid", "random", "scaled")))
+    if kind == "path":
+        m = path_space(draw(st.integers(1, 30)))
+    elif kind == "cycle":
+        m = cycle_space(draw(st.integers(3, 30)))
+    elif kind == "grid":
+        m = grid_space(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    elif kind == "random":
+        m = random_graph_space(draw(st.integers(1, 30)), draw(st.integers(0, 10 ** 6)),
+                               edge_chance=draw(st.sampled_from(
+                                   (Fraction(0), Fraction(1, 10), Fraction(2, 5)))),
+                               max_weight=draw(st.integers(1, 5)))
+    else:
+        m = grid8x8_two_thirds()
+    return m, draw(st.sampled_from(GREEDY_SCALES))
+
+
+@settings(max_examples=80)
+@given(greedy_problems())
+@example((grid_space(8, 8), 2))
+@example((grid8x8_two_thirds(), Fraction(4, 3)))
+def test_greedy_cover_keeps_its_guarantees_by_the_definitions(problem):
+    # Lebesgue number >= R and mesh <= 4R, measured by the oracles and not
+    # by certify; the certificate it returns is what they measure.
+    m, R = problem
+    cover, cert = greedy_cover(m, R)
+    members = cover.members
+    lebesgue, diam = lebesgue_direct(m, members), mesh_direct(m, members)
+    counts = [sum(x in member for member in members) for x in range(len(m))]
+    assert lebesgue >= R and diam <= 4 * R
+    assert (cert.dimension, cert.lebesgue, cert.mesh) == (max(counts) - 1, lebesgue, diam)
+    assert len(set(members)) == len(members)
+    assert greedy_cover(m, R)[0].members == members
 
 
 ENTRIES = st.one_of(st.integers(-3, 12),
