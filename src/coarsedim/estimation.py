@@ -4,14 +4,13 @@
 and mesh <= B, at every size the search accepts.  Any such cover serves
 each point's open R-ball from some member containing it; shrinking every
 member to the union of the balls it serves keeps both bounds and never
-raises a multiplicity.  So the search assigns points to serve-groups, each
-group's union of balls a set of diameter <= B (a clique of the "within B"
-graph), and no candidate family is listed.  Balls, unions and point sets
-are int bitmasks.  The assignments are searched completely by iterative
-deepening on the multiplicity cap, so the returned dimension is the true
-minimum; the test suite cross-checks it against a partition enumerator and
-a clique enumerator written from the definitions.  "Greedy" is the search's
-first descent at B = 4R: one pass, no multiplicity cap, no backtracking.
+raises a multiplicity.  So one depth-first search, on int bitmasks and an
+explicit stack, assigns points to serve-groups, each group's union of balls
+a clique of the "within B" graph.  Iterative deepening on the multiplicity
+cap makes its dimension the true minimum, which the tests cross-check with
+a partition enumerator and a clique enumerator.  "Greedy" is the same
+search at B = 4R with no cap: its first descent, which never backtracks.
+Both return the unions in opening order, equal ones merged, as members.
 """
 
 from __future__ import annotations
@@ -73,77 +72,86 @@ def _reach(mask: int, near: Sequence[int]) -> int:
     """The points within B of every point of `mask`.  The union of two
     cliques is a clique exactly when one lies inside the other's reach."""
     reach = -1
-    for p in _bits(mask):
-        reach &= near[p]
+    while mask:
+        low = mask & -mask
+        reach &= near[low.bit_length() - 1]
+        mask ^= low
     return reach
 
 
 def _serve_groups(needs: Sequence[int], reaches: Sequence[int],
-                  cap: int) -> list[int] | None:
-    """Unions of required balls, each a clique, that together contain every
-    point's required ball with no point in more than `cap` of them; None if
-    there are none.
+                  cap: int | None = None) -> list[int] | None:
+    """Unions of required balls, each a clique, containing every point's
+    required ball with no point in more than `cap` of them (any number if
+    cap is None), in opening order; None if there are none.
 
-    reaches[x] is the reach of x's required ball.  Each group keeps its
-    union and the union's reach, and a ball may join a group when it lies
-    inside that reach.  Multiplicities are kept bit-sliced: levels[k] is the
-    mask of the points in more than k groups, and a step raises only the
-    points it newly covers, which must miss levels[cap - 1].  A point whose
-    ball already lies inside a union is served without a branch.  Otherwise
-    backtracking takes the first unserved point with the fewest options
-    (stopping at none) and tries a new group first, then each group in the
-    order opened; deterministic.
+    A ball may join a group when it lies inside the group's reach
+    (reaches[x] is that of x's ball).  levels[k] is the mask of the points
+    in more than k groups, and no step may raise a point at the top level.
+    One rule at each node: a point whose ball lies inside a union is
+    served; the first point whose ball meets the top level and fits at most
+    one group is branched on (with none, the node fails); else the first
+    unserved point is, trying the open groups in opening order and then a
+    new group.  Uncapped, every ball can open a group, so the first descent
+    never fails: that is greedy_cover.  Deterministic.
     """
     n = len(needs)
-    unions: list[int] = []
+    unions: list[int] = []          # per group, in opening order
     group_reach: list[int] = []
-
-    def descend(levels: list[int], served: int) -> bool:
-        full = levels[-1]
-        best = None
-        for x in range(n):
-            if served >> x & 1:
-                continue
+    # A frame per branching point: [point, next option (the node's group
+    # count for a new group), the union and reach its last option changed
+    # (0 and -1 for a new group), and the node's levels, served mask and
+    # first unserved point].
+    stack: list[list] = []
+    levels, served, first = [0] * (cap or 0), 0, 0
+    while True:
+        full = levels[-1] if levels else 0
+        point = None
+        for x in range(first, n):
             need = needs[x]
+            if served >> x & 1 or point is not None and not need & full:
+                continue
             if any(not need & ~union for union in unions):
                 served |= 1 << x
                 continue
-            # -1 stands for a new group.
-            options = [-1] if not need & full else []
-            options += [g for g, union in enumerate(unions)
-                        if not need & ~group_reach[g]
-                        and not need & ~union & full]
-            if best is None or len(options) < len(best):
-                best, point = options, x
-                if not options:
-                    return False
-        if best is None:
-            return True
-        need = needs[point]
-        for g in best:
-            if g < 0:
-                added = need
-                unions.append(need)
-                group_reach.append(reaches[point])
-            else:
-                added = need & ~unions[g]
-                saved = unions[g], group_reach[g]
-                unions[g] |= need
-                group_reach[g] &= reaches[point]
-            if descend([levels[0] | added] + [hi | lo & added for lo, hi
-                                              in zip(levels, levels[1:])],
-                       served | 1 << point):
-                return True
-            if g < 0:
-                unions.pop()
-                group_reach.pop()
-            else:
-                unions[g], group_reach[g] = saved
-        return False
-
-    found = descend([0] * cap, 0)
-    del descend     # it holds itself in its closure: a cycle, else left to gc
-    return unions if found else None
+            if point is None:
+                point = first = x
+            if not full or need & full and sum(
+                    not need & ~reach and not need & ~union & full
+                    for union, reach in zip(unions, group_reach)) < 2:
+                point = x
+                break
+        if point is None:
+            return unions
+        stack.append([point, 0, None, levels, served, first])
+        while stack:
+            frame = stack[-1]
+            point, g, saved, levels, served, first = frame
+            if g:
+                unions[g - 1], group_reach[g - 1] = saved
+                if not saved[0]:        # it opened a new group
+                    del unions[-1], group_reach[-1]
+            need = needs[point]
+            full = levels[-1] if levels else 0
+            while g < len(unions) and (need & ~group_reach[g] or need & ~unions[g] & full):
+                g += 1
+            if g > len(unions) or g == len(unions) and need & full:
+                stack.pop()
+                continue
+            if g == len(unions):
+                unions.append(0)
+                group_reach.append(-1)
+            frame[1], frame[2] = g + 1, (unions[g], group_reach[g])
+            added = need & ~unions[g]
+            unions[g] |= need
+            group_reach[g] &= reaches[point]
+            if levels:
+                levels = [levels[0] | added] + [hi | lo & added for lo, hi
+                                                in zip(levels, levels[1:])]
+            served |= 1 << point
+            break
+        else:
+            return None
 
 
 def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
@@ -152,13 +160,10 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
     """Minimal-dimension cover with Lebesgue number >= R and mesh <= B, over
     all such covers; Infeasible if some open R-ball has diameter above B.
 
-    Points are assigned to serve-groups whose unions of required balls have
-    diameter <= B; the members are those unions, equal ones merged, in the
-    order (size, sorted indices).  Iterative deepening on the multiplicity
-    cap, from cap 1, guarantees minimality; within a cap the search is
-    backtracking on int bitmasks with a fail-first point order.  The result
-    is deterministic, and its Lebesgue number, mesh and dimension are
-    certified before it returns.
+    _serve_groups runs at caps 1, 2, ... until one succeeds, so the
+    dimension is minimal; the members are its unions in opening order,
+    equal ones merged, as in greedy_cover.  Deterministic, and the
+    Lebesgue number, mesh and dimension are certified before it returns.
     """
     check_positive(R, "R")
     check_scalar(B, "B")
@@ -182,9 +187,7 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
     for cap in range(1, len(m) + 1):
         unions = _serve_groups(needs, reaches, cap)
         if unions is not None:
-            # Groups with equal unions are one member.
-            members = sorted(set(unions), key=lambda u: (u.bit_count(), _bits(u)))
-            cover = Cover(m, [_bits(u) for u in members],
+            cover = Cover(m, map(_bits, dict.fromkeys(unions)),
                           name=f"{m.name}_exact_R{R}_B{B}")
             cert = certify(cover)
             if not cert.lebesgue >= R:
@@ -201,25 +204,17 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
 
 
 def greedy_cover(m: FiniteMetricSpace, R: Scalar) -> tuple[Cover, CoverCertificate]:
-    """One pass of the exact search's serve-group rule at mesh bound 4R,
-    with no multiplicity cap and no backtracking: its first descent.  In
-    index order, a point whose open R-ball lies in no group's union joins
-    the first group, in opening order, whose reach contains the ball, else
-    opens a new one (the ball has diameter < 2R, so the pass never fails).
-    The members are the unions in opening order, equal ones merged: mesh
-    <= 4R, and Lebesgue number >= R, re-proved on the result.
+    """_serve_groups at mesh bound 4R with no multiplicity cap: the exact
+    search's first descent.  In index order, an open R-ball in no group's
+    union joins the first group, in opening order, whose reach contains it,
+    else opens a new one; it has diameter < 2R, so nothing fails or is
+    undone.  The members are the unions in opening order, equal ones
+    merged: mesh <= 4R, and Lebesgue number >= R, re-proved on the result.
     """
     check_positive(R, "R")
     near = _ball_masks(m, 4 * R, le)
-    unions, group_reach = [], []
-    for need in _ball_masks(m, R, lt):
-        if all(need & ~union for union in unions):
-            g = next((g for g, r in enumerate(group_reach) if not need & ~r), len(unions))
-            if g == len(unions):
-                unions.append(0)
-                group_reach.append(-1)
-            unions[g] |= need
-            group_reach[g] &= _reach(need, near)
+    needs = _ball_masks(m, R, lt)
+    unions = _serve_groups(needs, [_reach(need, near) for need in needs])
     cover = Cover(m, map(_bits, dict.fromkeys(unions)), name=f"{m.name}_greedy_R{R}")
     cert = certify(cover)
     if not cert.lebesgue >= R:

@@ -378,23 +378,23 @@ def _swap(*keys_and_indices):
     return edit
 
 
-# Edits that leave a lift trace of P9 under its reflection at R=1 canonical
-# and every index in range, so only the trace's own invariants refuse them:
-# (edit, message).  Member 0 names orbit {0, 8}, split into [0] and [8]; the
-# source cover has 5 singleton members.
+# Edits that leave a lift trace of P9 under its reflection at R=1, B=0
+# canonical and every index in range, so only the trace's own invariants
+# refuse them: (edit, message).  The source cover has 5 singleton members,
+# so s = 1; member 0 names orbit {0, 8}, split into [0] and [8].
 TRACE_EDITS = {
     "entries-swapped": (
         _swap("members", 0, 1),
-        "member 0 names other orbits than member 0 of 'P9_mod_Z2_exact_R1_B4'"),
+        "member 0 names other orbits than member 0 of 'P9_mod_Z2_exact_R1_B0'"),
     "an-entry-short": (
         lambda d: d["members"].pop(),
-        "4 entries for the 5 members of 'P9_mod_Z2_exact_R1_B4'"),
+        "4 entries for the 5 members of 'P9_mod_Z2_exact_R1_B0'"),
     "pieces-swapped": (
         _swap("members", 0, "pieces", 0, 1),
-        "the members of 'P9_mod_Z2_exact_R1_B4_lifted' are not the trace's pieces, "
+        "the members of 'P9_mod_Z2_exact_R1_B0_lifted' are not the trace's pieces, "
         "in order"),
     "s-not-the-lift's": (
-        _edit("s", "99"), "s is 99, not max(mesh of 'P9_mod_Z2_exact_R1_B4', R) = 1"),
+        _edit("s", "99"), "s is 99, not max(mesh of 'P9_mod_Z2_exact_R1_B0', R) = 1"),
     "fiber-not-its-orbits": (
         _edit("members", 0, "fiber", [0]),
         "member 0's fiber is not the union of the orbits it names"),
@@ -416,7 +416,7 @@ TRACE_EDITS = {
 @pytest.mark.parametrize("edit, message", TRACE_EDITS.values(), ids=TRACE_EDITS)
 def test_a_lift_trace_that_is_not_the_lift_is_refused(tmp_path, capsys, edit, message):
     files = generate_path_instance(tmp_path / "inputs", capsys, n=9)
-    code, lifted, _ = run(capsys, "equivariant-cover", *files, "--R", "1",
+    code, lifted, _ = run(capsys, "equivariant-cover", *files, "--R", "1", "--B", "0",
                           "--out", str(tmp_path / "lift"))
     assert code == 0
     docs = [*files, *lifted]
@@ -783,13 +783,13 @@ def test_profile_csv_keeps_each_action_on_its_own_rows(tmp_path, capsys):
     assert code == 0
     d = json.loads(open(out[0]).read())
     assert [(e["dimension"], e["mesh"]) for q in d["quotients"]
-            for e in q["entries"]] == [(0, "0"), (2, "2"), (0, "0"), (0, "1")]
+            for e in q["entries"]] == [(0, "1"), (2, "2"), (0, "1"), (0, "1")]
     assert [r["relation"] for r in d["comparisons"]] == \
         ["equal", "equal", "equal", "drop"]
     assert open(out[1]).read().splitlines()[1:] == [
-        "C12,1,1,exact,0,0,0,0,equal",
+        "C12,1,1,exact,0,1,0,1,equal",
         "C12,2,2,exact,2,2,2,2,equal",
-        "C12,1,1,exact,0,0,0,0,equal",
+        "C12,1,1,exact,0,1,0,1,equal",
         "C12,2,2,exact,2,2,0,1,drop",
     ]
 

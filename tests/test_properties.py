@@ -3,7 +3,8 @@ the mesh and the dimension against the definitions, on int, Fraction,
 mixed and int-subclass tables, and their per-orbit measurement of an
 invariant cover against the measurement at every point; the all-clear
 metric and action checks against their full listings; the bitmask exact
-search against the partition oracle; the greedy first descent's Lebesgue
+search against the partition oracle, with its covers' Lebesgue
+number and mesh by the definitions; the greedy first descent's Lebesgue
 number, mesh and dimension against the definitions; the lift's translated
 pieces against pieces measured at every coset's own point; and the
 document writer against json.dumps."""
@@ -136,6 +137,10 @@ def test_exact_search_matches_partition_oracle(problem):
         assert isinstance(result, Infeasible)
         return
     assert dimension(result) == expected
+    # measured by the oracles, not certify: the search order decides which
+    # minimal cover comes back, and it must keep both bounds
+    assert lebesgue_direct(m, result.members) >= R
+    assert mesh_direct(m, result.members) <= B
 
 
 GREEDY_SCALES = (1, Fraction(4, 3), 2, 3)
