@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, compress, repeat
+from operator import le
 from typing import Iterable, Sequence
 
 from .covers import (Cover, CoverCertificate, certify, check_equivariance,
@@ -114,6 +115,39 @@ class LiftTrace:
     entries: tuple[LiftMember, ...]
 
 
+def _split(a: IsometricAction, fibers: Sequence[Sequence[int]], c: Cover,
+           given: CoverCertificate, R: Scalar) -> LiftTrace:
+    """The lift's split of each member of c, a cover of the quotient whose
+    point i is over fibers[i], certified by given, at radius R: R must be
+    positive and at most lebesgue(c), and s = max(mesh(c), R).  Member k's
+    fiber is the union of the fibers it names, its basepoint x the fiber's
+    least point, and H the subgroup displacement_subgroup(a, x, s); the
+    piece over fH is f·P, where P is the part of the fiber within s of H·x,
+    with subgroup fHf^-1."""
+    check_positive(R, "R")
+    if not given.lebesgue >= R:
+        raise ValueError(f"cover has Lebesgue number {given.lebesgue}, below the target {R}")
+    group, perms, dist = a.group, a.perms, a.space.dist
+    s = max(given.mesh, R)
+    mul = group.mul_table
+    entries = []
+    for member in c.members:
+        fiber = tuple(chain.from_iterable(map(fibers.__getitem__, member)))
+        basepoint = min(fiber)
+        subgroup = displacement_subgroup(a, basepoint, s)
+        base = set().union(*[compress(fiber, map(le, map(dist[z].__getitem__, fiber), repeat(s)))
+                             for z in {perms[h][basepoint] for h in subgroup}])
+        pieces = []
+        for f in coset_representatives(group, subgroup):
+            f_inv = group.inverse(f)
+            pieces.append(LiftPiece(
+                rep=f, subgroup=tuple(sorted(mul[mul[f][h]][f_inv] for h in subgroup)),
+                piece=frozenset(map(perms[f].__getitem__, base))))
+        entries.append(LiftMember(member=member, fiber=frozenset(fiber),
+                                  basepoint=basepoint, pieces=tuple(pieces)))
+    return LiftTrace(R=R, s=s, entries=tuple(entries))
+
+
 def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
                      R: Scalar | None = None) -> tuple[Cover, LiftTrace, CoverCertificate]:
     """Lift a cover of the quotient to an invariant cover of the space.
@@ -126,8 +160,8 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
     f·x, both read off the action and the group table: for a valid action
     d(f·x, g·f·x) = d(x, f^-1 g f·x), and the fiber is invariant, so this is
     what the same rule gives at f·x.  H, H·x and P are found once per
-    member.  Certified, by one certificate of each cover and a direct check
-    of each split:
+    member, by _split, which the lift trace reader calls too.  Certified,
+    by one certificate of each cover and a direct check of each split:
 
       * the member family is invariant under the whole group,
       * mesh(out) < 4s(|F|+1),
@@ -136,9 +170,10 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
       * per member, pieces are pairwise more than 2s apart and their
         union is exactly the fiber.
 
-    R defaults to lebesgue(c) when that is finite, else max(mesh(c), 1).
-    These postconditions hold unconditionally for valid input, so any
-    failure raises InternalInvariantError.
+    R defaults to lebesgue(c) when that is finite, else max(mesh(c), 1); it
+    must be positive and at most lebesgue(c).  These postconditions hold
+    unconditionally for valid input, so any failure raises
+    InternalInvariantError.
     """
     if q.source != a.space:
         raise ValueError("quotient does not belong to the action's space")
@@ -148,30 +183,13 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
     given = certify(c)
     if R is None:
         R = given.lebesgue if given.lebesgue != INF else max(given.mesh, 1)
-    check_positive(R, "R")
-    if not given.lebesgue >= R:
-        raise ValueError(f"cover has Lebesgue number {given.lebesgue}, below the target {R}")
-
+    trace = _split(a, q.fibers, c, given, R)
     group = a.group
     m = a.space
-    s = max(given.mesh, R)
-    separation = 2 * s
+    separation = 2 * trace.s
 
-    mul = group.mul_table
-    entries = []
-    for k, member in enumerate(c.members):
-        fiber = q.fiber_of_set(member)
-        basepoint = min(fiber)
-        subgroup = displacement_subgroup(a, basepoint, s)
-        centers = {a.perms[h][basepoint] for h in subgroup}
-        base = [y for y in fiber if any(m.dist[y][z] <= s for z in centers)]
-        pieces = []
-        for f in coset_representatives(group, subgroup):
-            f_inv = group.inverse(f)
-            pieces.append(LiftPiece(
-                rep=f, subgroup=tuple(sorted(mul[mul[f][h]][f_inv] for h in subgroup)),
-                piece=frozenset(map(a.perms[f].__getitem__, base))))
-
+    for k, entry in enumerate(trace.entries):
+        pieces = entry.pieces
         union: set[int] = set()
         for p in pieces:
             if not p.piece:
@@ -179,7 +197,7 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
                     f"lift produced an empty piece for member {k}, coset rep "
                     f"{group.elements[p.rep]}")
             union.update(p.piece)
-        if union != set(fiber):
+        if union != entry.fiber:
             raise InternalInvariantError(
                 f"lift pieces of member {k} do not union to the fiber")
         for i in range(len(pieces)):
@@ -190,19 +208,15 @@ def lift_equivariant(a: IsometricAction, q: QuotientSpace, c: Cover,
                         f"lift pieces {i} and {j} of member {k} are {d} apart, "
                         f"need > {separation}")
 
-        entries.append(LiftMember(member=member, fiber=fiber,
-                                  basepoint=basepoint, pieces=tuple(pieces)))
-
-    out = Cover(m, dict.fromkeys(p.piece for e in entries for p in e.pieces),
+    out = Cover(m, dict.fromkeys(p.piece for e in trace.entries for p in e.pieces),
                 name=f"{c.name}_lifted")
-    trace = LiftTrace(R=R, s=s, entries=tuple(entries))
 
     cert = certify(out, action=a)
     if not cert.equivariant:
         k, g = check_equivariance(a, out)[1]
         raise InternalInvariantError(
             f"lifted cover not invariant: member {k} under {group.elements[g]}")
-    mesh_bound = 4 * s * (len(group) + 1)
+    mesh_bound = 4 * trace.s * (len(group) + 1)
     if not cert.mesh < mesh_bound:
         raise InternalInvariantError(
             f"lifted mesh {cert.mesh} not below 4s(|F|+1) = {mesh_bound}")

@@ -16,11 +16,11 @@ sorted, scalars in lowest terms and no key is extra; a profile's derived
 keys must be what its entries derive (each entry's dimension and mesh stay
 claims, as its cover is not in the document).  A certificate's fields are
 also recomputed from its cover; any disagreement is a validation failure.
-A lift trace loads only beside its action and both its covers; its indices
-are checked against the action, its entries against the source cover's
-members, each entry's fiber, basepoint and pieces and the trace's s
-against what the lift makes them, and its pieces against the lifted
-cover's members.
+A lift trace loads only beside its action and both its covers, and only as
+what the lift of its source cover at its R writes: the reader checks its
+indices against the action, builds that trace with the lift's own split
+(constructions._split) and checks its pieces against the lifted cover's
+members; load_entry's write-back refuses every other document.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Sequence
 
-from .constructions import LiftMember, LiftPiece, LiftTrace, SSpace, build_sspace
-from .covers import Cover, CoverCertificate, Decomposition, mesh, validate_cover, \
+from .constructions import LiftTrace, SSpace, _split, build_sspace
+from .covers import Cover, CoverCertificate, Decomposition, certify, validate_cover, \
     validate_decomposition, verify_certificate
 from .errors import ResolutionError, Violation
 from .estimation import DimensionProfile, FamilyProfile, Infeasible, ProfileEntry
@@ -305,59 +305,37 @@ def lift_trace_to_dict(trace: LiftTrace, action_name: str,
 
 
 def lift_trace_from_dict(d: dict, ws: "Workspace") -> LiftTrace:
-    """The trace as read, once its action and both its covers resolve, with
-    every index in it checked against that action: points against its
-    space, coset representatives and subgroup elements against its group,
-    and members against its orbit count.  Then each entry must be a split
-    of its own fiber, as the lift makes it: entry k's member is the source
-    cover's member k, the fiber is the union of the orbits it names (orbit
-    i is the i-th by least point), the basepoint is the fiber's least point,
-    and the pieces are disjoint with the fiber as their union.  s must be
-    max(mesh(source cover), R), and the lifted cover's members must be the
-    pieces, in order, equal ones once."""
-    entries = []
-    for entry in d["members"]:
-        pieces = tuple(
-            LiftPiece(rep=p["rep"], subgroup=tuple(p["subgroup"]),
-                      piece=frozenset(p["piece"]))
-            for p in entry["pieces"])
-        entries.append(LiftMember(member=frozenset(entry["member"]),
-                                  fiber=frozenset(entry["fiber"]),
-                                  basepoint=entry["basepoint"],
-                                  pieces=pieces))
-    trace = LiftTrace(R=parse_scalar(d["R"]), s=parse_scalar(d["s"]), entries=tuple(entries))
+    """The trace the lift of its source cover at its R makes, once its
+    action and both its covers resolve, and every index in the document is
+    checked against that action: points against its space, coset
+    representatives and subgroup elements against its group, and members
+    against its orbit count.  The source cover must live on a space with
+    the quotient's points, one per orbit (orbit i is the i-th by least
+    point), each named after that least point, as quotient(action) names
+    them; R must be positive and at most the cover's Lebesgue number.  The
+    lifted cover's members must be the pieces, in order, equal ones once.
+    load_entry then refuses a document that is not this trace as written."""
+    indices = [(entry["member"], entry["fiber"], entry["basepoint"],
+                [(p["rep"], p["subgroup"], p["piece"]) for p in entry["pieces"]])
+               for entry in d["members"]]
+    R = parse_scalar(d["R"])
     action = ws.get("action", d["action"])
     source = ws.get("cover", d["source_cover"])
     lifted = ws.get("cover", d["cover"])
     n, order = len(action.space), len(action.group)
     orbs = orbits(action)
-    for entry in d["members"]:
-        check_indices(entry["member"], len(orbs), "a member's orbit")
-        check_indices(entry["fiber"], n, "a fiber's point")
-        check_index(entry["basepoint"], n, "a basepoint")
-        for p in entry["pieces"]:
-            check_index(p["rep"], order, "a piece's coset representative")
-            check_indices(p["subgroup"], order, "a piece's subgroup element")
-            check_indices(p["piece"], n, "a piece's point")
-    if len(trace.entries) != len(source.members):
-        raise ValueError(f"{len(trace.entries)} entries for the "
-                         f"{len(source.members)} members of {source.name!r}")
-    for k, (entry, member) in enumerate(zip(trace.entries, source.members)):
-        if entry.member != member:
-            raise ValueError(f"member {k} names other orbits than member {k} of "
-                             f"{source.name!r}")
-        if entry.fiber != frozenset(chain.from_iterable(map(orbs.__getitem__, entry.member))):
-            raise ValueError(f"member {k}'s fiber is not the union of the orbits it names")
-        if entry.basepoint != min(entry.fiber, default=None):
-            raise ValueError(f"member {k}'s basepoint is not the least point of its fiber")
-        pieces = [p.piece for p in entry.pieces]
-        union = frozenset().union(*pieces)
-        if union != entry.fiber or sum(map(len, pieces)) != len(union):
-            raise ValueError(f"member {k}'s pieces are not a partition of its fiber")
-    s = max(mesh(source), trace.R)
-    if trace.s != s:
-        raise ValueError(f"s is {scalar_str(trace.s)}, not max(mesh of "
-                         f"{source.name!r}, R) = {scalar_str(s)}")
+    for member, fiber, basepoint, pieces in indices:
+        check_indices(member, len(orbs), "a member's orbit")
+        check_indices(fiber, n, "a fiber's point")
+        check_index(basepoint, n, "a basepoint")
+        for rep, subgroup, piece in pieces:
+            check_index(rep, order, "a piece's coset representative")
+            check_indices(subgroup, order, "a piece's subgroup element")
+            check_indices(piece, n, "a piece's point")
+    if source.space.points != tuple(action.space.points[orb[0]] for orb in orbs):
+        raise ValueError(f"cover {source.name!r} does not live on the quotient of "
+                         f"{action.name!r}")
+    trace = _split(action, orbs, source, certify(source), R)
     if tuple(dict.fromkeys(p.piece for e in trace.entries for p in e.pieces)) != \
             lifted.members:
         raise ValueError(f"the members of {lifted.name!r} are not the trace's pieces, "

@@ -270,13 +270,6 @@ class QuotientSpace:
     orbit_of: tuple[int, ...]
     fibers: tuple[tuple[int, ...], ...]
 
-    def fiber_of_set(self, qpoints: Iterable[int]) -> frozenset[int]:
-        """Preimage of a set of quotient points, as source point indices."""
-        out: set[int] = set()
-        for q in qpoints:
-            out.update(self.fibers[q])
-        return frozenset(out)
-
     def __repr__(self) -> str:
         return f"QuotientSpace({self.space.name!r}, {len(self.space)} orbits)"
 

@@ -378,45 +378,55 @@ def _swap(*keys_and_indices):
     return edit
 
 
-# Edits that leave a lift trace of P9 under its reflection at R=1, B=0
-# canonical and every index in range, so only the trace's own invariants
-# refuse them: (edit, message).  The source cover has 5 singleton members,
-# so s = 1; member 0 names orbit {0, 8}, split into [0] and [8].
+# Edits that leave a lift trace of P9 under its reflection at R=1 canonical
+# and every index in range, so only the lift's own rules or the covers the
+# trace names refuse them: (B, edit, message).  At B=0 the source cover has
+# 5 singleton members, so s = 1; member 0 names orbit {0, 8}, split into [0]
+# with subgroup [0] and [8].  At B=3 the source cover has Lebesgue number 1
+# and mesh 3, so s = 3 for every R up to 3, and only the lift's
+# preconditions on R refuse an edited R.
+MEMBERS_DIFFER = ("lift_trace 'P9_mod_Z2_exact_R1_B0_lifted_trace': members is not "
+                  "as its object writes it")
 TRACE_EDITS = {
-    "entries-swapped": (
-        _swap("members", 0, 1),
-        "member 0 names other orbits than member 0 of 'P9_mod_Z2_exact_R1_B0'"),
-    "an-entry-short": (
-        lambda d: d["members"].pop(),
-        "4 entries for the 5 members of 'P9_mod_Z2_exact_R1_B0'"),
-    "pieces-swapped": (
-        _swap("members", 0, "pieces", 0, 1),
-        "the members of 'P9_mod_Z2_exact_R1_B0_lifted' are not the trace's pieces, "
-        "in order"),
+    "entries-swapped": (0, _swap("members", 0, 1), MEMBERS_DIFFER),
+    "an-entry-short": (0, lambda d: d["members"].pop(), MEMBERS_DIFFER),
+    "pieces-swapped": (0, _swap("members", 0, "pieces", 0, 1), MEMBERS_DIFFER),
     "s-not-the-lift's": (
-        _edit("s", "99"), "s is 99, not max(mesh of 'P9_mod_Z2_exact_R1_B0', R) = 1"),
-    "fiber-not-its-orbits": (
-        _edit("members", 0, "fiber", [0]),
-        "member 0's fiber is not the union of the orbits it names"),
-    "basepoint-not-least": (
-        _edit("members", 0, "basepoint", 8),
-        "member 0's basepoint is not the least point of its fiber"),
+        0, _edit("s", "99"),
+        "lift_trace 'P9_mod_Z2_exact_R1_B0_lifted_trace': s is not as its object "
+        "writes it"),
+    "fiber-not-its-orbits": (0, _edit("members", 0, "fiber", [0]), MEMBERS_DIFFER),
+    "basepoint-not-least": (0, _edit("members", 0, "basepoint", 8), MEMBERS_DIFFER),
     "piece-outside-the-fiber": (
-        _edit("members", 0, "pieces", 0, "piece", [5, 6, 7]),
-        "member 0's pieces are not a partition of its fiber"),
+        0, _edit("members", 0, "pieces", 0, "piece", [5, 6, 7]), MEMBERS_DIFFER),
     "pieces-overlap": (
-        _edit("members", 0, "pieces", 1, "piece", [0, 8]),
-        "member 0's pieces are not a partition of its fiber"),
+        0, _edit("members", 0, "pieces", 1, "piece", [0, 8]), MEMBERS_DIFFER),
     "pieces-short-of-the-fiber": (
-        _edit("members", 0, "pieces", 1, "piece", [0]),
-        "member 0's pieces are not a partition of its fiber"),
+        0, _edit("members", 0, "pieces", 1, "piece", [0]), MEMBERS_DIFFER),
+    "subgroup-not-the-displacement-subgroup": (
+        0, _edit("members", 0, "pieces", 0, "subgroup", [0, 1]), MEMBERS_DIFFER),
+    "rep-not-the-coset's": (
+        0, _edit("members", 0, "pieces", 1, "rep", 0), MEMBERS_DIFFER),
+    "source-is-the-lifted-cover": (
+        0, _edit("source_cover", "P9_mod_Z2_exact_R1_B0_lifted"),
+        "bad lift_trace: cover 'P9_mod_Z2_exact_R1_B0_lifted' does not live on the "
+        "quotient of 'P9_reflect'"),
+    "R-above-the-lebesgue-number": (
+        3, _edit("R", "3"), "bad lift_trace: cover has Lebesgue number 1, below the "
+        "target 3"),
+    "R-zero": (3, _edit("R", "0"), "bad lift_trace: R must be positive, got 0"),
+    "R-negative": (3, _edit("R", "-5"), "bad lift_trace: R must be positive, got -5"),
+    "lifted-is-the-source-cover": (
+        0, _edit("cover", "P9_mod_Z2_exact_R1_B0"),
+        "bad lift_trace: the members of 'P9_mod_Z2_exact_R1_B0' are not the trace's "
+        "pieces, in order"),
 }
 
 
-@pytest.mark.parametrize("edit, message", TRACE_EDITS.values(), ids=TRACE_EDITS)
-def test_a_lift_trace_that_is_not_the_lift_is_refused(tmp_path, capsys, edit, message):
+@pytest.mark.parametrize("B, edit, message", TRACE_EDITS.values(), ids=TRACE_EDITS)
+def test_a_lift_trace_that_is_not_the_lift_is_refused(tmp_path, capsys, B, edit, message):
     files = generate_path_instance(tmp_path / "inputs", capsys, n=9)
-    code, lifted, _ = run(capsys, "equivariant-cover", *files, "--R", "1", "--B", "0",
+    code, lifted, _ = run(capsys, "equivariant-cover", *files, "--R", "1", "--B", str(B),
                           "--out", str(tmp_path / "lift"))
     assert code == 0
     docs = [*files, *lifted]
@@ -426,7 +436,7 @@ def test_a_lift_trace_that_is_not_the_lift_is_refused(tmp_path, capsys, edit, me
     edit(d)
     pathlib.Path(path).write_text(json.dumps(d))
     assert run(capsys, "validate", *docs) == (
-        1, [], [{"error": "format", "message": f"bad lift_trace: {message}", "file": path}])
+        1, [], [{"error": "format", "message": message, "file": path}])
 
 
 def test_validate_reports_an_unhashable_kind_and_goes_on(tmp_path, capsys):

@@ -96,7 +96,7 @@ def test_quotient_of_path_reflection_frozen():
     assert q.space.points == ("0", "1", "2")
     assert q.space.name == "P5_mod_Z2"
     assert q.space.dist == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
-    assert q.fiber_of_set([0, 1]) == frozenset({0, 1, 3, 4})
+    assert q.fibers == ((0, 4), (1, 3), (2,))
 
 
 def test_quotient_of_cycle_antipodal_frozen():

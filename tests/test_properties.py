@@ -27,7 +27,7 @@ from coarsedim import (INF, Cover, CoverCertificate, FiniteGroup, FiniteMetricSp
                        cyclic_group, dihedral_group, dimension, greedy_cover,
                        lebesgue_number, lift_equivariant, mesh, min_dimension_cover_exact,
                        quotient, validate_action, validate_metric, verify_certificate)
-from coarsedim.formats import dumps, scalar_str
+from coarsedim.formats import Workspace, dumps, lift_trace_to_dict, load_entry, scalar_str
 from coarsedim.generators import (cycle_space, grid_rotation_action, grid_space,
                                   path_reflection_action, path_space, random_cover,
                                   random_graph_space, random_invariant_instance)
@@ -437,9 +437,16 @@ def lift_problems(draw):
                    Fraction(1, 4)))
 def test_lift_pieces_match_the_per_coset_definition(problem):
     a, q, c, R = problem
-    _, trace, _ = lift_equivariant(a, q, c, R)
+    lifted, trace, _ = lift_equivariant(a, q, c, R)
     assert [(e.fiber, e.basepoint, [(p.rep, p.subgroup, p.piece) for p in e.pieces])
             for e in trace.entries] == lift_pieces_direct(a, q, c, trace.s)
+    # The reader rebuilds the trace beside its action and both covers.
+    ws = Workspace()
+    ws.add("action", a.name, a)
+    ws.add("cover", c.name, c)
+    ws.add("cover", lifted.name, lifted)
+    d = lift_trace_to_dict(trace, a.name, c.name, lifted.name)
+    assert load_entry(d, ws)[2:] == (trace, [])
 
 
 def orbit_problem(a, seed, kind):
