@@ -15,18 +15,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
+from operator import add
 from typing import Mapping, Sequence
 
 from .covers import Cover, Decomposition
 from .groups import FiniteGroup, IsometricAction, cyclic_group
-from .metric import FiniteMetricSpace, Scalar, ball, build_graph_metric, check_scalar
+from .metric import (FiniteMetricSpace, Scalar, ball, build_graph_metric, check_count,
+                     check_scalar)
 
 
 def path_space(n: int) -> FiniteMetricSpace:
     """Path with n vertices and unit edges: d(i, j) = |i - j|."""
-    if n < 1:
+    if check_count(n, "n") < 1:
         raise ValueError("path needs at least one vertex")
     points = [str(i) for i in range(n)]
     dist = [[abs(i - j) for j in range(n)] for i in range(n)]
@@ -35,7 +37,7 @@ def path_space(n: int) -> FiniteMetricSpace:
 
 def cycle_space(n: int) -> FiniteMetricSpace:
     """Cycle with n vertices and unit edges: d(i, j) = min(|i-j|, n-|i-j|)."""
-    if n < 3:
+    if check_count(n, "n") < 3:
         raise ValueError("cycle needs at least three vertices")
     points = [str(i) for i in range(n)]
     dist = [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)]
@@ -44,7 +46,7 @@ def cycle_space(n: int) -> FiniteMetricSpace:
 
 def grid_space(width: int, height: int) -> FiniteMetricSpace:
     """width x height grid graph with unit edges (taxicab distances)."""
-    if width < 1 or height < 1:
+    if check_count(width, "width") < 1 or check_count(height, "height") < 1:
         raise ValueError("grid needs positive dimensions")
     coords = [(i, j) for i in range(width) for j in range(height)]
     points = [f"{i},{j}" for i, j in coords]
@@ -99,10 +101,9 @@ def cayley_ball_space(n: int, gens: Sequence[int], radius: int) -> FiniteMetricS
     Shortest generator words have in-ball prefixes, so the induced subgraph
     is connected and the construction always yields a metric.
     """
-    if n < 1:
+    if check_count(n, "n") < 1:
         raise ValueError("cyclic order must be >= 1")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    check_count(radius, "radius")
     steps = sorted({g % n for g in gens if g % n != 0} |
                    {(-g) % n for g in gens if g % n != 0})
     # BFS word lengths; only the component of 0 matters for a ball around 0
@@ -133,11 +134,11 @@ def random_graph_space(n: int, seed: int, edge_chance: Fraction = Fraction(2, 5)
                        max_weight: int = 3) -> FiniteMetricSpace:
     """Connected random graph metric: a random spanning tree plus extra edges,
     integer weights in 1..max_weight, shortest-path closure."""
-    if n < 1:
+    if check_count(n, "n") < 1:
         raise ValueError("need at least one vertex")
     if not 0 <= edge_chance <= 1:
         raise ValueError("edge_chance must be in [0, 1]")
-    if max_weight < 1:
+    if check_count(max_weight, "max_weight") < 1:
         raise ValueError("max_weight must be >= 1")
     rng = random.Random(seed)
     vertices = [str(i) for i in range(n)]
@@ -163,61 +164,61 @@ def random_invariant_instance(group: FiniteGroup, base_size: int, seed: int
                               ) -> tuple[FiniteMetricSpace, IsometricAction]:
     """Random space carrying a free action of the given group.
 
-    Points are (group element, slot) pairs.  Random edge costs in 1..4 are
-    drawn subject to c(g, i, j) = c(g^(-1), j, i), which makes the
-    complete-graph weight w((g,i),(h,j)) = c(g^(-1)h, i, j) symmetric and
-    invariant under left translation; the shortest-path closure is then a
-    genuine invariant metric, and left translation is the action.
+    Points are (group element, slot) pairs, (g, i) at index g*base_size + i.
+    Random edge costs in 1..4 are drawn, in (g, i, j) reading order, subject
+    to c(g, i, j) = c(g^(-1), j, i), which makes the complete-graph weight
+    w((g,i),(h,j)) = c(g^(-1)h, i, j) symmetric and invariant under left
+    translation.  The metric is the shortest-path closure, and the action is
+    left translation, g: (h, j) -> (gh, j).  Translation preserves the
+    weights, so it is an automorphism of the weighted graph and hence an
+    isometry of the closure.
+
+    So the closure is fixed by the b rows of the identity block (e, i), which
+    meets every orbit once: d((g,i),(h,j)) = d((e,i),(g^(-1)h, j)), read
+    through the permutation of g^(-1).  Each of those rows comes from a dense
+    Dijkstra search from (e, i), whose weight rows are themselves translates
+    of the identity block's.  A search stops once the distance it settles
+    plus 1 (the least weight) reaches the largest tentative distance, since
+    no remaining step can lower one.  That is O(b*n^2) for n = |group|*b
+    points, against O(n^3) to close all n^2 entries by relaxation.
     """
-    if base_size < 1:
+    if check_count(base_size, "base_size") < 1:
         raise ValueError("base_size must be >= 1")
     rng = random.Random(seed)
-    k = len(group)
-    cost: dict[tuple[int, int, int], int] = {}
+    k, b, e = len(group), base_size, group.identity
+    n = k * b
+    inv = [group.inverse(g) for g in range(k)]
+    # weight[i][h*b + j] = c(h, i, j): the weight rows of the identity block
+    weight = [[0] * n for _ in range(b)]
     for g in range(k):
-        ginv = group.inverse(g)
-        for i in range(base_size):
-            for j in range(base_size):
-                if (g, i, j) in cost:
+        for i in range(b):
+            for j in range(b):
+                if weight[i][g * b + j] or (g == e and i == j):
                     continue
-                if g == group.identity and i == j:
-                    continue
-                w = rng.randint(1, 4)
-                cost[(g, i, j)] = w
-                cost[(ginv, j, i)] = w
+                weight[i][g * b + j] = weight[j][inv[g] * b + i] = rng.randint(1, 4)
+    perms = [[group.mul(g, h) * b + i for h in range(k) for i in range(b)]
+             for g in range(k)]
 
-    n = k * base_size
-    label = f"{group.name}xB{base_size}s{seed}"
-    points = [f"{group.elements[g]}.{i}" for g in range(k) for i in range(base_size)]
-    dist = [[0] * n for _ in range(n)]
-    for g in range(k):
-        for i in range(base_size):
-            a = g * base_size + i
-            for h in range(k):
-                for j in range(base_size):
-                    b = h * base_size + j
-                    if a == b:
-                        continue
-                    dist[a][b] = cost[(group.mul(group.inverse(g), h), i, j)]
-    # shortest-path closure keeps the invariance and yields the metric
-    for via in range(n):
-        dv = dist[via]
-        for a in range(n):
-            dav = dist[a][via]
-            da = dist[a]
-            for b in range(n):
-                alt = dav + dv[b]
-                if alt < da[b]:
-                    da[b] = alt
-    space = FiniteMetricSpace(points, dist, name=label)
-    perms = []
-    for g in range(k):
-        perm = [0] * n
-        for h in range(k):
-            gh = group.mul(g, h)
-            for i in range(base_size):
-                perm[h * base_size + i] = gh * base_size + i
-        perms.append(perm)
+    def translate(row: list, u: int) -> list:
+        """Row u's entries from a row of the identity block's slot u % b."""
+        return list(map(row.__getitem__, perms[inv[u // b]]))
+
+    rows = []
+    for i in range(b):
+        d, left = weight[i][:], set(range(n)) - {e * b + i}
+        while left:
+            u = min(left, key=d.__getitem__)
+            du = d[u]
+            if du + 1 >= max(d):
+                break
+            left.remove(u)
+            d = list(map(min, d, map(add, repeat(du), translate(weight[u % b], u))))
+        rows.append(d)
+
+    label = f"{group.name}xB{b}s{seed}"
+    points = [f"{group.elements[g]}.{i}" for g in range(k) for i in range(b)]
+    space = FiniteMetricSpace(points, [translate(rows[u % b], u) for u in range(n)],
+                              name=label)
     action = IsometricAction(group, space, perms, name=f"{label}_translate")
     return space, action
 

@@ -371,13 +371,12 @@ def build_graph_metric(vertices: Sequence[str], edges: Iterable[tuple],
                 if alt < row[u]:
                     row[u] = alt
                     heapq.heappush(heap, (alt, u))
+        # Row 0 reaches every vertex just when the graph is connected, so it
+        # holds the first unreachable pair in reading order, if there is one.
+        if source == 0 and INF in row:
+            raise ValueError(f"graph is disconnected: no path between {names[0]!r} "
+                             f"and {names[row.index(INF)]!r}")
         dist.append(row)
-
-    for i in range(n):
-        for j in range(n):
-            if dist[i][j] == INF:
-                raise ValueError(
-                    f"graph is disconnected: no path between {names[i]!r} and {names[j]!r}")
     return FiniteMetricSpace(names, dist, name=name)
 
 

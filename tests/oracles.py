@@ -2,15 +2,18 @@
 
 Everything here is written from the definitions, in a deliberately different
 style and search space from the library (name-keyed Dijkstra over edge lists
-and Floyd-Warshall beside the library's index-based Dijkstra; serve-partitions
-and frozenset cliques beside the library's bitmask serve-groups; direct ball
-checks instead of complement distances), so agreement is evidence and not an
-echo.
+and Floyd-Warshall beside the library's index-based Dijkstra; Floyd-Warshall
+over the whole complete graph beside the generator's identity-block searches
+and left translation for invariant instances; serve-partitions and frozenset
+cliques beside the library's bitmask serve-groups; direct ball checks instead
+of complement distances), so agreement is evidence and not an echo.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
+from itertools import combinations, product
 from math import inf
 
 
@@ -52,6 +55,34 @@ def floyd_warshall_metric(vertices, edges, weights=None) -> dict:
             for v in vertices:
                 table[u][v] = min(table[u][v], table[u][k] + table[k][v])
     return table
+
+
+def invariant_instance_direct(group, base_size: int, seed: int) -> tuple:
+    """generators.random_invariant_instance from its documented construction:
+    costs c(g, i, j) drawn by randint(1, 4) in (g, i, j) reading order,
+    skipping c(e, i, i) and every cost already set as the mirror of an earlier
+    one (c(g^-1, j, i) = c(g, i, j)); the complete graph on the points (g, i)
+    with weights c(g^-1 h, i, j), closed by Floyd-Warshall; left translation
+    (g, (h, i)) -> (gh, i) as the action.  Returns (points, table, perms,
+    space name, action name)."""
+    rng = random.Random(seed)
+    elements = range(len(group))
+    inverse = {g: next(h for h in elements if group.mul(g, h) == group.identity)
+               for g in elements}
+    slots = range(base_size)
+    cost = {}
+    for g, i, j in product(elements, slots, slots):
+        if (g, i, j) not in cost and (g, i) != (group.identity, j):
+            cost[g, i, j] = cost[inverse[g], j, i] = rng.randint(1, 4)
+    pairs = list(product(elements, slots))
+    points = [f"{group.elements[g]}.{i}" for g, i in pairs]
+    edges = list(combinations(pairs, 2))
+    weights = [cost[group.mul(inverse[g], h), i, j] for (g, i), (h, j) in edges]
+    closure = floyd_warshall_metric(pairs, edges, weights)
+    table = [[closure[x][y] for y in pairs] for x in pairs]
+    perms = [[pairs.index((group.mul(g, h), i)) for h, i in pairs] for g in elements]
+    label = f"{group.name}xB{base_size}s{seed}"
+    return points, table, perms, label, f"{label}_translate"
 
 
 def quotient_distance_direct(action, x: int, y: int):

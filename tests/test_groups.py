@@ -1,6 +1,8 @@
 """Groups, actions, orbits, quotients and the small group-theory toolbox."""
 
+import hashlib
 import itertools
+import json
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -18,7 +20,8 @@ from coarsedim.generators import (cycle_rotation_action, cycle_space,
                                   path_reflection_action, path_space,
                                   random_invariant_instance)
 
-from oracles import quotient_distance_direct, subgroup_closure_direct
+from oracles import (invariant_instance_direct, quotient_distance_direct,
+                     subgroup_closure_direct)
 
 
 def test_cyclic_and_dihedral_are_groups():
@@ -304,3 +307,41 @@ def test_random_invariant_instances_are_valid():
         assert validate_metric(space) == []
         assert validate_action(action) == []
         assert space == random_invariant_instance(group, len(space) // len(group), seed)[0]
+
+
+def test_random_invariant_instances_match_the_floyd_warshall_oracle():
+    # D3 listed as s0, r1, r0, s2, s1, r2: its identity r0 is element 2.
+    d3 = dihedral_group(3)
+    order = (3, 1, 0, 5, 2, 4)
+    position = {old: new for new, old in enumerate(order)}
+    moved = FiniteGroup([d3.elements[a] for a in order],
+                        [[position[d3.mul(a, b)] for b in order] for a in order],
+                        name="D3moved")
+    assert moved.identity == 2
+    groups = [cyclic_group(k) for k in range(1, 7)] + [
+        d3, dihedral_group(4), direct_sum([cyclic_group(2), cyclic_group(3)]).group, moved]
+    for group in groups:
+        for base in range(1, 9):
+            for seed in (0, 1, 29):
+                space, action = random_invariant_instance(group, base, seed)
+                points, table, perms, name, action_name = invariant_instance_direct(
+                    group, base, seed)
+                assert space.points == tuple(points), (group.name, base, seed)
+                assert space.dist == tuple(map(tuple, table)), (group.name, base, seed)
+                assert action.perms == tuple(map(tuple, perms)), (group.name, base, seed)
+                assert (space.name, action.name) == (name, action_name)
+
+
+@pytest.mark.parametrize("group, base, seed, digest", [
+    (dihedral_group(4), 8, 0, "af15e097cde46a64d1a9d48e12701b6fe2114c1f305a386070a94b3525143e9f"),
+    (dihedral_group(4), 8, 7, "cc32bf98563c7fa92b398d59febb30ccccae6afff0e5327d14927db9b0d61766"),
+    (cyclic_group(6), 5, 0, "6c0a4b59c66a5739e8d059f700cefd635fa3a47813567a69cfe09734c85a439b"),
+    (cyclic_group(6), 5, 7, "8bedbe1e3912547f7c9daddcc36b54516f12d138e16026b78969342bd8b1dbb4"),
+    (dihedral_group(3), 2, 0, "749d304726db1a3894929f0b2b940d2abf7bc43e3cd93f9306acd37821e02994"),
+    (dihedral_group(3), 2, 7, "1a683c0ffb18b45d833588e1dfd5c2b84943559d09db323911eb6ac2437ca143"),
+])
+def test_random_invariant_instance_tables_are_frozen(group, base, seed, digest):
+    # sha256 of the JSON table: a rewrite of the generator that changes the
+    # drawn corpus fails here, and in the benchmark's stored answers.
+    space = random_invariant_instance(group, base, seed)[0]
+    assert hashlib.sha256(json.dumps(space.dist).encode()).hexdigest() == digest

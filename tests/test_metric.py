@@ -204,6 +204,22 @@ def test_graph_metric_rejects_bad_input():
     assert "disconnected" in str(err.value) and "'c'" in str(err.value)
 
 
+def test_generators_reject_sizes_that_are_not_counts():
+    # A bool is an int to Python but not a size: it used to go into the name
+    # (PTrue, gridTruex2); a float raised a bare TypeError.
+    cases = [(path_space, (True,), "n"), (path_space, (2.0,), "n"),
+             (cycle_space, (True,), "n"), (grid_space, (True, 2), "width"),
+             (grid_space, (2, 2.0), "height"), (random_graph_space, (True, 0), "n"),
+             (random_graph_space, (3, 0, Fraction(1, 2), False), "max_weight"),
+             (cayley_ball_space, (True, [1], 1), "n"),
+             (cayley_ball_space, (5, [1], True), "radius"),
+             (random_invariant_instance, (cyclic_group(2), True, 0), "base_size"),
+             (random_invariant_instance, (cyclic_group(2), 1.0, 0), "base_size")]
+    for make, args, what in cases:
+        with pytest.raises(ValueError, match=f"^{what} must be a nonnegative int, got "):
+            make(*args)
+
+
 def test_graph_metric_matches_dijkstra_oracle():
     for seed in range(25):
         rng = random.Random(seed)
