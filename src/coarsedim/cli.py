@@ -35,8 +35,7 @@ from .groups import orbits, quotient
 
 
 def _emit_error(error: str, message: str, **extra) -> None:
-    record = {"error": error, "message": message}
-    record.update(extra)
+    record = {"error": error, "message": message, **extra}
     print(json.dumps(record, ensure_ascii=False), file=sys.stderr)
 
 
@@ -130,9 +129,8 @@ def _scalar_arg(text: str | None, flag: str):
 
 
 def _scalar_list(text: str | None, flag: str):
-    if text is None:
-        return None
-    return [_scalar_arg(tok.strip(), flag) for tok in text.split(",") if tok.strip()]
+    return None if text is None else [_scalar_arg(tok.strip(), flag)
+                                      for tok in text.split(",") if tok.strip()]
 
 
 # ---------------------------------------------------------------- commands
@@ -141,11 +139,7 @@ def cmd_validate(args) -> int:
     _, bad_validation, bad_resolution = _load(args.files, collect=True)
     # An unresolved reference is the more fundamental failure: the object
     # could not even be assembled, let alone checked.
-    if bad_resolution:
-        return 2
-    if bad_validation:
-        return 1
-    return 0
+    return 2 if bad_resolution else 1 if bad_validation else 0
 
 
 def cmd_quotient(args) -> int:
@@ -222,13 +216,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_profile(args) -> int:
     ws, _, _ = _load(args.files)
-    if args.space:
-        spaces = [ws.get("space", n) for n in args.space]
-    else:
-        spaces = [ws.get("space", n) for n in ws.names("space")]
-    actions = None
-    if args.action:
-        actions = [ws.get("action", n) for n in args.action]
+    spaces = [ws.get("space", n) for n in args.space or ws.names("space")]
+    actions = args.action and [ws.get("action", n) for n in args.action]
     scales = _scalar_list(args.scales, "--scales")
     if not scales:
         raise FormatError("--scales needs at least one scale, e.g. --scales 1,2")
@@ -367,10 +356,7 @@ def main(argv=None) -> int:
             extra["violations"] = [v.to_dict() for v in exc.violations]
         _emit_error("validation", str(exc), **extra)
         return 1
-    except ResolutionError as exc:
-        _emit_error("resolution", str(exc))
-        return 2
-    except OSError as exc:
+    except (ResolutionError, OSError) as exc:
         _emit_error("resolution", str(exc))
         return 2
     except (ValueError, TypeError) as exc:

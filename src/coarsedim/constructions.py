@@ -33,8 +33,7 @@ from typing import Iterable, Sequence
 from .covers import (Cover, CoverCertificate, certify, check_equivariance,
                      validate_cover, validate_decomposition, Decomposition)
 from .errors import InternalInvariantError
-from .groups import (IsometricAction, QuotientSpace, coset_representatives,
-                     generated_subgroup, quotient)
+from .groups import IsometricAction, QuotientSpace, _cosets, _generated, quotient
 from .metric import (INF, FiniteMetricSpace, Scalar, _set_distance, check_index,
                      check_positive, check_scalar, diameter)
 
@@ -81,7 +80,7 @@ def displacement_subgroup(a: IsometricAction, x: int, s: Scalar) -> tuple[int, .
     check_scalar(s, "s")
     gens = [g for g in range(len(a.group))
             if a.space.dist[x][a.perms[g][x]] <= 4 * s]
-    return generated_subgroup(a.group, gens)
+    return _generated(a.group, gens)
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ def _split(a: IsometricAction, fibers: Sequence[Sequence[int]], c: Cover,
         base = set().union(*[compress(fiber, map(le, map(dist[z].__getitem__, fiber), repeat(s)))
                              for z in {perms[h][basepoint] for h in subgroup}])
         pieces = []
-        for f in coset_representatives(group, subgroup):
+        for f in _cosets(group, subgroup):
             f_inv = group.inverse(f)
             pieces.append(LiftPiece(
                 rep=f, subgroup=tuple(sorted(mul[mul[f][h]][f_inv] for h in subgroup)),

@@ -68,8 +68,9 @@ whole-space member, every point and member is measured.
 
 certify keeps the dimension, Lebesgue number and mesh it measures on the
 Cover, keyed on its `space` and `members`; verify_certificate ignores them.
-What the space keeps (its integer rows and its diameter) belongs to the
-table, not to certify's record, and both use it.
+What the space keeps (its integer rows, which a loaded or quotient table
+gets from the pass that builds it, and its diameter) belongs to the table,
+not to certify's record, and both use it.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ Both return the unions in opening order, equal ones merged, as members.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import le, lt
@@ -63,9 +64,12 @@ def _ball_masks(m: FiniteMetricSpace, r: Scalar, within) -> list[int]:
     """For each point p, the mask of the points q with within(d(p, q), r):
     the closed r-balls for operator.le, the open ones for operator.lt.
     Under le at r = B, a point set has diameter <= B exactly when it is a
-    clique of the graph these masks describe."""
+    clique of the graph these masks describe.  They compare integer rows
+    with floor(r * scale) for le and ceil(r * scale) for lt, exactly."""
     bits = [1 << q for q in range(len(m))]
-    return [sum(compress(bits, map(within, row, repeat(r)))) for row in m.dist]
+    cut = r * m.integer_scale()
+    cut = math.floor(cut) if within is le else math.ceil(cut)
+    return [sum(compress(bits, map(within, row, repeat(cut)))) for row in m.integer_rows()]
 
 
 def _reach(mask: int, near: Sequence[int]) -> int:

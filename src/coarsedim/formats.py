@@ -10,12 +10,14 @@ dict, and its bytes are json.dumps(d, indent=2, ensure_ascii=False) + "\n"
 exactly; json's own indenting encoder is pure Python, about twice as slow.
 It writes only what a document holds (dicts with string keys, lists,
 strings, ints, booleans and None) and raises TypeError on anything else, a
-float included.  A document loads only as what it names: load_entry writes
-the object it builds back and refuses any other document, so members are
-sorted, scalars in lowest terms and no key is extra; a profile's derived
-keys must be what its entries derive (each entry's dimension and mesh stay
-claims, as its cover is not in the document).  A certificate's fields are
-also recomputed from its cover; any disagreement is a validation failure.
+float included.  A space's table is read in one pass that also gives its
+integer rows, and written from them, each distinct value once.  A document
+loads only as what it names: load_entry writes the object it builds back
+and refuses any other document, so members are sorted, scalars in lowest
+terms and no key is extra; a profile's derived keys must be what its
+entries derive (each entry's dimension and mesh stay claims, as its cover
+is not in the document).  A certificate's fields are also recomputed from
+its cover; any disagreement is a validation failure.
 A lift trace loads only beside its action and both its covers, and only as
 what the lift of its source cover at its R writes: the reader checks its
 indices against the action, builds that trace with the lift's own split
@@ -29,6 +31,7 @@ import csv
 import functools
 import io
 import json
+import math
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import chain, repeat
@@ -142,19 +145,17 @@ def _document(kind: str, name: str, **fields) -> dict:
 # ---------------------------------------------------------------- space
 
 def space_to_dict(m: FiniteMetricSpace) -> dict:
-    return _document("space", m.name, points=list(m.points), dist=_write_table(m.dist))
-
-
-def _write_table(rows) -> list:
-    """scalar_str on every entry of a table.  When every entry is a plain
-    int, each distinct value is written once; any other table is written
-    entry by entry, so the first bad entry (INF, a float, ...) in reading
-    order raises.  That includes a table of Fractions: hashing a Fraction
-    runs in Python, so a set of them costs more than writing each entry."""
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        return [[scalar_str(v) for v in row] for row in rows]
-    text = {v: scalar_str(v) for v in set(chain.from_iterable(rows))}
-    return [list(map(text.__getitem__, row)) for row in rows]
+    """The document of m.  The table is written from its integer rows, each
+    distinct int k there once, as the entry k / integer_scale() it stands
+    for.  Anything but a FiniteMetricSpace is written entry by entry, so the
+    first bad entry (INF, a float, ...) in reading order raises."""
+    if isinstance(m, FiniteMetricSpace):
+        rows, scale = m.integer_rows(), m.integer_scale()
+        text = {k: scalar_str(Fraction(k, scale)) for k in set(chain.from_iterable(rows))}
+        dist = [list(map(text.__getitem__, row)) for row in rows]
+    else:
+        dist = [[scalar_str(v) for v in row] for row in m.dist]
+    return _document("space", m.name, points=list(m.points), dist=dist)
 
 
 class _Parsed(dict):
@@ -165,23 +166,27 @@ class _Parsed(dict):
         return value
 
 
-def _parse_table(rows) -> list:
-    """parse_scalar on every entry of a table of strings, as tuple rows,
-    which FiniteMetricSpace keeps without a copy.  One pass maps the table
-    and parses each distinct string the first time it meets it; a table
-    with anything else in it (an unhashable entry, a non-string, a bad
-    string) is parsed entry by entry, so the first bad entry in reading
-    order raises."""
-    parsed = _Parsed()
-    try:
-        return [tuple(map(parsed.__getitem__, row)) for row in rows]
-    except (TypeError, FormatError):
-        return [[parse_scalar(v) for v in row] for row in rows]
-
-
 def space_from_dict(d: dict) -> FiniteMetricSpace:
+    """The space a document describes.  One pass maps the table through a
+    dict that parses each distinct string on first sight; its few values
+    give the integer form (see FiniteMetricSpace.integer_rows), by a second
+    map of the strings when a Fraction is among them.  A table with anything
+    else in it (an unhashable entry, a non-string, a bad string) is parsed
+    entry by entry, so the first bad entry in reading order raises."""
     dist = d["dist"]
-    m = FiniteMetricSpace(d["points"], _parse_table(dist), name=d["name"])
+    parsed = _Parsed()
+    scale = integers = None
+    try:
+        rows = [tuple(map(parsed.__getitem__, row)) for row in dist]
+    except (TypeError, FormatError):
+        rows = [[parse_scalar(v) for v in row] for row in dist]
+    else:
+        if INF not in parsed.values():      # else the constructor refuses it
+            scale = math.lcm(*(v.denominator for v in parsed.values()))
+            if scale > 1:
+                scaled = {t: v.numerator * (scale // v.denominator) for t, v in parsed.items()}
+                integers = tuple(tuple(map(scaled.__getitem__, row)) for row in dist)
+    m = FiniteMetricSpace._built(d["points"], rows, d["name"], scale, integers)
     # load_entry takes the table as read, so a string row (which the
     # constructor reads character by character) is refused here; after the
     # constructor, so that a short row or a bad entry is reported first.

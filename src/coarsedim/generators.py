@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from .covers import Cover, Decomposition
 from .groups import FiniteGroup, IsometricAction, cyclic_group
 from .metric import (FiniteMetricSpace, Scalar, ball, build_graph_metric, check_count,
-                     check_scalar)
+                     check_scalar, is_scalar)
 
 
 def path_space(n: int) -> FiniteMetricSpace:
@@ -133,11 +133,13 @@ def cayley_ball_space(n: int, gens: Sequence[int], radius: int) -> FiniteMetricS
 def random_graph_space(n: int, seed: int, edge_chance: Fraction = Fraction(2, 5),
                        max_weight: int = 3) -> FiniteMetricSpace:
     """Connected random graph metric: a random spanning tree plus extra edges,
-    integer weights in 1..max_weight, shortest-path closure."""
+    each pair joined with the exact chance edge_chance (an int or Fraction in
+    [0, 1]), integer weights in 1..max_weight, shortest-path closure."""
     if check_count(n, "n") < 1:
         raise ValueError("need at least one vertex")
-    if not 0 <= edge_chance <= 1:
-        raise ValueError("edge_chance must be in [0, 1]")
+    if not is_scalar(edge_chance) or not 0 <= edge_chance <= 1:
+        raise ValueError(f"edge_chance must be an int or Fraction in [0, 1], "
+                         f"got {edge_chance!r}")
     if check_count(max_weight, "max_weight") < 1:
         raise ValueError("max_weight must be >= 1")
     rng = random.Random(seed)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import is_not, itemgetter
 from typing import Iterable, Sequence
 
@@ -244,14 +245,12 @@ def _list_action_violations(a: IsometricAction) -> list[Violation]:
 
 def orbits(a: IsometricAction) -> list[tuple[int, ...]]:
     """Orbits as sorted index tuples, ordered by their smallest point."""
-    seen = set()
-    out = []
+    seen, out = set(), []
     for x in range(len(a.space)):
-        if x in seen:
-            continue
-        orb = sorted({a.perms[g][x] for g in range(len(a.group))})
-        seen.update(orb)
-        out.append(tuple(orb))
+        if x not in seen:
+            orb = tuple(sorted({perm[x] for perm in a.perms}))
+            seen.update(orb)
+            out.append(orb)
     return out
 
 
@@ -285,6 +284,9 @@ def quotient(a: IsometricAction) -> QuotientSpace:
     orbits are measured, it is the smallest distance between them, and the
     result is again a genuine metric.
 
+    The minima are taken on the space's integer rows, a C-level gather per
+    group element, and kept as the quotient's, at the space's scale.
+
     The result is kept on the action.  It is built again only after
     `group`, `space` or `perms` is reassigned, or the space, the group or
     the kept quotient space is renamed.
@@ -298,15 +300,22 @@ def quotient(a: IsometricAction) -> QuotientSpace:
     m = a.space
     reps = [orb[0] for orb in orbs]
     qpoints = [m.points[x] for x in reps]
-    images = [[perm[y] for y in reps] for perm in a.perms]
-    dist = [list(map(min, zip(*[map(row.__getitem__, image) for image in images])))
-            for row in map(m.dist.__getitem__, reps)]
-    orbit_of = [0] * len(m)
-    for qi, orb in enumerate(orbs):
-        for x in orb:
-            orbit_of[x] = qi
-    q = QuotientSpace(FiniteMetricSpace(qpoints, dist, name=name), m, tuple(orbit_of),
-                      tuple(orbs))
+    rows, scale = m.integer_rows(), m.integer_scale()
+    if len(reps) == 1:      # an itemgetter of one index returns a bare value
+        table = ((min(rows[0][perm[0]] for perm in a.perms),),)
+    else:
+        gathers = [itemgetter(*map(perm.__getitem__, reps)) for perm in a.perms]
+        if len(gathers) == 1:
+            gathers *= 2    # min takes one iterable or two values and more
+        table = tuple(tuple(map(min, *[gather(row) for gather in gathers]))
+                      for row in map(rows.__getitem__, reps))
+    dist = table                        # a Fraction table maps back its distinct ints
+    if scale != 1:
+        back = {k: Fraction(k, scale) for k in set(itertools.chain.from_iterable(table))}
+        dist = [map(back.__getitem__, row) for row in table]
+    orbit_of = tuple(i for _, i in sorted((x, i) for i, orb in enumerate(orbs) for x in orb))
+    space = FiniteMetricSpace._built(qpoints, dist, name, scale, table)
+    q = QuotientSpace(space, m, orbit_of, tuple(orbs))
     a._quotient = (*made, q)
     return q
 
@@ -317,6 +326,11 @@ def generated_subgroup(g: FiniteGroup, generators: Iterable[int]) -> tuple[int, 
     generator at each step.  In a finite group that is the whole generated
     subgroup, as each generator's inverse is one of its powers."""
     gens = check_indices(list(generators), len(g), f"a generator of {g.name!r}")
+    return _generated(g, gens)
+
+
+def _generated(g: FiniteGroup, gens: Sequence[int]) -> tuple[int, ...]:
+    """generated_subgroup of generators already known to be elements of g."""
     reached = {g.identity}
     frontier = [g.identity]
     while frontier:
@@ -338,13 +352,18 @@ def coset_representatives(g: FiniteGroup, subgroup: Iterable[int]) -> list[int]:
     sub = sorted(set(subgroup))
     if not is_subgroup(g, sub):
         raise ValueError(f"{[g.elements[x] for x in sub]} is not a subgroup of {g.name!r}")
+    return _cosets(g, sub)
+
+
+def _cosets(g: FiniteGroup, sub: Sequence[int]) -> list[int]:
+    """coset_representatives of what is known to be a subgroup of g."""
     assigned = set()
     reps = []
     for f in range(len(g)):
         if f in assigned:
             continue
         reps.append(f)
-        assigned.update(g.mul(f, h) for h in sub)
+        assigned.update(map(g.mul_table[f].__getitem__, sub))
     return reps
 
 

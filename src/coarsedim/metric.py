@@ -84,6 +84,16 @@ class FiniteMetricSpace:
 
     def __init__(self, points: Sequence[str], dist: Sequence[Sequence[Scalar]],
                  name: str = "space"):
+        self._build(points, dist, name, None, None)
+
+    @classmethod
+    def _built(cls, points, rows, name, scale, integers) -> FiniteMetricSpace:
+        """The constructor, for a table whose integer form (see integer_rows)
+        the caller's pass built; only the entry types go unchecked."""
+        (m := cls.__new__(cls))._build(points, rows, name, scale, integers)
+        return m
+
+    def _build(self, points, dist, name, scale, integers) -> None:
         self.points = tuple(str(p) for p in points)
         if not self.points:
             raise ValueError("a metric space needs at least one point")
@@ -92,15 +102,18 @@ class FiniteMetricSpace:
         n = len(self.points)
         if len(dist) != n:
             raise ValueError(f"distance table has {len(dist)} rows for {n} points")
-        # Row lengths and exact entry types are checked in one C-level pass
-        # over the whole table (tuple rows are kept, not copied).  Any other
-        # table (a short row, a bool, a float, an int subclass, a row that
-        # is not iterable) is checked row by row, so that the first fault in
-        # reading order raises.
+        # Row lengths and (unless _built knows them) exact entry types are
+        # checked in one C-level pass over the whole table, whose tuple rows
+        # are kept, not copied.  Any other table (a short row, a bool, a
+        # float, an int subclass, a row that is not iterable) is checked row
+        # by row, so that the first fault in reading order raises.
         try:
             rows = tuple(map(tuple, dist))
-            types = set(map(type, chain.from_iterable(rows)))
-            checked = set(map(len, rows)) == {n} and types <= {int, Fraction}
+            checked = set(map(len, rows)) == {n}
+            if checked and scale is None:
+                types = set(map(type, chain.from_iterable(rows)))
+                checked = types <= {int, Fraction}
+                scale = 1 if types <= {int} else None
         except TypeError:  # a row that is not iterable; the loop raises
             checked = False
         if not checked:
@@ -114,7 +127,7 @@ class FiniteMetricSpace:
         self.dist = rows
         self.name = str(name)
         self._index = {p: i for i, p in enumerate(self.points)}
-        self._integers = rows if types <= {int} else None
+        self._scale, self._integers = scale, rows if scale == 1 else integers
         self._diameter = None
 
     def __len__(self) -> int:
@@ -132,13 +145,20 @@ class FiniteMetricSpace:
     def integer_rows(self) -> tuple[tuple[int, ...], ...]:
         """The table as plain ints with the same order, ties, equalities and
         triangle inequalities, so that comparisons on it run in C: the table
-        itself when every entry is a plain int, else the rows scaled by the
-        LCM of the denominators, built on first use and kept (the table
-        never changes).  An entry read off it maps back to the table's own
-        entry at the same row and column."""
+        itself when every entry is a plain int, else the rows scaled by a
+        common multiple of the denominators, integer_scale().  A loaded table
+        or a quotient (at its source's scale) gets them from the pass that
+        builds it, any other table from the LCM on first use, and they are
+        kept.  An entry read off them maps back to the table's own entry at
+        the same row and column."""
         if self._integers is None:
-            self._integers = _integer_rows(self.dist)
+            self._scale, self._integers = _integer_rows(self.dist)
         return self._integers
+
+    def integer_scale(self) -> int:
+        """The factor integer_rows() scales the table by (1: not at all)."""
+        self.integer_rows()
+        return self._scale
 
     def diameter(self) -> Scalar:
         """The largest entry of the table, the space's diameter: located on
@@ -174,8 +194,7 @@ def validate_metric(m: FiniteMetricSpace) -> list[Violation]:
     """Exhaustive check of the metric axioms; lists every violated pair/triple.
 
     A valid table is recognised by an all-clear pass that is exact, not a
-    filter: the table is taken as the space's integer rows (as given when
-    every entry is an int, else scaled by the LCM of the denominators, see
+    filter: the table is taken as the space's integer rows (see
     FiniteMetricSpace.integer_rows) and each row is packed into one int with
     a fixed-width lane per point and a guard bit at the top of every lane.
     Each row's distinct values are sorted once, before packing: the row
@@ -215,12 +234,12 @@ def validate_metric(m: FiniteMetricSpace) -> list[Violation]:
     return _list_violations(m)
 
 
-def _integer_rows(dist) -> tuple[tuple[int, ...], ...]:
-    """The table scaled to plain ints by the LCM of its denominators (see
-    FiniteMetricSpace.integer_rows, the one caller)."""
+def _integer_rows(dist) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The LCM of the table's denominators, and the table scaled to plain
+    ints by it (see FiniteMetricSpace.integer_rows, the one caller)."""
     scale = math.lcm(*(v.denominator for row in dist for v in row))
-    return tuple(tuple(v.numerator * (scale // v.denominator) for v in row)
-                 for row in dist)
+    return scale, tuple(tuple(v.numerator * (scale // v.denominator) for v in row)
+                        for row in dist)
 
 
 #: Row packers by lane width in bytes: bytes for one, else a machine array.

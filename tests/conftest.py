@@ -73,7 +73,9 @@ def quotient_builds(monkeypatch):
 def integer_table_builds(monkeypatch):
     """The distance tables scaled to integer tables, in order.  A space
     scales its table through metric._integer_rows, which this replaces with
-    a counter; a table of plain ints is its own integer table and builds none."""
+    a counter; a table of plain ints is its own integer table and builds
+    none, and so does a loaded or quotient table, whose integer rows come
+    from the pass that builds it."""
     import coarsedim.metric
 
     builds = []

@@ -10,7 +10,7 @@ import pytest
 
 from coarsedim import (Cover, Decomposition, FiniteMetricSpace, FormatError,
                        ResolutionError, Workspace, build_sspace, certify, dumps, family_profile,
-                       lift_equivariant, min_dimension_cover_exact, quotient)
+                       greedy_cover, lift_equivariant, min_dimension_cover_exact, quotient)
 from coarsedim import formats
 from coarsedim.formats import (action_to_dict, certificate_to_dict,
                                cover_to_dict, decomposition_to_dict,
@@ -312,13 +312,15 @@ def per_entry_space(d):
 
 
 def load_outcome(load, dist):
-    """Each entry as (type, value), or the exception's type and message."""
+    """Each entry as (type, value), then the integer rows and their scale,
+    or the exception's type and message."""
     d = {"name": "t", "points": ["a", "b", "c"], "dist": dist}
     try:
         m = load(d)
     except Exception as exc:
         return type(exc), str(exc)
-    return [[(type(v), v) for v in row] for row in m.dist]
+    return ([[(type(v), v) for v in row] for row in m.dist],
+            m.integer_rows(), m.integer_scale())
 
 
 @pytest.mark.parametrize("dist", [
@@ -343,6 +345,23 @@ def load_outcome(load, dist):
 ])
 def test_space_from_dict_matches_per_entry_parse(dist):
     assert load_outcome(space_from_dict, dist) == load_outcome(per_entry_space, dist)
+
+
+def test_a_loaded_fraction_space_is_scaled_by_its_parse_alone(integer_table_builds):
+    # The parse gives the integer rows; the quotient takes its minima on
+    # them and keeps them, and greedy and the writer read them.
+    path = path_space(9)
+    d = space_to_dict(FiniteMetricSpace(
+        path.points, [[Fraction(2, 3) * v for v in row] for row in path.dist], name="P9/3"))
+    integer_table_builds.clear()        # writing the built space scaled it once
+    _, _, m, violations = load_entry(parse_document(dumps(d)), Workspace())
+    assert violations == [] and m.integer_scale() == 3
+    q = quotient(path_reflection_action(m))
+    cover, cert = greedy_cover(q.space, Fraction(2, 3))
+    assert cert.lebesgue >= Fraction(2, 3)
+    assert space_to_dict(q.space) == per_entry_space_dict(q.space)
+    assert integer_table_builds == []
+    assert q.space.integer_rows() == tuple(tuple(3 * v for v in row) for row in q.space.dist)
 
 
 class Loud(int):

@@ -15,6 +15,7 @@ from coarsedim import (FiniteGroup, FiniteMetricSpace, IsometricAction, coset_re
                        orbits, quotient, validate_action, validate_group,
                        validate_metric)
 from coarsedim.errors import CapExceededError
+from coarsedim.formats import space_from_dict, space_to_dict
 from coarsedim.generators import (cycle_rotation_action, cycle_space,
                                   grid_rotation_action, grid_space,
                                   path_reflection_action, path_space,
@@ -113,6 +114,16 @@ def test_quotient_matches_direct_definition():
     grid = grid_space(8, 8)
     scaled = FiniteMetricSpace(grid.points,
                                [[Fraction(2, 3) * v for v in row] for row in grid.dist])
+    # One orbit of several points: a gather of one representative is a bare
+    # value, not a tuple.
+    one_orbit = cycle_rotation_action(cycle_space(6), 1)
+    assert len(quotient(one_orbit).space) == 1
+    # A loaded table mixes ints ("2") and Fractions ("2/3").
+    path = path_space(6)
+    loaded = path_reflection_action(space_from_dict(space_to_dict(FiniteMetricSpace(
+        path.points, [[Fraction(2, 3) * v for v in row] for row in path.dist],
+        name="P6_two_thirds"))))
+    assert set(map(type, loaded.space.dist[0])) == {int, Fraction}
     cases = [
         path_reflection_action(path_space(7)),
         cycle_rotation_action(cycle_space(8), 4),
@@ -123,6 +134,8 @@ def test_quotient_matches_direct_definition():
         random_invariant_instance(dihedral_group(3), 2, 0)[1],
         random_invariant_instance(dihedral_group(4), 2, 1)[1],
         grid_rotation_action(scaled, 8, 8),
+        one_orbit,
+        loaded,
     ]
     for seed in range(5):
         group = cyclic_group(random.Random(seed).randint(2, 4))
@@ -131,6 +144,8 @@ def test_quotient_matches_direct_definition():
         assert validate_action(a) == []
         q = quotient(a)
         assert validate_metric(q.space) == []
+        if a.space.integer_rows() is a.space.dist:   # an int table's quotient is one
+            assert q.space.integer_rows() is q.space.dist
         for i, fi in enumerate(q.fibers):
             for j, fj in enumerate(q.fibers):
                 expected = quotient_distance_direct(a, fi[0], fj[0])
@@ -207,6 +222,13 @@ def test_generated_subgroup_and_cosets():
     with pytest.raises(ValueError):
         coset_representatives(g, [g.index("s0")])  # not closed
     assert generated_subgroup(g, []) == (g.identity,)
+    # The lift calls unchecked forms of both on subgroups it generated
+    # itself; the public functions still check what they are given.
+    for bad in (8, -1, True, 1.0):
+        with pytest.raises(ValueError, match=r"must be an int in range\(8\)"):
+            coset_representatives(g, [g.identity, bad])
+        with pytest.raises(ValueError, match=r"must be an int in range\(8\)"):
+            generated_subgroup(g, [r1, bad])
 
 
 def test_generated_subgroup_matches_all_pairs_closure():

@@ -1,6 +1,7 @@
 """Metric spaces, graph metrics, balls and distances."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,16 @@ def test_generators_reject_sizes_that_are_not_counts():
     for make, args, what in cases:
         with pytest.raises(ValueError, match=f"^{what} must be a nonnegative int, got "):
             make(*args)
+
+
+def test_random_graph_space_refuses_an_inexact_edge_chance():
+    # A float used to raise a raw AttributeError (it has no numerator), and
+    # True passed as 1, a complete graph.
+    for chance in (0.5, True, False, 1.0, "1/2", Fraction(3, 2), -1):
+        with pytest.raises(ValueError, match=r"^edge_chance must be an int or Fraction "
+                                             fr"in \[0, 1\], got {re.escape(repr(chance))}$"):
+            random_graph_space(6, 0, edge_chance=chance)
+    assert len(random_graph_space(6, 0, edge_chance=1)) == 6
 
 
 def test_graph_metric_matches_dijkstra_oracle():

@@ -5,7 +5,8 @@ invariant cover against the measurement at every point; the all-clear
 metric and action checks against their full listings; the bitmask exact
 search against the partition oracle, with its covers' Lebesgue
 number and mesh by the definitions; the greedy first descent's Lebesgue
-number, mesh and dimension against the definitions; the lift's translated
+number, mesh and dimension against the definitions; the ball masks on
+integer rows against the table compared entry by entry; the lift's translated
 pieces against pieces measured at every coset's own point; and the
 document writer against json.dumps."""
 
@@ -13,6 +14,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import chain
+from operator import le, lt
 
 import pytest
 
@@ -27,7 +29,9 @@ from coarsedim import (INF, Cover, CoverCertificate, FiniteGroup, FiniteMetricSp
                        cyclic_group, dihedral_group, dimension, greedy_cover,
                        lebesgue_number, lift_equivariant, mesh, min_dimension_cover_exact,
                        quotient, validate_action, validate_metric, verify_certificate)
-from coarsedim.formats import Workspace, dumps, lift_trace_to_dict, load_entry, scalar_str
+from coarsedim.estimation import _ball_masks
+from coarsedim.formats import (Workspace, dumps, lift_trace_to_dict, load_entry, scalar_str,
+                               space_from_dict, space_to_dict)
 from coarsedim.generators import (cycle_space, grid_rotation_action, grid_space,
                                   path_reflection_action, path_space, random_cover,
                                   random_graph_space, random_invariant_instance)
@@ -49,7 +53,7 @@ class Length(int):
 def graph_metrics(draw, min_points=1, max_points=8):
     """A random graph metric, scaled by an int or a Fraction, with its
     integral entries as the scaling leaves them, as plain ints (a mixed
-    table, as formats._parse_table yields) or as an int subclass."""
+    table, as formats.space_from_dict yields) or as an int subclass."""
     n = draw(st.integers(min_points, max_points))
     m = random_graph_space(n, draw(st.integers(0, 10 ** 6)),
                            edge_chance=draw(st.sampled_from(
@@ -141,6 +145,30 @@ def test_exact_search_matches_partition_oracle(problem):
     # minimal cover comes back, and it must keep both bounds
     assert lebesgue_direct(m, result.members) >= R
     assert mesh_direct(m, result.members) <= B
+
+
+@st.composite
+def ball_problems(draw):
+    """A graph metric, as built or as loaded from its document, and a radius:
+    one of its distances (a tie with entries), one third of the way from one
+    to the next, or any int or Fraction up to 20."""
+    m = draw(graph_metrics())
+    if draw(st.booleans()):
+        m = space_from_dict(space_to_dict(m))
+    values = sorted(set(chain.from_iterable(m.dist)))
+    r = draw(st.one_of(st.sampled_from(values),
+                       st.sampled_from([u + (v - u) / 3 for u, v in zip(values, values[1:])]
+                                       or values),
+                       st.integers(0, 20), st.fractions(0, 20, max_denominator=12)))
+    return m, r
+
+
+@given(ball_problems())
+def test_ball_masks_match_the_table_compared_entry_by_entry(problem):
+    m, r = problem
+    for within in (le, lt):
+        assert _ball_masks(m, r, within) == [
+            sum(1 << q for q, v in enumerate(row) if within(v, r)) for row in m.dist]
 
 
 GREEDY_SCALES = (1, Fraction(4, 3), 2, 3)
