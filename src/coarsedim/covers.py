@@ -12,20 +12,20 @@ R > L some open R-ball does not.
 
 A whole-space member answers at once: its complement is empty, so L is
 INF, and its diameter, the largest entry of the table, is the mesh.  The
-space finds that entry on first use and keeps it (see
+space finds it on first use and keeps it (see
 FiniteMetricSpace.diameter), so measuring another such cover of the same
 space reads it without a scan.  check_equivariance skips such a member,
 as every permutation fixes the whole set.
 
 Otherwise L is evaluated on the space's integer table (see
-FiniteMetricSpace.integer_rows), and every value returned is the table's
-own entry where the integer one stands.  In a metric, a member without x
+FiniteMetricSpace.integer_rows), and the integer found is returned as
+the distance it stands for.  In a metric, a member without x
 contributes d(x, x) = 0, and for a member U containing x, d(x, X \\ U) is
 the distance to the nearest point that is not in U.  Each point keeps a
 mask with bit k set when member k contains it.  Let L_x be the max over U
 of d(x, X \\ U).  Coverage is tested first, on the masks alone: a point
-in no member has L_x = d(x, x) = 0, the least value there is, and the
-first such point's diagonal entry is the answer.
+in no member has L_x = d(x, x) = 0, the least value there is, and 0 is
+the answer.
 
 Every other point is in a member that is not the whole space, so its L_x
 is at least the least off-diagonal entry, which on a valid integer table
@@ -36,10 +36,8 @@ gathers the ball and the AND of its masks settles most points; only when
 it is zero is the ball sorted and walked nearest first, ANDing the masks
 of the points passed, and the step that clears the last bit lands on
 L_x < L'.  Once L' is 1 no later point can go below it, so the walk stops
-there; as L' only ever moves to a strictly smaller L_x, the (x, y) kept
-is the one the full walk would keep, and so is the entry returned, on a
-Fraction table too.  The formula is thus evaluated exactly, with no scan
-of the complement and no sort of a whole row but the first.
+there.  The formula is thus evaluated exactly, with no scan of the
+complement and no sort of a whole row but the first.
 
 These steps use the metric axioms (d(x, x) = 0, d >= 0 and symmetry), so
 mesh, lebesgue_number, certify and verify_certificate require a space for
@@ -58,10 +56,7 @@ fixes, d(gx, y) = d(x, g^-1 y) with g^-1 y in U.  So the multiplicity is
 counted and the Lebesgue walk run at the orbit-least points only (x with
 x = min of g.x over F), and the mesh measures the first member of each
 member-orbit, in a member F fixes gathering only its orbit-least points'
-rows.  The points of least L_x form an invariant set, so the first of
-them, the one the walk keeps, is orbit-least; the first member of largest
-diameter is the first of its orbit, and its entry is located on all its
-rows: the entries returned are the full measurement's.  This needs a
+rows.  The values returned are thus the full measurement's.  This needs a
 valid action (validate_action(a) == []), as quotient does; the CLI loads
 only such actions.  With no action, a cover that is not invariant or a
 whole-space member, every point and member is measured.
@@ -86,7 +81,7 @@ from typing import Iterable, Sequence
 from .errors import InternalInvariantError, Violation
 from .groups import IsometricAction
 from .metric import (INF, FiniteMetricSpace, Scalar, _diameter, _set_distance, check_count,
-                     check_indices, check_scalar)
+                     check_indices, check_nonnegative, check_scalar)
 
 
 def _point_sets(space: FiniteMetricSpace, sets: Iterable[Iterable[int]],
@@ -137,10 +132,7 @@ class Decomposition:
     def __init__(self, space: FiniteMetricSpace, r: Scalar,
                  families: Iterable[Iterable[Iterable[int]]], name: str = "decomposition"):
         self.space = space
-        check_scalar(r, "r")
-        if r < 0:
-            raise ValueError(f"r must be >= 0, got {r}")
-        self.r = r
+        self.r = check_nonnegative(r, "r")
         self.families = tuple(_point_sets(space, family, f"family {fi} piece {{}}")
                               for fi, family in enumerate(families))
         self.name = str(name)
@@ -223,11 +215,10 @@ def mesh(c: Cover, _reads: Iterable[tuple[frozenset[int], Iterable[int]]] | None
 
 def lebesgue_number(c: Cover, _points: Iterable[int] | None = None):
     """Complement-distance Lebesgue number; INF when a member is the whole
-    space, and d(x, x) = 0 for the first point x in no member.  Otherwise
-    the least L_x, read off the table where it stands, with the walk
-    stopped once it reaches one integer unit, the least a covered point
-    can have.  certify passes the orbit-least points as _points, and the
-    walk visits only they, in increasing order.
+    space, and 0 when a point is in no member.  Otherwise the least L_x,
+    with the walk stopped once it reaches one integer unit, the least a
+    covered point can have.  certify passes the orbit-least points as
+    _points, and the walk visits only they, in increasing order.
 
     c.space must be a metric (validate_metric(c.space) == []); see the
     module docstring."""
@@ -237,17 +228,16 @@ def lebesgue_number(c: Cover, _points: Iterable[int] | None = None):
     if len(m) in map(len, c.members):
         return INF      # an empty complement, known before any table is read
     # Bit k of masks[x] is set when member k contains x; best is the least
-    # L_x so far, in the integer table, and the (x, y) where it stands (see
-    # the module docstring).  No member is the whole space, so the first
-    # point's walk, over the whole space, stops too.
+    # L_x so far, in the integer table (see the module docstring).  No
+    # member is the whole space, so the first point's walk, over the whole
+    # space, stops too.
     masks = [0] * len(m)
     for k, member in enumerate(c.members):
         bit = 1 << k
         for x in member:
             masks[x] |= bit
     if 0 in masks:
-        x = masks.index(0)
-        return m.dist[x][x]     # in no member: L_x = d(x, x) = 0, the least
+        return 0        # a point in no member: L_x = d(x, x) = 0, the least
     points = range(len(m))
     rows = m.integer_rows()
     best = None
@@ -256,7 +246,7 @@ def lebesgue_number(c: Cover, _points: Iterable[int] | None = None):
         if best is None:
             near = points
         else:
-            near = list(compress(points, map(lt, row, repeat(best[0]))))
+            near = list(compress(points, map(lt, row, repeat(best))))
             if reduce(and_, map(masks.__getitem__, near)):
                 continue
         alive = masks[x]
@@ -264,10 +254,10 @@ def lebesgue_number(c: Cover, _points: Iterable[int] | None = None):
             alive &= masks[y]
             if not alive:
                 break
-        best = (row[y], x, y)
-        if best[0] == 1:
+        best = row[y]
+        if best == 1:
             break       # one unit: no covered point goes below it
-    return m.dist[best[1]][best[2]]
+    return m._scalar(best)
 
 
 def ball_meet_count(c: Cover, radius: Scalar) -> int:
@@ -375,7 +365,7 @@ def _member_orbits(a: IsometricAction, c: Cover) -> tuple[tuple | None, list | N
 def _measure(c: Cover, action: IsometricAction | None, firsts: list | None) -> tuple:
     """Dimension, Lebesgue number and mesh of c: per orbit when firsts (from
     _member_orbits) shows c invariant with no whole-space member, else at
-    every point and member; the same table entries either way (see the
+    every point and member; the same values either way (see the
     module docstring)."""
     if firsts is None:
         return dimension(c), lebesgue_number(c), mesh(c)

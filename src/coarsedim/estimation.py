@@ -25,8 +25,8 @@ from .covers import Cover, CoverCertificate, certify
 from .constructions import LiftTrace, lift_equivariant
 from .errors import CapExceededError, InternalInvariantError
 from .groups import IsometricAction, QuotientSpace, quotient
-from .metric import (FiniteMetricSpace, Scalar, check_count, check_positive, check_scalar,
-                     diameter)
+from .metric import (FiniteMetricSpace, Scalar, check_count, check_nonnegative,
+                     check_positive, diameter)
 
 EXACT_POINT_CAP = 14
 
@@ -170,9 +170,7 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
     Lebesgue number, mesh and dimension are certified before it returns.
     """
     check_positive(R, "R")
-    check_scalar(B, "B")
-    if B < 0:
-        raise ValueError(f"B must be nonnegative, got {B}")
+    check_nonnegative(B, "B")
     if len(m) > max_points:
         raise CapExceededError(
             f"exact search is capped at {max_points} points and {m.name!r} has "
@@ -238,6 +236,8 @@ def _estimate_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar | None, mode: str
         raise ValueError(f"mode must be auto, exact or greedy, got {mode!r}")
     if max_points < 1:
         raise ValueError(f"max_points must be at least 1, got {max_points}")
+    if B is not None:
+        check_nonnegative(B, "B")    # in every mode, whatever the space's size
     if mode == "greedy" or (mode == "auto" and len(m) > max_points):
         return None, greedy_cover(m, R)[0]
     B = B if B is not None else 4 * R
@@ -268,10 +268,8 @@ class ProfileEntry:
         check_positive(self.scale, "a profile entry's scale")
         for field in ("mesh_bound", "mesh"):
             value = getattr(self, field)
-            if value is not None and check_scalar(value, f"the {field} at scale "
-                                                  f"{self.scale}") < 0:
-                raise ValueError(f"the {field} at scale {self.scale} must be >= 0, "
-                                 f"got {value}")
+            if value is not None:
+                check_nonnegative(value, f"the {field} at scale {self.scale}")
         if self.dimension is not None:
             check_count(self.dimension, f"the dimension at scale {self.scale}")
 

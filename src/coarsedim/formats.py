@@ -66,10 +66,10 @@ def scalar_str(value) -> str:
         return "inf"
     if isinstance(value, Fraction):
         if value.denominator == 1:
-            return str(value.numerator)
+            return int.__repr__(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     if is_scalar(value):
-        return str(value)
+        return int.__repr__(value)      # not an int subclass's own __str__
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
@@ -146,15 +146,10 @@ def _document(kind: str, name: str, **fields) -> dict:
 
 def space_to_dict(m: FiniteMetricSpace) -> dict:
     """The document of m.  The table is written from its integer rows, each
-    distinct int k there once, as the entry k / integer_scale() it stands
-    for.  Anything but a FiniteMetricSpace is written entry by entry, so the
-    first bad entry (INF, a float, ...) in reading order raises."""
-    if isinstance(m, FiniteMetricSpace):
-        rows, scale = m.integer_rows(), m.integer_scale()
-        text = {k: scalar_str(Fraction(k, scale)) for k in set(chain.from_iterable(rows))}
-        dist = [list(map(text.__getitem__, row)) for row in rows]
-    else:
-        dist = [[scalar_str(v) for v in row] for row in m.dist]
+    distinct int k there once, as the distance it stands for."""
+    rows = m.integer_rows()
+    text = {k: scalar_str(m._scalar(k)) for k in set(chain.from_iterable(rows))}
+    dist = [list(map(text.__getitem__, row)) for row in rows]
     return _document("space", m.name, points=list(m.points), dist=dist)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import is_not, itemgetter
 from typing import Iterable, Sequence
 
@@ -285,7 +284,8 @@ def quotient(a: IsometricAction) -> QuotientSpace:
     result is again a genuine metric.
 
     The minima are taken on the space's integer rows, a C-level gather per
-    group element, and kept as the quotient's, at the space's scale.
+    group element, and kept as the quotient's, at the space's scale; the
+    table holds the distances they stand for (FiniteMetricSpace._scalar).
 
     The result is kept on the action.  It is built again only after
     `group`, `space` or `perms` is reassigned, or the space, the group or
@@ -311,7 +311,7 @@ def quotient(a: IsometricAction) -> QuotientSpace:
                       for row in map(rows.__getitem__, reps))
     dist = table                        # a Fraction table maps back its distinct ints
     if scale != 1:
-        back = {k: Fraction(k, scale) for k in set(itertools.chain.from_iterable(table))}
+        back = {k: m._scalar(k) for k in set(itertools.chain.from_iterable(table))}
         dist = [map(back.__getitem__, row) for row in table]
     orbit_of = tuple(i for _, i in sorted((x, i) for i, orb in enumerate(orbs) for x in orb))
     space = FiniteMetricSpace._built(qpoints, dist, name, scale, table)

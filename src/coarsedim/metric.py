@@ -5,7 +5,8 @@ is an exact comparison, and a single rounded value would poison all of them.
 The one non-rational value in the toolkit is INF, the marker for a minimum
 taken over an empty set.  The rules every constructor checks its input by
 are written here once: check_scalar, check_index (and check_indices for a
-whole collection) and check_count.
+whole collection) and check_count.  So is the form of every distance
+computed from a table: FiniteMetricSpace._scalar.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ def check_positive(value, name: str = "value") -> Scalar:
     """check_scalar, then reject a value that is not above zero."""
     if not check_scalar(value, name) > 0:
         raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
+def check_nonnegative(value, name: str = "value") -> Scalar:
+    """check_scalar, then reject a value below zero."""
+    if check_scalar(value, name) < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
     return value
 
 
@@ -149,8 +157,7 @@ class FiniteMetricSpace:
         common multiple of the denominators, integer_scale().  A loaded table
         or a quotient (at its source's scale) gets them from the pass that
         builds it, any other table from the LCM on first use, and they are
-        kept.  An entry read off them maps back to the table's own entry at
-        the same row and column."""
+        kept.  An entry k read off them stands for the distance _scalar(k)."""
         if self._integers is None:
             self._scale, self._integers = _integer_rows(self.dist)
         return self._integers
@@ -160,15 +167,22 @@ class FiniteMetricSpace:
         self.integer_rows()
         return self._scale
 
+    def _scalar(self, k: int) -> Scalar:
+        """The distance an entry k of integer_rows() stands for, in canonical
+        form: an int when it is whole, else a Fraction in lowest terms, the
+        value and type parse_scalar reads back from its written string.
+        Every distance computed from the table is returned through it."""
+        scale = self.integer_scale()
+        if scale == 1:
+            return k
+        value = Fraction(k, scale)
+        return value.numerator if value.denominator == 1 else value
+
     def diameter(self) -> Scalar:
-        """The largest entry of the table, the space's diameter: located on
-        integer_rows() and read back off the table itself, computed on first
-        use and kept, like the integer rows."""
+        """The largest entry of the table, the space's diameter: found on
+        integer_rows(), computed on first use and kept, like them."""
         if self._diameter is None:
-            rows = self.integer_rows()
-            far = list(map(max, rows))
-            i = far.index(max(far))
-            self._diameter = self.dist[i][rows[i].index(far[i])]
+            self._diameter = self._scalar(max(map(max, self.integer_rows())))
         return self._diameter
 
     def check_point(self, x: int) -> int:
@@ -424,12 +438,9 @@ def set_distance(m: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]):
 
 def _diameter(m: FiniteMetricSpace, s: Iterable[int],
               rows_of: Iterable[int] | None = None) -> Scalar:
-    """Largest entry of the table between points of s, found in one C-level
-    pass over the integer rows of s (or of rows_of, points of s whose rows
-    hold that entry too) gathered at s.  On an all-int table those rows are
-    the table, and the entry found is returned as it is; otherwise the
-    first row of s holding it, and the first column there, locate it, and
-    the table's own entry at that place is returned."""
+    """Largest distance between points of s, found in one C-level pass over
+    the integer rows of s (or of rows_of, points of s whose rows hold it
+    too) gathered at s."""
     s = tuple(s)
     if not s:
         raise ValueError("diameter of the empty set is undefined")
@@ -438,12 +449,7 @@ def _diameter(m: FiniteMetricSpace, s: Iterable[int],
     rows = m.integer_rows()
     gather = itemgetter(*s)
     top = max(map(max, map(gather, map(rows.__getitem__, s if rows_of is None else rows_of))))
-    if rows is m.dist:
-        return top
-    for x in s:
-        row = gather(rows[x])
-        if top in row:
-            return m.dist[x][s[row.index(top)]]
+    return m._scalar(top)
 
 
 def _set_distance(m: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]):

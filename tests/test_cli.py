@@ -581,6 +581,13 @@ def test_each_writing_command_creates_out_once(tmp_path, capsys, monkeypatch):
         (["profile", *files, "--scales", "1,2", "--max-points", "16"], 0, 1),
         (["estimate", space, "--R", "0"], 1, 0),
     ]
+    # A negative mesh bound is refused in auto mode whether the space is
+    # within the exact search's point cap (P10) or above it (P20).
+    for n in (10, 20):
+        spaced = next(f for f in generate_path_instance(tmp_path / f"P{n}", capsys, n=n)
+                      if ".space." in f)
+        cases += [(["estimate", spaced, "--R", "1", "--B", "-1"], 1, 0),
+                  (["profile", spaced, "--scales", "1", "--mesh-bounds", "-3"], 1, 0)]
     for i, (argv, code, calls) in enumerate(cases):
         out = tmp_path / f"out{i}"
         made.clear()

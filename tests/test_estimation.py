@@ -87,6 +87,17 @@ def test_exact_rejects_bad_scales():
         min_dimension_cover_exact(path_space(5), 1.5, 2)
 
 
+@pytest.mark.parametrize("mode", ["auto", "exact", "greedy"])
+@pytest.mark.parametrize("n", [10, 20])
+def test_a_negative_mesh_bound_is_refused_in_every_mode(mode, n):
+    # Also where auto or greedy mode would run greedy, which ignores B.
+    with pytest.raises(ValueError, match=r"^B must be >= 0, got -1$"):
+        asdim_profile(path_space(n), [1], mesh_bounds=[-1], mode=mode)
+    with pytest.raises(ValueError, match=r"^B must be >= 0, got -3$"):
+        equivariant_cover_pipeline(path_reflection_action(path_space(n)), 1, B=-3,
+                                   mode=mode)
+
+
 def test_exact_point_cap():
     with pytest.raises(CapExceededError):
         min_dimension_cover_exact(path_space(21), 1, 2)

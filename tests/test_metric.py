@@ -118,19 +118,24 @@ def test_a_space_scales_its_table_once(integer_table_builds):
 def test_a_space_keeps_its_diameter(integer_table_builds):
     # The largest entry sits in row 1 here, not row 0.  A Fraction table
     # is scaled to find it, on first use and once; construction does not.
+    # The diameter is canonical: a Fraction here, an int when it is whole.
     m = FiniteMetricSpace("abc", [[0, Fraction(1, 2), 1],
                                   [Fraction(1, 2), 0, Fraction(3, 2)],
                                   [1, Fraction(3, 2), 0]])
     assert integer_table_builds == []
-    assert m.diameter() == Fraction(3, 2)
-    assert m.diameter() is m.dist[1][2]
+    d = m.diameter()
+    assert (d, type(d)) == (Fraction(3, 2), Fraction)
+    assert m.diameter() is d
     assert len(integer_table_builds) == 1
     assert diameter(m, range(3)) == m.diameter()
 
     ints = FiniteMetricSpace("abc", [[0, 1, 2], [1, 0, 3], [2, 3, 0]])
     assert ints.diameter() == 3 == diameter(ints, range(3))
+    assert type(ints.diameter()) is int
     assert FiniteMetricSpace("a", [[0]]).diameter() == 0
     assert len(integer_table_builds) == 1
+    whole = FiniteMetricSpace("ab", [[0, Fraction(2)], [Fraction(2), 0]])
+    assert (whole.diameter(), type(whole.diameter())) == (2, int)
 
 
 def test_validate_metric_flags_each_axiom():

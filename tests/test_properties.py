@@ -7,8 +7,9 @@ search against the partition oracle, with its covers' Lebesgue
 number and mesh by the definitions; the greedy first descent's Lebesgue
 number, mesh and dimension against the definitions; the ball masks on
 integer rows against the table compared entry by entry; the lift's translated
-pieces against pieces measured at every coset's own point; and the
-document writer against json.dumps."""
+pieces against pieces measured at every coset's own point; every distance
+computed from a table in canonical form; and the document writer against
+json.dumps."""
 
 import json
 import math
@@ -30,13 +31,13 @@ from coarsedim import (INF, Cover, CoverCertificate, FiniteGroup, FiniteMetricSp
                        lebesgue_number, lift_equivariant, mesh, min_dimension_cover_exact,
                        quotient, validate_action, validate_metric, verify_certificate)
 from coarsedim.estimation import _ball_masks
-from coarsedim.formats import (Workspace, dumps, lift_trace_to_dict, load_entry, scalar_str,
-                               space_from_dict, space_to_dict)
+from coarsedim.formats import (Workspace, dumps, lift_trace_to_dict, load_entry, parse_scalar,
+                               scalar_str, space_from_dict, space_to_dict)
 from coarsedim.generators import (cycle_space, grid_rotation_action, grid_space,
                                   path_reflection_action, path_space, random_cover,
                                   random_graph_space, random_invariant_instance)
 from coarsedim.groups import _action_all_clear, _list_action_violations
-from coarsedim.metric import _all_clear, _list_violations, check_indices
+from coarsedim.metric import _all_clear, _list_violations, check_indices, diameter
 
 from oracles import (equivariance_witness_direct, lebesgue_direct, lift_pieces_direct,
                      mesh_direct, min_dimension_partition)
@@ -110,6 +111,33 @@ def test_mesh_matches_largest_member_diameter(c):
 def test_dimension_matches_count_per_point(c):
     counts = [sum(x in member for member in c.members) for x in range(len(c.space))]
     assert dimension(c) == max(counts) - 1
+
+
+def canonical(v) -> bool:
+    """Whether v is an int when whole, else a Fraction, and its written
+    string reads back as an equal value of the same type."""
+    read = parse_scalar(scalar_str(v))
+    return type(v) is (int if v.denominator == 1 else Fraction) and \
+        (read, type(read)) == (v, type(v))
+
+
+@given(covers(), st.booleans(), st.integers(7, 12))
+def test_every_computed_distance_is_canonical(c, loaded, n):
+    # On int, Fraction, mixed and int-subclass tables, as built or loaded;
+    # and the quotient of a loaded 2/3-scaled path, whose whole entries
+    # are ints, as in the table it was loaded from.
+    m = c.space
+    if loaded:
+        m = space_from_dict(space_to_dict(m))
+        c = Cover(m, c.members)
+    values = [m.diameter(), diameter(m, c.members[0]), mesh(c)]
+    if (lebesgue := lebesgue_number(c)) != INF:
+        values.append(lebesgue)
+    path = path_space(n)
+    thirds = space_from_dict(space_to_dict(FiniteMetricSpace(
+        path.points, [[Fraction(2, 3) * v for v in row] for row in path.dist])))
+    values += chain.from_iterable(quotient(path_reflection_action(thirds)).space.dist)
+    assert [v for v in values if not canonical(v)] == []
 
 
 @st.composite

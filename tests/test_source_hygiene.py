@@ -20,6 +20,9 @@ document; compact one-line records, such as the CLI's error records, are
 fine).  Another keeps the scalar, index and count rules written once: no
 module but metric calls isinstance with bool (check_scalar, check_index,
 check_indices and check_count tell a bool from an int for every caller).
+And one keeps a single way out of a space's integer rows: no module but
+metric calls Fraction with a denominator that is not a literal
+(FiniteMetricSpace._scalar turns every integer entry into its distance).
 """
 
 import ast
@@ -231,3 +234,52 @@ def test_the_checker_finds_bool_tests():
                          ids=[p.name for p in MODULES if p.name != "metric.py"])
 def test_only_metric_tells_a_bool_from_an_int(path):
     assert bool_tests(path.read_text(encoding="utf-8")) == []
+
+
+def _is_literal(node: ast.AST) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def computed_fractions(source: str) -> list[str]:
+    """One line per call of Fraction (or fractions.Fraction) whose
+    denominator is not a literal: a second positional argument, the
+    denominator keyword, or what a starred argument may hold."""
+    tree = ast.parse(source)
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and (node.func.attr if isinstance(node.func, ast.Attribute)
+                     else getattr(node.func, "id", None)) == "Fraction"):
+            continue
+        starred = [a for a in node.args if isinstance(a, ast.Starred)]
+        denominators = starred + node.args[1:] + [k.value for k in node.keywords
+                                                  if k.arg in ("denominator", None)]
+        if not all(map(_is_literal, denominators)):
+            out.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"line {line}: {call}" for line, _, call in sorted(out)]
+
+
+def test_the_checker_finds_computed_fractions():
+    source = ("import fractions\n"
+              "from fractions import Fraction\n"
+              "def f(k, scale, pair, text):\n"
+              "    half, third = Fraction(1, 2), Fraction(-1, -3)\n"
+              "    whole = Fraction(text) + Fraction(k) + Fraction(2, denominator=5)\n"
+              "    a = Fraction(k, scale) + fractions.Fraction(1, scale)\n"
+              "    return a + Fraction(1, denominator=k) + Fraction(*pair)\n")
+    assert computed_fractions(source) == [
+        "line 6: Fraction(k, scale)",
+        "line 6: fractions.Fraction(1, scale)",
+        "line 7: Fraction(1, denominator=k)",
+        "line 7: Fraction(*pair)",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "metric.py"],
+                         ids=[p.name for p in MODULES if p.name != "metric.py"])
+def test_only_metric_computes_a_fraction(path):
+    assert computed_fractions(path.read_text(encoding="utf-8")) == []
