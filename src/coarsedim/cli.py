@@ -31,7 +31,7 @@ from .formats import (KIND_ORDER, FormatError, Workspace, action_to_dict,
                       parse_scalar, profile_to_csv, profile_to_dict,
                       space_to_dict)
 from .generators import KIND_PARAMS, generate_instance
-from .groups import orbits, quotient
+from .groups import quotient
 
 
 def _emit_error(error: str, message: str, **extra) -> None:
@@ -180,9 +180,8 @@ def cmd_equivariant_cover(args) -> int:
         a, _scalar_arg(args.R, "--R"), B=_scalar_arg(args.B, "--B"),
         mode=args.mode, max_points=args.max_points)
     if isinstance(result, Infeasible):
-        # Quotient point i is orbit i, named after its least point.
         _emit_error("infeasible", result.message,
-                    point=a.space.points[orbits(a)[result.point][0]])
+                    point=quotient(a).space.points[result.point])
         return 3
     _write(args.out, space_to_dict(result.quotient.space),
            cover_to_dict(result.quotient_cover), cover_to_dict(result.cover),

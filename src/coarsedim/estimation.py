@@ -9,8 +9,8 @@ explicit stack, assigns points to serve-groups, each group's union of balls
 a clique of the "within B" graph.  Iterative deepening on the multiplicity
 cap makes its dimension the true minimum, which the tests cross-check with
 a partition enumerator and a clique enumerator.  "Greedy" is the same
-search at B = 4R with no cap: its first descent, which never backtracks.
-Both return the unions in opening order, equal ones merged, as members.
+search (one core, _search) at B = 4R with no cap: its first descent.  Both
+return the unions in opening order, equal ones merged, certified.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import le, lt
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .covers import Cover, CoverCertificate, certify
 from .constructions import LiftTrace, lift_equivariant
@@ -158,70 +158,54 @@ def _serve_groups(needs: Sequence[int], reaches: Sequence[int],
             return None
 
 
+def _search(m: FiniteMetricSpace, R: Scalar, B: Scalar, caps: Iterable[int | None],
+            name: str) -> tuple[Cover | Infeasible, CoverCertificate | None]:
+    """Both estimators' search: Infeasible (and None) for the first open R-ball
+    of diameter above B; else the cover `name` of the unions, equal ones merged,
+    that _serve_groups finds at the first cap of `caps` (None: no cap) with
+    any, and its certificate: Lebesgue number >= R, mesh <= B, dimension cap - 1."""
+    near = _ball_masks(m, B, le)
+    needs = _ball_masks(m, R, lt)
+    reaches = [_reach(need, near) for need in needs]
+    for x, need in enumerate(needs):
+        if need & ~reaches[x]:
+            return Infeasible(x, f"the open {R}-ball around {m.points[x]} has diameter "
+                                 f"{diameter(m, _bits(need))}, above the mesh bound {B}"), None
+    for cap in caps:
+        unions = _serve_groups(needs, reaches, cap)
+        if unions is not None:
+            cover = Cover(m, map(_bits, dict.fromkeys(unions)), name=name)
+            cert = certify(cover)
+            if not (cert.lebesgue >= R and cert.mesh <= B and cap in (None, cert.dimension + 1)):
+                raise InternalInvariantError(f"{name} at R {R}, B {B}, cap {cap}: {cert}")
+            return cover, cert
+    raise InternalInvariantError(f"{name}: every cap failed, every required ball a clique")
+
+
 def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
                               max_points: int = EXACT_POINT_CAP
                               ) -> Cover | Infeasible:
     """Minimal-dimension cover with Lebesgue number >= R and mesh <= B, over
     all such covers; Infeasible if some open R-ball has diameter above B.
-
-    _serve_groups runs at caps 1, 2, ... until one succeeds, so the
-    dimension is minimal; the members are its unions in opening order,
-    equal ones merged, as in greedy_cover.  Deterministic, and the
-    Lebesgue number, mesh and dimension are certified before it returns.
-    """
+    _search at caps 1, 2, ..., so the dimension is minimal."""
     check_positive(R, "R")
     check_nonnegative(B, "B")
     if len(m) > max_points:
         raise CapExceededError(
             f"exact search is capped at {max_points} points and {m.name!r} has "
             f"{len(m)}; use greedy_cover for larger spaces")
-
-    near = _ball_masks(m, B, le)
-    needs = _ball_masks(m, R, lt)
-    reaches = [_reach(need, near) for need in needs]
-    for x, need in enumerate(needs):
-        if need & ~reaches[x]:
-            return Infeasible(
-                point=x,
-                message=(f"the open {R}-ball around {m.points[x]} has diameter "
-                         f"{diameter(m, _bits(need))}, above the mesh bound {B}"))
-
-    for cap in range(1, len(m) + 1):
-        unions = _serve_groups(needs, reaches, cap)
-        if unions is not None:
-            cover = Cover(m, map(_bits, dict.fromkeys(unions)),
-                          name=f"{m.name}_exact_R{R}_B{B}")
-            cert = certify(cover)
-            if not cert.lebesgue >= R:
-                raise InternalInvariantError("exact cover misses its Lebesgue target")
-            if not cert.mesh <= B:
-                raise InternalInvariantError("exact cover exceeds its mesh bound")
-            if cert.dimension != cap - 1:
-                raise InternalInvariantError(
-                    f"search at multiplicity cap {cap} returned dimension "
-                    f"{cert.dimension}")
-            return cover
-    raise InternalInvariantError("exact search failed with every required ball "
-                                 "a clique")
+    return _search(m, R, B, range(1, len(m) + 1), f"{m.name}_exact_R{R}_B{B}")[0]
 
 
 def greedy_cover(m: FiniteMetricSpace, R: Scalar) -> tuple[Cover, CoverCertificate]:
-    """_serve_groups at mesh bound 4R with no multiplicity cap: the exact
-    search's first descent.  In index order, an open R-ball in no group's
-    union joins the first group, in opening order, whose reach contains it,
-    else opens a new one; it has diameter < 2R, so nothing fails or is
-    undone.  The members are the unions in opening order, equal ones
-    merged: mesh <= 4R, and Lebesgue number >= R, re-proved on the result.
-    """
+    """_search at mesh bound 4R with no multiplicity cap: the exact search's
+    first descent.  An open R-ball of a metric has diameter < 2R, so it
+    never fails or backtracks; a ball above 4R raises ValueError, as the
+    table is not a metric.  Lebesgue number >= R and mesh <= 4R are certified."""
     check_positive(R, "R")
-    near = _ball_masks(m, 4 * R, le)
-    needs = _ball_masks(m, R, lt)
-    unions = _serve_groups(needs, [_reach(need, near) for need in needs])
-    cover = Cover(m, map(_bits, dict.fromkeys(unions)), name=f"{m.name}_greedy_R{R}")
-    cert = certify(cover)
-    if not cert.lebesgue >= R:
-        raise InternalInvariantError(
-            f"greedy cover has Lebesgue number {cert.lebesgue} < {R}")
+    cover, cert = _search(m, R, 4 * R, (None,), f"{m.name}_greedy_R{R}")
+    if cert is None:
+        raise ValueError(f"{m.name!r} is not a metric: {cover.message}")
     return cover, cert
 
 

@@ -23,7 +23,7 @@ from operator import is_not, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, Violation
-from .metric import FiniteMetricSpace, check_index, check_indices
+from .metric import FiniteMetricSpace, _refusing, check_index, check_indices
 
 # Guardrails on the brute-force constructions, not tuning knobs.
 ISOMORPHISM_ORDER_CAP = 12
@@ -33,36 +33,39 @@ DIRECT_SUM_ORDER_CAP = 64
 class FiniteGroup:
     """Elements named by strings, multiplication as an index table.
 
-    mul[a][b] is the index of (a * b).  A two-sided identity must exist or
-    construction fails; associativity and inverses are validate_group's job,
-    so broken tables can still be loaded and reported on.
+    mul[a][b] is the index of (a * b).  A two-sided identity must exist or construction
+    fails; associativity and inverses are validate_group's job, so broken tables can
+    still be loaded and reported on.  `elements` and `mul_table` cannot be reassigned.
     """
+
+    __setattr__ = _refusing("elements", "mul_table")
 
     def __init__(self, elements: Sequence[str], mul: Sequence[Sequence[int]],
                  name: str = "group"):
-        self.elements = tuple(str(e) for e in elements)
-        if not self.elements:
+        elements = tuple(str(e) for e in elements)
+        if not elements:
             raise ValueError("a group needs at least one element")
-        if len(set(self.elements)) != len(self.elements):
+        if len(set(elements)) != len(elements):
             raise ValueError("element names must be distinct")
-        n = len(self.elements)
+        n = len(elements)
         if len(mul) != n:
             raise ValueError(f"multiplication table has {len(mul)} rows for {n} elements")
-        self.mul_table = tuple(map(tuple, mul))
-        for i, row in enumerate(self.mul_table):
+        table = tuple(map(tuple, mul))
+        for i, row in enumerate(table):
             if len(row) != n:
                 raise ValueError(f"multiplication table row {i} has length {len(row)}")
             check_indices(row, n, f"a table entry in row {i}")
-        self.name = str(name)
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        self.identity = self._find_identity()
-
-    def _find_identity(self) -> int:
-        every = range(len(self.elements))
-        for e in every:
-            if all(self.mul_table[e][a] == a == self.mul_table[a][e] for a in every):
-                return e
-        raise ValueError(f"group {self.name!r} has no two-sided identity")
+        every = tuple(range(n))     # the identity's row and its column
+        for identity in every:
+            if table[identity] == every and tuple(map(itemgetter(identity), table)) == every:
+                break
+        else:
+            raise ValueError(f"group {str(name)!r} has no two-sided identity")
+        put = object.__setattr__
+        put(self, "elements", elements)
+        put(self, "mul_table", table)
+        put(self, "name", str(name))
+        put(self, "identity", identity)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -89,8 +92,8 @@ class FiniteGroup:
 
     def index(self, element: str) -> int:
         try:
-            return self._index[element]
-        except KeyError:
+            return self.elements.index(element)
+        except ValueError:
             raise KeyError(f"unknown element {element!r} in group {self.name!r}") from None
 
     def __eq__(self, other) -> bool:

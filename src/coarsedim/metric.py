@@ -83,12 +83,26 @@ def check_indices(values, n: int, what: str):
     return values
 
 
+def _refusing(*fixed: str):
+    """A __setattr__ refusing to reassign `fixed`, whose kept values would go
+    stale; constructors write past it, with object.__setattr__."""
+    def __setattr__(self, name, value):
+        if name in fixed:
+            raise AttributeError(f"the {name} of {self!r} cannot be reassigned")
+        object.__setattr__(self, name, value)
+    return __setattr__
+
+
 class FiniteMetricSpace:
     """Named points with a dense table of exact pairwise distances.
 
     The table is stored as given; nothing about the metric axioms is
     assumed at construction time.  Run validate_metric to get the report.
+    `points` and `dist` cannot be reassigned; `name` can.
     """
+
+    __setattr__ = _refusing("points", "dist")
+    _index = _diameter = None   # each built on first use, and kept
 
     def __init__(self, points: Sequence[str], dist: Sequence[Sequence[Scalar]],
                  name: str = "space"):
@@ -102,12 +116,12 @@ class FiniteMetricSpace:
         return m
 
     def _build(self, points, dist, name, scale, integers) -> None:
-        self.points = tuple(str(p) for p in points)
-        if not self.points:
+        points = tuple(str(p) for p in points)
+        if not points:
             raise ValueError("a metric space needs at least one point")
-        if len(set(self.points)) != len(self.points):
+        if len(set(points)) != len(points):
             raise ValueError("point names must be distinct")
-        n = len(self.points)
+        n = len(points)
         if len(dist) != n:
             raise ValueError(f"distance table has {len(dist)} rows for {n} points")
         # Row lengths and (unless _built knows them) exact entry types are
@@ -132,11 +146,9 @@ class FiniteMetricSpace:
                                      f"expected {n}")
                 for j, v in enumerate(row):
                     check_scalar(v, f"dist[{i}][{j}]")
-        self.dist = rows
-        self.name = str(name)
-        self._index = {p: i for i, p in enumerate(self.points)}
-        self._scale, self._integers = scale, rows if scale == 1 else integers
-        self._diameter = None
+        for key, value in (("points", points), ("dist", rows), ("name", str(name)),
+                           ("_scale", scale), ("_integers", rows if scale == 1 else integers)):
+            object.__setattr__(self, key, value)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -145,6 +157,8 @@ class FiniteMetricSpace:
         return self.dist[x][y]
 
     def index(self, point: str) -> int:
+        if self._index is None:
+            self._index = {p: i for i, p in enumerate(self.points)}
         try:
             return self._index[point]
         except KeyError:

@@ -8,8 +8,6 @@ import pathlib
 import pytest
 
 import coarsedim.cli
-import coarsedim.estimation
-import coarsedim.groups
 from coarsedim.cli import _build_parser, main
 from coarsedim.errors import InternalInvariantError
 
@@ -543,23 +541,17 @@ def test_infeasible_record_names_the_point(tmp_path, capsys):
 
 
 def test_infeasible_equivariant_cover_builds_one_quotient(tmp_path, capsys,
-                                                         monkeypatch):
+                                                         quotient_builds):
+    # The pipeline builds the quotient; the infeasible record names its
+    # point from the same quotient, kept on the action.
     files = generate_path_instance(tmp_path, capsys, n=9)
-    calls = []
-    original = coarsedim.groups.quotient
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].name)
-        return original(*args, **kwargs)
-
-    for module in (coarsedim.groups, coarsedim.estimation, coarsedim.cli):
-        monkeypatch.setattr(module, "quotient", counting)
+    del quotient_builds[:]
     code, out, err = run(capsys, "equivariant-cover", *files, "--R", "5",
                          "--B", "1", "--out", str(tmp_path / "x"))
     assert (code, out) == (3, [])
     assert err == [{"error": "infeasible", "point": "0", "message":
                     "the open 5-ball around 0 has diameter 4, above the mesh bound 1"}]
-    assert calls == ["P9_reflect"]
+    assert quotient_builds == ["P9_reflect"]
 
 
 def test_each_writing_command_creates_out_once(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import coarsedim.estimation
 from coarsedim import (CapExceededError, FamilyProfile, Infeasible,
                        PipelineResult, ProfileEntry, asdim_profile, certify, cyclic_group, dihedral_group,
                        dimension, equivariant_cover_pipeline, family_profile,
@@ -19,6 +20,7 @@ from coarsedim.generators import (cycle_reflection_action,
                                   grid_rotation_action, grid_space,
                                   path_reflection_action, path_space,
                                   random_graph_space, random_invariant_instance)
+from coarsedim.errors import InternalInvariantError
 from coarsedim.metric import INF, FiniteMetricSpace
 
 from oracles import min_dimension_cliques, min_dimension_partition
@@ -239,6 +241,42 @@ def test_greedy_certificate_verifies():
             assert verify_certificate(cover, cert) == []
     with pytest.raises(ValueError):
         greedy_cover(path_space(5), 0)
+
+
+def test_greedy_refuses_a_table_that_is_not_a_metric():
+    # The open 1-ball around "x" holds "y" and "z", 5 apart: above 4R, which
+    # no open R-ball of a metric reaches (its diameter is below 2R).
+    half = Fraction(1, 2)
+    m = FiniteMetricSpace(["x", "y", "z"], [[0, half, half], [half, 0, 5], [half, 5, 0]],
+                          name="bent")
+    with pytest.raises(ValueError, match="'bent' is not a metric: the open 1-ball "
+                                         "around x has diameter 5, above the mesh bound 4"):
+        greedy_cover(m, 1)
+
+
+# Each case has _serve_groups return unions that break one postcondition of
+# the cover the search core builds from them; on P5 at R = 1 the required
+# balls are the points themselves.
+BAD_UNIONS = [
+    # point 4 in no union: Lebesgue number 0 < R
+    (lambda: min_dimension_cover_exact(path_space(5), 1, 2), [0b00011, 0b01100]),
+    # one union of diameter 4 > B = 1
+    (lambda: min_dimension_cover_exact(path_space(5), 1, 1), [0b11111]),
+    # points 1 and 2 in two unions each: dimension 1 at cap 1
+    (lambda: min_dimension_cover_exact(path_space(5), 1, 2), [0b00011, 0b00110, 0b11100]),
+    # the whole of P20 as one union: mesh 19 > 4R = 4
+    (lambda: greedy_cover(path_space(20), 1), [(1 << 20) - 1]),
+]
+
+
+@pytest.mark.parametrize("estimate, unions", BAD_UNIONS,
+                         ids=["point-in-no-union", "exact-mesh-above-B",
+                              "dimension-not-cap-minus-1", "greedy-mesh-above-4R"])
+def test_estimators_check_their_postconditions(monkeypatch, estimate, unions):
+    monkeypatch.setattr(coarsedim.estimation, "_serve_groups",
+                        lambda needs, reaches, cap=None: unions)
+    with pytest.raises(InternalInvariantError):
+        estimate()
 
 
 @pytest.mark.parametrize("R, dim", [(1, 0), (2, 3), (3, 3)])

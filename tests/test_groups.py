@@ -59,6 +59,26 @@ def test_element_order_and_inverse():
     assert g.index("5") == 5
 
 
+def test_elements_and_mul_table_cannot_be_reassigned():
+    # The group keeps its identity, found from the table at construction.
+    g = cyclic_group(2)
+    for field, value in (("mul_table", ((1, 0), (0, 1))), ("elements", ("a", "b"))):
+        with pytest.raises(AttributeError, match=f"the {field} of"):
+            setattr(g, field, value)
+    assert (g.elements, g.mul_table, g.identity) == (("0", "1"), ((0, 1), (1, 0)), 0)
+    g.name = "C2"
+    assert g.name == "C2" and g.index("1") == 1
+    with pytest.raises(KeyError, match="unknown element 'a' in group 'C2'"):
+        g.index("a")
+
+
+def test_a_left_identity_is_not_enough():
+    # Both rows are 0, 1 (both elements are left identities), but neither
+    # column is, so the table has no two-sided identity.
+    with pytest.raises(ValueError, match="'half' has no two-sided identity"):
+        FiniteGroup(["a", "b"], [[0, 1], [0, 1]], name="half")
+
+
 def test_action_constructor_rejects_non_bijections():
     m = path_space(3)
     g = cyclic_group(2)

@@ -188,6 +188,23 @@ def test_point_lookup():
         m.check_point(True)
 
 
+def test_points_and_dist_cannot_be_reassigned():
+    # The space keeps values derived from them (integer rows, diameter), so
+    # a new table would leave those stale: validate_metric would pass this
+    # one, with its two triangle violations, and the diameter would stay 2.
+    m = path_space(3)
+    m.diameter()
+    bent = ((0, 5, 1), (5, 0, 1), (1, 1, 0))
+    assert len(validate_metric(FiniteMetricSpace(m.points, bent))) == 2
+    for field, value in (("dist", bent), ("points", ("a", "b", "c"))):
+        with pytest.raises(AttributeError, match=f"the {field} of"):
+            setattr(m, field, value)
+    assert m.dist == path_space(3).dist and m.points == ("0", "1", "2")
+    assert validate_metric(m) == [] and m.diameter() == 2
+    m.name = "renamed"      # the label is not part of the geometry
+    assert m.name == "renamed" and m.index("2") == 2
+
+
 def test_graph_metric_square_with_diagonal():
     m = build_graph_metric(["a", "b", "c", "d"],
                            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),

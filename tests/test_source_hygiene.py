@@ -23,14 +23,20 @@ check_indices and check_count tell a bool from an int for every caller).
 And one keeps a single way out of a space's integer rows: no module but
 metric calls Fraction with a denominator that is not a literal
 (FiniteMetricSpace._scalar turns every integer entry into its distance).
+One keeps a single search core: estimation._serve_groups is called from
+estimation._search alone, which both estimators run.  And one keeps the
+Python floor that pyproject.toml declares: every module of the package and
+of the tests parses with that version's grammar.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coarsedim"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "coarsedim"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -283,3 +289,80 @@ def test_the_checker_finds_computed_fractions():
                          ids=[p.name for p in MODULES if p.name != "metric.py"])
 def test_only_metric_computes_a_fraction(path):
     assert computed_fractions(path.read_text(encoding="utf-8")) == []
+
+
+def serve_group_calls(sources: dict[str, str]) -> list[str]:
+    """One line per call of _serve_groups, under any import name, naming
+    the module (file name -> source) and the top-level definition it sits
+    in, or <module>."""
+    out = []
+    for module, text in sorted(sources.items()):
+        for top in ast.parse(text).body:
+            where = getattr(top, "name", "<module>")
+            out.extend(f"{module}: {where}" for node in ast.walk(top)
+                       if isinstance(node, ast.Call)
+                       and (node.func.attr if isinstance(node.func, ast.Attribute)
+                            else getattr(node.func, "id", None)) == "_serve_groups")
+    return out
+
+
+def test_the_checker_finds_serve_group_calls():
+    sources = {
+        "a.py": ("def _serve_groups(needs):\n"
+                 "    return needs\n"
+                 "def _search(needs):\n"
+                 "    return _serve_groups(needs)\n"
+                 "def greedy(needs):\n"
+                 "    step = _serve_groups\n"
+                 "    return [_serve_groups(n) for n in needs], step\n"),
+        "b.py": ("from . import a\n"
+                 "FIRST = a._serve_groups(0)\n"
+                 "class Search:\n"
+                 "    def run(self):\n"
+                 "        return a._serve_groups(1)\n"),
+    }
+    assert serve_group_calls(sources) == [
+        "a.py: _search", "a.py: greedy", "b.py: <module>", "b.py: Search",
+    ]
+
+
+def test_one_search_core():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    assert serve_group_calls(sources) == ["estimation.py: _search"]
+
+
+FLOOR = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                                 (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+                  .groups()))
+FLOOR_MODULES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def above_floor(source: str, floor: tuple[int, int] = FLOOR) -> list[str]:
+    """The syntax error, as one line, of parsing the source with the grammar
+    of Python `floor`; none if it parses."""
+    try:
+        ast.parse(source, feature_version=floor)
+    except SyntaxError as exc:
+        return [f"line {exc.lineno}: {exc.msg}"]
+    return []
+
+
+def test_the_checker_finds_syntax_above_the_floor():
+    assert FLOOR == (3, 10)
+    match = ("match point:\n"
+             "    case (x, y):\n"
+             "        pass\n")
+    groups = ("try:\n"
+              "    pass\n"
+              "except* ValueError:\n"
+              "    pass\n")
+    assert above_floor(match) == []
+    assert above_floor(match, (3, 9)) != []
+    assert len(above_floor(groups)) == 1    # the message differs by version
+
+
+@pytest.mark.parametrize("path", FLOOR_MODULES,
+                         ids=[f"{p.parent.name}/{p.name}" for p in FLOOR_MODULES])
+def test_every_module_parses_at_the_floor(path):
+    assert above_floor(path.read_text(encoding="utf-8")) == []
