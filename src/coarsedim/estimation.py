@@ -64,12 +64,22 @@ def _ball_masks(m: FiniteMetricSpace, r: Scalar, within) -> list[int]:
     """For each point p, the mask of the points q with within(d(p, q), r):
     the closed r-balls for operator.le, the open ones for operator.lt.
     Under le at r = B, a point set has diameter <= B exactly when it is a
-    clique of the graph these masks describe.  They compare integer rows
-    with floor(r * scale) for le and ceil(r * scale) for lt, exactly."""
-    bits = [1 << q for q in range(len(m))]
+    clique of the graph these masks describe.  An entry k of the integer
+    rows is within r exactly when k <= cut, for cut floor(r * scale) under
+    le and ceil(r * scale) - 1 under lt.  On the byte table (see
+    FiniteMetricSpace.byte_table) one translate maps every entry to the
+    digit "1" or "0", and each row, reversed, is read as a base-2 int; any
+    other table's rows are compared with cut entry by entry."""
     cut = r * m.integer_scale()
-    cut = math.floor(cut) if within is le else math.ceil(cut)
-    return [sum(compress(bits, map(within, row, repeat(cut)))) for row in m.integer_rows()]
+    cut = math.floor(cut) if within is le else math.ceil(cut) - 1
+    flat = m.byte_table()
+    if flat is None:
+        bits = [1 << q for q in range(len(m))]
+        return [sum(compress(bits, map(le, row, repeat(cut)))) for row in m.integer_rows()]
+    n = len(m)
+    k = min(max(cut + 1, 0), 256)     # the bytes 0..cut
+    digits = flat.translate(b"1" * k + b"0" * (256 - k))[::-1]
+    return [int(digits[s:s + n], 2) for s in range(n * n - n, -1, -n)]
 
 
 def _reach(mask: int, near: Sequence[int]) -> int:

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd
-from operator import add
+from operator import add, le
 from typing import Mapping, Sequence
 
 from .covers import Cover, Decomposition
 from .groups import FiniteGroup, IsometricAction, cyclic_group
-from .metric import (FiniteMetricSpace, Scalar, ball, build_graph_metric, check_count,
+from .metric import (FiniteMetricSpace, Scalar, _ball, build_graph_metric, check_count,
                      check_scalar, is_scalar)
 
 
@@ -232,12 +232,12 @@ def random_cover(space: FiniteMetricSpace, seed: int) -> Cover:
     n = len(space)
     radii = sorted(set(chain.from_iterable(space.dist)))
     small = radii[:max(2, len(radii) * 2 // 3)]
-    members = [ball(space, rng.randrange(n), rng.choice(small))
+    members = [_ball(space, rng.randrange(n), rng.choice(small), le)
                for _ in range(rng.randint(1, 3))]
     covered = set().union(*members)
     for x in range(n):
         if x not in covered:
-            members.append(ball(space, x, rng.choice(small)))
+            members.append(_ball(space, x, rng.choice(small), le))
             covered |= members[-1]
     return Cover(space, dict.fromkeys(members), name=f"{space.name}_cover_s{seed}")
 

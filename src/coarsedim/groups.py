@@ -51,10 +51,17 @@ class FiniteGroup:
         if len(mul) != n:
             raise ValueError(f"multiplication table has {len(mul)} rows for {n} elements")
         table = tuple(map(tuple, mul))
-        for i, row in enumerate(table):
-            if len(row) != n:
-                raise ValueError(f"multiplication table row {i} has length {len(row)}")
-            check_indices(row, n, f"a table entry in row {i}")
+        # The whole table in one pass and, only if that fails, row by row,
+        # so that the first fault in reading order is named.
+        try:
+            if set(map(len, table)) != {n}:
+                raise ValueError("a row of another length")
+            check_indices(tuple(itertools.chain.from_iterable(table)), n, "a table entry")
+        except ValueError:
+            for i, row in enumerate(table):
+                if len(row) != n:
+                    raise ValueError(f"multiplication table row {i} has length {len(row)}")
+                check_indices(row, n, f"a table entry in row {i}")
         every = tuple(range(n))     # the identity's row and its column
         for identity in every:
             if table[identity] == every and tuple(map(itemgetter(identity), table)) == every:

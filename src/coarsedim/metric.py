@@ -98,11 +98,15 @@ class FiniteMetricSpace:
 
     The table is stored as given; nothing about the metric axioms is
     assumed at construction time.  Run validate_metric to get the report.
-    `points` and `dist` cannot be reassigned; `name` can.
+    `points` and `dist` cannot be reassigned; `name` can.  The space keeps
+    forms derived from its table, each built once: its integer rows, its
+    diameter and, when every integer entry is in 0..255, its byte table
+    (the integer rows in one bytes object), which the metric check and the
+    search's ball masks read in C.
     """
 
     __setattr__ = _refusing("points", "dist")
-    _index = _diameter = None   # each built on first use, and kept
+    _index = _diameter = _bytes = None   # each built on first use, and kept
 
     def __init__(self, points: Sequence[str], dist: Sequence[Sequence[Scalar]],
                  name: str = "space"):
@@ -192,6 +196,18 @@ class FiniteMetricSpace:
         value = Fraction(k, scale)
         return value.numerator if value.denominator == 1 else value
 
+    def byte_table(self) -> bytes | None:
+        """integer_rows() as one bytes object, row after row, n bytes a row:
+        row i is bytes(integer_rows()[i]).  None when an entry is outside
+        0..255 (the table then has no byte form).  Built on first use and
+        kept, like the integer rows."""
+        if self._bytes is None:
+            try:
+                self._bytes = b"".join(map(bytes, self.integer_rows()))
+            except ValueError:      # an entry outside 0..255
+                self._bytes = b""
+        return self._bytes or None
+
     def diameter(self) -> Scalar:
         """The largest entry of the table, the space's diameter: found on
         integer_rows(), computed on first use and kept, like them."""
@@ -222,40 +238,46 @@ def validate_metric(m: FiniteMetricSpace) -> list[Violation]:
     """Exhaustive check of the metric axioms; lists every violated pair/triple.
 
     A valid table is recognised by an all-clear pass that is exact, not a
-    filter: the table is taken as the space's integer rows (see
-    FiniteMetricSpace.integer_rows) and each row is packed into one int with
-    a fixed-width lane per point and a guard bit at the top of every lane.
-    Each row's distinct values are sorted once, before packing: the row
-    maxima they end with set the lane width, and those after the 0 are the
-    levels of the walk below.  A row packs as bytes(row) on one-byte lanes
-    (every entry below 64), as one machine array on 2-, 4- or 8-byte lanes,
-    and entry by entry on wider ones.  For a pair (i, j), row_j +
+    filter.  It reads the space's byte table (see
+    FiniteMetricSpace.byte_table) when the table has one, else its integer
+    rows.  On the byte table every pre-check is a C-level pass: identity
+    and positivity hold when the table has n zeros, all on the diagonal
+    flat[::n+1]; symmetry, when each column flat[j::n] equals row j.  On
+    the integer rows they are checked row by row.
+
+    Each row is then packed into one int with a fixed-width lane per point
+    and a guard bit at the top of every lane.  A byte table is packed by
+    slicing it (on one-byte lanes) or a copy spread to 2-byte lanes; other
+    tables by packing each row as one machine array on 2-, 4- or 8-byte
+    lanes, and entry by entry on others.  For a pair (i, j), row_j +
     d(i,j)*ONES + GUARDS - row_i keeps every guard bit exactly when d(i,k)
     <= d(i,j) + d(j,k) for every k: lanes are wide enough that no lane
     carries into or borrows from its neighbour, so the big-int sum is the
     lane-wise sum.
 
-    The pass checks that sum only for i's neighbours, found by walking the
-    distinct values of row i upwards: at each value, the lanes not yet
-    covered become neighbours j and are checked, and each neighbour covers
-    every k with d(i,k) >= d(i,j) + d(j,k) (read off the same sum).  The
-    walk stops once every lane is a neighbour or covered.  That is exact,
-    by strong induction on d(i,j): a neighbour is checked directly; any
-    other j is covered by a nearer neighbour j1 with d(j1,j) <= d(i,j) -
-    d(i,j1) < d(i,j), so d(i,k) <= d(i,j1) + d(j1,k) <= d(i,j1) + d(j1,j) +
-    d(j,k) <= d(i,j) + d(j,k).  On a graph metric the neighbours are the
-    graph's edges, so grids, paths, cycles, random graphs and their
-    quotients take about n * (degree + levels) big-int steps, where the
-    levels are the distinct values walked; a dense table in which no pair
-    has a third point on a geodesic makes every pair a neighbour and takes
-    about n**2 steps, each a few big-int operations.
+    The pass checks that sum only for i's neighbours, found by walking
+    thresholds upwards: at each, the lanes not yet covered that lie within
+    it become neighbours j and are checked, and each neighbour covers every
+    k with d(i,k) >= d(i,j) + d(j,k) (read off the same sum).  The walk
+    stops once every lane is a neighbour or covered.  On one-byte lanes
+    (every entry below 64) the thresholds are 1, 2, ..., 63; otherwise they
+    are the distinct values of row i, sorted.  A threshold that is no entry
+    of row i finds no lane and adds none.  That is exact, by strong
+    induction on d(i,j): a neighbour is checked directly; any other j is
+    covered by a nearer neighbour j1 with d(j1,j) <= d(i,j) - d(i,j1) <
+    d(i,j), so d(i,k) <= d(i,j1) + d(j1,k) <= d(i,j1) + d(j1,j) + d(j,k) <=
+    d(i,j) + d(j,k).  On a graph metric the neighbours are the graph's
+    edges, so grids, paths, cycles, random graphs and their quotients take
+    about n * (degree + levels) big-int steps, where the levels are the
+    thresholds walked; a dense table in which no pair has a third point on
+    a geodesic makes every pair a neighbour and takes about n**2 steps,
+    each a few big-int operations.
 
-    A negative entry needs no scan of its own: the lanes are unsigned, so
-    packing its row raises ValueError (bytes, on one-byte lanes) or
-    OverflowError (array and int.to_bytes, on wider ones), and the pass
-    fails.  When the pass fails, the per-triple listing below runs and
-    reports every violation, in the same order and with the same messages
-    whichever way the answer was reached.
+    A negative entry needs no scan of its own: such a table has no byte
+    form, and the lanes are unsigned, so packing its row raises
+    OverflowError (array and int.to_bytes), and the pass fails.  When the pass fails, the per-triple
+    listing below runs and reports every violation, in the same order and
+    with the same messages whichever way the answer was reached.
     """
     if _all_clear(m):
         return []
@@ -270,46 +292,72 @@ def _integer_rows(dist) -> tuple[int, tuple[tuple[int, ...], ...]]:
                         for row in dist)
 
 
-#: Row packers by lane width in bytes: bytes for one, else a machine array.
-_LANES = {**{array(code).itemsize: partial(array, code) for code in "HIQ"}, 1: bytes}
+#: Row packers by lane width in bytes, for a table with no byte form: a
+#: machine array on 2-, 4- and 8-byte lanes.
+_LANES = {array(code).itemsize: partial(array, code) for code in "HIQ"}
+
+#: The bytes 0..63; a byte table with no other byte fits one-byte lanes.
+_SIX_BITS = bytes(range(64))
 
 
 def _all_clear(m: FiniteMetricSpace) -> bool:
     """Whether the table satisfies every metric axiom (see validate_metric).
 
-    Nothing scans for a negative entry: the checks before packing pass or
-    fail whatever the signs, and packing a row with a negative entry into
-    unsigned lanes raises, which is a failed pass."""
+    Nothing scans for a negative entry: a table with one has no byte form,
+    the row-by-row checks before packing pass or fail whatever the signs,
+    and packing a row with a negative entry into unsigned lanes raises,
+    which is a failed pass."""
     n = len(m)
-    rows = m.integer_rows()
-    for i, row in enumerate(rows):
-        # With nonnegative entries (a negative one fails the packing
-        # below), a zero diagonal and one zero per row is identity plus
-        # positivity.
-        if row[i] != 0 or row.count(0) != 1:
+    flat = m.byte_table()
+    if flat is not None:
+        # Entries are 0..255: n zeros, all on the diagonal, is identity
+        # plus positivity.
+        if flat.count(0) != n or flat[::n + 1] != bytes(n) or any(
+                flat[j::n] != flat[j * n:(j + 1) * n] for j in range(n)):
             return False
-    if any(row != col for row, col in zip(rows, zip(*rows))):
-        return False
+        bits = 8 if flat.translate(None, _SIX_BITS) else 6
+    else:
+        rows = m.integer_rows()
+        for i, row in enumerate(rows):
+            # With nonnegative entries (a negative one fails the packing
+            # below), a zero diagonal and one zero per row is identity plus
+            # positivity.
+            if row[i] != 0 or row.count(0) != 1:
+                return False
+        if any(row != col for row, col in zip(rows, zip(*rows))):
+            return False
+        bits = max(map(max, rows)).bit_length()
     # A lane holds d(j,k) + d(i,j) + guard - d(i,k) with every entry below
     # 2**bits, so it stays in [guard - 2**bits, 2 * guard) and the guard bit
     # is set exactly when the triangle inequality holds.  One less, it stays
     # nonnegative and keeps the guard bit exactly when d(i,k) < d(i,j) +
     # d(j,k), that is, when j does not cover k.  Levels: see validate_metric.
-    levels = [sorted(set(row)) for row in rows]
-    bits = max(map(itemgetter(-1), levels)).bit_length()
     lane_bytes = (bits + 2 + 7) // 8
     if lane_bytes <= 8:
         lane_bytes = 1 << (lane_bytes - 1).bit_length()
-    order = sys.byteorder
-    lane = _LANES.get(lane_bytes) or (
-        lambda row: b"".join(v.to_bytes(lane_bytes, order) for v in row))
     width = 8 * lane_bytes
-    ones = int.from_bytes(lane([1] * n), order)
+    ones = ((1 << n * width) - 1) // ((1 << width) - 1)
     guards = ones << (bits + 1)
-    try:
-        packed = list(map(int.from_bytes, map(lane, rows), repeat(order)))
-    except (ValueError, OverflowError):  # a negative entry
-        return False
+    if flat is not None:
+        spread = flat   # each entry in the low byte of its lane
+        if lane_bytes > 1:
+            spread = bytearray(lane_bytes * n * n)
+            spread[::lane_bytes] = flat
+        size = lane_bytes * n
+        packed = [int.from_bytes(spread[k:k + size], "little")
+                  for k in range(0, len(spread), size)]
+    else:
+        order = sys.byteorder
+        lane = _LANES.get(lane_bytes) or (
+            lambda row: b"".join(v.to_bytes(lane_bytes, order) for v in row))
+        try:
+            packed = list(map(int.from_bytes, map(lane, rows), repeat(order)))
+        except OverflowError:  # a negative entry
+            return False
+    # One-byte lanes hold a byte table: a table with no byte form and
+    # entries below 64 has a negative entry, and its packing failed.
+    levels = repeat(range(1, 64)) if lane_bytes == 1 else [
+        sorted(set(row))[1:] for row in m.integer_rows()]
     shifted = [p + guards for p in packed]
     survived = guards
     for i, (p_i, row_levels) in enumerate(zip(packed, levels)):
@@ -318,7 +366,9 @@ def _all_clear(m: FiniteMetricSpace) -> bool:
         # neighbour leaves once checked, and so does each j with d(i,j) >=
         # d(i,j1) + d(j1,j) for a checked neighbour j1.
         uncovered = guards ^ (1 << (i * width + bits + 1))
-        for d_ij in row_levels[1:]:
+        for d_ij in row_levels:
+            if not uncovered:
+                break
             step = d_ij * ones - p_i
             # Every nearer lane is covered, so these are the lanes at d_ij.
             new = (step + guards) & uncovered
@@ -328,8 +378,6 @@ def _all_clear(m: FiniteMetricSpace) -> bool:
                 lanes = shifted[top // width] + step
                 survived &= lanes
                 uncovered &= lanes - ones
-            if not uncovered:
-                break
     return survived == guards
 
 
@@ -433,8 +481,7 @@ def ball(m: FiniteMetricSpace, x: int, r: Scalar, mode: str = "closed") -> froze
     check_scalar(r, "radius")
     if mode not in ("closed", "open"):
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
-    within = le if mode == "closed" else lt
-    return frozenset(compress(range(len(m)), map(within, m.dist[x], repeat(r))))
+    return _ball(m, x, r, le if mode == "closed" else lt)
 
 
 def diameter(m: FiniteMetricSpace, s: Iterable[int]) -> Scalar:
@@ -447,8 +494,14 @@ def set_distance(m: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]):
     return _set_distance(m, set(m.check_points(tuple(a))), set(m.check_points(tuple(b))))
 
 
-# The unchecked forms below are for point sets already known to be indices
-# of m, such as cover members; they skip the per-element range check.
+# The unchecked forms below are for points already known to be indices of
+# m, such as cover members, and radii known to be exact; they skip the checks.
+
+def _ball(m: FiniteMetricSpace, x: int, r: Scalar, within) -> frozenset[int]:
+    """The points q with within(d(x, q), r): the closed ball for
+    operator.le, the open one for operator.lt."""
+    return frozenset(compress(range(len(m)), map(within, m.dist[x], repeat(r))))
+
 
 def _diameter(m: FiniteMetricSpace, s: Iterable[int],
               rows_of: Iterable[int] | None = None) -> Scalar:

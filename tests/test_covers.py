@@ -2,16 +2,18 @@
 
 import random
 from fractions import Fraction
+from operator import le
 
 import pytest
 
 from coarsedim import (INF, Cover, CoverCertificate, Decomposition, FiniteMetricSpace,
-                       ball_meet_count, certify, check_equivariance, cyclic_group,
+                       ball, ball_meet_count, certify, check_equivariance, cyclic_group,
                        decomposition_to_cover, dihedral_group, dimension,
                        equivariant_cover_pipeline, is_r_disjoint,
                        lebesgue_number, mesh, pushforward_cover, quotient,
                        scalar_str, validate_cover, validate_decomposition,
                        verify_certificate)
+from coarsedim import generators
 from coarsedim.generators import (cycle_space, grid_space, path_reflection_action,
                                   path_space, random_cover,
                                   random_decomposition, random_graph_space,
@@ -135,6 +137,21 @@ def test_random_cover_members_are_pinned():
     ]
     for m, seed, members in pinned:
         assert [sorted(u) for u in random_cover(m, seed).members] == members
+
+
+def test_random_cover_draws_the_checked_balls(monkeypatch):
+    # random_cover reads its balls through the unchecked metric._ball: its
+    # centres and radii come from the space.  With the checked ball in its
+    # place, every seed draws the same cover.
+    g = random_graph_space(9, 4, max_weight=3)
+    spaces = [path_space(7), cycle_space(6), grid_space(4, 3), g,
+              FiniteMetricSpace(g.points, [[Fraction(v, 3) for v in row] for row in g.dist]),
+              random_invariant_instance(dihedral_group(3), 3, 5)[0]]
+    covers = [random_cover(m, seed) for m in spaces for seed in range(12)]
+    monkeypatch.setattr(generators, "_ball", lambda m, x, r, within: ball(
+        m, x, r, "closed" if within is le else "open"))
+    checked = [random_cover(m, seed) for m in spaces for seed in range(12)]
+    assert [(c.name, c.members) for c in covers] == [(c.name, c.members) for c in checked]
 
 
 def test_ball_meet_count():

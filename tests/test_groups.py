@@ -79,6 +79,28 @@ def test_a_left_identity_is_not_enough():
         FiniteGroup(["a", "b"], [[0, 1], [0, 1]], name="half")
 
 
+@pytest.mark.parametrize("bad, message", [
+    (6, "a table entry in row 3 must be an int in range(6), got 6"),
+    (-1, "a table entry in row 3 must be an int in range(6), got -1"),
+    (True, "a table entry in row 3 must be an int in range(6), got True"),
+    ("2", "a table entry in row 3 must be an int in range(6), got '2'"),
+    (None, "multiplication table row 3 has length 5"),
+])
+def test_group_table_names_its_first_fault(bad, message):
+    # The whole table is checked in one pass; a fault is then named by its
+    # row, and only the first in reading order: row 3 here, although row 5
+    # has a bad entry too.
+    mul = [list(row) for row in cyclic_group(6).mul_table]
+    mul[5][0] = 9
+    if bad is None:
+        del mul[3][2]
+    else:
+        mul[3][2] = bad
+    with pytest.raises(ValueError) as raised:
+        FiniteGroup([str(i) for i in range(6)], mul)
+    assert str(raised.value) == message
+
+
 def test_action_constructor_rejects_non_bijections():
     m = path_space(3)
     g = cyclic_group(2)

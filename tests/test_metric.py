@@ -153,7 +153,9 @@ def test_validate_metric_flags_each_axiom():
 def test_generator_outputs_pass_the_all_clear_check():
     # Every space the generators make, and the quotient of each canonical
     # action, is a metric that the all-clear pass accepts on its own, so
-    # that loading it never falls through to the per-triple listing.
+    # that loading it never falls through to the per-triple listing.  Each
+    # has a byte table, whose rows are bytes(row) of its integer rows; a
+    # 258-point path, whose entries reach 257, has none and passes too.
     spaces = [path_space(12), cycle_space(11), grid_space(3, 5), grid_space(30, 30),
               cayley_ball_space(30, (1, 7, 11), 2), random_graph_space(40, 7),
               random_graph_space(150, 3, edge_chance=Fraction(1, 50), max_weight=5)]
@@ -165,8 +167,14 @@ def test_generator_outputs_pass_the_all_clear_check():
                          ("grid", {"w": "30", "h": "30"}), ("grid", {"w": "4", "h": "7"})):
         spaces.append(quotient(generate_instance(kind, params).action).space)
     for m in spaces:
+        n, flat = len(m), m.byte_table()
+        assert [flat[k:k + n] for k in range(0, n * n, n)] == list(
+            map(bytes, m.integer_rows())), m.name
         assert _all_clear(m), m.name
         assert validate_metric(m) == [], m.name
+    long = path_space(258)
+    assert long.byte_table() is None
+    assert _all_clear(long) and validate_metric(long) == []
 
 
 def test_equality_ignores_name():

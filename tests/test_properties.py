@@ -2,14 +2,16 @@
 the mesh and the dimension against the definitions, on int, Fraction,
 mixed and int-subclass tables, and their per-orbit measurement of an
 invariant cover against the measurement at every point; the all-clear
-metric and action checks against their full listings; the bitmask exact
-search against the partition oracle, with its covers' Lebesgue
-number and mesh by the definitions; the greedy first descent's Lebesgue
-number, mesh and dimension against the definitions; the ball masks on
-integer rows against the table compared entry by entry; the lift's translated
-pieces against pieces measured at every coset's own point; every distance
-computed from a table in canonical form; and the document writer against
-json.dumps."""
+metric and action checks against their full listings, the metric check's
+byte-table kernels included, at the 63/64 and 255/256 boundaries and on
+tables breaking one pre-check; the bitmask exact search against the
+partition oracle, with its covers' Lebesgue number and mesh by the
+definitions; the greedy first descent's Lebesgue number, mesh and
+dimension against the definitions; the ball masks on integer rows and
+byte tables against the table compared entry by entry; the lift's
+translated pieces against pieces measured at every coset's own point;
+every distance computed from a table in canonical form; and the document
+writer against json.dumps."""
 
 import json
 import math
@@ -329,6 +331,9 @@ def tables(draw):
 # d(i,j) + d(j,k) - 1, one unit short of the geodesic test.
 @example(table([[0, 2, 4, 1, 6], [2, 0, 2, 2, 3], [4, 2, 0, 4, 2],
                 [1, 2, 4, 0, 5], [6, 3, 2, 5, 0]]))
+# n zeros and symmetric, with no triangle broken, yet two of the zeros are
+# off the diagonal: the zero count alone passes it.
+@example(table([[1, 2, 2, 3], [2, 0, 0, 2], [2, 0, 0, 2], [3, 2, 2, 1]]))
 # Past the 20 points drawn above: one more breaks 196 triangles through the
 # corners, one less is still a metric, passed by the walk alone.
 @example(grid_corners_moved(1))
@@ -385,6 +390,89 @@ def test_validate_metric_at_machine_lane_boundaries():
                 assert validate_metric(m) == listing
                 assert _all_clear(m) == (listing == [])
     assert {6, 7, 14, 15, 30, 31, 62, 63, 100} <= widths
+
+
+@st.composite
+def broken_once(draw):
+    """A graph metric on 2 to 12 points, scaled so that its entries reach
+    below 64, below 256 or beyond, with exactly one pre-check of the
+    all-clear pass broken: an asymmetric pair, an off-diagonal zero, a
+    nonzero diagonal entry or a negative pair."""
+    n = draw(st.integers(2, 12))
+    base = random_graph_space(n, draw(st.integers(0, 10 ** 6)),
+                              max_weight=draw(st.integers(1, 5)))
+    factor = draw(st.sampled_from((1, 3, 9, 21, 60, 200)))
+    dist = [[factor * v for v in row] for row in base.dist]
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+    fault = draw(st.sampled_from(("symmetry", "zero", "diagonal", "negative")))
+    value = draw(st.integers(1, 300))
+    if fault == "symmetry":
+        dist[i][j] += value if draw(st.booleans()) else -min(value, dist[i][j] - 1) or 1
+    elif fault == "diagonal":
+        dist[i][i] = value
+    else:
+        dist[i][j] = dist[j][i] = 0 if fault == "zero" else -value
+    return fault, table(dist)
+
+
+@given(broken_once())
+def test_byte_kernels_find_each_broken_pre_check(problem):
+    fault, m = problem
+    listing = _list_violations(m)
+    kinds = {v.kind for v in listing}
+    assert {"symmetry": "symmetry", "zero": "positivity", "diagonal": "identity",
+            "negative": "positivity"}[fault] in kinds
+    assert (m.byte_table() is None) == (fault == "negative" or
+                                        max(map(max, m.integer_rows())) > 255)
+    assert not _all_clear(m)
+    assert validate_metric(m) == listing
+
+
+@pytest.mark.parametrize("top", [63, 64, 255, 256, 2 ** 14 - 1, 2 ** 14, 2 ** 30 - 1,
+                                 2 ** 30, 2 ** 62 - 1])
+def test_byte_kernels_at_the_byte_boundaries(top):
+    # Points on a line at 0, 1, 63, 64, 255 and 256 (those below top) and
+    # at top: its entries include 63, 64, 255 and 256 as far as top goes,
+    # and top sets the lane, of 1, 2, 4 or 8 bytes.  Every entry moved by
+    # one in turn crosses 63/64 or 255/256 (in and out of one-byte lanes
+    # or of the byte table), or makes an off-diagonal zero.
+    xs = sorted({x for x in (0, 1, 63, 64, 255, 256) if x < top} | {top})
+    base = [[abs(x - y) for y in xs] for x in xs]
+    variants = [base]
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            for step in (1, -1):
+                dist = [list(row) for row in base]
+                dist[i][j] = dist[j][i] = base[i][j] + step
+                variants.append(dist)
+    with_bytes = set()
+    for dist in variants:
+        m = table(dist)
+        with_bytes.add(m.byte_table() is not None)
+        assert (m.byte_table() is None) == (max(map(max, dist)) > 255)
+        listing = _list_violations(m)
+        assert validate_metric(m) == listing
+        assert _all_clear(m) == (listing == [])
+    assert with_bytes == {top <= 256, top < 255}
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 3), Fraction(5, 2)])
+@pytest.mark.parametrize("top", [255, 257])
+def test_ball_masks_at_the_byte_cuts(scale, top):
+    # A line metric with entries 0..top, scaled: with integer entries up to
+    # 255 the masks come from the byte table, beyond it entry by entry.
+    # The radii put the largest entry within at -1, 0, 1, 254, 255, 256 and
+    # 257, exactly and half a unit above, as Fractions on scaled tables.
+    xs = (0, 1, 2, 128, 254, 255, top)
+    m = table([[scale * abs(x - y) for y in xs] for x in xs])
+    unit = Fraction(1, m.integer_scale())
+    assert (m.byte_table() is None) == (max(map(max, m.integer_rows())) > 255)
+    for cut in (-1, 0, 1, 254, 255, 256, 257):
+        for r in (cut * unit, (cut + Fraction(1, 2)) * unit, (cut + 1) * unit):
+            for within in (le, lt):
+                assert _ball_masks(m, r, within) == [
+                    sum(1 << q for q, v in enumerate(row) if within(v, r)) for row in m.dist]
 
 
 def one_point_action(order):
