@@ -246,10 +246,10 @@ def validate_metric(m: FiniteMetricSpace) -> list[Violation]:
     the integer rows they are checked row by row.
 
     Each row is then packed into one int with a fixed-width lane per point
-    and a guard bit at the top of every lane.  A byte table is packed by
-    slicing it (on one-byte lanes) or a copy spread to 2-byte lanes; other
-    tables by packing each row as one machine array on 2-, 4- or 8-byte
-    lanes, and entry by entry on others.  For a pair (i, j), row_j +
+    and a guard bit at the top of every lane.  On one-byte lanes (every
+    entry below 64) a row of the byte table is its packed row as it
+    stands.  On wider lanes each integer row is packed as one machine
+    array on 2-, 4- or 8-byte lanes, and entry by entry on others.  For a pair (i, j), row_j +
     d(i,j)*ONES + GUARDS - row_i keeps every guard bit exactly when d(i,k)
     <= d(i,j) + d(j,k) for every k: lanes are wide enough that no lane
     carries into or borrows from its neighbour, so the big-int sum is the
@@ -275,9 +275,10 @@ def validate_metric(m: FiniteMetricSpace) -> list[Violation]:
 
     A negative entry needs no scan of its own: such a table has no byte
     form, and the lanes are unsigned, so packing its row raises
-    OverflowError (array and int.to_bytes), and the pass fails.  When the pass fails, the per-triple
-    listing below runs and reports every violation, in the same order and
-    with the same messages whichever way the answer was reached.
+    OverflowError (array and int.to_bytes), and the pass fails.  When the
+    pass fails, the per-triple listing below runs and reports every
+    violation, in the same order and with the same messages whichever way
+    the answer was reached.
     """
     if _all_clear(m):
         return []
@@ -292,7 +293,7 @@ def _integer_rows(dist) -> tuple[int, tuple[tuple[int, ...], ...]]:
                         for row in dist)
 
 
-#: Row packers by lane width in bytes, for a table with no byte form: a
+#: Row packers by lane width in bytes, for lanes wider than one byte: a
 #: machine array on 2-, 4- and 8-byte lanes.
 _LANES = {array(code).itemsize: partial(array, code) for code in "HIQ"}
 
@@ -308,6 +309,7 @@ def _all_clear(m: FiniteMetricSpace) -> bool:
     and packing a row with a negative entry into unsigned lanes raises,
     which is a failed pass."""
     n = len(m)
+    rows = m.integer_rows()
     flat = m.byte_table()
     if flat is not None:
         # Entries are 0..255: n zeros, all on the diagonal, is identity
@@ -317,7 +319,6 @@ def _all_clear(m: FiniteMetricSpace) -> bool:
             return False
         bits = 8 if flat.translate(None, _SIX_BITS) else 6
     else:
-        rows = m.integer_rows()
         for i, row in enumerate(rows):
             # With nonnegative entries (a negative one fails the packing
             # below), a zero diagonal and one zero per row is identity plus
@@ -338,14 +339,9 @@ def _all_clear(m: FiniteMetricSpace) -> bool:
     width = 8 * lane_bytes
     ones = ((1 << n * width) - 1) // ((1 << width) - 1)
     guards = ones << (bits + 1)
-    if flat is not None:
-        spread = flat   # each entry in the low byte of its lane
-        if lane_bytes > 1:
-            spread = bytearray(lane_bytes * n * n)
-            spread[::lane_bytes] = flat
-        size = lane_bytes * n
-        packed = [int.from_bytes(spread[k:k + size], "little")
-                  for k in range(0, len(spread), size)]
+    if lane_bytes == 1 and flat is not None:
+        # Each row of the byte table is already its packed row.
+        packed = [int.from_bytes(flat[k:k + n], "little") for k in range(0, n * n, n)]
     else:
         order = sys.byteorder
         lane = _LANES.get(lane_bytes) or (
@@ -357,7 +353,7 @@ def _all_clear(m: FiniteMetricSpace) -> bool:
     # One-byte lanes hold a byte table: a table with no byte form and
     # entries below 64 has a negative entry, and its packing failed.
     levels = repeat(range(1, 64)) if lane_bytes == 1 else [
-        sorted(set(row))[1:] for row in m.integer_rows()]
+        sorted(set(row))[1:] for row in rows]
     shifted = [p + guards for p in packed]
     survived = guards
     for i, (p_i, row_levels) in enumerate(zip(packed, levels)):
