@@ -18,8 +18,8 @@ points to the components' reads one index derived from the components.
 
 Of the builders here only build_sspace takes a name (the sspace reader
 passes the document's); the others name what they build after their inputs
-(`P9_cover_s4_pushed`, `C6_head2`, `Z2_on_U`); to rename an object, set its
-`.name` or call its constructor.
+(`P9_cover_s4_pushed`, `C6_head2`, `Z2_on_U`); to rename an object, call
+its constructor.
 """
 
 from __future__ import annotations

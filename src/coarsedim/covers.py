@@ -62,7 +62,7 @@ only such actions.  With no action, a cover that is not invariant or a
 whole-space member, every point and member is measured.
 
 certify keeps the dimension, Lebesgue number and mesh it measures on the
-Cover, keyed on its `space` and `members`; verify_certificate ignores them.
+Cover, whose fields cannot be reassigned; verify_certificate ignores them.
 What the space keeps (its integer rows, which a loaded or quotient table
 gets from the pass that builds it, and its diameter) belongs to the table,
 not to certify's record, and both use it.
@@ -80,8 +80,9 @@ from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, Violation
 from .groups import IsometricAction
-from .metric import (INF, FiniteMetricSpace, Scalar, _diameter, _set_distance, check_count,
-                     check_indices, check_nonnegative, check_scalar)
+from .metric import (INF, FiniteMetricSpace, Scalar, _construct, _diameter, _no_reassignment,
+                     _set_distance, check_count, check_indices, check_nonnegative,
+                     check_scalar)
 
 
 def _point_sets(space: FiniteMetricSpace, sets: Iterable[Iterable[int]],
@@ -109,12 +110,13 @@ class Cover:
     instead of half-rejected.
     """
 
+    __setattr__ = _no_reassignment
+    _measured = None    # certify's dimension, Lebesgue number and mesh, kept
+
     def __init__(self, space: FiniteMetricSpace, members: Iterable[Iterable[int]],
                  name: str = "cover"):
-        self.space = space
-        self.members = _point_sets(space, members, "member {}")
-        self.name = str(name)
-        self._measured = (None, None)
+        _construct(self, space=space, members=_point_sets(space, members, "member {}"),
+                   name=str(name))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -129,13 +131,14 @@ class Decomposition:
     pieces together must cover the space.  Families may be empty.
     """
 
+    __setattr__ = _no_reassignment
+
     def __init__(self, space: FiniteMetricSpace, r: Scalar,
                  families: Iterable[Iterable[Iterable[int]]], name: str = "decomposition"):
-        self.space = space
-        self.r = check_nonnegative(r, "r")
-        self.families = tuple(_point_sets(space, family, f"family {fi} piece {{}}")
-                              for fi, family in enumerate(families))
-        self.name = str(name)
+        _construct(self, space=space, r=check_nonnegative(r, "r"),
+                   families=tuple(_point_sets(space, family, f"family {fi} piece {{}}")
+                                  for fi, family in enumerate(families)),
+                   name=str(name))
 
     def __repr__(self) -> str:
         return (f"Decomposition({self.name!r}, {len(self.families)} families "
@@ -385,16 +388,16 @@ def _certificate(c: Cover, measured: tuple, meet_radius: Scalar | None,
 def certify(c: Cover, meet_radius: Scalar | None = None,
             action: IsometricAction | None = None) -> CoverCertificate:
     """Every certified quantity of the cover.  Dimension, Lebesgue number and
-    mesh are measured again only after `space` or `members` is reassigned;
-    with an action that leaves the cover invariant, once per orbit.
+    mesh are measured on the first call and kept on the cover; with an
+    action that leaves the cover invariant, once per orbit.
 
     c.space must be a metric (validate_metric(c.space) == []): the
     Lebesgue number is computed with the metric axioms.  An action must be
     valid (validate_action(action) == []): the orbit measurement uses it."""
     witness, firsts = (None, None) if action is None else _member_orbits(action, c)
-    if c._measured[:2] != (c.space, c.members):
-        c._measured = (c.space, c.members, *_measure(c, action, firsts))
-    return _certificate(c, c._measured[2:], meet_radius,
+    if c._measured is None:
+        c._measured = _measure(c, action, firsts)
+    return _certificate(c, c._measured, meet_radius,
                         None if action is None else witness is None)
 
 
@@ -410,12 +413,7 @@ def verify_certificate(c: Cover, cert: CoverCertificate,
     witness, firsts = (None, None) if action is None else _member_orbits(action, c)
     fresh = _certificate(c, _measure(c, action, firsts), cert.meet_radius,
                          None if action is None else witness is None)
-    out = []
-    for field in ("dimension", "lebesgue", "mesh", "ball_meet", "equivariant"):
-        claimed = getattr(cert, field)
-        actual = getattr(fresh, field)
-        if claimed != actual:
-            out.append(Violation("certificate", (field,),
-                                 f"{field}: certificate says {claimed}, "
-                                 f"recomputed {actual}"))
-    return out
+    return [Violation("certificate", (field,),
+                      f"{field}: certificate says {claimed}, recomputed {actual}")
+            for (field, claimed), actual in zip(vars(cert).items(), vars(fresh).values())
+            if claimed != actual]

@@ -192,6 +192,13 @@ def _search(m: FiniteMetricSpace, R: Scalar, B: Scalar, caps: Iterable[int | Non
     raise InternalInvariantError(f"{name}: every cap failed, every required ball a clique")
 
 
+def _point_cap(max_points) -> int:
+    """max_points, refused unless it is a count (check_count) of at least 1."""
+    if isinstance(max_points, int) and max_points < 1:
+        raise ValueError(f"max_points must be at least 1, got {max_points}")
+    return check_count(max_points, "max_points")
+
+
 def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
                               max_points: int = EXACT_POINT_CAP
                               ) -> Cover | Infeasible:
@@ -200,7 +207,7 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
     _search at caps 1, 2, ..., so the dimension is minimal."""
     check_positive(R, "R")
     check_nonnegative(B, "B")
-    if len(m) > max_points:
+    if len(m) > _point_cap(max_points):
         raise CapExceededError(
             f"exact search is capped at {max_points} points and {m.name!r} has "
             f"{len(m)}; use greedy_cover for larger spaces")
@@ -224,12 +231,11 @@ def _estimate_cover(m: FiniteMetricSpace, R: Scalar, B: Scalar | None, mode: str
     """The cover at scale R that `mode` asks for, with the mesh bound the
     search ran under: None when greedy ran, whose 4R is its own bound.
     "exact" searches under B, or 4R when B is None; "greedy" runs the first
-    descent; "auto" searches within max_points points, which must be >= 1.
+    descent; "auto" searches within max_points points (see _point_cap).
     """
     if mode not in ("auto", "exact", "greedy"):
         raise ValueError(f"mode must be auto, exact or greedy, got {mode!r}")
-    if max_points < 1:
-        raise ValueError(f"max_points must be at least 1, got {max_points}")
+    _point_cap(max_points)
     if B is not None:
         check_nonnegative(B, "B")    # in every mode, whatever the space's size
     if mode == "greedy" or (mode == "auto" and len(m) > max_points):

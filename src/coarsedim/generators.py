@@ -7,7 +7,7 @@ reproduced from its parameters alone.
 
 Each generator names what it builds after its parameters (`P9`, `C6_rot3`,
 `grid3x3_halfturn`, `P9_cover_s4`) and takes no name of its own; to rename
-an object, set its `.name` or call its constructor.
+an object, call its constructor.
 """
 
 from __future__ import annotations

@@ -6,24 +6,23 @@ exhaustive checks and brute-force searches are the honest tool.
 
 Only the constructors FiniteGroup and IsometricAction take a name.  The
 builders here name what they build after their inputs (`Z4`, `D3`,
-`Z2+Z3`, `P9_mod_Z2`, `Z2+Z2_via_P9_reflect`); to rename an object, set its
-`.name` or call its constructor.
+`Z2+Z3`, `P9_mod_Z2`, `Z2+Z2_via_P9_reflect`); to rename an object, call
+its constructor.
 
-quotient keeps the QuotientSpace it builds on the action, keyed on the
-action's `group`, `space` and `perms` and on the quotient space's name.
-What that space keeps (its integer rows and its diameter) then serves
-every caller of quotient(a).
+quotient keeps the QuotientSpace it builds on the action, whose fields
+cannot be reassigned.  What that space keeps (its integer rows and its
+diameter) then serves every caller of quotient(a).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import is_not, itemgetter
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, Violation
-from .metric import FiniteMetricSpace, _refusing, check_index, check_indices
+from .metric import FiniteMetricSpace, _construct, _no_reassignment, check_index, check_indices
 
 # Guardrails on the brute-force constructions, not tuning knobs.
 ISOMORPHISM_ORDER_CAP = 12
@@ -35,10 +34,10 @@ class FiniteGroup:
 
     mul[a][b] is the index of (a * b).  A two-sided identity must exist or construction
     fails; associativity and inverses are validate_group's job, so broken tables can
-    still be loaded and reported on.  `elements` and `mul_table` cannot be reassigned.
+    still be loaded and reported on.  No attribute can be reassigned.
     """
 
-    __setattr__ = _refusing("elements", "mul_table")
+    __setattr__ = _no_reassignment
 
     def __init__(self, elements: Sequence[str], mul: Sequence[Sequence[int]],
                  name: str = "group"):
@@ -68,11 +67,8 @@ class FiniteGroup:
                 break
         else:
             raise ValueError(f"group {str(name)!r} has no two-sided identity")
-        put = object.__setattr__
-        put(self, "elements", elements)
-        put(self, "mul_table", table)
-        put(self, "name", str(name))
-        put(self, "identity", identity)
+        _construct(self, elements=elements, mul_table=table, name=str(name),
+                   identity=identity)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -169,22 +165,22 @@ class IsometricAction:
     isometry property are validate_action's job.
     """
 
+    __setattr__ = _no_reassignment
+    _quotient = None    # quotient(self), built on first use and kept
+
     def __init__(self, group: FiniteGroup, space: FiniteMetricSpace,
                  perms: Sequence[Sequence[int]], name: str = "action"):
-        self.group = group
-        self.space = space
         if len(perms) != len(group):
             raise ValueError(f"{len(perms)} permutations for {len(group)} group elements")
         n = len(space)
-        self.perms = tuple(map(tuple, perms))
-        for g, perm in enumerate(self.perms):
+        perms = tuple(map(tuple, perms))
+        for g, perm in enumerate(perms):
             check_indices(perm, n, f"an image under {group.elements[g]!r}")
             if len(perm) != n or len(set(perm)) != n:
                 raise ValueError(
                     f"permutation for {group.elements[g]!r} is not a bijection on "
                     f"{n} points")
-        self.name = str(name)
-        self._quotient = (None, None, None, None)
+        _construct(self, group=group, space=space, perms=perms, name=str(name))
 
     def __repr__(self) -> str:
         return (f"IsometricAction({self.name!r}: {self.group.name!r} "
@@ -297,15 +293,10 @@ def quotient(a: IsometricAction) -> QuotientSpace:
     group element, and kept as the quotient's, at the space's scale; the
     table holds the distances they stand for (FiniteMetricSpace._scalar).
 
-    The result is kept on the action.  It is built again only after
-    `group`, `space` or `perms` is reassigned, or the space, the group or
-    the kept quotient space is renamed.
+    The result is kept on the action, and every later call returns it.
     """
-    made = (a.group, a.space, a.perms)
-    name = f"{a.space.name}_mod_{a.group.name}"
-    *kept_from, kept = a._quotient
-    if not any(map(is_not, kept_from, made)) and kept.space.name == name:
-        return kept
+    if a._quotient is not None:
+        return a._quotient
     orbs = orbits(a)
     m = a.space
     reps = [orb[0] for orb in orbs]
@@ -324,10 +315,9 @@ def quotient(a: IsometricAction) -> QuotientSpace:
         back = {k: m._scalar(k) for k in set(itertools.chain.from_iterable(table))}
         dist = [map(back.__getitem__, row) for row in table]
     orbit_of = tuple(i for _, i in sorted((x, i) for i, orb in enumerate(orbs) for x in orb))
-    space = FiniteMetricSpace._built(qpoints, dist, name, scale, table)
-    q = QuotientSpace(space, m, orbit_of, tuple(orbs))
-    a._quotient = (*made, q)
-    return q
+    space = FiniteMetricSpace._built(qpoints, dist, f"{m.name}_mod_{a.group.name}", scale, table)
+    a._quotient = QuotientSpace(space, m, orbit_of, tuple(orbs))
+    return a._quotient
 
 
 def generated_subgroup(g: FiniteGroup, generators: Iterable[int]) -> tuple[int, ...]:
@@ -453,22 +443,23 @@ class DirectSum:
     splits a sum element back into component indices.
     """
 
+    __setattr__ = _no_reassignment
+
     def __init__(self, components: Sequence[FiniteGroup]):
-        self.components = tuple(components)
-        if not self.components:
+        comps = tuple(components)
+        if not comps:
             raise ValueError("direct sum needs at least one component")
-        comps = self.components
         tuples = list(itertools.product(*(range(len(g)) for g in comps)))
-        self._tuples = tuples
         index = {t: i for i, t in enumerate(tuples)}
         names = ["(" + ",".join(g.elements[a] for g, a in zip(comps, t)) + ")"
                  for t in tuples]
         mul = [[index[tuple(g.mul(a, b) for g, a, b in zip(comps, t, u))] for u in tuples]
                for t in tuples]
-        self.group = FiniteGroup(names, mul, name="+".join(g.name for g in comps))
         ident = tuple(g.identity for g in comps)
-        self.injections = [tuple(index[ident[:j] + (a,) + ident[j + 1:]] for a in range(len(g)))
-                           for j, g in enumerate(comps)]
+        injections = tuple(tuple(index[ident[:j] + (a,) + ident[j + 1:]] for a in range(len(g)))
+                           for j, g in enumerate(comps))
+        _construct(self, components=comps, injections=injections, _tuples=tuples,
+                   group=FiniteGroup(names, mul, name="+".join(g.name for g in comps)))
 
     def project(self, element: int) -> tuple[int, ...]:
         return self._tuples[element]

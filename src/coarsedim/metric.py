@@ -83,14 +83,19 @@ def check_indices(values, n: int, what: str):
     return values
 
 
-def _refusing(*fixed: str):
-    """A __setattr__ refusing to reassign `fixed`, whose kept values would go
-    stale; constructors write past it, with object.__setattr__."""
-    def __setattr__(self, name, value):
-        if name in fixed:
-            raise AttributeError(f"the {name} of {self!r} cannot be reassigned")
-        object.__setattr__(self, name, value)
-    return __setattr__
+def _no_reassignment(self, name, value):
+    """The __setattr__ of every core object: a public attribute is set only
+    by its constructor, with _construct; a private one is a kept form, set
+    once.  So nothing kept can go stale."""
+    if not name.startswith("_") or name in vars(self):
+        raise AttributeError(f"the {name} of {self!r} cannot be reassigned")
+    object.__setattr__(self, name, value)
+
+
+def _construct(obj, **fields) -> None:
+    """Set a core object's fields, from its constructor, past the rule."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
 
 
 class FiniteMetricSpace:
@@ -98,15 +103,15 @@ class FiniteMetricSpace:
 
     The table is stored as given; nothing about the metric axioms is
     assumed at construction time.  Run validate_metric to get the report.
-    `points` and `dist` cannot be reassigned; `name` can.  The space keeps
-    forms derived from its table, each built once: its integer rows, its
-    diameter and, when every integer entry is in 0..255, its byte table
-    (the integer rows in one bytes object), which the metric check and the
-    search's ball masks read in C.
+    No attribute can be reassigned.  The space keeps forms derived from its
+    table, each built once: its integer rows, its diameter and, when every
+    integer entry is in 0..255, its byte table (the integer rows in one
+    bytes object), which the metric check and the search's ball masks read
+    in C.
     """
 
-    __setattr__ = _refusing("points", "dist")
-    _index = _diameter = _bytes = None   # each built on first use, and kept
+    __setattr__ = _no_reassignment
+    _index = _diameter = _bytes = _scale = _integers = None     # kept forms, each set once
 
     def __init__(self, points: Sequence[str], dist: Sequence[Sequence[Scalar]],
                  name: str = "space"):
@@ -150,9 +155,9 @@ class FiniteMetricSpace:
                                      f"expected {n}")
                 for j, v in enumerate(row):
                     check_scalar(v, f"dist[{i}][{j}]")
-        for key, value in (("points", points), ("dist", rows), ("name", str(name)),
-                           ("_scale", scale), ("_integers", rows if scale == 1 else integers)):
-            object.__setattr__(self, key, value)
+        _construct(self, points=points, dist=rows, name=str(name))
+        if scale is not None:
+            self._scale, self._integers = scale, rows if scale == 1 else integers
 
     def __len__(self) -> int:
         return len(self.points)
@@ -228,7 +233,7 @@ class FiniteMetricSpace:
             return NotImplemented
         return self.points == other.points and self.dist == other.dist
 
-    __hash__ = None  # mutable enough; never used as a dict key
+    __hash__ = None  # never used as a dict key
 
     def __repr__(self) -> str:
         return f"FiniteMetricSpace({self.name!r}, {len(self)} points)"
@@ -249,11 +254,11 @@ def validate_metric(m: FiniteMetricSpace) -> list[Violation]:
     and a guard bit at the top of every lane.  On one-byte lanes (every
     entry below 64) a row of the byte table is its packed row as it
     stands.  On wider lanes each integer row is packed as one machine
-    array on 2-, 4- or 8-byte lanes, and entry by entry on others.  For a pair (i, j), row_j +
-    d(i,j)*ONES + GUARDS - row_i keeps every guard bit exactly when d(i,k)
-    <= d(i,j) + d(j,k) for every k: lanes are wide enough that no lane
-    carries into or borrows from its neighbour, so the big-int sum is the
-    lane-wise sum.
+    array on 2-, 4- or 8-byte lanes, and entry by entry on others.  For a
+    pair (i, j), row_j + d(i,j)*ONES + GUARDS - row_i keeps every guard bit
+    exactly when d(i,k) <= d(i,j) + d(j,k) for every k: lanes are wide
+    enough that no lane carries into or borrows from its neighbour, so the
+    big-int sum is the lane-wise sum.
 
     The pass checks that sum only for i's neighbours, found by walking
     thresholds upwards: at each, the lanes not yet covered that lie within

@@ -652,6 +652,28 @@ def test_estimate_ambiguous_space_exits_two(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["quotient"], "no action was loaded; pass one and select it with --action"),
+    (["estimate", "--R", "1"], "no space was loaded; pass one and select it with --space"),
+], ids=["no-action", "no-space"])
+def test_a_command_with_nothing_of_its_kind_loaded_exits_two(tmp_path, capsys, argv,
+                                                            message):
+    group = next(f for f in generate_path_instance(tmp_path, capsys) if ".group." in f)
+    out_dir = tmp_path / "out"
+    assert run(capsys, *argv, group, "--out", str(out_dir)) == \
+        (2, [], [{"error": "resolution", "message": message}])
+    assert not out_dir.exists()
+
+
+def test_profile_refuses_a_scale_list_with_no_scale(tmp_path, capsys):
+    files = generate_path_instance(tmp_path, capsys)
+    out_dir = tmp_path / "out"
+    assert run(capsys, "profile", *files, "--scales", ",", "--out", str(out_dir)) == \
+        (1, [], [{"error": "validation",
+                  "message": "--scales needs at least one scale, e.g. --scales 1,2"}])
+    assert not out_dir.exists()
+
+
 def test_pushforward_flow(tmp_path, capsys):
     files = generate_path_instance(tmp_path, capsys)
     space = next(f for f in files if ".space." in f)

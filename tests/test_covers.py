@@ -267,14 +267,33 @@ def test_verify_certificate_measures_the_raw_cover_once(lebesgue_calls):
     assert len(lebesgue_calls) == 3
 
 
-def test_certify_measures_again_after_reassignment(lebesgue_calls):
+def test_certify_keeps_its_measurement_as_the_cover_cannot_change(lebesgue_calls):
     c = halves_cover()
     assert certify(c) == certify(c) == CoverCertificate(dimension=1, lebesgue=1,
                                                         mesh=2)
     assert len(lebesgue_calls) == 1
-    c.members = (frozenset(range(5)),)
-    assert certify(c) == CoverCertificate(dimension=0, lebesgue=INF, mesh=4)
-    assert len(lebesgue_calls) == 2
-    c.space = cycle_space(5)
-    assert certify(c) == CoverCertificate(dimension=0, lebesgue=INF, mesh=2)
-    assert len(lebesgue_calls) == 3
+    for field, value in (("members", (frozenset(range(5)),)), ("space", cycle_space(5))):
+        with pytest.raises(AttributeError, match=f"the {field} of"):
+            setattr(c, field, value)
+    with pytest.raises(AttributeError, match="the _measured of"):
+        c._measured = (0, INF, 4)
+    assert certify(c) == CoverCertificate(dimension=1, lebesgue=1, mesh=2)
+    assert len(lebesgue_calls) == 1
+    # Another cover is another Cover, measured once in its turn.
+    whole = Cover(c.space, [range(5)], name="whole")
+    assert certify(whole) == certify(whole) == CoverCertificate(dimension=0,
+                                                                lebesgue=INF, mesh=4)
+    assert lebesgue_calls == ["halves", "whole"]
+
+
+def test_a_member_off_the_space_cannot_be_slipped_in():
+    # Reassigning members used to skip the constructor's check: this cover
+    # then certified dimension 0, Lebesgue number INF and mesh 2 with a
+    # point 7 that the 3-point path does not have.
+    m = path_space(3)
+    c = Cover(m, [{0, 1, 2}])
+    with pytest.raises(AttributeError, match="the members of"):
+        c.members = ({0, 1, 2}, {7})
+    assert c.members == (frozenset({0, 1, 2}),)
+    with pytest.raises(ValueError, match=r"must be an int in range\(3\), got 7"):
+        Cover(m, [{0, 1, 2}, {7}])

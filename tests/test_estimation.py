@@ -89,6 +89,22 @@ def test_exact_rejects_bad_scales():
         min_dimension_cover_exact(path_space(5), 1.5, 2)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (0, "max_points must be at least 1, got 0"),
+    (True, "max_points must be a nonnegative int, got True"),
+    (2.5, "max_points must be a nonnegative int, got 2.5"),
+    (None, "max_points must be a nonnegative int, got None"),
+], ids=["zero", "bool", "float", "none"])
+def test_max_points_is_a_count_of_at_least_one_on_every_path(bad, message):
+    # The exact search itself, and each mode of the profile, whether or not
+    # it would search: one check, one message.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        min_dimension_cover_exact(path_space(5), 1, 2, max_points=bad)
+    for mode in ("auto", "exact", "greedy"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            asdim_profile(path_space(5), [1], mode=mode, max_points=bad)
+
+
 @pytest.mark.parametrize("mode", ["auto", "exact", "greedy"])
 @pytest.mark.parametrize("n", [10, 20])
 def test_a_negative_mesh_bound_is_refused_in_every_mode(mode, n):

@@ -426,12 +426,15 @@ def test_load_entry_reports_validator_violations():
     ("group", "elements", None, "group file is missing 'elements'"),
     ("decomposition", "r", "zz", "bad scalar 'zz'"),
     ("space", "dist", 5, "bad space: 'int' object is not iterable"),
-], ids=["missing-key", "bad-scalar", "wrong-type"])
+    ("action", "perm", {"0": [0, 1, 2, 3, 4]},
+     "action is missing the permutation for '1'"),
+], ids=["missing-key", "bad-scalar", "wrong-type", "missing-permutation"])
 def test_load_entry_reports_a_malformed_field_once(kind, field, value, message):
     fx = fixtures()
     d = {"group": group_to_dict(fx["group"]),
          "decomposition": decomposition_to_dict(fx["decomp"]),
-         "space": space_to_dict(fx["space"])}[kind]
+         "space": space_to_dict(fx["space"]),
+         "action": action_to_dict(fx["action"])}[kind]
     if value is None:
         del d[field]
     else:

@@ -66,10 +66,52 @@ def test_elements_and_mul_table_cannot_be_reassigned():
         with pytest.raises(AttributeError, match=f"the {field} of"):
             setattr(g, field, value)
     assert (g.elements, g.mul_table, g.identity) == (("0", "1"), ((0, 1), (1, 0)), 0)
-    g.name = "C2"
-    assert g.name == "C2" and g.index("1") == 1
+    # Nor can the name: renaming is building the group again.
+    with pytest.raises(AttributeError, match="the name of"):
+        g.name = "C2"
+    renamed = FiniteGroup(g.elements, g.mul_table, name="C2")
+    assert renamed == g and renamed.name == "C2" and renamed.index("1") == 1
     with pytest.raises(KeyError, match="unknown element 'a' in group 'C2'"):
-        g.index("a")
+        renamed.index("a")
+
+
+def test_the_identity_cannot_be_reassigned():
+    # It was found from the table; another would make the generated
+    # subgroup of no generators (1,), which is no subgroup of Z3.
+    g = cyclic_group(3)
+    with pytest.raises(AttributeError, match="the identity of"):
+        g.identity = 1
+    assert g.identity == 0 and generated_subgroup(g, []) == (0,)
+
+
+@pytest.mark.parametrize("elements, mul, message", [
+    ([], [], "a group needs at least one element"),
+    (["a", "a"], [[0, 1], [1, 0]], "element names must be distinct"),
+    (["a", "b"], [[0, 1]], "multiplication table has 1 rows for 2 elements"),
+], ids=["no-element", "duplicate-element", "row-count"])
+def test_group_names_a_bad_shape(elements, mul, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FiniteGroup(elements, mul)
+
+
+def test_an_element_with_no_inverse_is_named():
+    # e is a two-sided identity, and a*a = a: a has no inverse, and its
+    # powers never reach e.
+    g = FiniteGroup(["e", "a"], [[0, 1], [1, 1]], name="monoid")
+    with pytest.raises(ValueError, match="^element 'a' of 'monoid' has no inverse$"):
+        g.inverse(1)
+    with pytest.raises(ValueError, match="^element 'a' generates no finite cycle; "
+                                         "table is not a group$"):
+        g.element_order(1)
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (cyclic_group, (0,), "cyclic group order must be >= 1"),
+    (direct_sum, ([],), "direct sum needs at least one component"),
+], ids=["cyclic", "direct-sum"])
+def test_group_builders_refuse_an_empty_group(make, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(*args)
 
 
 def test_a_left_identity_is_not_enough():
@@ -213,30 +255,44 @@ def test_quotient_is_kept_on_its_action():
     assert quotient(a) is quotient(a)
 
 
-def _copy_space(a, q):
-    a.space = FiniteMetricSpace(a.space.points, a.space.dist, name=a.space.name)
-
-
-@pytest.mark.parametrize("change, name", [
-    (_copy_space, "C4_mod_Z2"),
-    (lambda a, q: setattr(a, "group", cyclic_group(2)), "C4_mod_Z2"),
-    (lambda a, q: setattr(a, "perms", tuple(list(a.perms))), "C4_mod_Z2"),
-    (lambda a, q: setattr(a, "perms", ((0, 1, 2, 3), (0, 3, 2, 1))), "C4_mod_Z2"),
-    (lambda a, q: setattr(a.space, "name", "renamed"), "renamed_mod_Z2"),
-    (lambda a, q: setattr(a.group, "name", "C2"), "C4_mod_C2"),
-    (lambda a, q: setattr(q.space, "name", "mine"), "C4_mod_Z2"),
+@pytest.mark.parametrize("target, field, value, name", [
+    ("action", "space", lambda a: FiniteMetricSpace(a.space.points, a.space.dist,
+                                                    name=a.space.name), "C4_mod_Z2"),
+    ("action", "group", lambda a: cyclic_group(2), "C4_mod_Z2"),
+    ("action", "perms", lambda a: tuple(list(a.perms)), "C4_mod_Z2"),
+    ("action", "perms", lambda a: ((0, 1, 2, 3), (0, 3, 2, 1)), "C4_mod_Z2"),
+    ("space", "name", lambda a: "renamed", "renamed_mod_Z2"),
+    ("group", "name", lambda a: "C2", "C4_mod_C2"),
+    ("quotient", "name", lambda a: "mine", "C4_mod_Z2"),
 ], ids=["space-copied", "group-copied", "perms-copied", "perms-reflection",
         "space-renamed", "group-renamed", "quotient-renamed"])
-def test_quotient_is_built_again_after_its_inputs_change(change, name):
+def test_quotient_is_built_again_after_its_inputs_change(target, field, value, name):
+    # An input changes only through a constructor.  Reassigning it (on the
+    # action, its space or group, or the kept quotient space) is refused
+    # and leaves the kept quotient as it was; a new action on the changed
+    # inputs builds its own quotient, named after them.
     a = cycle_rotation_action(cycle_space(4), 2)
     q = quotient(a)
-    change(a, q)
-    fresh = quotient(a)
-    assert fresh is not q and quotient(a) is fresh
-    assert fresh.space.name == name and fresh.source is a.space
-    built = quotient(IsometricAction(a.group, a.space, a.perms))
-    assert ((fresh.space.points, fresh.space.dist, fresh.orbit_of, fresh.fibers)
-            == (built.space.points, built.space.dist, built.orbit_of, built.fibers))
+    new = value(a)
+    obj = {"action": a, "space": a.space, "group": a.group, "quotient": q.space}[target]
+    with pytest.raises(AttributeError, match=f"the {field} of"):
+        setattr(obj, field, new)
+    assert quotient(a) is q and q.space.name == "C4_mod_Z2" and q.source is a.space
+    inputs = {"group": a.group, "space": a.space, "perms": a.perms}
+    if target == "action":
+        inputs[field] = new
+    elif target == "space":
+        inputs["space"] = FiniteMetricSpace(a.space.points, a.space.dist, name=new)
+    elif target == "group":
+        inputs["group"] = FiniteGroup(a.group.elements, a.group.mul_table, name=new)
+    changed = IsometricAction(**inputs)
+    fresh = quotient(changed)
+    assert fresh is not q and quotient(changed) is fresh
+    assert fresh.space.name == name and fresh.source is changed.space
+    for i, fiber in enumerate(fresh.fibers):
+        for j, other in enumerate(fresh.fibers):
+            assert fresh.space.dist[i][j] == quotient_distance_direct(changed, fiber[0],
+                                                                       other[0])
 
 
 def test_a_quotient_space_is_frozen():

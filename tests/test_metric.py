@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from coarsedim import (INF, Cover, FiniteMetricSpace, asdim_profile, ball,
+from coarsedim import (INF, Cover, Decomposition, FiniteMetricSpace, asdim_profile, ball,
                        build_graph_metric, certify, cyclic_group, dihedral_group,
-                       diameter, greedy_cover, is_r_disjoint, quotient, set_distance,
-                       validate_action, validate_metric)
+                       diameter, direct_sum, greedy_cover, is_r_disjoint, quotient,
+                       set_distance, validate_action, validate_metric)
 from coarsedim.generators import (cayley_ball_space, cycle_space, generate_instance,
-                                  grid_space, path_reflection_action, path_space,
-                                  random_graph_space, random_invariant_instance)
+                                  grid_rotation_action, grid_space, path_reflection_action,
+                                  path_space, random_graph_space, random_invariant_instance)
 from coarsedim.metric import _all_clear, _list_violations, check_positive
 
 from oracles import dijkstra_metric, floyd_warshall_metric
@@ -209,8 +209,45 @@ def test_points_and_dist_cannot_be_reassigned():
             setattr(m, field, value)
     assert m.dist == path_space(3).dist and m.points == ("0", "1", "2")
     assert validate_metric(m) == [] and m.diameter() == 2
-    m.name = "renamed"      # the label is not part of the geometry
-    assert m.name == "renamed" and m.index("2") == 2
+    # Nor can the name: renaming is building the space again.
+    with pytest.raises(AttributeError, match="the name of"):
+        m.name = "renamed"
+    renamed = FiniteMetricSpace(m.points, m.dist, name="renamed")
+    assert renamed == m and renamed.name == "renamed" and renamed.index("2") == 2
+
+
+def _core_objects():
+    """One object of each core class, by field name: every public field its
+    constructor sets."""
+    m = path_space(3)
+    a = path_reflection_action(m)
+    return [(m, ("points", "dist", "name")),
+            (a.group, ("elements", "mul_table", "name", "identity")),
+            (a, ("group", "space", "perms", "name")),
+            (Cover(m, [[0, 1, 2]]), ("space", "members", "name")),
+            (Decomposition(m, 1, [[[0, 1, 2]]]), ("space", "r", "families", "name")),
+            (direct_sum([a.group]), ("components", "group", "injections"))]
+
+
+@pytest.mark.parametrize("kind, field", [
+    (type(obj).__name__, field) for obj, fields in _core_objects() for field in fields])
+def test_no_public_field_can_be_reassigned(kind, field):
+    obj = next(obj for obj, _ in _core_objects() if type(obj).__name__ == kind)
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError, match=f"^the {field} of {re.escape(repr(obj))} "
+                                             f"cannot be reassigned$"):
+        setattr(obj, field, before)
+    assert getattr(obj, field) is before
+
+
+def test_a_core_object_takes_no_new_field_and_keeps_each_form_once():
+    m = path_space(3)
+    with pytest.raises(AttributeError, match="the label of"):
+        m.label = "P"
+    assert m.diameter() == 2
+    with pytest.raises(AttributeError, match="the _diameter of"):
+        m._diameter = 5
+    assert m.diameter() == 2
 
 
 def test_graph_metric_square_with_diagonal():
@@ -221,6 +258,16 @@ def test_graph_metric_square_with_diagonal():
     assert m.d(m.index("a"), m.index("c")) == 1
     assert m.d(m.index("b"), m.index("d")) == 2
     assert validate_metric(m) == []
+
+
+@pytest.mark.parametrize("vertices, edges, weights, message", [
+    (["a", "a"], [], None, "vertex names must be distinct"),
+    ([], [], None, "a graph metric needs at least one vertex"),
+    (["a", "b", "c"], [("a", "b"), ("b", "c")], [1], "1 weights for 2 edges"),
+], ids=["duplicate-vertex", "no-vertex", "weight-count"])
+def test_graph_metric_names_a_bad_shape(vertices, edges, weights, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_graph_metric(vertices, edges, weights)
 
 
 def test_graph_metric_rejects_bad_input():
@@ -249,6 +296,33 @@ def test_generators_reject_sizes_that_are_not_counts():
     for make, args, what in cases:
         with pytest.raises(ValueError, match=f"^{what} must be a nonnegative int, got "):
             make(*args)
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (path_space, (0,), "path needs at least one vertex"),
+    (cycle_space, (2,), "cycle needs at least three vertices"),
+    (grid_space, (0, 3), "grid needs positive dimensions"),
+    (grid_rotation_action, (grid_space(2, 3), 3, 3), "grid dimensions do not match the space"),
+    (cayley_ball_space, (0, [1], 1), "cyclic order must be >= 1"),
+    (random_graph_space, (0, 0), "need at least one vertex"),
+    (random_graph_space, (3, 0, Fraction(1, 2), 0), "max_weight must be >= 1"),
+    (random_invariant_instance, (cyclic_group(2), 0, 0), "base_size must be >= 1"),
+], ids=["path", "cycle", "grid", "grid-rotation", "cayley-ball", "random-graph",
+        "random-graph-weight", "invariant-instance"])
+def test_generators_refuse_a_size_below_their_least(make, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(*args)
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("torus", {}, "unknown instance kind 'torus'"),
+    ("cycle", {"action": "spin"}, "unknown cycle action 'spin'"),
+    ("cayley-ball", {"gens": "1", "radius": "1"}, "missing parameter 'n'"),
+    ("grid", {"w": "2.5"}, "parameter 'w' must be an integer, got '2.5'"),
+], ids=["kind", "cycle-action", "missing", "not-an-integer"])
+def test_generate_instance_names_a_bad_request(kind, params, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_instance(kind, params)
 
 
 def test_random_graph_space_refuses_an_inexact_edge_chance():

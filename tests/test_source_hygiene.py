@@ -26,7 +26,10 @@ metric calls Fraction with a denominator that is not a literal
 One keeps a single search core: estimation._serve_groups is called from
 estimation._search alone, which both estimators run.  And one keeps the
 Python floor that pyproject.toml declares: every module of the package and
-of the tests parses with that version's grammar.
+of the tests parses with that version's grammar.  The last keeps one rule
+for what a core object keeps: object.__setattr__ is called in metric alone,
+by the rule (_no_reassignment) and the constructors' helper (_construct),
+and the rule is the __setattr__ of every core class.
 """
 
 import ast
@@ -366,3 +369,41 @@ def test_the_checker_finds_syntax_above_the_floor():
                          ids=[f"{p.parent.name}/{p.name}" for p in FLOOR_MODULES])
 def test_every_module_parses_at_the_floor(path):
     assert above_floor(path.read_text(encoding="utf-8")) == []
+
+
+def setattr_calls(sources: dict[str, str]) -> list[str]:
+    """One line per call of object.__setattr__, naming the module (file name
+    -> source) and the top-level definition it sits in, or <module>."""
+    out = []
+    for module, text in sorted(sources.items()):
+        for top in ast.parse(text).body:
+            where = getattr(top, "name", "<module>")
+            out.extend(f"{module}: {where}" for node in ast.walk(top)
+                       if isinstance(node, ast.Call)
+                       and ast.unparse(node.func) == "object.__setattr__")
+    return out
+
+
+def test_the_checker_finds_setattr_calls():
+    sources = {
+        "a.py": ("def _rule(self, name, value):\n"
+                 "    object.__setattr__(self, name, value)\n"
+                 "class Space:\n"
+                 "    def __init__(self, points):\n"
+                 "        object.__setattr__(self, 'points', points)\n"
+                 "        setattr(self, 'name', 'x')\n"),
+        "b.py": "object.__setattr__(FLAG, 'on', True)\n",
+    }
+    assert setattr_calls(sources) == ["a.py: _rule", "a.py: Space", "b.py: <module>"]
+
+
+def test_one_rule_for_what_a_core_object_keeps():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    assert setattr_calls(sources) == ["metric.py: _no_reassignment", "metric.py: _construct"]
+    import coarsedim
+    from coarsedim.metric import _no_reassignment
+    core = ("FiniteMetricSpace", "FiniteGroup", "IsometricAction", "Cover",
+            "Decomposition", "DirectSum")
+    assert {name: getattr(coarsedim, name).__setattr__ for name in core} == \
+        dict.fromkeys(core, _no_reassignment)
