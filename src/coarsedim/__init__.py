@@ -2,22 +2,16 @@
 
 Exact-arithmetic metric spaces, finite isometric group actions and their
 quotients, covers with certified dimension/mesh/Lebesgue data, pushforward
-and equivariant-lift constructions, weighted disjoint unions, and exact and
-greedy estimation of cover dimension at finite scales — plus JSON formats
-and a CLI tying it together.
+and equivariant-lift constructions, and exact and greedy estimation of
+cover dimension at finite scales — plus JSON formats and a CLI tying it
+together.
 """
 
-from .constructions import (CommuteWitness, LiftMember, LiftPiece, LiftTrace,
-                            SSpace, build_sspace, lift_equivariant,
-                            merge_decompositions, pushforward_cover,
-                            restrict_decomposition, sspace_componentwise_action,
-                            sspace_quotient_commute, sub_sspace,
-                            displacement_subgroup)
-from .covers import (Cover, CoverCertificate, Decomposition, ball_meet_count,
-                     certify, check_equivariance, decomposition_to_cover,
-                     dimension, is_r_disjoint, lebesgue_number, mesh,
-                     validate_cover, validate_decomposition,
-                     verify_certificate)
+from .constructions import (LiftMember, LiftPiece, LiftTrace, displacement_subgroup,
+                            lift_equivariant, pushforward_cover)
+from .covers import (Cover, CoverCertificate, ball_meet_count, certify,
+                     check_equivariance, dimension, lebesgue_number, mesh,
+                     validate_cover, verify_certificate)
 from .errors import (CapExceededError, InternalInvariantError, ResolutionError,
                      Violation)
 from .estimation import (EXACT_POINT_CAP, DimensionProfile,
@@ -30,11 +24,10 @@ from .generators import (GeneratedInstance, cayley_ball_space,
                          cycle_reflection_action, cycle_rotation_action,
                          cycle_space, generate_instance, grid_rotation_action,
                          grid_space, path_reflection_action, path_space,
-                         random_cover, random_decomposition, random_graph_space,
+                         random_cover, random_graph_space,
                          random_invariant_instance)
-from .groups import (DirectSum, FiniteGroup, IsometricAction, QuotientSpace,
+from .groups import (FiniteGroup, IsometricAction, QuotientSpace,
                      coset_representatives, cyclic_group, dihedral_group,
-                     direct_sum, extend_action, find_isomorphism,
                      generated_subgroup, is_subgroup, orbits, quotient,
                      validate_action, validate_group)
 from .metric import (INF, FiniteMetricSpace, Scalar, ball, build_graph_metric,

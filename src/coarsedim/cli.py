@@ -192,13 +192,6 @@ def cmd_equivariant_cover(args) -> int:
     return 0
 
 
-def cmd_sspace(args) -> int:
-    ws, _, _ = _load(args.files)
-    s = _pick(ws, "sspace", args.name, "--name")
-    _write(args.out, space_to_dict(s.assembled))
-    return 0
-
-
 def cmd_estimate(args) -> int:
     ws, _, _ = _load(args.files)
     m = _pick(ws, "space", args.space, "--space")
@@ -301,10 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--R", metavar="SCALAR", required=True)
     sp.add_argument("--B", metavar="SCALAR", help="mesh bound (default 4R)")
     estimator_flags(sp)
-
-    sp = command("sspace", cmd_sspace,
-                 "assemble a weighted disjoint union into a plain space")
-    sp.add_argument("--name", metavar="NAME", help="which loaded sspace")
 
     sp = command("estimate", cmd_estimate,
                  "minimal cover dimension at scale R under mesh bound B")

@@ -1,4 +1,4 @@
-"""Covers and decompositions of finite metric spaces, with exact certificates.
+"""Covers of finite metric spaces, with exact certificates.
 
 The three certified quantities of a cover are its dimension (largest point
 multiplicity minus one), its mesh (largest member diameter) and its Lebesgue
@@ -62,7 +62,8 @@ only such actions.  With no action, a cover that is not invariant or a
 whole-space member, every point and member is measured.
 
 certify keeps the dimension, Lebesgue number and mesh it measures on the
-Cover, whose fields cannot be reassigned; verify_certificate ignores them.
+Cover, whose fields cannot be reassigned or deleted; verify_certificate
+ignores them.
 What the space keeps (its integer rows, which a loaded or quotient table
 gets from the pass that builds it, and its diameter) belongs to the table,
 not to certify's record, and both use it.
@@ -72,33 +73,32 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress, repeat
 from operator import and_, lt
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import InternalInvariantError, Violation
+from .errors import Violation
 from .groups import IsometricAction
-from .metric import (INF, FiniteMetricSpace, Scalar, _construct, _diameter, _no_reassignment,
-                     _set_distance, check_count, check_indices, check_nonnegative,
+from .metric import (INF, FiniteMetricSpace, Scalar, _construct, _diameter, _no_deletion,
+                     _no_reassignment, _set_distance, check_count, check_indices,
                      check_scalar)
 
 
-def _point_sets(space: FiniteMetricSpace, sets: Iterable[Iterable[int]],
-                what: str) -> tuple[frozenset[int], ...]:
+def _point_sets(space: FiniteMetricSpace,
+                sets: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
     """The sets as frozensets, checked by check_indices to hold only point
     indices of the space: all their points in one pass and, only if that
-    fails, set by set, naming what.format(k) for the first set k with a bad
-    point.  A set not yet frozen is checked as given, before True can merge
-    into 1, so its first bad point in reading order is named."""
+    fails, set by set, naming member k for the first set k with a bad point.
+    A set not yet frozen is checked as given, before True can merge into 1,
+    so its first bad point in reading order is named."""
     sets = [items if type(items) is frozenset else tuple(items) for items in sets]
     n = len(space)
     try:
         check_indices(tuple(chain.from_iterable(sets)), n, "a point")
     except ValueError:
         for k, items in enumerate(sets):
-            check_indices(items, n, f"a point of {what.format(k)} over {space.name!r}")
+            check_indices(items, n, f"a point of member {k} over {space.name!r}")
     return tuple(map(frozenset, sets))
 
 
@@ -110,12 +110,12 @@ class Cover:
     instead of half-rejected.
     """
 
-    __setattr__ = _no_reassignment
+    __setattr__, __delattr__ = _no_reassignment, _no_deletion
     _measured = None    # certify's dimension, Lebesgue number and mesh, kept
 
     def __init__(self, space: FiniteMetricSpace, members: Iterable[Iterable[int]],
                  name: str = "cover"):
-        _construct(self, space=space, members=_point_sets(space, members, "member {}"),
+        _construct(self, space=space, members=_point_sets(space, members),
                    name=str(name))
 
     def __len__(self) -> int:
@@ -123,26 +123,6 @@ class Cover:
 
     def __repr__(self) -> str:
         return f"Cover({self.name!r}, {len(self.members)} members over {self.space.name!r})"
-
-
-class Decomposition:
-    """Families of pieces witnessing "asymptotic dimension <= n at scale r":
-    the pieces of one family must be pairwise more than r apart, and all
-    pieces together must cover the space.  Families may be empty.
-    """
-
-    __setattr__ = _no_reassignment
-
-    def __init__(self, space: FiniteMetricSpace, r: Scalar,
-                 families: Iterable[Iterable[Iterable[int]]], name: str = "decomposition"):
-        _construct(self, space=space, r=check_nonnegative(r, "r"),
-                   families=tuple(_point_sets(space, family, f"family {fi} piece {{}}")
-                                  for fi, family in enumerate(families)),
-                   name=str(name))
-
-    def __repr__(self) -> str:
-        return (f"Decomposition({self.name!r}, {len(self.families)} families "
-                f"at r={self.r} over {self.space.name!r})")
 
 
 @dataclass(frozen=True)
@@ -182,16 +162,11 @@ def validate_cover(c: Cover) -> list[Violation]:
                                  f"members {seen[member]} and {k} are the same point set"))
         else:
             seen[member] = k
-    return out + _coverage(c.space, c.members)
-
-
-def _coverage(space: FiniteMetricSpace, sets: Iterable[frozenset[int]]) -> list[Violation]:
-    """The "coverage" violation naming the points in none of the sets, if any."""
-    missing = sorted(set(range(len(space))).difference(*sets))
-    if not missing:
-        return []
-    return [Violation("coverage", tuple(missing), "points not covered: "
-                      + ", ".join(space.points[x] for x in missing))]
+    missing = sorted(set(range(len(c.space))).difference(*c.members))
+    if missing:
+        out.append(Violation("coverage", tuple(missing), "points not covered: "
+                             + ", ".join(c.space.points[x] for x in missing)))
+    return out
 
 
 def dimension(c: Cover, _points: frozenset[int] | None = None) -> int:
@@ -269,62 +244,6 @@ def ball_meet_count(c: Cover, radius: Scalar) -> int:
     m = c.space
     return max(sum(1 for member in c.members if _set_distance(m, (x,), member) < radius)
                for x in range(len(m)))
-
-
-def is_r_disjoint(space: FiniteMetricSpace, family: Sequence[Iterable[int]],
-                  r: Scalar) -> tuple[bool, tuple | None]:
-    """Whether the sets are pairwise more than r apart.  On failure the witness
-    is (i, j, distance) for the first offending pair in index order; empty sets
-    never collide (their distance is INF)."""
-    check_scalar(r, "r")
-    sets = [frozenset(space.check_points(tuple(piece))) for piece in family]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            d = _set_distance(space, sets[i], sets[j])
-            if not d > r:
-                return False, (i, j, d)
-    return True, None
-
-
-def validate_decomposition(d: Decomposition) -> list[Violation]:
-    out: list[Violation] = []
-    for fi, family in enumerate(d.families):
-        ok, witness = is_r_disjoint(d.space, family, d.r)
-        if not ok:
-            i, j, dist = witness
-            out.append(Violation(
-                "disjointness", (fi, i, j),
-                f"family {fi}: pieces {i} and {j} are {dist} apart, need > {d.r}"))
-    return out + _coverage(d.space, chain.from_iterable(d.families))
-
-
-def decomposition_to_cover(d: Decomposition) -> tuple[Cover, CoverCertificate]:
-    """Thicken every piece by a closed r/4-neighborhood and pool the pieces.
-
-    The quarter is what makes both certified bounds unconditional: thickened
-    pieces of one family stay disjoint (else the originals were within r/2),
-    so the dimension is at most families-1, and every open r/4-ball around a
-    point lands inside that point's thickened piece, so the Lebesgue number
-    is at least r/4.
-    """
-    issues = validate_decomposition(d)
-    if issues:
-        raise ValueError("invalid decomposition: " + "; ".join(v.message for v in issues))
-    t = Fraction(d.r) / 4
-    m = d.space
-    members = dict.fromkeys(
-        frozenset(x for x in range(len(m)) if _set_distance(m, (x,), piece) <= t)
-        for piece in chain.from_iterable(d.families) if piece)
-    out = Cover(m, members, name=f"{d.name}_thickened")
-    cert = certify(out)
-    if cert.dimension > len(d.families) - 1:
-        raise InternalInvariantError(
-            f"thickened cover has dimension {cert.dimension} from "
-            f"{len(d.families)} families")
-    if not cert.lebesgue >= t:
-        raise InternalInvariantError(
-            f"thickened cover has Lebesgue number {cert.lebesgue} < {t}")
-    return out, cert
 
 
 def check_equivariance(a: IsometricAction, c: Cover) -> tuple[bool, tuple | None]:

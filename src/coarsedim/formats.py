@@ -37,9 +37,8 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Sequence
 
-from .constructions import LiftTrace, SSpace, _split, build_sspace
-from .covers import Cover, CoverCertificate, Decomposition, certify, validate_cover, \
-    validate_decomposition, verify_certificate
+from .constructions import LiftTrace, _split
+from .covers import Cover, CoverCertificate, certify, validate_cover, verify_certificate
 from .errors import ResolutionError, Violation
 from .estimation import DimensionProfile, FamilyProfile, Infeasible, ProfileEntry
 from .groups import FiniteGroup, IsometricAction, orbits, validate_action, validate_group
@@ -48,9 +47,8 @@ from .metric import (INF, FiniteMetricSpace, check_index, check_indices, is_scal
 
 FORMAT_TAG = "coarsedim/1"
 
-KIND_ORDER = {"space": 0, "group": 0, "action": 1, "sspace": 2,
-              "cover": 3, "decomposition": 3, "certificate": 4,
-              "lift_trace": 4, "profile": 4}
+KIND_ORDER = {"space": 0, "group": 0, "action": 1, "cover": 2,
+              "certificate": 3, "lift_trace": 3, "profile": 3}
 
 
 class FormatError(ValueError):
@@ -234,35 +232,6 @@ def cover_from_dict(d: dict, ws: "Workspace") -> Cover:
     return Cover(space, d["members"], name=d["name"])
 
 
-# ---------------------------------------------------------------- decomposition
-
-def decomposition_to_dict(d: Decomposition) -> dict:
-    return _document("decomposition", d.name, space=d.space.name, r=scalar_str(d.r),
-                     families=[[sorted(piece) for piece in family]
-                               for family in d.families])
-
-
-def decomposition_from_dict(d: dict, ws: "Workspace") -> Decomposition:
-    space = ws.get("space", d["space"])
-    return Decomposition(space, parse_scalar(d["r"]), d["families"], name=d["name"])
-
-
-# ---------------------------------------------------------------- sspace
-
-def sspace_to_dict(s: SSpace) -> dict:
-    return _document("sspace", s.assembled.name,
-                     components=[comp.name for comp in s.components],
-                     basepoints=[sorted(bp) for bp in s.basepoints],
-                     weights=[scalar_str(w) for w in s.weights])
-
-
-def sspace_from_dict(d: dict, ws: "Workspace") -> SSpace:
-    components = [ws.get("space", cname) for cname in d["components"]]
-    basepoints = d["basepoints"]
-    weights = [parse_scalar(w) for w in d["weights"]]
-    return build_sspace(components, basepoints, weights, name=d["name"])
-
-
 # ---------------------------------------------------------------- certificate
 
 def certificate_to_dict(cert: CoverCertificate, cover_name: str,
@@ -444,9 +413,6 @@ class Workspace:
             raise FormatError(f"duplicate {kind} named {name!r}")
         self._objects[key] = obj
 
-    def has(self, kind: str, name: str) -> bool:
-        return (kind, str(name)) in self._objects
-
     def get(self, kind: str, name: str):
         try:
             return self._objects[(kind, str(name))]
@@ -502,15 +468,9 @@ def load_entry(d: dict, ws: Workspace) -> tuple[str, str, object, list[Violation
         elif kind == "action":
             obj, check = action_from_dict(d, ws), validate_action
             written = action_to_dict(obj)
-        elif kind == "sspace":
-            obj = sspace_from_dict(d, ws)
-            written = sspace_to_dict(obj)
         elif kind == "cover":
             obj, check = cover_from_dict(d, ws), validate_cover
             written = cover_to_dict(obj)
-        elif kind == "decomposition":
-            obj, check = decomposition_from_dict(d, ws), validate_decomposition
-            written = decomposition_to_dict(obj)
         elif kind == "certificate":
             obj = certificate_from_dict(d)
             cover = ws.get("cover", d["cover"])
@@ -543,16 +503,4 @@ def load_entry(d: dict, ws: Workspace) -> tuple[str, str, object, list[Violation
     violations = [] if check is None else check(obj)
     if not violations:
         ws.add(kind, name, obj)
-        if kind == "sspace":
-            # The assembled space is registered under the same name so that
-            # covers and estimates can refer to it.  A plain space document
-            # with this name may already be loaded (the CLI writes one);
-            # that is fine exactly when it agrees point for point.
-            if ws.has("space", name):
-                if ws.get("space", name) != obj.assembled:
-                    raise FormatError(
-                        f"sspace {name!r} disagrees with the loaded space of "
-                        f"the same name")
-            else:
-                ws.add("space", name, obj.assembled)
     return kind, name, obj, violations

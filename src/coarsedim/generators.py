@@ -20,10 +20,9 @@ from math import gcd
 from operator import add, le
 from typing import Mapping, Sequence
 
-from .covers import Cover, Decomposition
+from .covers import Cover
 from .groups import FiniteGroup, IsometricAction, cyclic_group
-from .metric import (FiniteMetricSpace, Scalar, _ball, build_graph_metric, check_count,
-                     check_scalar, is_scalar)
+from .metric import FiniteMetricSpace, _ball, build_graph_metric, check_count, is_scalar
 
 
 def path_space(n: int) -> FiniteMetricSpace:
@@ -240,52 +239,6 @@ def random_cover(space: FiniteMetricSpace, seed: int) -> Cover:
             members.append(_ball(space, x, rng.choice(small), le))
             covered |= members[-1]
     return Cover(space, dict.fromkeys(members), name=f"{space.name}_cover_s{seed}")
-
-
-def random_decomposition(space: FiniteMetricSpace, r: Scalar, seed: int,
-                         families: int | None = None) -> Decomposition:
-    """Valid random decomposition at parameter r, built greedily.
-
-    Points are taken in random order; each tries, in random family order, to
-    join an existing piece or start a new one without breaking the family's
-    r-disjointness; when nothing fits a fresh family is opened.  With a
-    `families` target the result is padded with empty families (never
-    truncated: opening a family is always a last resort, so the count only
-    exceeds the target when r forces it).
-    """
-    check_scalar(r, "r")
-    rng = random.Random(seed)
-    n = len(space)
-    fams: list[list[set[int]]] = []
-    order = list(range(n))
-    rng.shuffle(order)
-    for x in order:
-        placed = False
-        fam_order = list(range(len(fams)))
-        rng.shuffle(fam_order)
-        for fi in fam_order:
-            pieces = fams[fi]
-            # joining piece p needs x to stay > r from every other piece
-            others_clear = [all(min(space.dist[x][y] for y in q) > r
-                                for qi, q in enumerate(pieces) if qi != pi)
-                            for pi in range(len(pieces))]
-            join_options = [pi for pi, ok in enumerate(others_clear) if ok]
-            can_start = all(min(space.dist[x][y] for y in q) > r for q in pieces)
-            if join_options and (not can_start or rng.random() < 0.5):
-                fams[fi][rng.choice(join_options)].add(x)
-                placed = True
-                break
-            if can_start:
-                fams[fi].append({x})
-                placed = True
-                break
-        if not placed:
-            fams.append([{x}])
-    result = [tuple(frozenset(p) for p in fam) for fam in fams]
-    if families is not None:
-        while len(result) < families:
-            result.append(tuple())
-    return Decomposition(space, r, result, name=f"{space.name}_decomp_r{r}_s{seed}")
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,11 @@
 
 Everything here works over element indices into a fixed ordering; the orders
 involved are tiny (quotient constructions keep |G| in the single digits), so
-exhaustive checks and brute-force searches are the honest tool.
+exhaustive checks are the honest tool.
 
 Only the constructors FiniteGroup and IsometricAction take a name.  The
 builders here name what they build after their inputs (`Z4`, `D3`,
-`Z2+Z3`, `P9_mod_Z2`, `Z2+Z2_via_P9_reflect`); to rename an object, call
-its constructor.
+`P9_mod_Z2`); to rename an object, call its constructor.
 
 quotient keeps the QuotientSpace it builds on the action, whose fields
 cannot be reassigned.  What that space keeps (its integer rows and its
@@ -21,12 +20,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import CapExceededError, Violation
-from .metric import FiniteMetricSpace, _construct, _no_reassignment, check_index, check_indices
-
-# Guardrails on the brute-force constructions, not tuning knobs.
-ISOMORPHISM_ORDER_CAP = 12
-DIRECT_SUM_ORDER_CAP = 64
+from .errors import Violation
+from .metric import (FiniteMetricSpace, _construct, _no_deletion, _no_reassignment,
+                     check_indices)
 
 
 class FiniteGroup:
@@ -34,10 +30,10 @@ class FiniteGroup:
 
     mul[a][b] is the index of (a * b).  A two-sided identity must exist or construction
     fails; associativity and inverses are validate_group's job, so broken tables can
-    still be loaded and reported on.  No attribute can be reassigned.
+    still be loaded and reported on.  No attribute can be reassigned or deleted.
     """
 
-    __setattr__ = _no_reassignment
+    __setattr__, __delattr__ = _no_reassignment, _no_deletion
 
     def __init__(self, elements: Sequence[str], mul: Sequence[Sequence[int]],
                  name: str = "group"):
@@ -165,7 +161,7 @@ class IsometricAction:
     isometry property are validate_action's job.
     """
 
-    __setattr__ = _no_reassignment
+    __setattr__, __delattr__ = _no_reassignment, _no_deletion
     _quotient = None    # quotient(self), built on first use and kept
 
     def __init__(self, group: FiniteGroup, space: FiniteMetricSpace,
@@ -366,136 +362,3 @@ def _cosets(g: FiniteGroup, sub: Sequence[int]) -> list[int]:
         assigned.update(map(g.mul_table[f].__getitem__, sub))
     return reps
 
-
-def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> dict[int, int] | None:
-    """Brute-force isomorphism search, None if the groups are not isomorphic.
-
-    Candidate images are pruned by element order, and the map is grown from a
-    small generating set, so the search is comfortable for the orders this
-    toolkit works at; above ISOMORPHISM_ORDER_CAP it refuses.
-    """
-    if len(g1) > ISOMORPHISM_ORDER_CAP or len(g2) > ISOMORPHISM_ORDER_CAP:
-        raise CapExceededError(
-            f"isomorphism search is capped at order {ISOMORPHISM_ORDER_CAP}, "
-            f"got orders {len(g1)} and {len(g2)}")
-    if len(g1) != len(g2):
-        return None
-    orders1 = [g1.element_order(a) for a in range(len(g1))]
-    orders2 = [g2.element_order(a) for a in range(len(g2))]
-    if sorted(orders1) != sorted(orders2):
-        return None
-
-    gens: list[int] = []
-    generated = {g1.identity}
-    for a in range(len(g1)):
-        if a not in generated:
-            gens.append(a)
-            generated = set(generated_subgroup(g1, gens))
-        if len(generated) == len(g1):
-            break
-
-    candidates = [[b for b in range(len(g2)) if orders2[b] == orders1[a]] for a in gens]
-
-    for images in itertools.product(*candidates):
-        phi = _extend_homomorphism(g1, g2, gens, images)
-        if phi is not None:
-            return phi
-    return None
-
-
-def _extend_homomorphism(g1: FiniteGroup, g2: FiniteGroup,
-                         gens: Sequence[int], images: Sequence[int]) -> dict[int, int] | None:
-    """Grow generator images to a full map by products; check it is a bijective
-    homomorphism; None on any conflict."""
-    phi = {g1.identity: g2.identity}
-    for a, b in zip(gens, images):
-        if phi.get(a, b) != b:
-            return None
-        phi[a] = b
-    frontier = list(phi)
-    while frontier:
-        new = []
-        for x in frontier:
-            for a, b in zip(gens, images):
-                y = g1.mul(x, a)
-                img = g2.mul(phi[x], b)
-                if y in phi:
-                    if phi[y] != img:
-                        return None
-                else:
-                    phi[y] = img
-                    new.append(y)
-        frontier = new
-    if len(phi) != len(g1) or len(set(phi.values())) != len(g1):
-        return None
-    for x in range(len(g1)):
-        for y in range(len(g1)):
-            if phi[g1.mul(x, y)] != g2.mul(phi[x], phi[y]):
-                return None
-    return phi
-
-
-class DirectSum:
-    """Direct sum of finite groups, with the component injections.
-
-    group is the assembled table; injections[j][a] is the index, in the sum,
-    of the tuple that is a in component j and identity elsewhere; project
-    splits a sum element back into component indices.
-    """
-
-    __setattr__ = _no_reassignment
-
-    def __init__(self, components: Sequence[FiniteGroup]):
-        comps = tuple(components)
-        if not comps:
-            raise ValueError("direct sum needs at least one component")
-        tuples = list(itertools.product(*(range(len(g)) for g in comps)))
-        index = {t: i for i, t in enumerate(tuples)}
-        names = ["(" + ",".join(g.elements[a] for g, a in zip(comps, t)) + ")"
-                 for t in tuples]
-        mul = [[index[tuple(g.mul(a, b) for g, a, b in zip(comps, t, u))] for u in tuples]
-               for t in tuples]
-        ident = tuple(g.identity for g in comps)
-        injections = tuple(tuple(index[ident[:j] + (a,) + ident[j + 1:]] for a in range(len(g)))
-                           for j, g in enumerate(comps))
-        _construct(self, components=comps, injections=injections, _tuples=tuples,
-                   group=FiniteGroup(names, mul, name="+".join(g.name for g in comps)))
-
-    def project(self, element: int) -> tuple[int, ...]:
-        return self._tuples[element]
-
-
-def direct_sum(components: Sequence[FiniteGroup]) -> DirectSum:
-    total = 1
-    for g in components:
-        total *= len(g)
-    if total > DIRECT_SUM_ORDER_CAP:
-        raise CapExceededError(
-            f"direct sum of order {total} exceeds the cap {DIRECT_SUM_ORDER_CAP}")
-    return DirectSum(components)
-
-
-def extend_action(a: IsometricAction, dsum: DirectSum,
-                  component: int) -> IsometricAction:
-    """Let the full direct sum act on a's space through one of its components.
-
-    Component `component` of the sum acts as a's group does (up to
-    isomorphism); every other component acts trivially.  This is an action
-    because projecting to one component is a homomorphism.
-    """
-    check_index(component, len(dsum.components), "a component index")
-    comp = dsum.components[component]
-    if comp == a.group:
-        iso = {i: i for i in range(len(comp))}
-    else:
-        iso = find_isomorphism(comp, a.group)
-        if iso is None:
-            raise ValueError(
-                f"component {comp.name!r} is not isomorphic to the acting "
-                f"group {a.group.name!r}")
-    perms = []
-    for elt in range(len(dsum.group)):
-        part = dsum.project(elt)[component]
-        perms.append(a.perms[iso[part]])
-    return IsometricAction(dsum.group, a.space, perms,
-                           name=f"{dsum.group.name}_via_{a.name}")

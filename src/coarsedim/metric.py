@@ -92,6 +92,12 @@ def _no_reassignment(self, name, value):
     object.__setattr__(self, name, value)
 
 
+def _no_deletion(self, name):
+    """The __delattr__ of every core object: no attribute is deleted, so a
+    kept form is never set twice and no field goes missing."""
+    raise AttributeError(f"the {name} of {self!r} cannot be deleted")
+
+
 def _construct(obj, **fields) -> None:
     """Set a core object's fields, from its constructor, past the rule."""
     for name, value in fields.items():
@@ -103,14 +109,14 @@ class FiniteMetricSpace:
 
     The table is stored as given; nothing about the metric axioms is
     assumed at construction time.  Run validate_metric to get the report.
-    No attribute can be reassigned.  The space keeps forms derived from its
-    table, each built once: its integer rows, its diameter and, when every
-    integer entry is in 0..255, its byte table (the integer rows in one
-    bytes object), which the metric check and the search's ball masks read
-    in C.
+    No attribute can be reassigned or deleted.  The space keeps forms
+    derived from its table, each built once: its integer rows, its diameter
+    and, when every integer entry is in 0..255, its byte table (the integer
+    rows in one bytes object), which the metric check and the search's ball
+    masks read in C.
     """
 
-    __setattr__ = _no_reassignment
+    __setattr__, __delattr__ = _no_reassignment, _no_deletion
     _index = _diameter = _bytes = _scale = _integers = None     # kept forms, each set once
 
     def __init__(self, points: Sequence[str], dist: Sequence[Sequence[Scalar]],

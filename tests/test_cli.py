@@ -209,8 +209,6 @@ def test_validate_reports_malformed_nested_fields(tmp_path, capsys):
     ("space", "dist", 5),
     ("space", "dist", [7]),
     ("action", "perm", 5),
-    ("sspace", "components", 5),
-    ("sspace", "weights", 5),
 ])
 def test_validate_reports_a_wrong_type_field_and_goes_on(tmp_path, capsys,
                                                          kind, field, value):
@@ -218,10 +216,7 @@ def test_validate_reports_a_wrong_type_field_and_goes_on(tmp_path, capsys,
     space, group, action = (next(f for f in files if f".{k}." in f)
                             for k in ("space", "group", "action"))
     good = {"action": json.loads(pathlib.Path(action).read_text()),
-            "space": json.loads(pathlib.Path(space).read_text()),
-            "sspace": {"format": "coarsedim/1", "kind": "sspace", "name": "U",
-                       "components": ["P5"], "basepoints": [[2]],
-                       "weights": ["5"]}}[kind]
+            "space": json.loads(pathlib.Path(space).read_text())}[kind]
     bad = tmp_path / f"bad.{kind}.json"
     bad.write_text(json.dumps({**good, "name": "bad", field: value}))
     code, _, err = run(capsys, "validate", space, group, str(bad), space)
@@ -258,8 +253,6 @@ def test_a_string_where_an_array_belongs_is_a_bad_file(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("kind, fields, message", [
-    ("sspace", {"name": "U", "components": ["P5"], "basepoints": [[2]], "weights": "5"},
-     "sspace 'U': weights is not as its object writes it"),
     ("space", {"name": "s", "points": [1, True], "dist": [["0", "1"], ["1", "0"]]},
      "space 's': points is not as its object writes it"),
     ("space", {"name": "s", "points": ["a", "b"], "dist": [["0/1", "1"], ["1", "0"]]},
@@ -271,7 +264,7 @@ def test_a_string_where_an_array_belongs_is_a_bad_file(tmp_path, capsys,
      "cover 'c': members is not as its object writes it"),
     ("cover", {"name": "c", "space": "P5", "members": [[2, 1, 0], [2, 3, 4]]},
      "cover 'c': members is not as its object writes it"),
-], ids=["sspace-weights-string", "space-points-not-strings", "scalar-not-lowest-terms",
+], ids=["space-points-not-strings", "scalar-not-lowest-terms",
         "extra-key", "member-repeats-a-point", "member-unsorted"])
 def test_a_document_its_object_writes_otherwise_is_a_bad_file(tmp_path, capsys,
                                                                kind, fields, message):
@@ -282,6 +275,21 @@ def test_a_document_its_object_writes_otherwise_is_a_bad_file(tmp_path, capsys,
     bad.write_text(json.dumps({"format": "coarsedim/1", "kind": kind, **fields}))
     assert run(capsys, "validate", *files, str(bad)) == \
         (1, [], [{"error": "format", "message": message, "file": str(bad)}])
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("sspace", {"components": ["P5"], "basepoints": [[2]], "weights": ["5"]}),
+    ("decomposition", {"space": "P5", "r": "1", "families": [[[0, 1], [3, 4]], [[2]]]}),
+], ids=["sspace", "decomposition"])
+def test_a_retired_kind_is_a_bad_file(tmp_path, capsys, kind, fields):
+    # Weighted unions and decompositions are no longer document kinds.
+    files = generate_path_instance(tmp_path, capsys)
+    old = tmp_path / f"U.{kind}.json"
+    old.write_text(json.dumps({"format": "coarsedim/1", "kind": kind, "name": "U",
+                               **fields}))
+    assert run(capsys, "validate", *files, str(old)) == \
+        (1, [], [{"error": "format", "message": f"unknown kind {kind!r}",
+                  "file": str(old)}])
 
 
 def _edit(*keys_and_value):
@@ -749,32 +757,6 @@ def test_lift_of_the_pipeline_quotient_cover_writes_the_same_files(
         assert pathlib.Path(ours).read_bytes() == pathlib.Path(theirs).read_bytes()
 
 
-def test_sspace_flow(tmp_path, capsys):
-    generate_path_instance(tmp_path, capsys)
-    run(capsys, "generate", "--kind", "cycle", "--params", "n=4,action=none",
-        "--out", str(tmp_path))
-    union = tmp_path / "U.sspace.json"
-    union.write_text(json.dumps({
-        "format": "coarsedim/1", "kind": "sspace", "name": "U",
-        "components": ["P5", "C4"], "basepoints": [[2], [0, 2]],
-        "weights": ["5", "6"]}, indent=2) + "\n")
-    parts = [str(tmp_path / "P5.space.json"), str(tmp_path / "C4.space.json")]
-    code, out, _ = run(capsys, "sspace", *parts, str(union),
-                       "--out", str(tmp_path))
-    assert code == 0
-    assert out[0].endswith("U.space.json")
-    d = json.loads(open(out[0]).read())
-    assert len(d["points"]) == 9
-    assert d["points"][0] == "0/0"
-    # the assembled space file coexists with the sspace document
-    code, _, _ = run(capsys, "validate", *parts, out[0], str(union))
-    assert code == 0
-    # and the assembled space is directly usable downstream
-    code, out, _ = run(capsys, "estimate", *parts, str(union), "--space", "U",
-                       "--R", "1", "--out", str(tmp_path))
-    assert code == 0
-
-
 def test_profile_flow(tmp_path, capsys):
     files = generate_path_instance(tmp_path, capsys, n=9)
     code, out, _ = run(capsys, "profile", *files, "--space", "P9",
@@ -987,7 +969,6 @@ def test_cli_options_match_inventory():
         "lift": common + ["--action", "--cover", "--R"],
         "equivariant-cover": common + ["--action", "--R", "--B", "--mode",
                                        "--max-points"],
-        "sspace": common + ["--name"],
         "estimate": common + ["--space", "--R", "--B", "--mode", "--max-points"],
         "profile": common + ["--space", "--action", "--scales", "--mesh-bounds",
                              "--mode", "--max-points", "--name"],

@@ -1,20 +1,17 @@
-"""Covers, decompositions and their certified quantities."""
+"""Covers and their certified quantities."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from coarsedim import (INF, Cover, CoverCertificate, Decomposition, FiniteMetricSpace,
+from coarsedim import (INF, Cover, CoverCertificate, FiniteMetricSpace,
                        ball_meet_count, certify, check_equivariance, cyclic_group,
-                       decomposition_to_cover, dihedral_group, dimension,
-                       equivariant_cover_pipeline, is_r_disjoint,
+                       dihedral_group, dimension, equivariant_cover_pipeline,
                        lebesgue_number, mesh, pushforward_cover, quotient,
-                       scalar_str, validate_cover, validate_decomposition,
-                       verify_certificate)
+                       scalar_str, validate_cover, verify_certificate)
 from coarsedim.generators import (cycle_space, grid_space, path_reflection_action,
-                                  path_space, random_cover,
-                                  random_decomposition, random_graph_space,
+                                  path_space, random_cover, random_graph_space,
                                   random_invariant_instance)
 
 from oracles import lebesgue_direct, mesh_direct
@@ -164,63 +161,16 @@ def test_validate_cover_reports():
 
 
 def test_cover_constructor_checks_indices():
-    # Cover and Decomposition check indices alike, each naming its own set.
-    builders = [(lambda sets: Cover(path_space(3), sets), "member 1"),
-                (lambda sets: Decomposition(path_space(3), 1, [sets]), "family 0 piece 1")]
-    for build, what in builders:
-        with pytest.raises(ValueError):
-            build([[0, 7]])
-        for bad in (True, -1, 3, "0"):
-            with pytest.raises(ValueError, match=fr"^a point of {what} over 'P3' must "
-                                                 fr"be an int in range\(3\), got {bad!r}$"):
-                build([[0, 1], [2, bad]])
-        # True is checked before a set can merge it into 1
-        with pytest.raises(ValueError, match=fr"^a point of {what} over 'P3' .* got True$"):
-            build([[0, 2], [1, True]])
-
-
-def test_r_disjointness():
-    m = path_space(6)
-    ok, witness = is_r_disjoint(m, [[0, 1], [4, 5]], 2)
-    assert ok and witness is None
-    ok, witness = is_r_disjoint(m, [[0, 1], [3]], 2)
-    assert not ok and witness == (0, 1, 2)
-    ok, _ = is_r_disjoint(m, [[0], []], 100)  # empty pieces never collide
-    assert ok
-
-
-def test_validate_decomposition():
-    m = path_space(6)
-    good = Decomposition(m, 1, [[[0, 1], [4, 5]], [[2, 3]]], name="good")
-    assert validate_decomposition(good) == []
-    bad = Decomposition(m, 2, [[[0, 1], [3]], [[2], [4, 5]]], name="bad")
-    kinds = {v.kind for v in validate_decomposition(bad)}
-    assert "disjointness" in kinds
-    holey = Decomposition(m, 1, [[[0, 1]]], name="holey")
-    assert "coverage" in {v.kind for v in validate_decomposition(holey)}
-
-
-def test_decomposition_to_cover_bounds():
-    m = path_space(9)
-    d = Decomposition(m, 2, [[[0, 1], [5, 6]], [[2, 3, 4], [7, 8]]], name="two")
-    cover, cert = decomposition_to_cover(d)
-    assert cert.dimension <= 1
-    assert cert.lebesgue >= Fraction(1, 2)
-    assert validate_cover(cover) == []
+    m = path_space(3)
     with pytest.raises(ValueError):
-        decomposition_to_cover(Decomposition(m, 2, [[[0, 1], [2, 3]]], name="bad"))
-
-
-def test_decomposition_to_cover_random():
-    for seed in range(12):
-        rng = random.Random(seed)
-        m = random_graph_space(rng.randint(2, 8), seed)
-        r = rng.randint(1, 3)
-        d = random_decomposition(m, r, seed)
-        assert validate_decomposition(d) == []
-        cover, cert = decomposition_to_cover(d)
-        assert cert.dimension <= len(d.families) - 1
-        assert cert.lebesgue >= Fraction(r, 4)
+        Cover(m, [[0, 7]])
+    for bad in (True, -1, 3, "0"):
+        with pytest.raises(ValueError, match=fr"^a point of member 1 over 'P3' must "
+                                             fr"be an int in range\(3\), got {bad!r}$"):
+            Cover(m, [[0, 1], [2, bad]])
+    # True is checked before a set can merge it into 1
+    with pytest.raises(ValueError, match=r"^a point of member 1 over 'P3' .* got True$"):
+        Cover(m, [[0, 2], [1, True]])
 
 
 def test_equivariance_check():
@@ -284,6 +234,20 @@ def test_certify_keeps_its_measurement_as_the_cover_cannot_change(lebesgue_calls
     assert certify(whole) == certify(whole) == CoverCertificate(dimension=0,
                                                                 lebesgue=INF, mesh=4)
     assert lebesgue_calls == ["halves", "whole"]
+
+
+def test_a_kept_measurement_cannot_be_deleted_and_set_again():
+    # Deleting used to pass the rule: after del c._measured, setting
+    # c._measured = (5, 0, 9) made certify report dimension 5, Lebesgue
+    # number 0 and mesh 9 for this cover.
+    c = Cover(path_space(3), [{0, 1, 2}])
+    assert certify(c) == CoverCertificate(dimension=0, lebesgue=INF, mesh=2)
+    with pytest.raises(AttributeError, match=r"^the _measured of Cover\('cover', 1 members "
+                                             r"over 'P3'\) cannot be deleted$"):
+        del c._measured
+    with pytest.raises(AttributeError, match="the _measured of"):
+        c._measured = (5, 0, 9)
+    assert certify(c) == CoverCertificate(dimension=0, lebesgue=INF, mesh=2)
 
 
 def test_a_member_off_the_space_cannot_be_slipped_in():

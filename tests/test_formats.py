@@ -7,17 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from coarsedim import (Cover, Decomposition, FiniteMetricSpace, FormatError,
-                       ResolutionError, Workspace, build_sspace, certify, dumps, family_profile,
-                       greedy_cover, lift_equivariant, min_dimension_cover_exact, quotient)
+from coarsedim import (Cover, FiniteMetricSpace, FormatError, ResolutionError, Workspace,
+                       certify, dumps, family_profile, greedy_cover, lift_equivariant,
+                       min_dimension_cover_exact, quotient)
 from coarsedim import formats
 from coarsedim.formats import (action_to_dict, certificate_to_dict,
-                               cover_to_dict, decomposition_to_dict,
-                               group_to_dict,
+                               cover_to_dict, group_to_dict,
                                lift_trace_to_dict, load_entry,
                                parse_document, parse_scalar, profile_from_dict,
                                profile_to_csv, profile_to_dict, scalar_str,
-                               space_from_dict, space_to_dict, sspace_to_dict)
+                               space_from_dict, space_to_dict)
 from coarsedim.generators import (cycle_rotation_action, cycle_space,
                                   path_reflection_action, path_space)
 from coarsedim.groups import cyclic_group
@@ -46,16 +45,12 @@ def fixtures():
     group = cyclic_group(2)
     action = path_reflection_action(space)
     cover = Cover(space, [[0, 1, 2], [2, 3, 4]], name="halves")
-    decomp = Decomposition(space, 1, [[[0, 1], [3, 4]], [[2]]], name="split")
-    union = build_sspace([space, cycle_space(4)], [[2], [0, 2]], [5, 6],
-                         name="U")
     cert = certify(cover, meet_radius=1, action=None)
     q = quotient(action)
     qc = min_dimension_cover_exact(q.space, 1, 4)
     lifted, trace, lift_cert = lift_equivariant(action, q, qc, R=1)
-    return dict(space=space, group=group, action=action, cover=cover,
-                decomp=decomp, union=union, cert=cert, q=q, qc=qc,
-                lifted=lifted, trace=trace, lift_cert=lift_cert)
+    return dict(space=space, group=group, action=action, cover=cover, cert=cert, q=q,
+                qc=qc, lifted=lifted, trace=trace, lift_cert=lift_cert)
 
 
 def seeded_workspace(fx) -> Workspace:
@@ -85,7 +80,7 @@ def test_space_round_trip_is_byte_identical():
         lambda d: load_entry(d, ws)[2],
         lambda obj, d: space_to_dict(obj))
     assert obj == fx["space"]
-    assert ws.has("space", "P5")
+    assert ws.names("space") == ["P5"]
 
 
 def test_group_round_trip_is_byte_identical():
@@ -123,30 +118,6 @@ def test_cover_round_trip_is_byte_identical():
     assert obj.members == fx["cover"].members
 
 
-def test_decomposition_round_trip_is_byte_identical():
-    fx = fixtures()
-    ws = seeded_workspace(fx)
-    obj = assert_round_trip(
-        decomposition_to_dict(fx["decomp"]),
-        lambda d: load_entry(d, ws)[2],
-        lambda obj, d: decomposition_to_dict(obj))
-    assert obj.families == fx["decomp"].families
-    assert obj.r == 1
-
-
-def test_sspace_round_trip_is_byte_identical():
-    fx = fixtures()
-    ws = seeded_workspace(fx)
-    ws.add("space", "C4", cycle_space(4))
-    obj = assert_round_trip(
-        sspace_to_dict(fx["union"]),
-        lambda d: load_entry(d, ws)[2],
-        lambda obj, d: sspace_to_dict(obj))
-    assert obj.assembled == fx["union"].assembled
-    # the assembled space was registered for downstream references
-    assert ws.get("space", "U") == fx["union"].assembled
-
-
 def test_certificate_round_trip_and_recomputation():
     fx = fixtures()
     ws = seeded_workspace(fx)
@@ -164,7 +135,7 @@ def test_tampered_certificate_is_rejected():
     d["dimension"] = d["dimension"] + 1
     kind, name, obj, violations = load_entry(parse_document(dumps(d)), ws)
     assert any(v.subject == ("dimension",) for v in violations)
-    assert not ws.has("certificate", "halves_cert")
+    assert ws.names("certificate") == []
 
 
 def test_equivariant_certificate_needs_its_action():
@@ -226,8 +197,8 @@ def test_profile_csv_shape():
 
 
 DOCUMENT_IDS = ["space", "quotient-space", "fraction-space", "group", "action", "cover",
-                "decomposition", "sspace", "certificate", "equivariant-certificate",
-                "lift-trace", "profile", "bare-profile"]
+                "certificate", "equivariant-certificate", "lift-trace", "profile",
+                "bare-profile"]
 
 
 def every_document(fx) -> list[dict]:
@@ -245,7 +216,6 @@ def every_document(fx) -> list[dict]:
     return [space_to_dict(fx["space"]), space_to_dict(fx["q"].space),
             space_to_dict(thirds), group_to_dict(fx["group"]),
             action_to_dict(fx["action"]), cover_to_dict(fx["cover"]),
-            decomposition_to_dict(fx["decomp"]), sspace_to_dict(fx["union"]),
             certificate_to_dict(fx["cert"], fx["cover"].name),
             certificate_to_dict(fx["lift_cert"], fx["lifted"].name,
                                 action_name=fx["action"].name),
@@ -270,7 +240,7 @@ def test_load_entry_refuses_a_key_its_object_does_not_write(index):
         """Every object the documents refer to, except d itself."""
         ws = Workspace()
         for kind, obj in [("space", fx["space"]), ("space", fx["q"].space),
-                          ("space", cycle_space(4)), ("group", fx["group"]),
+                          ("group", fx["group"]),
                           ("action", fx["action"]), ("cover", fx["cover"]),
                           ("cover", fx["qc"]), ("cover", fx["lifted"])]:
             if (kind, obj.name) != (d["kind"], d["name"]):
@@ -397,20 +367,19 @@ def test_space_to_dict_matches_per_entry_write(dist):
 def test_int_subclass_scalars_are_written_as_plain_ints():
     fx = fixtures()
     ws = seeded_workspace(fx)
-    ws.add("space", "C4", cycle_space(4))
-    decomp = Decomposition(fx["space"], Loud(1), [[[0, 1], [3, 4]], [[2]]], name="split")
-    union = build_sspace([fx["space"], cycle_space(4)], [[2], [0, 2]],
-                         [Loud(5), Loud(6)], name="U")
     lifted, trace, _ = lift_equivariant(fx["action"], fx["q"], fx["qc"], R=Loud(1))
     ws.add("cover", lifted.name, lifted)
-    docs = [decomposition_to_dict(decomp), sspace_to_dict(union),
+    profile = family_profile([fx["space"]], [Loud(1), Loud(2)], [Loud(2), Loud(4)],
+                             mode="exact")
+    docs = [profile_to_dict(profile, "loud"),
             lift_trace_to_dict(trace, fx["action"].name, fx["qc"].name, lifted.name)]
-    assert (docs[0]["r"], docs[1]["weights"], docs[2]["R"]) == ("1", ["5", "6"], "1")
+    assert [(e["scale"], e["mesh_bound"]) for e in docs[0]["spaces"][0]["entries"]] == \
+        [("1", "2"), ("2", "4")]
+    assert docs[1]["R"] == "1"
     loaded = [load_entry(parse_document(dumps(d)), ws) for d in docs]
-    assert [violations for *_, violations in loaded] == [[], [], []]
-    assert loaded[0][2].r == 1 and loaded[0][2].families == decomp.families
-    assert loaded[1][2].assembled == union.assembled
-    assert loaded[2][2] == trace
+    assert [violations for *_, violations in loaded] == [[], []]
+    assert loaded[0][2] == profile
+    assert loaded[1][2] == trace
 
 
 def test_load_entry_reports_validator_violations():
@@ -419,12 +388,12 @@ def test_load_entry_reports_validator_violations():
     ws = Workspace()
     kind, name, obj, violations = load_entry(parse_document(dumps(d)), ws)
     assert any(v.kind == "symmetry" for v in violations)
-    assert not ws.has("space", "bad")
+    assert ws.names("space") == []
 
 
 @pytest.mark.parametrize("kind, field, value, message", [
     ("group", "elements", None, "group file is missing 'elements'"),
-    ("decomposition", "r", "zz", "bad scalar 'zz'"),
+    ("certificate", "mesh", "zz", "bad scalar 'zz'"),
     ("space", "dist", 5, "bad space: 'int' object is not iterable"),
     ("action", "perm", {"0": [0, 1, 2, 3, 4]},
      "action is missing the permutation for '1'"),
@@ -432,7 +401,7 @@ def test_load_entry_reports_validator_violations():
 def test_load_entry_reports_a_malformed_field_once(kind, field, value, message):
     fx = fixtures()
     d = {"group": group_to_dict(fx["group"]),
-         "decomposition": decomposition_to_dict(fx["decomp"]),
+         "certificate": certificate_to_dict(fx["cert"], fx["cover"].name),
          "space": space_to_dict(fx["space"]),
          "action": action_to_dict(fx["action"])}[kind]
     if value is None:
@@ -442,6 +411,27 @@ def test_load_entry_reports_a_malformed_field_once(kind, field, value, message):
     with pytest.raises(FormatError) as info:
         load_entry(d, seeded_workspace(fx))
     assert str(info.value) == message
+
+
+def test_document_kinds_match_inventory():
+    # Adding or removing a document kind, or changing the order in which the
+    # CLI loads the kinds, means editing this table.
+    assert formats.KIND_ORDER == {"space": 0, "group": 0, "action": 1, "cover": 2,
+                                  "certificate": 3, "lift_trace": 3, "profile": 3}
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("sspace", {"components": ["P5"], "basepoints": [[2]], "weights": ["5"]}),
+    ("decomposition", {"space": "P5", "r": "1", "families": [[[0, 1], [3, 4]], [[2]]]}),
+], ids=["sspace", "decomposition"])
+def test_load_entry_refuses_a_retired_kind(kind, fields):
+    # Weighted unions and decompositions are no longer document kinds.
+    ws = seeded_workspace(fixtures())
+    d = {"format": "coarsedim/1", "kind": kind, "name": "U", **fields}
+    with pytest.raises(FormatError) as info:
+        load_entry(d, ws)
+    assert str(info.value) == f"unknown kind {kind!r}"
+    assert ws.names(kind) == [] and "U" not in ws.names("space")
 
 
 def test_load_entry_leaves_a_validator_fault_alone(monkeypatch):
@@ -457,23 +447,6 @@ def test_load_entry_needs_references_loaded_first():
     d = action_to_dict(fx["action"])
     with pytest.raises(ResolutionError):
         load_entry(d, Workspace())
-
-
-def test_sspace_tolerates_equal_preloaded_space():
-    fx = fixtures()
-    ws = Workspace()
-    ws.add("space", "P5", fx["space"])
-    ws.add("space", "C4", cycle_space(4))
-    ws.add("space", "U", fx["union"].assembled)
-    kind, name, obj, violations = load_entry(sspace_to_dict(fx["union"]), ws)
-    assert violations == []
-    # but a disagreeing space of the same name is an error
-    ws2 = Workspace()
-    ws2.add("space", "P5", fx["space"])
-    ws2.add("space", "C4", cycle_space(4))
-    ws2.add("space", "U", path_space(9))
-    with pytest.raises(FormatError):
-        load_entry(sspace_to_dict(fx["union"]), ws2)
 
 
 def test_workspace_duplicates_and_misses():

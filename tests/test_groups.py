@@ -10,11 +10,9 @@ from fractions import Fraction
 import pytest
 
 from coarsedim import (FiniteGroup, FiniteMetricSpace, IsometricAction, coset_representatives,
-                       cyclic_group, dihedral_group, direct_sum, equivariant_cover_pipeline,
-                       extend_action, find_isomorphism, generated_subgroup, is_subgroup,
-                       orbits, quotient, validate_action, validate_group,
-                       validate_metric)
-from coarsedim.errors import CapExceededError
+                       cyclic_group, dihedral_group, equivariant_cover_pipeline,
+                       generated_subgroup, is_subgroup, orbits, quotient, validate_action,
+                       validate_group, validate_metric)
 from coarsedim.formats import space_from_dict, space_to_dict
 from coarsedim.generators import (cycle_rotation_action, cycle_space,
                                   grid_rotation_action, grid_space,
@@ -107,8 +105,7 @@ def test_an_element_with_no_inverse_is_named():
 
 @pytest.mark.parametrize("make, args, message", [
     (cyclic_group, (0,), "cyclic group order must be >= 1"),
-    (direct_sum, ([],), "direct sum needs at least one component"),
-], ids=["cyclic", "direct-sum"])
+], ids=["cyclic"])
 def test_group_builders_refuse_an_empty_group(make, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make(*args)
@@ -343,7 +340,9 @@ def test_generated_subgroup_matches_all_pairs_closure():
 def test_is_subgroup_matches_the_definition():
     # a subset is a subgroup when it holds the identity, each member's
     # inverse and each product of two members
-    klein = direct_sum([cyclic_group(2), cyclic_group(2)]).group
+    klein = FiniteGroup(["e", "a", "b", "c"],
+                        [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+                        name="V4")
     for g in (cyclic_group(1), cyclic_group(4), cyclic_group(6), dihedral_group(3),
               dihedral_group(4), klein):
         for k in range(len(g) + 1):
@@ -352,71 +351,6 @@ def test_is_subgroup_matches_the_definition():
                 expected = (g.identity in s and all(g.inverse(a) in s for a in s)
                             and all(g.mul(a, b) in s for a in s for b in s))
                 assert is_subgroup(g, subset) == expected, (g.name, subset)
-
-
-def test_find_isomorphism():
-    z6 = cyclic_group(6)
-    z2xz3 = direct_sum([cyclic_group(2), cyclic_group(3)]).group
-    iso = find_isomorphism(z6, z2xz3)
-    assert iso is not None
-    for a in range(6):
-        for b in range(6):
-            assert iso[z6.mul(a, b)] == z2xz3.mul(iso[a], iso[b])
-
-    z4 = cyclic_group(4)
-    klein = direct_sum([cyclic_group(2), cyclic_group(2)]).group
-    assert find_isomorphism(z4, klein) is None
-    with pytest.raises(CapExceededError):
-        find_isomorphism(cyclic_group(13), cyclic_group(13))
-
-
-def test_direct_sum_structure():
-    ds = direct_sum([cyclic_group(2), cyclic_group(3)])
-    assert validate_group(ds.group) == []
-    assert len(ds.group) == 6
-    a = ds.injections[0][1]
-    b = ds.injections[1][2]
-    assert ds.group.mul(a, b) == ds.group.mul(b, a)  # components commute
-    assert ds.project(ds.group.mul(a, b)) == (1, 2)
-    with pytest.raises(CapExceededError):
-        direct_sum([cyclic_group(9), cyclic_group(9)])
-
-
-def test_extend_action():
-    m = path_space(5)
-    a = path_reflection_action(m)
-    ds = direct_sum([cyclic_group(2), cyclic_group(3)])
-    big = extend_action(a, ds, component=0)
-    assert validate_action(big) == []
-    assert len(big.group) == 6
-    # the Z3 part acts trivially
-    for k in range(3):
-        elt = ds.injections[1][k]
-        assert big.perms[elt] == tuple(range(5))
-    # the Z2 part acts as the reflection
-    assert big.perms[ds.injections[0][1]] == a.perms[1]
-
-
-def test_extend_action_through_isomorphism():
-    # action group with the Z2 table but different element names, so the
-    # extension has to discover the isomorphism instead of matching tables
-    odd_z2 = FiniteGroup(["id", "flip"], [[0, 1], [1, 0]], name="oddZ2")
-    m = path_space(5)
-    a = IsometricAction(odd_z2, m, path_reflection_action(m).perms)
-    ds = direct_sum([cyclic_group(2), cyclic_group(3)])
-    big = extend_action(a, ds, component=0)
-    assert validate_action(big) == []
-    assert big.perms[ds.injections[0][1]] == a.perms[1]
-
-
-def test_extend_action_rejects_wrong_component():
-    m = cycle_space(6)
-    a = cycle_rotation_action(m, 1)  # Z6 action
-    ds = direct_sum([cyclic_group(2), cyclic_group(3)])
-    with pytest.raises(ValueError):
-        extend_action(a, ds, component=0)  # Z2 is not Z6
-    with pytest.raises(ValueError):
-        extend_action(a, ds, component=5)
 
 
 def test_random_invariant_instances_are_valid():
@@ -438,8 +372,12 @@ def test_random_invariant_instances_match_the_floyd_warshall_oracle():
                         [[position[d3.mul(a, b)] for b in order] for a in order],
                         name="D3moved")
     assert moved.identity == 2
-    groups = [cyclic_group(k) for k in range(1, 7)] + [
-        d3, dihedral_group(4), direct_sum([cyclic_group(2), cyclic_group(3)]).group, moved]
+    # Z2 x Z3 with its elements named as pairs; (a, b) is element 3a + b.
+    pairs = FiniteGroup(["(0,0)", "(0,1)", "(0,2)", "(1,0)", "(1,1)", "(1,2)"],
+                        [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 0, 1, 5, 3, 4],
+                         [3, 4, 5, 0, 1, 2], [4, 5, 3, 1, 2, 0], [5, 3, 4, 2, 0, 1]],
+                        name="Z2xZ3")
+    groups = [cyclic_group(k) for k in range(1, 7)] + [d3, dihedral_group(4), pairs, moved]
     for group in groups:
         for base in range(1, 9):
             for seed in (0, 1, 29):

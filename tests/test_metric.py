@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from coarsedim import (INF, Cover, Decomposition, FiniteMetricSpace, asdim_profile, ball,
+from coarsedim import (INF, Cover, FiniteMetricSpace, asdim_profile, ball,
                        build_graph_metric, certify, cyclic_group, dihedral_group,
-                       diameter, direct_sum, greedy_cover, is_r_disjoint, quotient,
-                       set_distance, validate_action, validate_metric)
+                       diameter, greedy_cover, quotient, set_distance, validate_action,
+                       validate_metric)
 from coarsedim.generators import (cayley_ball_space, cycle_space, generate_instance,
                                   grid_rotation_action, grid_space, path_reflection_action,
                                   path_space, random_graph_space, random_invariant_instance)
@@ -224,9 +224,7 @@ def _core_objects():
     return [(m, ("points", "dist", "name")),
             (a.group, ("elements", "mul_table", "name", "identity")),
             (a, ("group", "space", "perms", "name")),
-            (Cover(m, [[0, 1, 2]]), ("space", "members", "name")),
-            (Decomposition(m, 1, [[[0, 1, 2]]]), ("space", "r", "families", "name")),
-            (direct_sum([a.group]), ("components", "group", "injections"))]
+            (Cover(m, [[0, 1, 2]]), ("space", "members", "name"))]
 
 
 @pytest.mark.parametrize("kind, field", [
@@ -237,6 +235,17 @@ def test_no_public_field_can_be_reassigned(kind, field):
     with pytest.raises(AttributeError, match=f"^the {field} of {re.escape(repr(obj))} "
                                              f"cannot be reassigned$"):
         setattr(obj, field, before)
+    assert getattr(obj, field) is before
+
+
+@pytest.mark.parametrize("kind, field", [
+    (type(obj).__name__, field) for obj, fields in _core_objects() for field in fields])
+def test_no_public_field_can_be_deleted(kind, field):
+    obj = next(obj for obj, _ in _core_objects() if type(obj).__name__ == kind)
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError, match=f"^the {field} of {re.escape(repr(obj))} "
+                                             f"cannot be deleted$"):
+        delattr(obj, field)
     assert getattr(obj, field) is before
 
 
@@ -411,8 +420,7 @@ def test_public_helpers_reject_bad_indices():
         with pytest.raises(ValueError, match=message):
             set_distance(m, [bad], [0])
     # True is checked before a set can merge it into 1
-    for helper in (lambda s: diameter(m, s), lambda s: set_distance(m, [0], s),
-                   lambda s: is_r_disjoint(m, [s], 1)):
+    for helper in (lambda s: diameter(m, s), lambda s: set_distance(m, [0], s)):
         with pytest.raises(ValueError, match=message + "True$"):
             helper([1, True])
 

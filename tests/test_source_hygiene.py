@@ -26,10 +26,11 @@ metric calls Fraction with a denominator that is not a literal
 One keeps a single search core: estimation._serve_groups is called from
 estimation._search alone, which both estimators run.  And one keeps the
 Python floor that pyproject.toml declares: every module of the package and
-of the tests parses with that version's grammar.  The last keeps one rule
-for what a core object keeps: object.__setattr__ is called in metric alone,
+of the tests parses with that version's grammar.  One keeps one rule for
+what a core object keeps: object.__setattr__ is called in metric alone,
 by the rule (_no_reassignment) and the constructors' helper (_construct),
-and the rule is the __setattr__ of every core class.
+the rule is the __setattr__ of every core class, and _no_deletion is its
+__delattr__.  The last pins the package's public names, coarsedim.__all__.
 """
 
 import ast
@@ -402,8 +403,32 @@ def test_one_rule_for_what_a_core_object_keeps():
                for p in sorted(PACKAGE.glob("*.py"))}
     assert setattr_calls(sources) == ["metric.py: _no_reassignment", "metric.py: _construct"]
     import coarsedim
-    from coarsedim.metric import _no_reassignment
-    core = ("FiniteMetricSpace", "FiniteGroup", "IsometricAction", "Cover",
-            "Decomposition", "DirectSum")
-    assert {name: getattr(coarsedim, name).__setattr__ for name in core} == \
-        dict.fromkeys(core, _no_reassignment)
+    from coarsedim.metric import _no_deletion, _no_reassignment
+    core = ("FiniteMetricSpace", "FiniteGroup", "IsometricAction", "Cover")
+    assert {name: (getattr(coarsedim, name).__setattr__, getattr(coarsedim, name).__delattr__)
+            for name in core} == dict.fromkeys(core, (_no_reassignment, _no_deletion))
+
+
+def test_public_names_match_inventory():
+    # Adding or removing a public name means editing this list.
+    import coarsedim
+    assert sorted(coarsedim.__all__) == [
+        "CapExceededError", "Cover", "CoverCertificate", "DimensionProfile",
+        "EXACT_POINT_CAP", "FORMAT_TAG", "FamilyProfile", "FiniteGroup",
+        "FiniteMetricSpace", "FormatError", "GapReport", "GeneratedInstance", "INF",
+        "Infeasible", "InternalInvariantError", "IsometricAction", "LiftMember",
+        "LiftPiece", "LiftTrace", "PipelineResult", "ProfileEntry", "QuotientSpace",
+        "ResolutionError", "Scalar", "Violation", "Workspace", "asdim_profile", "ball",
+        "ball_meet_count", "build_graph_metric", "cayley_ball_space", "certify",
+        "check_equivariance", "constructions", "coset_representatives", "covers",
+        "cycle_reflection_action", "cycle_rotation_action", "cycle_space",
+        "cyclic_group", "diameter", "dihedral_group", "dimension",
+        "displacement_subgroup", "dumps", "equivariant_cover_pipeline", "errors",
+        "estimation", "family_profile", "formats", "generate_instance",
+        "generated_subgroup", "generators", "greedy_cover", "grid_rotation_action",
+        "grid_space", "groups", "is_subgroup", "lebesgue_number", "lift_equivariant",
+        "load_entry", "mesh", "metric", "min_dimension_cover_exact", "orbits",
+        "parse_document", "parse_scalar", "path_reflection_action", "path_space",
+        "pushforward_cover", "quotient", "random_cover", "random_graph_space",
+        "random_invariant_instance", "scalar_str", "set_distance", "validate_action",
+        "validate_cover", "validate_group", "validate_metric", "verify_certificate"]
