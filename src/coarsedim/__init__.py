@@ -19,7 +19,7 @@ from .estimation import (EXACT_POINT_CAP, DimensionProfile,
                          ProfileEntry, asdim_profile, equivariant_cover_pipeline,
                          family_profile, greedy_cover, min_dimension_cover_exact)
 from .formats import (FORMAT_TAG, FormatError, Workspace, dumps, load_entry,
-                      parse_document, parse_scalar, scalar_str)
+                      parse_document, parse_scalar)
 from .generators import (GeneratedInstance, cayley_ball_space,
                          cycle_reflection_action, cycle_rotation_action,
                          cycle_space, generate_instance, grid_rotation_action,
@@ -31,7 +31,7 @@ from .groups import (FiniteGroup, IsometricAction, QuotientSpace,
                      generated_subgroup, is_subgroup, orbits, quotient,
                      validate_action, validate_group)
 from .metric import (INF, FiniteMetricSpace, Scalar, ball, build_graph_metric,
-                     diameter, set_distance, validate_metric)
+                     diameter, scalar_str, set_distance, validate_metric)
 
 __version__ = "0.1.0"
 

@@ -17,15 +17,22 @@ FiniteMetricSpace.diameter), so measuring another such cover of the same
 space reads it without a scan.  check_equivariance skips such a member,
 as every permutation fixes the whole set.
 
-Otherwise L is evaluated on the space's integer table (see
-FiniteMetricSpace.integer_rows), and the integer found is returned as
-the distance it stands for.  In a metric, a member without x
-contributes d(x, x) = 0, and for a member U containing x, d(x, X \\ U) is
-the distance to the nearest point that is not in U.  Each point keeps a
-mask with bit k set when member k contains it.  Let L_x be the max over U
-of d(x, X \\ U).  Coverage is tested first, on the masks alone: a point
-in no member has L_x = d(x, x) = 0, the least value there is, and 0 is
-the answer.
+certify and verify_certificate measure all three from one pass over the
+members, which builds for each point a mask with bit k set when member k
+contains it, and from the space's integer table (see
+FiniteMetricSpace.integer_rows): the dimension is the largest bit count
+of a mask minus one; the mesh is one running maximum over the members,
+each member's columns gathered from the integer rows of its points, with
+one-point members skipped (their diameter is 0) and the integer found
+returned once, as the distance it stands for; and L is the walk below,
+which returns its integer the same way.  dimension, mesh and
+lebesgue_number each build what their own quantity needs.
+
+In a metric, a member without x contributes d(x, x) = 0, and for a
+member U containing x, d(x, X \\ U) is the distance to the nearest point
+that is not in U.  Let L_x be the max over U of d(x, X \\ U).  Coverage
+is tested first, on the masks alone: a point in no member has L_x =
+d(x, x) = 0, the least value there is, and 0 is the answer.
 
 Every other point is in a member that is not the whole space, so its L_x
 is at least the least off-diagonal entry, which on a valid integer table
@@ -48,18 +55,20 @@ the definition's.
 Given an action, certify and verify_certificate run the equivariance check
 first; it maps the first member of each member-orbit under every element,
 so it also learns whether F fixes that member.  When the cover is
-invariant with no whole-space member, each quantity is measured once per
-orbit.  Proof: each g is an isometry permuting the members, so B(gx, r) =
-g.B(x, r) lies in gU exactly when B(x, r) lies in U, and diam gU = diam U;
-L_x and the multiplicity are constant on orbits, and in a member U that F
-fixes, d(gx, y) = d(x, g^-1 y) with g^-1 y in U.  So the multiplicity is
-counted and the Lebesgue walk run at the orbit-least points only (x with
-x = min of g.x over F), and the mesh measures the first member of each
-member-orbit, in a member F fixes gathering only its orbit-least points'
-rows.  The values returned are thus the full measurement's.  This needs a
-valid action (validate_action(a) == []), as quotient does; the CLI loads
-only such actions.  With no action, a cover that is not invariant or a
-whole-space member, every point and member is measured.
+invariant with no whole-space member, the Lebesgue number and the mesh are
+measured once per orbit.  Proof: each g is an isometry permuting the
+members, so B(gx, r) = g.B(x, r) lies in gU exactly when B(x, r) lies in
+U, and diam gU = diam U; L_x and the multiplicity are constant on orbits,
+and in a member U that F fixes, d(gx, y) = d(x, g^-1 y) with g^-1 y in U.
+So the multiplicity is read off every point's mask (the masks are built
+for every point anyway), the Lebesgue walk runs at the orbit-least points
+only (x with x = min of g.x over F), and the mesh measures the first
+member of each member-orbit, in a member F fixes gathering only its
+orbit-least points' rows.  The values returned are thus the full
+measurement's.  This needs a valid action (validate_action(a) == []), as
+quotient does; the CLI loads only such actions.  With no action, a cover
+that is not invariant or a whole-space member, every point and member is
+measured.
 
 certify keeps the dimension, Lebesgue number and mesh it measures on the
 Cover, whose fields cannot be reassigned or deleted; verify_certificate
@@ -71,16 +80,15 @@ not to certify's record, and both use it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, repeat
-from operator import and_, lt
+from operator import and_, itemgetter, lt
 from typing import Iterable
 
 from .errors import Violation
 from .groups import IsometricAction
-from .metric import (INF, FiniteMetricSpace, Scalar, _construct, _diameter, _no_deletion,
+from .metric import (INF, FiniteMetricSpace, Scalar, _construct, _no_deletion,
                      _no_reassignment, _set_distance, check_count, check_indices,
                      check_scalar)
 
@@ -169,62 +177,61 @@ def validate_cover(c: Cover) -> list[Violation]:
     return out
 
 
-def dimension(c: Cover, _points: frozenset[int] | None = None) -> int:
-    """Largest number of members through one point, minus one.  certify
-    passes the orbit-least points as _points, and only they are counted."""
-    members = c.members if _points is None else map(_points.intersection, c.members)
-    return max(Counter(chain.from_iterable(members)).values(), default=0) - 1
+def dimension(c: Cover) -> int:
+    """Largest number of members through one point, minus one."""
+    return max(map(int.bit_count, _masks(c))) - 1
 
 
-def mesh(c: Cover, _reads: Iterable[tuple[frozenset[int], Iterable[int]]] | None = None
-         ) -> Scalar:
+def mesh(c: Cover) -> Scalar:
     """Largest member diameter.  When a member is the whole space and none
     is empty (an empty member has no diameter), that is the space's kept
-    diameter, as c.space is a metric; see the module docstring.  certify
-    passes as _reads one member of each member-orbit, in index order, with
-    the points whose rows are read, and only those members are measured."""
-    m = c.space
-    if _reads is not None:
-        return max((_diameter(m, member, rows) for member, rows in _reads), default=0)
-    if all(c.members) and len(m) in map(len, c.members):
-        return m.diameter()
-    return max((_diameter(m, member) for member in c.members), default=0)
+    diameter, as c.space is a metric; see the module docstring."""
+    return _mesh(c, zip(c.members, c.members))
 
 
-def lebesgue_number(c: Cover, _points: Iterable[int] | None = None):
+def lebesgue_number(c: Cover):
     """Complement-distance Lebesgue number; INF when a member is the whole
     space, and 0 when a point is in no member.  Otherwise the least L_x,
     with the walk stopped once it reaches one integer unit, the least a
-    covered point can have.  certify passes the orbit-least points as
-    _points, and the walk visits only they, in increasing order.
+    covered point can have.
 
     c.space must be a metric (validate_metric(c.space) == []); see the
     module docstring."""
+    return _lebesgue(c, _masks(c), range(len(c.space)))
+
+
+def _masks(c: Cover) -> list[int]:
+    """Per point of c.space, the mask with bit k set when member k holds it."""
+    masks = [0] * len(c.space)
+    for k, member in enumerate(c.members):
+        bit = 1 << k
+        for x in member:
+            masks[x] |= bit
+    return masks
+
+
+def _lebesgue(c: Cover, masks: list[int], points: Iterable[int]):
+    """lebesgue_number(c), from the masks of _masks(c), with the walk
+    visiting only the given points, in the order given."""
     if not c.members:
         raise ValueError("Lebesgue number of a cover with no members is undefined")
     m = c.space
     if len(m) in map(len, c.members):
         return INF      # an empty complement, known before any table is read
-    # Bit k of masks[x] is set when member k contains x; best is the least
-    # L_x so far, in the integer table (see the module docstring).  No
-    # member is the whole space, so the first point's walk, over the whole
-    # space, stops too.
-    masks = [0] * len(m)
-    for k, member in enumerate(c.members):
-        bit = 1 << k
-        for x in member:
-            masks[x] |= bit
     if 0 in masks:
         return 0        # a point in no member: L_x = d(x, x) = 0, the least
-    points = range(len(m))
+    # best is the least L_x so far, in the integer table (see the module
+    # docstring).  No member is the whole space, so the first point's walk,
+    # over the whole space, stops too.
+    everywhere = range(len(m))
     rows = m.integer_rows()
     best = None
-    for x in points if _points is None else sorted(_points):
+    for x in points:
         row = rows[x]
         if best is None:
-            near = points
+            near = everywhere
         else:
-            near = list(compress(points, map(lt, row, repeat(best))))
+            near = list(compress(everywhere, map(lt, row, repeat(best))))
             if reduce(and_, map(masks.__getitem__, near)):
                 continue
         alive = masks[x]
@@ -236,6 +243,29 @@ def lebesgue_number(c: Cover, _points: Iterable[int] | None = None):
         if best == 1:
             break       # one unit: no covered point goes below it
     return m._scalar(best)
+
+
+def _mesh(c: Cover, reads: Iterable[tuple[frozenset[int], Iterable[int]]]) -> Scalar:
+    """mesh(c), measured on the members of reads, each with the points whose
+    integer rows are gathered at its columns (points of the member whose
+    rows hold its largest entry too): one running maximum, with one-point
+    members skipped and the scalar made once at the end."""
+    m = c.space
+    if all(c.members) and len(m) in map(len, c.members):
+        return m.diameter()
+    rows = m.integer_rows()
+    top = 0
+    for member, rows_of in reads:
+        if len(member) < 2:
+            if not member:
+                raise ValueError("diameter of the empty set is undefined")
+            continue
+        gather = itemgetter(*member)
+        for x in rows_of:
+            widest = max(gather(rows[x]))
+            if widest > top:
+                top = widest
+    return m._scalar(top)
 
 
 def ball_meet_count(c: Cover, radius: Scalar) -> int:
@@ -285,16 +315,18 @@ def _member_orbits(a: IsometricAction, c: Cover) -> tuple[tuple | None, list | N
 
 
 def _measure(c: Cover, action: IsometricAction | None, firsts: list | None) -> tuple:
-    """Dimension, Lebesgue number and mesh of c: per orbit when firsts (from
-    _member_orbits) shows c invariant with no whole-space member, else at
-    every point and member; the same values either way (see the
-    module docstring)."""
+    """Dimension, Lebesgue number and mesh of c, from one build of the
+    membership masks: per orbit when firsts (from _member_orbits) shows c
+    invariant with no whole-space member, else at every point and member;
+    the same values either way (see the module docstring)."""
+    masks = _masks(c)
     if firsts is None:
-        return dimension(c), lebesgue_number(c), mesh(c)
-    least = frozenset(map(min, zip(*action.perms)))
-    return (dimension(c, least), lebesgue_number(c, least),
-            mesh(c, [(member, least & member if fixed else member)
-                     for member, fixed in firsts]))
+        points, reads = range(len(c.space)), zip(c.members, c.members)
+    else:
+        least = frozenset(map(min, zip(*action.perms)))
+        points = sorted(least)
+        reads = [(member, least & member if fixed else member) for member, fixed in firsts]
+    return max(map(int.bit_count, masks)) - 1, _lebesgue(c, masks, points), _mesh(c, reads)
 
 
 def _certificate(c: Cover, measured: tuple, meet_radius: Scalar | None,

@@ -26,7 +26,7 @@ from .constructions import LiftTrace, lift_equivariant
 from .errors import CapExceededError, InternalInvariantError
 from .groups import IsometricAction, QuotientSpace, quotient
 from .metric import (FiniteMetricSpace, Scalar, check_count, check_nonnegative,
-                     check_positive, diameter)
+                     check_positive, diameter, scalar_str)
 
 EXACT_POINT_CAP = 14
 
@@ -211,7 +211,8 @@ def min_dimension_cover_exact(m: FiniteMetricSpace, R: Scalar, B: Scalar,
         raise CapExceededError(
             f"exact search is capped at {max_points} points and {m.name!r} has "
             f"{len(m)}; use greedy_cover for larger spaces")
-    return _search(m, R, B, range(1, len(m) + 1), f"{m.name}_exact_R{R}_B{B}")[0]
+    name = f"{m.name}_exact_R{scalar_str(R)}_B{scalar_str(B)}"
+    return _search(m, R, B, range(1, len(m) + 1), name)[0]
 
 
 def greedy_cover(m: FiniteMetricSpace, R: Scalar) -> tuple[Cover, CoverCertificate]:
@@ -220,7 +221,7 @@ def greedy_cover(m: FiniteMetricSpace, R: Scalar) -> tuple[Cover, CoverCertifica
     never fails or backtracks; a ball above 4R raises ValueError, as the
     table is not a metric.  Lebesgue number >= R and mesh <= 4R are certified."""
     check_positive(R, "R")
-    cover, cert = _search(m, R, 4 * R, (None,), f"{m.name}_greedy_R{R}")
+    cover, cert = _search(m, R, 4 * R, (None,), f"{m.name}_greedy_R{scalar_str(R)}")
     if cert is None:
         raise ValueError(f"{m.name!r} is not a metric: {cover.message}")
     return cover, cert

@@ -42,7 +42,7 @@ from .covers import Cover, CoverCertificate, certify, validate_cover, verify_cer
 from .errors import ResolutionError, Violation
 from .estimation import DimensionProfile, FamilyProfile, Infeasible, ProfileEntry
 from .groups import FiniteGroup, IsometricAction, orbits, validate_action, validate_group
-from .metric import (INF, FiniteMetricSpace, check_index, check_indices, is_scalar,
+from .metric import (INF, FiniteMetricSpace, check_index, check_indices, scalar_str,
                      validate_metric)
 
 FORMAT_TAG = "coarsedim/1"
@@ -57,18 +57,6 @@ class FormatError(ValueError):
     def __init__(self, message: str, violations: Sequence[Violation] = ()):
         super().__init__(message)
         self.violations = list(violations)
-
-
-def scalar_str(value) -> str:
-    if value == INF:
-        return "inf"
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int.__repr__(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    if is_scalar(value):
-        return int.__repr__(value)      # not an int subclass's own __str__
-    raise TypeError(f"not an exact scalar: {value!r}")
 
 
 def parse_scalar(text: str):

@@ -6,7 +6,8 @@ The one non-rational value in the toolkit is INF, the marker for a minimum
 taken over an empty set.  The rules every constructor checks its input by
 are written here once: check_scalar, check_index (and check_indices for a
 whole collection) and check_count.  So is the form of every distance
-computed from a table: FiniteMetricSpace._scalar.
+computed from a table, FiniteMetricSpace._scalar, and the text every scalar
+is written as, scalar_str.
 """
 
 from __future__ import annotations
@@ -34,6 +35,21 @@ INF = math.inf
 
 def is_scalar(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, Fraction))
+
+
+def scalar_str(value) -> str:
+    """The canonical text of a scalar, INF included: what documents write,
+    what parse_scalar reads back, and how the estimators' cover names show
+    their scales."""
+    if value == INF:
+        return "inf"
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return int.__repr__(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    if is_scalar(value):
+        return int.__repr__(value)      # not an int subclass's own __str__
+    raise TypeError(f"not an exact scalar: {value!r}")
 
 
 def check_scalar(value, name: str = "value") -> Scalar:
@@ -510,11 +526,9 @@ def _ball(m: FiniteMetricSpace, x: int, r: Scalar, within) -> frozenset[int]:
     return frozenset(compress(range(len(m)), map(within, m.dist[x], repeat(r))))
 
 
-def _diameter(m: FiniteMetricSpace, s: Iterable[int],
-              rows_of: Iterable[int] | None = None) -> Scalar:
+def _diameter(m: FiniteMetricSpace, s: Iterable[int]) -> Scalar:
     """Largest distance between points of s, found in one C-level pass over
-    the integer rows of s (or of rows_of, points of s whose rows hold it
-    too) gathered at s."""
+    the integer rows of s gathered at s."""
     s = tuple(s)
     if not s:
         raise ValueError("diameter of the empty set is undefined")
@@ -522,7 +536,7 @@ def _diameter(m: FiniteMetricSpace, s: Iterable[int],
         return 0
     rows = m.integer_rows()
     gather = itemgetter(*s)
-    top = max(map(max, map(gather, map(rows.__getitem__, s if rows_of is None else rows_of))))
+    top = max(map(max, map(gather, map(rows.__getitem__, s))))
     return m._scalar(top)
 
 

@@ -32,22 +32,22 @@ else:
 
 
 @pytest.fixture
-def lebesgue_calls(monkeypatch):
-    """The names of the covers whose Lebesgue number is computed, in order.
-    Every computation inside covers.certify and verify_certificate goes
-    through covers.lebesgue_number, at every point or (with an action that
-    leaves the cover invariant) at the orbit-least points it is passed,
+def measurements(monkeypatch):
+    """The names of the covers measured, in order.  covers.certify and
+    verify_certificate take a cover's dimension, Lebesgue number and mesh
+    from one call of covers._measure, the measurement core, at every point
+    or (with an action that leaves the cover invariant) once per orbit,
     which this replaces with a counter."""
     import coarsedim.covers
 
     calls = []
-    original = coarsedim.covers.lebesgue_number
+    original = coarsedim.covers._measure
 
-    def counting(c, *points):
+    def counting(c, *args):
         calls.append(c.name)
-        return original(c, *points)
+        return original(c, *args)
 
-    monkeypatch.setattr(coarsedim.covers, "lebesgue_number", counting)
+    monkeypatch.setattr(coarsedim.covers, "_measure", counting)
     return calls
 
 

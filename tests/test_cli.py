@@ -514,14 +514,14 @@ def test_estimate_writes_cover_and_certificate(tmp_path, capsys):
     assert code == 0
 
 
-def test_exact_estimate_measures_its_cover_once(tmp_path, capsys, lebesgue_calls):
+def test_exact_estimate_measures_its_cover_once(tmp_path, capsys, measurements):
     files = generate_path_instance(tmp_path, capsys)
     space = next(f for f in files if ".space." in f)
     code, out, _ = run(capsys, "estimate", space, "--R", "1", "--mode", "exact",
                        "--out", str(tmp_path))
     assert code == 0
     # the search certifies its answer; the command reuses that certificate
-    assert lebesgue_calls == ["P5_exact_R1_B4"]
+    assert measurements == ["P5_exact_R1_B4"]
 
 
 def test_estimate_infeasible_exits_three(tmp_path, capsys):

@@ -202,38 +202,38 @@ def test_certify_and_verify_roundtrip():
     assert [v.subject for v in bad] == [("dimension",)]
 
 
-def test_verify_certificate_measures_the_raw_cover_once(lebesgue_calls):
+def test_verify_certificate_measures_the_raw_cover_once(measurements):
     cert = certify(halves_cover())
     c = halves_cover()
-    del lebesgue_calls[:]
+    del measurements[:]
     assert verify_certificate(c, cert) == []
-    assert len(lebesgue_calls) == 1
+    assert len(measurements) == 1
     # verification filled no record: certify measures, once
     certify(c)
     certify(c)
-    assert len(lebesgue_calls) == 2
+    assert len(measurements) == 2
     # and read none: it measures again after certify
     assert verify_certificate(c, cert) == []
-    assert len(lebesgue_calls) == 3
+    assert len(measurements) == 3
 
 
-def test_certify_keeps_its_measurement_as_the_cover_cannot_change(lebesgue_calls):
+def test_certify_keeps_its_measurement_as_the_cover_cannot_change(measurements):
     c = halves_cover()
     assert certify(c) == certify(c) == CoverCertificate(dimension=1, lebesgue=1,
                                                         mesh=2)
-    assert len(lebesgue_calls) == 1
+    assert len(measurements) == 1
     for field, value in (("members", (frozenset(range(5)),)), ("space", cycle_space(5))):
         with pytest.raises(AttributeError, match=f"the {field} of"):
             setattr(c, field, value)
     with pytest.raises(AttributeError, match="the _measured of"):
         c._measured = (0, INF, 4)
     assert certify(c) == CoverCertificate(dimension=1, lebesgue=1, mesh=2)
-    assert len(lebesgue_calls) == 1
+    assert len(measurements) == 1
     # Another cover is another Cover, measured once in its turn.
     whole = Cover(c.space, [range(5)], name="whole")
     assert certify(whole) == certify(whole) == CoverCertificate(dimension=0,
                                                                 lebesgue=INF, mesh=4)
-    assert lebesgue_calls == ["halves", "whole"]
+    assert measurements == ["halves", "whole"]
 
 
 def test_a_kept_measurement_cannot_be_deleted_and_set_again():
@@ -261,3 +261,62 @@ def test_a_member_off_the_space_cannot_be_slipped_in():
     assert c.members == (frozenset({0, 1, 2}),)
     with pytest.raises(ValueError, match=r"must be an int in range\(3\), got 7"):
         Cover(m, [{0, 1, 2}, {7}])
+
+
+# Degenerate covers, measured alone and through certify and
+# verify_certificate, with and without the reflection of P5 (every cover
+# below but "one-side" is invariant under it): the one measurement gives
+# the values and errors each quantity gives alone.
+NO_MEMBERS = "Lebesgue number of a cover with no members is undefined"
+EMPTY_SET = "diameter of the empty set is undefined"
+
+
+@pytest.mark.parametrize("with_action", [False, True], ids=["plain", "reflection"])
+def test_a_cover_with_no_members(with_action):
+    c = Cover(path_space(5), [], name="nothing")
+    action = path_reflection_action(c.space) if with_action else None
+    assert dimension(c) == -1
+    assert mesh(c) == 0 and type(mesh(c)) is int
+    with pytest.raises(ValueError, match=f"^{NO_MEMBERS}$"):
+        lebesgue_number(c)
+    with pytest.raises(ValueError, match=f"^{NO_MEMBERS}$"):
+        certify(c, action=action)
+    with pytest.raises(ValueError, match=f"^{NO_MEMBERS}$"):
+        verify_certificate(c, CoverCertificate(0, 1, 2), action=action)
+
+
+@pytest.mark.parametrize("members, lebesgue", [([[], [0, 1, 2], [2, 3, 4]], 1),
+                                               ([[], range(5)], INF),
+                                               ([range(5), []], INF)],
+                         ids=["halves", "whole", "whole-first"])
+@pytest.mark.parametrize("with_action", [False, True], ids=["plain", "reflection"])
+def test_a_cover_with_an_empty_member(members, lebesgue, with_action):
+    c = Cover(path_space(5), members)
+    action = path_reflection_action(c.space) if with_action else None
+    assert lebesgue_number(c) == lebesgue
+    assert dimension(c) == (1 if lebesgue == 1 else 0)
+    with pytest.raises(ValueError, match=f"^{EMPTY_SET}$"):
+        mesh(c)
+    with pytest.raises(ValueError, match=f"^{EMPTY_SET}$"):
+        certify(c, action=action)
+    assert c._measured is None
+    with pytest.raises(ValueError, match=f"^{EMPTY_SET}$"):
+        verify_certificate(c, CoverCertificate(1, lebesgue, 2), action=action)
+
+
+@pytest.mark.parametrize("members, dim, mesh_", [([[0, 1, 2], [1, 2, 3]], 1, 2),
+                                                 ([[0, 1], [3, 4]], 0, 1),
+                                                 ([[0, 1], [1], [3, 4], [3]], 1, 1)],
+                         ids=["one-side", "middle", "singletons"])
+def test_a_cover_that_misses_a_point_certifies_lebesgue_zero(members, dim, mesh_):
+    c = Cover(path_space(5), members)
+    expected = CoverCertificate(dimension=dim, lebesgue=0, mesh=mesh_)
+    assert (dimension(c), lebesgue_number(c), mesh(c)) == (dim, 0, mesh_)
+    assert lebesgue_direct(c.space, c.members) == 0
+    a = path_reflection_action(c.space)
+    reflected = certify(Cover(c.space, c.members), action=a)
+    assert reflected.equivariant is (members != [[0, 1, 2], [1, 2, 3]])
+    assert (reflected.dimension, reflected.lebesgue, reflected.mesh) == (dim, 0, mesh_)
+    assert verify_certificate(c, reflected, action=a) == []
+    assert certify(c) == expected
+    assert verify_certificate(c, expected) == []

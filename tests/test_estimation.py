@@ -455,15 +455,15 @@ def test_exact_search_leaves_nothing_for_the_cyclic_collector():
         gc.enable()
 
 
-def test_pipeline_certifies_each_cover_once(lebesgue_calls):
+def test_pipeline_certifies_each_cover_once(measurements):
     # Counts computations, not certify calls: lift_equivariant asks certify
     # for the quotient cover's certificate and gets the stored one.
     for a, mode in ((grid_rotation_action(grid_space(6, 6), 6, 6), "greedy"),
                     (path_reflection_action(path_space(9)), "exact")):
-        del lebesgue_calls[:]
+        del measurements[:]
         result = equivariant_cover_pipeline(a, 2, mode=mode)
         # the estimator measures the quotient cover, the lift its own output
-        assert lebesgue_calls == [result.quotient_cover.name, result.cover.name]
+        assert measurements == [result.quotient_cover.name, result.cover.name]
 
 
 def test_pipeline_greedy_mode_for_large_spaces():

@@ -375,6 +375,10 @@ def test_int_subclass_scalars_are_written_as_plain_ints():
             lift_trace_to_dict(trace, fx["action"].name, fx["qc"].name, lifted.name)]
     assert [(e["scale"], e["mesh_bound"]) for e in docs[0]["spaces"][0]["entries"]] == \
         [("1", "2"), ("2", "4")]
+    # Cover names show the scales as written too, not an int subclass's str.
+    assert [e.cover_name for e in profile.profiles[0].entries] == \
+        ["P5_exact_R1_B2", "P5_exact_R2_B4"]
+    assert greedy_cover(fx["space"], Loud(1))[0].name == "P5_greedy_R1"
     assert docs[1]["R"] == "1"
     loaded = [load_entry(parse_document(dumps(d)), ws) for d in docs]
     assert [violations for *_, violations in loaded] == [[], []]

@@ -640,6 +640,11 @@ def test_per_orbit_certificate_is_the_full_measurement(problem):
     plain = certify(Cover(c.space, c.members))
     assert (cert.equivariant, plain.equivariant) == (witness is None, None)
     full = (dimension(c), lebesgue_number(c), mesh(c))
+    # The full and per-orbit measurements share one body, so both are also
+    # judged by the oracles and a count of members at each point.
+    m = c.space
+    assert full == (max(sum(x in member for member in c.members) for x in range(len(m))) - 1,
+                    lebesgue_direct(m, c.members), mesh_direct(m, c.members))
     for measured in ((cert.dimension, cert.lebesgue, cert.mesh),
                      (plain.dimension, plain.lebesgue, plain.mesh)):
         assert measured == full

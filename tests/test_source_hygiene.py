@@ -24,7 +24,9 @@ And one keeps a single way out of a space's integer rows: no module but
 metric calls Fraction with a denominator that is not a literal
 (FiniteMetricSpace._scalar turns every integer entry into its distance).
 One keeps a single search core: estimation._serve_groups is called from
-estimation._search alone, which both estimators run.  And one keeps the
+estimation._search alone, which both estimators run; and one a single
+measurement core: covers._measure is called from covers.certify and
+covers.verify_certificate alone.  And one keeps the
 Python floor that pyproject.toml declares: every module of the package and
 of the tests parses with that version's grammar.  One keeps one rule for
 what a core object keeps: object.__setattr__ is called in metric alone,
@@ -42,6 +44,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "coarsedim"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PACKAGE_SOURCES = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
 
 
 def _loaded(node: ast.AST) -> set[str]:
@@ -182,9 +185,7 @@ def test_the_checker_finds_unreferenced_private_names():
 
 
 def test_every_private_name_is_referenced():
-    sources = {p.name: p.read_text(encoding="utf-8")
-               for p in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced_private(sources) == []
+    assert unreferenced_private(PACKAGE_SOURCES) == []
 
 
 def indented_json_writes(source: str) -> list[str]:
@@ -295,18 +296,19 @@ def test_only_metric_computes_a_fraction(path):
     assert computed_fractions(path.read_text(encoding="utf-8")) == []
 
 
-def serve_group_calls(sources: dict[str, str]) -> list[str]:
-    """One line per call of _serve_groups, under any import name, naming
-    the module (file name -> source) and the top-level definition it sits
-    in, or <module>."""
+def calls_of(function: str, sources: dict[str, str]) -> list[str]:
+    """One line per call of the named function, naming the module (file name
+    -> source) and the top-level definition it sits in, or <module>.  A
+    call matches when its callee is written as the name or ends in "." and
+    the name, so a private function matches under any import name and
+    "object.__setattr__" matches that method of object alone."""
     out = []
     for module, text in sorted(sources.items()):
         for top in ast.parse(text).body:
             where = getattr(top, "name", "<module>")
             out.extend(f"{module}: {where}" for node in ast.walk(top)
                        if isinstance(node, ast.Call)
-                       and (node.func.attr if isinstance(node.func, ast.Attribute)
-                            else getattr(node.func, "id", None)) == "_serve_groups")
+                       and f".{ast.unparse(node.func)}".endswith(f".{function}"))
     return out
 
 
@@ -323,17 +325,26 @@ def test_the_checker_finds_serve_group_calls():
                  "FIRST = a._serve_groups(0)\n"
                  "class Search:\n"
                  "    def run(self):\n"
-                 "        return a._serve_groups(1)\n"),
+                 "        return a._serve_groups(1)\n"
+                 "    def _serve_groups_twice(self):\n"
+                 "        return a._search(a._serve_groups), my_serve_groups(2)\n"),
     }
-    assert serve_group_calls(sources) == [
+    assert calls_of("_serve_groups", sources) == [
         "a.py: _search", "a.py: greedy", "b.py: <module>", "b.py: Search",
     ]
+    assert calls_of("_search", sources) == ["b.py: Search"]
 
 
 def test_one_search_core():
-    sources = {p.name: p.read_text(encoding="utf-8")
-               for p in sorted(PACKAGE.glob("*.py"))}
-    assert serve_group_calls(sources) == ["estimation.py: _search"]
+    assert calls_of("_serve_groups", PACKAGE_SOURCES) == ["estimation.py: _search"]
+
+
+def test_one_measurement_core():
+    # certify and verify_certificate take a cover's dimension, Lebesgue
+    # number and mesh from covers._measure, and nothing else measures for
+    # them.
+    assert calls_of("_measure", PACKAGE_SOURCES) == ["covers.py: certify",
+                                                     "covers.py: verify_certificate"]
 
 
 FLOOR = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"',
@@ -372,19 +383,6 @@ def test_every_module_parses_at_the_floor(path):
     assert above_floor(path.read_text(encoding="utf-8")) == []
 
 
-def setattr_calls(sources: dict[str, str]) -> list[str]:
-    """One line per call of object.__setattr__, naming the module (file name
-    -> source) and the top-level definition it sits in, or <module>."""
-    out = []
-    for module, text in sorted(sources.items()):
-        for top in ast.parse(text).body:
-            where = getattr(top, "name", "<module>")
-            out.extend(f"{module}: {where}" for node in ast.walk(top)
-                       if isinstance(node, ast.Call)
-                       and ast.unparse(node.func) == "object.__setattr__")
-    return out
-
-
 def test_the_checker_finds_setattr_calls():
     sources = {
         "a.py": ("def _rule(self, name, value):\n"
@@ -395,13 +393,13 @@ def test_the_checker_finds_setattr_calls():
                  "        setattr(self, 'name', 'x')\n"),
         "b.py": "object.__setattr__(FLAG, 'on', True)\n",
     }
-    assert setattr_calls(sources) == ["a.py: _rule", "a.py: Space", "b.py: <module>"]
+    assert calls_of("object.__setattr__", sources) == [
+        "a.py: _rule", "a.py: Space", "b.py: <module>"]
 
 
 def test_one_rule_for_what_a_core_object_keeps():
-    sources = {p.name: p.read_text(encoding="utf-8")
-               for p in sorted(PACKAGE.glob("*.py"))}
-    assert setattr_calls(sources) == ["metric.py: _no_reassignment", "metric.py: _construct"]
+    assert calls_of("object.__setattr__", PACKAGE_SOURCES) == [
+        "metric.py: _no_reassignment", "metric.py: _construct"]
     import coarsedim
     from coarsedim.metric import _no_deletion, _no_reassignment
     core = ("FiniteMetricSpace", "FiniteGroup", "IsometricAction", "Cover")
